@@ -2,8 +2,8 @@
 
 Everything here is deliberately implemented from first principles with no
 code shared with the package: exact Gaussian elimination over Fractions,
-Fourier-Motzkin elimination for linear feasibility, and an angular sweep for
-two-dimensional cones.
+Fourier-Motzkin elimination for linear feasibility, a revised Phase-I simplex
+over Fractions, and an angular sweep for two-dimensional cones.
 """
 
 from fractions import Fraction
@@ -85,6 +85,100 @@ def fourier_motzkin_feasible(ineqs, eqs=(), eq_rhs=(), ineq_rhs=None) -> bool:
         if not rows:
             return True
     return all(r[0] <= 0 for r in rows)
+
+
+def bland_phase_one_point(eqs, eq_rhs, lower_bounds, ineqs=(), ineq_rhs=()):
+    """Phase-I simplex point of {C x = d, A x >= b, x_i >= lb_i}, or None.
+
+    A revised simplex over Fractions with an explicit basis inverse, written
+    to the textbook conventions the library documents for its oracle, so its
+    vertex is the library's vertex:
+    - slack s_i >= 0 turns row i of A x >= b into A_i x - s_i = b_i; slacks
+      follow the variables;
+    - a variable with bound lb becomes y = x - lb >= 0, a free variable the
+      pair y+ - y- of adjacent columns;
+    - a row whose right-hand side is negative is negated, and each row gets
+      an artificial column, the starting basis, after all other columns;
+    - Bland's rule: the entering column is the lowest-index column with
+      negative reduced cost for the cost "sum of artificials"; the leaving
+      row is the minimum ratio, ties going to the lowest basic index.
+    """
+    n = len(lower_bounds)
+    k = len(ineqs)
+    bounds = [None if lb is None else Fraction(lb) for lb in lower_bounds] + [Fraction(0)] * k
+    constraints = [([Fraction(c) for c in row] + [Fraction(0)] * k, Fraction(rhs))
+                   for row, rhs in zip(eqs, eq_rhs)]
+    for i, (row, rhs) in enumerate(zip(ineqs, ineq_rhs)):
+        coeffs = [Fraction(c) for c in row] + [Fraction(0)] * k
+        coeffs[n + i] = Fraction(-1)
+        constraints.append((coeffs, Fraction(rhs)))
+
+    # columns[j] is the j-th standard-form column as a list over rows.
+    m = len(constraints)
+    columns, plus_col = [], []
+    for var, lb in enumerate(bounds):
+        plus_col.append(len(columns))
+        column = [coeffs[var] for coeffs, _ in constraints]
+        columns.append(column)
+        if lb is None:
+            columns.append([-c for c in column])
+    b = [rhs - sum(c * lb for c, lb in zip(coeffs, bounds) if lb is not None)
+         for coeffs, rhs in constraints]
+    for r in range(m):
+        if b[r] < 0:
+            b[r] = -b[r]
+            for column in columns:
+                column[r] = -column[r]
+    n_real = len(columns)
+    for r in range(m):
+        columns.append([Fraction(int(i == r)) for i in range(m)])
+
+    basis = list(range(n_real, n_real + m))
+    inverse = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    values = list(b)
+    while True:
+        # Duals of the cost vector: 1 on artificial columns, 0 elsewhere.
+        duals = [sum(inverse[i][r] for i in range(m) if basis[i] >= n_real) for r in range(m)]
+        entering = None
+        for j, column in enumerate(columns):
+            if (j >= n_real) - sum(y * a for y, a in zip(duals, column) if a) < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        direction = [sum(v * a for v, a in zip(inverse[i], columns[entering]) if a) for i in range(m)]
+        leaving = None
+        for i in range(m):
+            if direction[i] <= 0:
+                continue
+            ratio = values[i] / direction[i]
+            if leaving is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                leaving, best = i, ratio
+        assert leaving is not None, "phase-1 objective is bounded below by zero"
+        step = direction[leaving]
+        inverse[leaving] = [v / step for v in inverse[leaving]]
+        values[leaving] = values[leaving] / step
+        for i in range(m):
+            if i != leaving and direction[i] != 0:
+                f = direction[i]
+                inverse[i] = [v - f * w for v, w in zip(inverse[i], inverse[leaving])]
+                values[i] = values[i] - f * values[leaving]
+        basis[leaving] = entering
+
+    if sum(v for v, var in zip(values, basis) if var >= n_real) > 0:
+        return None
+    y = [Fraction(0)] * n_real
+    for v, var in zip(values, basis):
+        if var < n_real:
+            y[var] = v
+    point = []
+    for var in range(n):
+        col = plus_col[var]
+        if bounds[var] is None:
+            point.append(y[col] - y[col + 1])
+        else:
+            point.append(y[col] + bounds[var])
+    return point
 
 
 def sweep_rays_2d(halfspaces, samples: int = 3600):

@@ -226,6 +226,40 @@ def test_probe_agrees_with_exact_elimination():
     assert strict_expansion_probe(VectorStar("x", np.array(vs, dtype=object))) is None
 
 
+def test_float_probe_recovers_where_the_float_tableau_fails():
+    # A random star on which the float simplex once reported an unbounded
+    # phase-1 objective; the float probe now re-solves exactly on the
+    # rational images of its floats.
+    F = Fraction
+    vs = [
+        (F(3, 4), F(5, 4), F(5, 3)),
+        (F(3), F(4), F(6)),
+        (F(-5, 2), F(-1, 2), F(6)),
+        (F(6), F(-5), F(-4)),
+        (F(1, 3), F(6), F(5, 3)),
+        (F(0), F(1, 2), F(1, 2)),
+    ]
+    exact = strict_expansion_probe(VectorStar("s", np.array(vs, dtype=object)))
+    assert exact is not None
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+
+    def opening(vel, i, j):
+        return sum((vs[i][c] - vs[j][c]) * (vel[i][c] - vel[j][c]) for c in range(3))
+
+    assert all(sum(a * b for a, b in zip(v, u)) == 0 for v, u in zip(vs, exact))
+    assert all(opening(exact, i, j) >= 0 for i, j in pairs)
+    assert sum(opening(exact, i, j) for i, j in pairs) >= 1
+
+    floats = np.array(vs, dtype=float)
+    vel = strict_expansion_probe(VectorStar("s", floats))
+    assert vel is not None and vel.shape == (6, 3)
+    # An exact point of the float system, rounded: residuals are relative.
+    scale = np.abs(vel).max() * np.abs(floats).max()
+    assert np.abs(np.sum(floats * vel, axis=1)).max() <= 1e-12 * scale
+    gaps = [(floats[i] - floats[j]) @ (vel[i] - vel[j]) for i, j in pairs]
+    assert min(gaps) >= -1e-12 * scale
+
+
 def test_star_report_json_fields():
     text = star_report_json(analyze_star(star(E1, -E1, E2, E3)))
     import json
