@@ -23,6 +23,7 @@ from .expansive import (
     ExpansiveCone,
     FlexClass,
     PairConstraint,
+    PairSet,
     classify_flex,
     effective_vertices,
     enumerate_pairs,

@@ -33,19 +33,14 @@ EXIT_IO = 4
 
 @dataclass
 class RunConfig:
-    command: str
-    target: str | None = None
     radius: int = expansive.DEFAULT_RADIUS
     rank_tol: float = DEFAULT_RANK_TOL
     newton_tol: float = motion.DEFAULT_NEWTON_TOL
-    audit_tol: float = motion.DEFAULT_AUDIT_TOL
-    outdir: str = "."
-    seed: int = 0
 
     def validate(self) -> None:
         if self.radius < 1:
             raise UsageError("radius must be at least 1")
-        for name in ("rank_tol", "newton_tol", "audit_tol"):
+        for name in ("rank_tol", "newton_tol"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name.replace('_', ' ')} must be positive")
 
@@ -160,7 +155,15 @@ def _cmd_star(args, cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: RunConfig) -> int:
+    if args.steps < 1:
+        raise UsageError("steps must be at least 1")
+    if not args.h > 0:
+        raise UsageError("step size h must be positive")
+    if args.supercell < 0:
+        raise UsageError("supercell must be nonnegative")
     fw = load_framework(args.framework)
+    if args.format == "obj" and fw.dimension > 3:
+        raise UsageError("obj export supports d <= 3; use --format csv")
     report = analyze(fw, cfg.rank_tol)
     if args.ray is not None:
         cone = expansive.expansive_cone(fw, report, cfg.radius)
@@ -178,7 +181,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     )
     os.makedirs(args.outdir, exist_ok=True)
     frames = motion.export_frames(path, supercell=args.supercell, fmt=args.format, outdir=args.outdir)
-    audit = motion.audit_expansiveness(path, radius=cfg.radius, audit_tol=cfg.audit_tol)
+    audit = motion.audit_expansiveness(path, radius=cfg.radius, audit_tol=motion.DEFAULT_AUDIT_TOL)
     audit_path = os.path.join(args.outdir, "audit.csv")
     motion.write_audit_csv(audit, audit_path)
     summary = {
@@ -212,12 +215,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig(
-            command=args.command,
-            target=getattr(args, "framework", None),
             radius=getattr(args, "radius", expansive.DEFAULT_RADIUS),
             rank_tol=_env_tol("PERIGID_TOL_RANK", DEFAULT_RANK_TOL),
             newton_tol=_env_tol("PERIGID_TOL_NEWTON", motion.DEFAULT_NEWTON_TOL),
-            outdir=getattr(args, "outdir", "."),
         )
         cfg.validate()
         return _HANDLERS[args.command](args, cfg)

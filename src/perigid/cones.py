@@ -12,14 +12,15 @@ deformation is effective.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NumericalFailureError, UnknownOrbitError
+from .errors import NumericalFailureError
 from .feasibility import DEFAULT_LP_TOL, solve_linear_feasibility
-from .framework import PeriodicFramework
+from .framework import PeriodicFramework, _json_vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,17 +54,10 @@ def vertex_star(fw: PeriodicFramework, orbit: str) -> VectorStar:
     An edge orbit with tail = orbit contributes its edge vector, one with
     head = orbit the negated vector; a same-orbit edge contributes both.
     """
-    if orbit not in fw.placement.positions:
-        raise UnknownOrbitError(orbit)
-    vectors = []
-    for k, e in enumerate(fw.graph.edge_orbits):
-        v = fw.edge_vector(k)
-        if e.tail == orbit:
-            vectors.append(v)
-        if e.head == orbit:
-            vectors.append(-v)
-    out = np.array(vectors) if vectors else np.zeros((0, fw.dimension))
-    return VectorStar(orbit, out)
+    i = fw.orbit_index(orbit)
+    tails, heads, _ = fw.graph._incidence
+    both = np.stack([fw._edge_vectors, -fw._edge_vectors], axis=1)  # (m, 2, d)
+    return VectorStar(orbit, both[np.stack([tails == i, heads == i], axis=1)])
 
 
 def _star_matrix(star: VectorStar) -> list[list]:
@@ -258,22 +252,10 @@ def strict_expansion_probe(
 # ---------------------------------------------------------------------------
 # Report serialization.
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_vec(v) -> str:
-    if v is None:
-        return "null"
-    return "[" + ", ".join(_f17(x) for x in v) + "]"
-
-
 def star_report_json(analysis: ConeAnalysis) -> str:
-    import json as _json
-
     return (
         "{"
-        + f'"orbit": {_json.dumps(analysis.orbit)}, '
+        + f'"orbit": {json.dumps(analysis.orbit)}, '
         + f'"lineality_dim": {analysis.lineality_dim}, '
         + f'"pointed_codim2": {"true" if analysis.pointed_codim2 else "false"}, '
         + f'"separating_normal": {_json_vec(analysis.separating_normal)}, '

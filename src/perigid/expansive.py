@@ -3,7 +3,10 @@
 A motion is expansive when the distance between every pair of joints is
 nondecreasing.  For a quotient description that quantifies over all pairs of
 vertex-orbit translates; here the pair set is truncated to lattice shifts
-with max-norm at most a radius R, and the resulting halfspace rows are
+with max-norm at most a radius R.  The truncated pairs are held as arrays
+(:class:`PairSet`): tail and head orbit indices plus an integer shift
+matrix, with separations and constraint rows built in one pass by the same
+incidence core as the bars of the rigidity matrix.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
 Extremal rays come from a double description pass over the deduplicated
@@ -26,8 +29,8 @@ from .errors import (
     NotAFlexError,
     NumericalFailureError,
 )
-from .framework import PeriodicFramework
-from .rigidity import RigidityReport, rigidity_matrix
+from .framework import PeriodicFramework, _json_matrix, _row_dots, _separations
+from .rigidity import RigidityReport, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
 DEFAULT_CONE_TOL = 1e-9
@@ -58,6 +61,27 @@ class PairConstraint:
         return (self.orbit_a, self.orbit_b, self.shift)
 
 
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Canonical pairs within a truncation radius, one array row per pair:
+    pair k is :class:`PairConstraint` (orbits[tails[k]], orbits[heads[k]],
+    shifts[k]) with its separation and row."""
+
+    orbits: tuple[str, ...]
+    tails: np.ndarray  # (k,) vertex orbit indices
+    heads: np.ndarray  # (k,)
+    shifts: np.ndarray  # (k, d) integers
+    separations: np.ndarray  # (k, d)
+    rows: np.ndarray  # (k, dn + d^2)
+
+    def __len__(self) -> int:
+        return len(self.tails)
+
+    def keys(self) -> list[tuple[str, str, tuple[int, ...]]]:
+        """Canonical (orbit_a, orbit_b, shift) keys in pair order."""
+        return _pair_keys(self.orbits, self.tails, self.heads, self.shifts)
+
+
 def canonical_pair_key(a: str, b: str, shift) -> tuple[str, str, tuple[int, ...]]:
     shift = tuple(int(c) for c in shift)
     if a == b and all(c == 0 for c in shift):
@@ -67,43 +91,49 @@ def canonical_pair_key(a: str, b: str, shift) -> tuple[str, str, tuple[int, ...]
     return min(fwd, rev)
 
 
+def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
+    positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
+    w = shifts.astype(float)
+    s = _separations(positions, fw.placement.lattice, tails, heads, w)
+    rows = _incidence_rows(fw.n, tails, heads, w, s)
+    return PairSet(fw.graph.vertex_orbits, tails, heads, shifts, s, rows)
+
+
 def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairConstraint:
     a, b, shift = canonical_pair_key(a, b, shift)
-    d, n = fw.dimension, fw.n
-    ia, ib = fw.orbit_index(a), fw.orbit_index(b)
-    w = np.asarray(shift, dtype=float)
-    s = fw.placement.positions[b] + fw.placement.lattice @ w - fw.placement.positions[a]
-    row = np.zeros(d * n + d * d)
-    row[ia * d : (ia + 1) * d] -= s
-    row[ib * d : (ib + 1) * d] += s
-    row[n * d :] += np.outer(s, w).reshape(-1, order="F")
-    return PairConstraint(a, b, shift, s, row)
+    ends = np.array([fw.orbit_index(a)]), np.array([fw.orbit_index(b)])
+    pair = _pair_set(fw, *ends, np.array([shift]))
+    return PairConstraint(a, b, shift, pair.separations[0], pair.rows[0])
 
 
-def pair_keys(orbits, d: int, radius: int) -> list[tuple[str, str, tuple[int, ...]]]:
-    """Canonical pair keys with shift max-norm at most `radius`."""
+def _pair_incidence(orbits, d: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tail index, head index, integer shift) arrays of the canonical pairs:
+    each a < b (sorted orbits) over the lexicographic shift box, then each
+    (a, a) over its first half, the shifts w < -w."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    box = list(itertools.product(range(-radius, radius + 1), repeat=d))
-    keys = []
-    ordered = sorted(orbits)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            keys.extend((a, b, w) for w in box)
-    for a in ordered:
-        keys.extend((a, a, w) for w in box if w < tuple(-c for c in w))
-    return keys
+    n, width = len(orbits), 2 * radius + 1
+    box = np.indices((width,) * d).reshape(d, -1).T - radius
+    half = len(box) // 2
+    order = np.array(sorted(range(n), key=lambda i: orbits[i]), dtype=int)
+    first, second = np.triu_indices(n, 1)
+    tails = np.concatenate([np.repeat(order[first], len(box)), np.repeat(order, half)])
+    heads = np.concatenate([np.repeat(order[second], len(box)), np.repeat(order, half)])
+    shifts = np.concatenate([np.tile(box, (len(first), 1)), np.tile(box[:half], (n, 1))])
+    return tails, heads, shifts
 
 
-def enumerate_pairs(fw: PeriodicFramework, radius: int) -> list[PairConstraint]:
+def _pair_keys(orbits, tails, heads, shifts) -> list[tuple[str, str, tuple[int, ...]]]:
+    names = np.array(orbits, dtype=object)
+    return list(zip(names[tails].tolist(), names[heads].tolist(), map(tuple, shifts.tolist())))
+
+
+def enumerate_pairs(fw: PeriodicFramework, radius: int) -> PairSet:
     """All canonical pair constraints within the truncation radius.
 
     Count is C(n,2)*(2R+1)^d + n*((2R+1)^d - 1)/2.
     """
-    return [
-        pair_constraint(fw, a, b, w)
-        for a, b, w in pair_keys(fw.graph.vertex_orbits, fw.dimension, radius)
-    ]
+    return _pair_set(fw, *_pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +303,7 @@ def expansive_cone(
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    pairs = enumerate_pairs(fw, radius)
-    rows = np.array([p.row for p in pairs])
+    rows = enumerate_pairs(fw, radius).rows
     projected = rows @ report.flex_basis.T
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
     keep = np.linalg.norm(projected, axis=1) > tol * scale
@@ -329,8 +358,8 @@ def _check_flex(fw: PeriodicFramework, flex: np.ndarray, tol: float) -> np.ndarr
 
 def _pair_values(fw, flex, radius):
     pairs = enumerate_pairs(fw, radius)
-    values = np.array([p.row @ flex for p in pairs])
-    scales = np.array([np.linalg.norm(p.row) for p in pairs]) * np.linalg.norm(flex)
+    values = _row_dots(pairs.rows, flex)
+    scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * np.linalg.norm(flex)
     return pairs, values, scales
 
 
@@ -364,12 +393,9 @@ def effective_vertices(
     """Orbits touched by a pair constraint that opens strictly under `flex`."""
     flex = _check_flex(fw, flex, tol)
     pairs, values, scales = _pair_values(fw, flex, radius)
-    out: set[str] = set()
-    for p, v, s in zip(pairs, values, scales):
-        if v > tol * s:
-            out.add(p.orbit_a)
-            out.add(p.orbit_b)
-    return out
+    strict = values > tol * scales
+    touched = np.union1d(pairs.tails[strict], pairs.heads[strict])
+    return {pairs.orbits[i] for i in touched}
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,14 +463,6 @@ def find_stable_radius(
 # ---------------------------------------------------------------------------
 # Serialization.
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_matrix(rows) -> str:
-    return "[" + ", ".join("[" + ", ".join(_f17(x) for x in row) + "]" for row in rows) + "]"
-
-
 def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
     return (
         "{"
@@ -472,13 +490,12 @@ def write_pair_audit_csv(
     pairs = enumerate_pairs(fw, radius)
     d = fw.dimension
     header = ["orbit_a", "orbit_b"] + [f"shift_{i + 1}" for i in range(d)] + ["value"]
-    lines = [",".join(header)]
-    for p in pairs:
-        if report.dof:
-            value = float(np.linalg.norm(p.row @ report.flex_basis.T))
-        else:
-            value = 0.0
-        fields = [p.orbit_a, p.orbit_b, *(str(c) for c in p.shift), format(value, ".12g")]
-        lines.append(",".join(fields))
+    # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
+    projected = (pairs.rows[:, None, :] @ report.flex_basis.T)[:, 0, :]
+    values = np.sqrt(_row_dots(projected, projected)).tolist()
+    names = np.array(pairs.orbits, dtype=object)
+    columns = [names[pairs.tails].tolist(), names[pairs.heads].tolist()]
+    columns += [map(str, pairs.shifts[:, c].tolist()) for c in range(d)]
+    columns.append(map(format, values, itertools.repeat(".12g")))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -67,6 +68,15 @@ class QuotientGraph:
             and self.edge_orbits == other.edge_orbits
         )
 
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Edge orbits as (tail index, head index, float shift) arrays."""
+        index = {orbit: i for i, orbit in enumerate(self.vertex_orbits)}
+        tails = _freeze([index[e[0]] for e in self.edge_orbits], int)
+        heads = _freeze([index[e[1]] for e in self.edge_orbits], int)
+        shifts = _freeze([e[2] for e in self.edge_orbits]).reshape(self.m, self.dimension)
+        return tails, heads, shifts
+
 
 @dataclass(frozen=True, eq=False)
 class Placement:
@@ -74,10 +84,28 @@ class Placement:
     lattice: np.ndarray  # column c is period generator c
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _freeze(a, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _separations(positions, lattice, tails, heads, shifts) -> np.ndarray:
+    """Separations p[head] + lattice @ w - p[tail] of every bar, pair and
+    translate (with `tails` None, p[head] + lattice @ w).
+
+    `positions` (n, d) and `lattice` (d, d) may be per-step stacks (t, n, d)
+    and (t, d, d); `shifts` is a float (k, d) matrix.  The stacked matmul is
+    one BLAS product per shift, bit for bit `lattice @ w`; a single
+    `shifts @ lattice.T` rounds differently."""
+    s = positions[..., heads, :] + (lattice[..., None, :, :] @ shifts[:, :, None])[..., 0]
+    return s if tails is None else s - positions[..., tails, :]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows, each bit for bit the 1-d `a[k] @ b[k]`
+    (np.linalg.norm(v) is the square root of `v @ v`; norm(axis=1) is not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,23 +228,22 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
     lattice = _freeze(lattice)
 
     scale = max(1.0, col_norm, max(float(np.abs(p).max()) for p in frozen_positions.values()))
-    vectors = np.zeros((len(canonical_edges), d))
-    for k, e in enumerate(canonical_edges):
-        w = np.asarray(e.shift, dtype=float)
-        vectors[k] = frozen_positions[e.head] + lattice @ w - frozen_positions[e.tail]
-    lengths = np.linalg.norm(vectors, axis=1) if len(canonical_edges) else np.zeros(0)
-    for k, e in enumerate(canonical_edges):
-        if lengths[k] <= 1e-12 * scale:
-            raise ZeroLengthEdgeError(f"edge orbit {e} realizes to a zero vector")
-
     out_graph = QuotientGraph(d, orbits, tuple(canonical_edges))
+    positions = np.array([frozen_positions[o] for o in orbits])
+    vectors = _separations(positions, lattice, *out_graph._incidence)
+    lengths = np.linalg.norm(vectors, axis=1)
+    short = np.flatnonzero(lengths <= 1e-12 * scale)
+    if short.size:
+        raise ZeroLengthEdgeError(f"edge orbit {canonical_edges[short[0]]} realizes to a zero vector")
+
     out_placement = Placement(frozen_positions, lattice)
     return PeriodicFramework(out_graph, out_placement, _freeze(lengths), _freeze(vectors))
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization.  Fixed schema, fixed key order, 17-significant-digit
-# floats so that save/load round-trips bit for bit.
+# floats so that save/load round-trips bit for bit.  The report writers of
+# the other modules share these float formatters.
 
 _TOP_KEYS = ("dimension", "vertex_orbits", "lattice", "edge_orbits")
 
@@ -225,20 +252,27 @@ def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_vec(v) -> str:
+    if v is None:
+        return "null"
+    return "[" + ", ".join(_f17(x) for x in v) + "]"
+
+
+def _json_matrix(rows) -> str:
+    return "[" + ", ".join(_json_vec(row) for row in rows) + "]"
+
+
 def dumps_framework(fw: PeriodicFramework) -> str:
     g, pl = fw.graph, fw.placement
     lines = ["{", f'  "dimension": {g.dimension},']
     vo = []
     for orbit in g.vertex_orbits:
-        pos = ", ".join(_f17(x) for x in pl.positions[orbit])
-        vo.append(f'    {{"id": {json.dumps(orbit)}, "position": [{pos}]}}')
+        pos = _json_vec(pl.positions[orbit])
+        vo.append(f'    {{"id": {json.dumps(orbit)}, "position": {pos}}}')
     lines.append('  "vertex_orbits": [')
     lines.append(",\n".join(vo))
     lines.append("  ],")
-    rows = ", ".join(
-        "[" + ", ".join(_f17(x) for x in row) + "]" for row in pl.lattice
-    )
-    lines.append(f'  "lattice": [{rows}],')
+    lines.append(f'  "lattice": {_json_matrix(pl.lattice)},')
     eo = []
     for e in g.edge_orbits:
         shift = ", ".join(str(c) for c in e.shift)

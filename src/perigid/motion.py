@@ -1,7 +1,7 @@
 """Finite deformation along a flex by predictor-corrector continuation.
 
 State is the full coordinate vector (representative positions plus lattice,
-in rigidity layout).  Each step advances by ``h * min_edge_length`` along the
+in the rigidity motion layout, packed and unpacked by ``rigidity``).  Each step advances by ``h * min_edge_length`` along the
 current unit tangent, then Newton iterations restore the squared edge lengths.
 Corrections are restricted to a gauge complement: the first vertex orbit stays
 pinned and the strictly lower triangular lattice entries are never corrected,
@@ -9,12 +9,18 @@ which removes exactly the d + C(d,2) isometry freedoms without altering
 intrinsic geometry.  The tangent is carried along by projecting the previous
 tangent onto the new nontrivial flex space, so the path follows one smooth
 branch; rank drops surface as errors instead of being stepped through.
+
+The pair audit, facet gaps and frame export read one stack of per-step
+positions and lattices and get every pair separation and realized vertex
+from the same incidence core as the rigidity rows, across all steps at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +31,10 @@ from .errors import (
     NumericalFailureError,
     SingularJacobianError,
 )
-from .expansive import pair_keys
+from .expansive import _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph, validate_framework
-from .rigidity import DEFAULT_RANK_TOL, analyze, motion_size, rigidity_rows
+from .framework import _f17, _row_dots, _separations
+from .rigidity import DEFAULT_RANK_TOL, analyze, motion_size, pack_motion, rigidity_rows, unpack_motion
 
 DEFAULT_STEP = 0.01
 DEFAULT_STEPS = 50
@@ -55,6 +62,14 @@ class MotionPath:
     def framework_at(self, k: int) -> PeriodicFramework:
         return validate_framework(self.graph, self.placements[k])
 
+    @cached_property
+    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-step positions (steps + 1, n, d) and C-ordered lattices
+        (steps + 1, d, d), as the audit, facet gaps and frame export read them."""
+        positions = [[pl.positions[o] for o in self.graph.vertex_orbits] for pl in self.placements]
+        lattices = [pl.lattice for pl in self.placements]
+        return np.array(positions, dtype=float), np.array(lattices, dtype=float)
+
 
 @dataclass(frozen=True, eq=False)
 class ExpansionAudit:
@@ -64,23 +79,11 @@ class ExpansionAudit:
     passed: bool
 
 
-def _state_of(graph: QuotientGraph, placement: Placement) -> np.ndarray:
-    pos = np.array([placement.positions[o] for o in graph.vertex_orbits], dtype=float)
-    return np.concatenate([pos.reshape(-1), np.asarray(placement.lattice, float).reshape(-1, order="F")])
-
-
 def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
-    d, n = graph.dimension, graph.n
-    pos = state[: d * n].reshape(n, d)
-    lattice = state[d * n :].reshape(d, d, order="F")
+    pos, lattice = unpack_motion(graph, state)
     return Placement(
         {o: pos[i].copy() for i, o in enumerate(graph.vertex_orbits)}, lattice.copy()
     )
-
-
-def _split_state(graph: QuotientGraph, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d, n = graph.dimension, graph.n
-    return state[: d * n].reshape(n, d), state[d * n :].reshape(d, d, order="F")
 
 
 def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
@@ -93,13 +96,8 @@ def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
 
 
 def _edge_sq_lengths(graph: QuotientGraph, state: np.ndarray) -> np.ndarray:
-    pos, lattice = _split_state(graph, state)
-    index = {o: i for i, o in enumerate(graph.vertex_orbits)}
-    out = np.zeros(graph.m)
-    for k, (tail, head, shift) in enumerate(graph.edge_orbits):
-        e = pos[index[head]] + lattice @ np.asarray(shift, float) - pos[index[tail]]
-        out[k] = e @ e
-    return out
+    e = _separations(*unpack_motion(graph, state), *graph._incidence)
+    return _row_dots(e, e)
 
 
 def _newton_correct(
@@ -115,8 +113,7 @@ def _newton_correct(
         residual = float(np.abs(g).max()) if len(g) else 0.0
         if residual < newton_tol:
             return x, residual
-        pos, lattice = _split_state(graph, x)
-        jac = 2.0 * rigidity_rows(graph, pos, lattice)
+        jac = 2.0 * rigidity_rows(graph, *unpack_motion(graph, x))
         delta, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
         x[free] += delta
     g = _edge_sq_lengths(graph, x) - target_sq
@@ -164,7 +161,7 @@ def continue_motion(
         f"vertex orbit '{graph.vertex_orbits[0]}' pinned; "
         "lattice corrections restricted to upper triangular form"
     )
-    state = _state_of(graph, fw.placement)
+    state = pack_motion(graph, pos0, fw.placement.lattice)
     tangent = report0.flex_basis.T @ (report0.flex_basis @ direction) if report0.dof else np.zeros_like(direction)
     norm0 = float(np.linalg.norm(tangent))
     if norm0 <= 1e-12 * max(1.0, float(np.linalg.norm(direction))):
@@ -224,16 +221,6 @@ def continue_motion(
 # ---------------------------------------------------------------------------
 # Audits.
 
-def _pair_distances(path: MotionPath, key) -> np.ndarray:
-    a, b, shift = key
-    w = np.asarray(shift, dtype=float)
-    out = np.zeros(len(path.placements))
-    for s, pl in enumerate(path.placements):
-        sep = pl.positions[b] + pl.lattice @ w - pl.positions[a]
-        out[s] = np.linalg.norm(sep)
-    return out
-
-
 def audit_expansiveness(
     path: MotionPath,
     radius: int = 2,
@@ -246,16 +233,20 @@ def audit_expansiveness(
     """
     if len(path.placements) < 2:
         raise ValueError("path needs at least two steps")
-    d = path.graph.dimension
-    keys = pair_keys(path.graph.vertex_orbits, d, radius)
-    pair_results = {}
-    violations = []
-    for key in keys:
-        dist = _pair_distances(path, key)
-        inc = np.diff(dist)
-        pair_results[key] = float(inc.min())
-        for step in np.nonzero(inc < -audit_tol)[0]:
-            violations.append((key, int(step) + 1, float(-inc[step])))
+    orbits = path.graph.vertex_orbits
+    tails, heads, shifts = _pair_incidence(orbits, path.graph.dimension, radius)
+    w = shifts.astype(float)
+    dist = np.empty((len(path.placements), len(w)))
+    for step, (positions, lattice) in enumerate(zip(*path._stacks)):  # flat memory
+        sep = _separations(positions, lattice, tails, heads, w)
+        dist[step] = np.sqrt(_row_dots(sep, sep))
+    inc = np.diff(dist, axis=0)  # (steps, pairs)
+    keys = _pair_keys(orbits, tails, heads, shifts)
+    pair_results = dict(zip(keys, inc.min(axis=0).tolist()))
+    violations = [
+        (keys[k], int(step) + 1, float(-inc[step, k]))
+        for k, step in zip(*np.nonzero(inc.T < -audit_tol))
+    ]
     return ExpansionAudit(radius, pair_results, violations, not violations)
 
 
@@ -296,31 +287,16 @@ def facet_separation(path: MotionPath) -> np.ndarray:
     """
     _, far, singles, doubles = _simplex_family_offsets(path.graph)
     d = path.graph.dimension
-    out = np.zeros(len(path.placements))
-    for s, pl in enumerate(path.placements):
-        base = pl.positions[far]
-        near_pts = np.array([base + pl.lattice @ np.asarray(w, float) for w in singles])
-        far_pts = np.array([base + pl.lattice @ np.asarray(w, float) for w in doubles])
-        diffs = far_pts[1:] - far_pts[0]
-        if d == 1:
-            normal = np.ones(1)
-        else:
-            _, _, vt = np.linalg.svd(diffs)
-            normal = vt[-1]
-        out[s] = abs(normal @ (far_pts[0] - near_pts[0]))
-    return out
+    heads = np.full(2 * d, path.graph.vertex_orbits.index(far))
+    pts = _separations(*path._stacks, None, heads, np.array(singles + doubles, dtype=float))
+    near_pts, far_pts = pts[:, :d], pts[:, d:]
+    # At d = 1 the difference set is empty and the SVD returns the normal [1].
+    normal = np.linalg.svd(far_pts[:, 1:] - far_pts[:, :1])[2][:, -1]
+    return np.abs(_row_dots(normal, far_pts[:, 0] - near_pts[:, 0]))
 
 
 # ---------------------------------------------------------------------------
 # Frame export.
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _supercell_shifts(d: int, radius: int):
-    return list(itertools.product(range(-radius, radius + 1), repeat=d))
-
 
 def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir=".") -> list[str]:
     """Write realized geometry per step: OBJ wireframes or one CSV table.
@@ -329,61 +305,48 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
     coordinate padded with zero for d = 2); the CSV lists every realized
     vertex as step,orbit,shift_1..shift_d,x_1..x_d.
     """
-    import os
-
     d = path.graph.dimension
-    shifts = _supercell_shifts(d, supercell)
-    written = []
+    if fmt not in ("obj", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    if fmt == "obj" and d > 3:
+        raise ValueError("obj export supports d <= 3; use csv")
+    orbits = path.graph.vertex_orbits
+    shifts = list(itertools.product(range(-supercell, supercell + 1), repeat=d))
+    vertices = list(itertools.product(orbits, shifts))  # orbit-major
+    heads = np.repeat(np.arange(len(orbits)), len(shifts))
+    offsets = np.array(shifts * len(orbits), dtype=float).reshape(-1, d)
+    coords = _separations(*path._stacks, None, heads, offsets)  # (steps + 1, vertices, d)
     if fmt == "csv":
         header = (
             ["step", "orbit"]
             + [f"shift_{i + 1}" for i in range(d)]
             + [f"x_{i + 1}" for i in range(d)]
         )
+        labels = [",".join([orbit, *map(str, w)]) for orbit, w in vertices]
         lines = [",".join(header)]
-        for step, pl in enumerate(path.placements):
-            for orbit in path.graph.vertex_orbits:
-                for w in shifts:
-                    x = pl.positions[orbit] + pl.lattice @ np.asarray(w, float)
-                    lines.append(
-                        ",".join(
-                            [str(step), orbit]
-                            + [str(c) for c in w]
-                            + [format(v, ".12g") for v in x]
-                        )
-                    )
+        for step, xs in enumerate(coords):
+            lines += [
+                f"{step},{label}," + ",".join(format(v, ".12g") for v in x)
+                for label, x in zip(labels, xs.tolist())
+            ]
         target = os.path.join(outdir, "frames.csv")
         with open(target, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         return [target]
-    if fmt != "obj":
-        raise ValueError(f"unknown format {fmt!r}")
-    if d > 3:
-        raise ValueError("obj export supports d <= 3; use csv")
 
-    vertex_index = {}
-    counter = 1
-    for orbit in path.graph.vertex_orbits:
-        for w in shifts:
-            vertex_index[(orbit, w)] = counter
-            counter += 1
+    vertex_index = {v: k + 1 for k, v in enumerate(vertices)}
     box = set(shifts)
     segments = []
     for z in shifts:
         for e in path.graph.edge_orbits:
             other = tuple(z[i] + e.shift[i] for i in range(d))
             if other in box:
-                segments.append((vertex_index[(e.tail, z)], vertex_index[(e.head, other)]))
+                segments.append(f"l {vertex_index[(e.tail, z)]} {vertex_index[(e.head, other)]}")
 
-    for step, pl in enumerate(path.placements):
-        lines = []
-        for orbit in path.graph.vertex_orbits:
-            for w in shifts:
-                x = pl.positions[orbit] + pl.lattice @ np.asarray(w, float)
-                coords = [_f17(v) for v in x] + ["0"] * (3 - d)
-                lines.append("v " + " ".join(coords))
-        for i, j in segments:
-            lines.append(f"l {i} {j}")
+    pad = ["0"] * (3 - d)
+    written = []
+    for step, xs in enumerate(coords):
+        lines = ["v " + " ".join([*map(_f17, x), *pad]) for x in xs.tolist()] + segments
         target = os.path.join(outdir, f"frame_{step:04d}.obj")
         with open(target, "w") as fh:
             fh.write("\n".join(lines) + "\n")

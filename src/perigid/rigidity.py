@@ -2,11 +2,14 @@
 
 Motion vectors are laid out as (dn + d^2) coordinates: first the velocity of
 each vertex-orbit representative (d entries per orbit, in graph order), then
-the lattice velocity column by column (generator 1 first).  Constraint rows
-are stored one per edge orbit: for edge (i, j, w) with realized vector e the
-row carries -e in block i, +e in block j (cancelling when i = j), and
-e_r * w_c at lattice position (r, c).  The factor 2 from differentiating
-squared lengths is dropped; it does not change ranks, nullspaces, or signs.
+the lattice velocity column by column (generator 1 first).  Bars and pairs
+share one incidence layout: a (tail i, head j, shift w) triple with
+separation e = p_j + L w - p_i (from ``framework._separations``) gives the
+row with -e in block i, +e in block j (cancelling when i = j), and
+e_r * w_c at lattice position (r, c).  ``_incidence_rows`` builds those rows
+for whole index arrays at once; the rigidity matrix is its rows for the edge
+orbits.  The factor 2 from differentiating squared lengths is dropped; it
+does not change ranks, nullspaces, or signs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     NumericalFailureError,
     ZeroPivotError,
 )
-from .framework import PeriodicFramework, QuotientGraph
+from .framework import PeriodicFramework, QuotientGraph, _f17, _json_matrix, _separations
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -30,12 +33,6 @@ DEFAULT_RANK_TOL = 1e-9
 def motion_size(graph: QuotientGraph) -> int:
     d = graph.dimension
     return d * graph.n + d * d
-
-
-def lattice_column(graph: QuotientGraph, generator: int, coord: int) -> int:
-    """Column index of lattice velocity entry (row=coord, generator)."""
-    d = graph.dimension
-    return d * graph.n + generator * d + coord
 
 
 def unpack_motion(graph: QuotientGraph, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,19 +48,24 @@ def pack_motion(graph: QuotientGraph, pdot: np.ndarray, ldot: np.ndarray) -> np.
     return np.concatenate([np.asarray(pdot, float).reshape(-1), np.asarray(ldot, float).reshape(-1, order="F")])
 
 
+def _incidence_rows(n: int, tails, heads, shifts, separations) -> np.ndarray:
+    """Rows of (tail, head, w) triples with separations s in the layout above.
+
+    Accumulated into zeros as a per-row loop would be, so every zero keeps
+    its sign (0 - 0 is +0, where -s would give -0)."""
+    k, d = separations.shape
+    rows = np.zeros((k, d * n + d * d))
+    rows_k, cols = np.arange(k)[:, None], np.arange(d)
+    rows[rows_k, tails[:, None] * d + cols] -= separations
+    rows[rows_k, heads[:, None] * d + cols] += separations
+    rows[:, n * d :] += (shifts[:, :, None] * separations[:, None, :]).reshape(k, d * d)
+    return rows
+
+
 def rigidity_rows(graph: QuotientGraph, positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
     """Rigidity rows for explicit coordinates (positions indexed in orbit order)."""
-    d, n = graph.dimension, graph.n
-    index = {orbit: i for i, orbit in enumerate(graph.vertex_orbits)}
-    rows = np.zeros((graph.m, motion_size(graph)))
-    for k, (tail, head, shift) in enumerate(graph.edge_orbits):
-        w = np.asarray(shift, dtype=float)
-        i, j = index[tail], index[head]
-        e = positions[j] + lattice @ w - positions[i]
-        rows[k, i * d : (i + 1) * d] -= e
-        rows[k, j * d : (j + 1) * d] += e
-        rows[k, n * d :] += np.outer(e, w).reshape(-1, order="F")
-    return rows
+    incidence = graph._incidence
+    return _incidence_rows(graph.n, *incidence, _separations(positions, lattice, *incidence))
 
 
 def rigidity_matrix(fw: PeriodicFramework) -> np.ndarray:
@@ -224,14 +226,6 @@ def is_minimally_rigid(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> 
 
 # ---------------------------------------------------------------------------
 # Report serialization.
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_matrix(rows: np.ndarray) -> str:
-    return "[" + ", ".join("[" + ", ".join(_f17(x) for x in row) + "]" for row in rows) + "]"
-
 
 def report_to_json(report: RigidityReport) -> str:
     return (

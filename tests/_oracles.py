@@ -3,9 +3,11 @@
 Everything here is deliberately implemented from first principles with no
 code shared with the package: exact Gaussian elimination over Fractions,
 Fourier-Motzkin elimination for linear feasibility, a revised Phase-I simplex
-over Fractions, and an angular sweep for two-dimensional cones.
+over Fractions, an angular sweep for two-dimensional cones, and a per-pair
+loop over the plain separation formula p_b + L w - p_a.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -203,3 +205,38 @@ def sweep_rays_2d(halfspaces, samples: int = 3600):
         if feasible[i] and (not prev or not nxt):
             rays.append(dirs[i])
     return np.array(rays)
+
+
+def loop_row(orbits, lattice, a, b, w, s):
+    """Constraint row of the pair (a, b, w) with separation s, one entry at a
+    time: -s in a's block, +s in b's block, s_r * w_c at dn + c*d + r."""
+    d, n = lattice.shape[0], len(orbits)
+    ia, ib = orbits.index(a), orbits.index(b)
+    row = np.zeros(d * n + d * d)
+    for r in range(d):
+        row[ia * d + r] -= s[r]
+        row[ib * d + r] += s[r]
+        for c in range(d):
+            row[d * n + c * d + r] += s[r] * w[c]
+    return row
+
+
+def loop_pairs(positions: dict, lattice, radius: int):
+    """Canonical pair keys, separations and rows, one pair at a time.
+
+    Keys are (a, b, w) with a < b over the whole shift box, both in sorted
+    order, followed by every (a, a, w) with w < -w; the separation is
+    positions[b] + lattice @ w - positions[a].
+    """
+    orbits = list(positions)
+    names = sorted(orbits)
+    box = list(itertools.product(range(-radius, radius + 1), repeat=lattice.shape[0]))
+    keys = [(a, b, w) for i, a in enumerate(names) for b in names[i + 1 :] for w in box]
+    keys += [(a, a, w) for a in names for w in box if w < tuple(-c for c in w)]
+    seps, rows = [], []
+    for a, b, w in keys:
+        wv = np.array(w, dtype=float)
+        s = positions[b] + lattice @ wv - positions[a]
+        seps.append(s)
+        rows.append(loop_row(orbits, lattice, a, b, wv, s))
+    return keys, np.array(seps), np.array(rows)

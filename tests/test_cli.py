@@ -136,6 +136,24 @@ def test_simulate_rigid_is_numerical_failure(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "dim, extra",
+    [
+        (2, ["--steps", "0"]),
+        (2, ["--h", "0"]),
+        (2, ["--supercell", "-1"]),
+        (4, ["--format", "obj"]),
+    ],
+)
+def test_simulate_rejects_bad_arguments_before_work(tmp_path, capsys, dim, extra):
+    target = gen_file(tmp_path, capsys, "simplex", "--dim", str(dim), "--variant", "removed:1")
+    outdir = tmp_path / "sim"
+    code = main(["simulate", str(target), "--ray", "0", "--outdir", str(outdir), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not outdir.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["gen", "simplex", "--variant", "bogus"]) == 2  # usage
     missing = tmp_path / "missing.json"

@@ -55,7 +55,7 @@ def test_pair_count_single_orbit():
 
 
 def test_contains_period_pair(stressed):
-    keys = {p.key for p in enumerate_pairs(stressed, 1)}
+    keys = set(enumerate_pairs(stressed, 1).keys())
     key = canonical_pair_key("red", "red", (1, 0, 0))
     assert key in keys
     p = pair_constraint(stressed, "red", "red", (1, 0, 0))
