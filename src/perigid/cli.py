@@ -135,12 +135,9 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
     fw = load_framework(args.framework)
     report = analyze(fw, cfg.rank_tol)
     cone = expansive.expansive_cone(fw, report, cfg.radius)
-    if report.dof == 0:
-        stable = cfg.radius
-    else:
-        stable = expansive.find_stable_radius(
-            fw, report, start=cfg.radius, max_radius=cfg.radius + 3
-        )
+    stable = expansive.find_stable_radius(
+        fw, report, start=cfg.radius, max_radius=cfg.radius + 3, cone=cone
+    )
     _emit(expansive.cone_report_json(cone, stable), args.out)
     if args.pairs is not None:
         expansive.write_pair_audit_csv(fw, report, cfg.radius, args.pairs)

@@ -10,7 +10,13 @@ incidence core as the bars of the rigidity matrix.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
 Extremal rays come from a double description pass over the deduplicated
-halfspaces; a stability probe at R + 1 makes truncation bias observable.
+halfspaces, each ray's active set a row of a boolean rays x halfspaces
+matrix.  The merge and the double description are array code that makes the
+decisions of the one-row, one-ray loop they replaced, in the same order and
+with the same floating-point operations, so the halfspaces and rays are bit
+for bit that loop's.  The stability probe makes truncation bias observable:
+it grows the cone at R to R + 1 by inserting only the halfspaces of the new
+shell of pairs into the rays at R.
 """
 
 from __future__ import annotations
@@ -156,10 +162,11 @@ def extremal_rays(halfspaces, f: int | None = None, tol: float = DEFAULT_CONE_TO
     """Minimal generating rays of {c : A c >= 0} for a pointed cone.
 
     Incremental double description: start from a simplicial subcone given by
-    f independent rows, then clip with each remaining halfspace, combining
-    adjacent positive/negative ray pairs.  Adjacency uses the standard
-    combinatorial test on active-constraint sets (kept as bitmasks).  Raises
-    NonPointedConeError when the rows have a nontrivial common nullspace.
+    f independent rows, then clip with each remaining halfspace in row order,
+    combining adjacent positive/negative ray pairs.  Each ray carries its
+    active set, a row of a boolean rays x halfspaces matrix, and adjacency is
+    the combinatorial test on those sets.  Raises NonPointedConeError when the
+    rows have a nontrivial common nullspace.
     """
     a = np.asarray(halfspaces, dtype=float)
     if a.ndim != 2:
@@ -189,76 +196,134 @@ def extremal_rays(halfspaces, f: int | None = None, tol: float = DEFAULT_CONE_TO
     if len(base) < f:
         raise NonPointedConeError("could not extract an independent halfspace basis")
     m_inv = np.linalg.inv(a[base])
-    rays: list[np.ndarray] = []
-    masks: list[int] = []
-    processed = list(base)
-    for j in range(f):
-        r = m_inv[:, j]
-        r = r / np.linalg.norm(r)
-        rays.append(r)
-        masks.append(_active_mask(a, processed, r, tol))
+    rays = np.array([m_inv[:, j] / np.linalg.norm(m_inv[:, j]) for j in range(f)])
+    # Rows in insertion order: the basis, then the others by index.
+    ordered = a[base + sorted(set(range(k)) - set(base))]
+    rays, _ = _clip(ordered, f, rays, _active(ordered, f, rays, tol), tol)
+    return _finish(rays, a, tol)
 
-    for t in [i for i in range(k) if i not in set(base)]:
-        vals = np.array([a[t] @ r for r in rays])
-        pos = [i for i, v in enumerate(vals) if v > tol]
-        zero = [i for i, v in enumerate(vals) if -tol <= v <= tol]
-        neg = [i for i, v in enumerate(vals) if v < -tol]
-        processed.append(t)
-        bit = 1 << t
-        if not neg:
-            for i in zero:
-                masks[i] |= bit
+
+# Entries per chunk of the pairwise and rays x halfspaces blocks, so that no
+# intermediate grows past a few MB.
+_CHUNK = 1 << 17
+
+
+def _dots(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(r, b) values rows[t] @ rays[i], each one BLAS dot: bit for bit the
+    1-d product (a plain `rays @ rows.T` rounds differently)."""
+    return (rays[:, None, None, :] @ rows[:, :, None])[:, :, 0, 0]
+
+
+def _active(a: np.ndarray, n: int, rays: np.ndarray, tol: float) -> np.ndarray:
+    """(r, len(a)) active sets over the first n rows, |a[:n] @ ray| <= tol,
+    from one matrix-vector product per ray."""
+    active = np.zeros((len(rays), len(a)), dtype=bool)
+    step = max(1, _CHUNK // max(1, n))
+    for i in range(0, len(rays), step):
+        vals = (a[None, :n] @ rays[i : i + step, :, None])[:, :, 0]
+        active[i : i + step, :n] = np.abs(vals) <= tol
+    return active
+
+
+def _clip(a: np.ndarray, n: int, rays: np.ndarray, active: np.ndarray, tol: float):
+    """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
+
+    `active[i, j]` says that a[j] is tight at ray i; columns from n on are
+    still False (the array is updated in place).  A run of halfspaces that
+    no ray violates only marks tight rays, so runs are evaluated a block at
+    a time.  A violated halfspace keeps the rays on its nonnegative side and
+    adds, for every adjacent pair of a ray p on its positive and q on its
+    negative side, the unit ray along vals[p] * q - vals[q] * p.  Returns
+    the new rays and their active sets.
+    """
+    f = a.shape[1]
+    block = 8
+    while n < len(a) and len(rays):
+        vals = _dots(rays, a[n : n + block])
+        cut = np.flatnonzero((vals < -tol).any(axis=0))
+        run = cut[0] if len(cut) else vals.shape[1]
+        active[:, n : n + run] = np.abs(vals[:, :run]) <= tol
+        n += run
+        if not len(cut):
+            block = min(2 * block, max(8, _CHUNK // len(rays)))
             continue
-        new_rays: list[np.ndarray] = []
-        new_masks: list[int] = []
-        for p in pos:
-            for q in neg:
-                if not _adjacent(masks, p, q):
-                    continue
-                r = vals[p] * rays[q] - vals[q] * rays[p]
-                nrm = np.linalg.norm(r)
-                if nrm <= tol:
-                    continue
-                r = r / nrm
-                new_rays.append(r)
-                new_masks.append(_active_mask(a, processed, r, tol))
-        rays = [rays[i] for i in pos + zero] + new_rays
-        masks = [masks[i] for i in pos] + [masks[i] | bit for i in zero] + new_masks
-        if not rays:
-            break
-
-    rays = _dedup_unit_rows(np.array(rays) if rays else np.zeros((0, f)), _MERGE_TOL)
-    if len(rays):
-        worst = float((a @ rays.T).min())
-        if worst < -10 * tol:
-            raise NumericalFailureError(f"ray violates a halfspace by {-worst:.3e}")
-    order = np.lexsort(np.round(rays, 12).T[::-1]) if len(rays) else []
-    return rays[order] if len(rays) else rays
+        block = 8
+        v = vals[:, run]
+        pos, neg = np.flatnonzero(v > tol), np.flatnonzero(v < -tol)
+        zero = np.flatnonzero((v >= -tol) & (v <= tol))
+        p, q = _adjacent_pairs(active[:, :n], pos, neg, f)
+        new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
+        nrm = np.sqrt(_row_dots(new, new))
+        new = new[nrm > tol] / nrm[nrm > tol][:, None]
+        active[zero, n] = True
+        n += 1
+        rays = np.concatenate([rays[pos], rays[zero], new])
+        active = np.concatenate([active[pos], active[zero], _active(a, n, new, tol)])
+    return rays, active
 
 
-def _active_mask(a: np.ndarray, processed: list[int], ray: np.ndarray, tol: float) -> int:
-    idx = np.asarray(processed, dtype=int)
-    vals = a[idx] @ ray
-    mask = 0
-    for i in idx[np.abs(vals) <= tol]:
-        mask |= 1 << int(i)
-    return mask
+def _adjacent_pairs(active: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
+    """Ray pairs (p in pos, q in neg), p-major, that pass the combinatorial
+    adjacency test: no third ray's active set contains their common one.
+
+    A pair whose common active set has fewer than f - 2 members spans a face
+    of dimension at least 3, whose other extremal rays contain that set, so
+    only the pairs with at least f - 2 common members get the subset test.
+    Common sets lie in the columns tight at some ray of each side, so only
+    those are counted, as 0/1 float32 products (exact below 2^24).
+    """
+    cols = np.flatnonzero(_any_row(active, pos) & _any_row(active, neg))
+    act = active[:, cols].astype(np.float32)
+    common = act[pos] @ act[neg].T
+    i, j = np.nonzero(common >= f - 2)
+    p, q, size = pos[i], neg[j], common[i, j]
+    adjacent = np.empty(len(p), dtype=bool)
+    step = max(1, _CHUNK // max(1, len(cols)))
+    for lo in range(0, len(p), step):
+        both = act[p[lo : lo + step]] * act[q[lo : lo + step]]
+        # Rays containing the common set: p and q themselves, and no other.
+        contain = (both @ act.T) == size[lo : lo + step, None]
+        adjacent[lo : lo + step] = contain.sum(axis=1) == 2
+    return p[adjacent], q[adjacent]
 
 
-def _adjacent(masks: list[int], p: int, q: int) -> bool:
-    common = masks[p] & masks[q]
-    for r, mr in enumerate(masks):
-        if r != p and r != q and (common & ~mr) == 0:
-            return False
-    return True
+def _any_row(active: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Columns tight at one of the given rays, gathered a chunk of rays at a time."""
+    hit = np.zeros(active.shape[1], dtype=bool)
+    step = max(1, _CHUNK // max(1, active.shape[1]))
+    for lo in range(0, len(rows), step):
+        hit |= active[rows[lo : lo + step]].any(axis=0)
+    return hit
+
+
+def _finish(rays: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:
+    """Merge near-duplicate rays, check them against every halfspace, and
+    sort them lexicographically."""
+    rays = _dedup_unit_rows(rays, _MERGE_TOL)
+    if len(rays) == 0:
+        return rays
+    worst = float((a @ rays.T).min())
+    if worst < -10 * tol:
+        raise NumericalFailureError(f"ray violates a halfspace by {-worst:.3e}")
+    return rays[np.lexsort(np.round(rays, 12).T[::-1])]
 
 
 def _dedup_unit_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for r in rows:
-        if all(np.linalg.norm(r - s) > tol for s in out):
-            out.append(r)
-    return np.array(out) if out else np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
+    """Keep-first merge: drop each row within distance `tol` of an earlier
+    kept row.  Candidate pairs are those whose largest coordinate difference
+    (never more than the Euclidean distance) is at most 2 tol; each is
+    confirmed with the distance `np.linalg.norm(r - s)` itself."""
+    k = len(rows)
+    keep = np.ones(k, dtype=bool)
+    step = max(1, _CHUNK // max(1, rows.size))
+    for lo in range(0, k, step):
+        block = rows[lo : lo + step]
+        near = np.abs(block[:, None, :] - rows[None, : lo + len(block)]).max(axis=2) <= 2 * tol
+        for j, i in zip(*np.nonzero(np.tril(near, lo - 1))):
+            j += lo
+            if keep[j] and keep[i] and np.linalg.norm(rows[j] - rows[i]) <= tol:
+                keep[j] = False
+    return rows[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +368,35 @@ def expansive_cone(
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    rows = enumerate_pairs(fw, radius).rows
-    projected = rows @ report.flex_basis.T
-    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-    keep = np.linalg.norm(projected, axis=1) > tol * scale
-    projected = projected[keep]
+    projected = _unit_halfspaces(enumerate_pairs(fw, radius).rows, report.flex_basis, tol)
     if len(projected) == 0:
         # No pair restricts the flexes at this radius; the cone is all of R^f.
         raise NonPointedConeError("no active pair constraints; cone has full lineality")
-    projected = projected / np.linalg.norm(projected, axis=1, keepdims=True)
 
     # Exact-duplicate merge through rounded keys, then a pairwise angular
     # merge when the survivor count stays small.
-    seen: dict[tuple, int] = {}
-    unique: list[np.ndarray] = []
-    for r in projected:
-        key = tuple(np.round(r, 9))
-        if key not in seen:
-            seen[key] = len(unique)
-            unique.append(r)
-    uniq = np.array(unique)
+    uniq = projected[_first_unique(projected)]
     if len(uniq) <= 800:
         uniq = _dedup_unit_rows(uniq, _MERGE_TOL)
 
     rays = extremal_rays(uniq, f, tol)
     return ExpansiveCone(report.flex_basis, uniq, radius, rays, len(rays) == 0)
+
+
+def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray, tol: float) -> np.ndarray:
+    """Pair rows in flex coordinates, normalized; rows of norm below
+    tolerance (relative to the row, at least 1) are dropped."""
+    projected = rows @ flex_basis.T
+    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+    projected = projected[np.linalg.norm(projected, axis=1) > tol * scale]
+    return projected / np.linalg.norm(projected, axis=1, keepdims=True)
+
+
+def _first_unique(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row of each distinct 9-decimal
+    rounding (+ 0.0 folds -0.0 into 0.0, so the two keys are one)."""
+    _, first = np.unique(np.round(rows, 9) + 0.0, axis=0, return_index=True)
+    return np.sort(first)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +516,51 @@ def find_stable_radius(
     max_radius: int = 6,
     tol: float = DEFAULT_CONE_TOL,
     angular_tol: float = _RAY_MATCH_TOL,
+    *,
+    cone: ExpansiveCone | None = None,
 ) -> int:
-    """Smallest R >= start whose ray set agrees with the one at R + 1."""
-    prev = expansive_cone(fw, report, start, tol)
+    """Smallest R >= start whose ray set agrees with the one at R + 1.
+
+    `cone` is the expansive cone at `start` when the caller already has it;
+    otherwise it is computed here.  Each next radius inserts only the new
+    shell of pairs, those whose shift has max-norm R + 1, into the rays at R.
+    """
+    if cone is None:
+        cone = expansive_cone(fw, report, start, tol)
+    elif cone.radius != start:
+        raise ValueError(f"cone was computed at radius {cone.radius}, not at start {start}")
+    a, rays = cone.halfspace_matrix, cone.rays
+    active = _active(a, len(a), rays, tol)
+    prev = rays
     for radius in range(start, max_radius + 1):
-        nxt = expansive_cone(fw, report, radius + 1, tol)
-        if rays_match(prev.rays, nxt.rays, angular_tol):
+        if len(rays):
+            shell = _new_rows(a, _shell_halfspaces(fw, report, radius + 1, tol))
+            n, a = len(a), np.concatenate([a, shell])
+            active = np.concatenate([active, np.zeros((len(rays), len(shell)), dtype=bool)], axis=1)
+            rays, active = _clip(a, n, rays, active, tol)
+        nxt = _finish(rays, a, tol)
+        if rays_match(prev, nxt, angular_tol):
             return radius
         prev = nxt
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
     )
+
+
+def _shell_halfspaces(
+    fw: PeriodicFramework, report: RigidityReport, radius: int, tol: float
+) -> np.ndarray:
+    """Unit halfspaces of the pairs whose shift has max-norm exactly `radius`."""
+    tails, heads, shifts = _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius)
+    shell = np.abs(shifts).max(axis=1) == radius
+    pairs = _pair_set(fw, tails[shell], heads[shell], shifts[shell])
+    return _unit_halfspaces(pairs.rows, report.flex_basis, tol)
+
+
+def _new_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows whose 9-decimal rounding is new to `a` and to earlier rows."""
+    first = _first_unique(np.concatenate([a, rows]))
+    return rows[first[first >= len(a)] - len(a)]
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,9 @@ class Placement:
 
 
 def _freeze(a, dtype=float) -> np.ndarray:
-    a = np.array(a, dtype=dtype)
+    # C order: BLAS rounds `lattice @ w` differently for a Fortran layout,
+    # and a framework read back from JSON is C-ordered.
+    a = np.array(a, dtype=dtype, order="C")
     a.flags.writeable = False
     return a
 

@@ -138,7 +138,7 @@ def continue_motion(
     out before stepping.  A purely trivial seed, or a rigid framework, yields
     a zero-displacement path.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError("step size must be positive")
     direction = np.asarray(direction, dtype=float)
     graph = fw.graph
@@ -310,6 +310,8 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "obj" and d > 3:
         raise ValueError("obj export supports d <= 3; use csv")
+    if supercell < 0:
+        raise ValueError("supercell must be nonnegative")
     orbits = path.graph.vertex_orbits
     shifts = list(itertools.product(range(-supercell, supercell + 1), repeat=d))
     vertices = list(itertools.product(orbits, shifts))  # orbit-major

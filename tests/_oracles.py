@@ -3,8 +3,10 @@
 Everything here is deliberately implemented from first principles with no
 code shared with the package: exact Gaussian elimination over Fractions,
 Fourier-Motzkin elimination for linear feasibility, a revised Phase-I simplex
-over Fractions, an angular sweep for two-dimensional cones, and a per-pair
-loop over the plain separation formula p_b + L w - p_a.
+over Fractions, an angular sweep for two-dimensional cones, a per-pair
+loop over the plain separation formula p_b + L w - p_a, a frozen copy of the
+loop-and-bitmask halfspace merge and double description the cone layer
+must reproduce bit for bit, and a brute-force (f-1)-subset ray enumeration.
 """
 
 import itertools
@@ -240,3 +242,131 @@ def loop_pairs(positions: dict, lattice, radius: int):
         seps.append(s)
         rows.append(loop_row(orbits, lattice, a, b, wv, s))
     return keys, np.array(seps), np.array(rows)
+
+
+# ---------------------------------------------------------------------------
+# Frozen loop-and-bitmask cone pipeline: the halfspace merge and the double
+# description as first written, one row and one ray at a time.  The array
+# code in the package must make the same decisions with the same arithmetic.
+
+def _frozen_dedup(rows, tol):
+    out = []
+    for r in rows:
+        if all(np.linalg.norm(r - s) > tol for s in out):
+            out.append(r)
+    return np.array(out) if out else np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
+
+
+def _frozen_mask(a, processed, ray, tol):
+    idx = np.asarray(processed, dtype=int)
+    vals = a[idx] @ ray
+    mask = 0
+    for i in idx[np.abs(vals) <= tol]:
+        mask |= 1 << int(i)
+    return mask
+
+
+def _frozen_adjacent(masks, p, q):
+    common = masks[p] & masks[q]
+    for r, mr in enumerate(masks):
+        if r != p and r != q and (common & ~mr) == 0:
+            return False
+    return True
+
+
+def frozen_extremal_rays(halfspaces, f, tol=1e-9):
+    """Rays of {c : A c >= 0} by the bitmask double description; raises
+    ValueError where the package raises a typed error."""
+    a = np.asarray(halfspaces, dtype=float)
+    a = a[np.linalg.norm(a, axis=1) > tol]
+    a = a / np.linalg.norm(a, axis=1, keepdims=True) if len(a) else a
+    k = len(a)
+    if k < f:
+        raise ValueError("too few halfspaces")
+    s = np.linalg.svd(a, compute_uv=False)
+    if int(np.sum(s > tol * s[0])) < f:
+        raise ValueError("not pointed")
+    base, basis = [], np.zeros((0, f))
+    for i, row in enumerate(a):
+        residual = row - basis.T @ (basis @ row) if len(basis) else row
+        if np.linalg.norm(residual) > tol:
+            basis = np.vstack([basis, residual / np.linalg.norm(residual)])
+            base.append(i)
+            if len(base) == f:
+                break
+    m_inv = np.linalg.inv(a[base])
+    rays, masks, processed = [], [], list(base)
+    for j in range(f):
+        r = m_inv[:, j]
+        r = r / np.linalg.norm(r)
+        rays.append(r)
+        masks.append(_frozen_mask(a, processed, r, tol))
+    for t in [i for i in range(k) if i not in set(base)]:
+        vals = np.array([a[t] @ r for r in rays])
+        pos = [i for i, v in enumerate(vals) if v > tol]
+        zero = [i for i, v in enumerate(vals) if -tol <= v <= tol]
+        neg = [i for i, v in enumerate(vals) if v < -tol]
+        processed.append(t)
+        bit = 1 << t
+        if not neg:
+            for i in zero:
+                masks[i] |= bit
+            continue
+        new_rays, new_masks = [], []
+        for p in pos:
+            for q in neg:
+                if not _frozen_adjacent(masks, p, q):
+                    continue
+                r = vals[p] * rays[q] - vals[q] * rays[p]
+                nrm = np.linalg.norm(r)
+                if nrm <= tol:
+                    continue
+                r = r / nrm
+                new_rays.append(r)
+                new_masks.append(_frozen_mask(a, processed, r, tol))
+        rays = [rays[i] for i in pos + zero] + new_rays
+        masks = [masks[i] for i in pos] + [masks[i] | bit for i in zero] + new_masks
+        if not rays:
+            break
+    rays = _frozen_dedup(np.array(rays) if rays else np.zeros((0, f)), 1e-8)
+    order = np.lexsort(np.round(rays, 12).T[::-1]) if len(rays) else []
+    return rays[order] if len(rays) else rays
+
+
+def frozen_cone(pair_rows, flex_basis, tol=1e-9):
+    """(halfspace matrix, rays) of the projected pair rows: exact duplicates
+    merged through rounded dict keys, then the pairwise angular merge when
+    at most 800 rows remain, then the double description."""
+    projected = pair_rows @ flex_basis.T
+    scale = np.maximum(np.linalg.norm(pair_rows, axis=1), 1.0)
+    projected = projected[np.linalg.norm(projected, axis=1) > tol * scale]
+    projected = projected / np.linalg.norm(projected, axis=1, keepdims=True)
+    seen, unique = set(), []
+    for r in projected:
+        key = tuple(np.round(r, 9))
+        if key not in seen:
+            seen.add(key)
+            unique.append(r)
+    uniq = np.array(unique)
+    if len(uniq) <= 800:
+        uniq = _frozen_dedup(uniq, 1e-8)
+    return uniq, frozen_extremal_rays(uniq, flex_basis.shape[0], tol)
+
+
+def brute_force_rays(halfspaces, tol=1e-9):
+    """Extremal rays of the pointed cone {c : A c >= 0} by trying every
+    (f-1)-subset of rows: a ray spans the null space of a rank f-1 subset
+    and satisfies every row.  Unit rays, duplicates removed, unordered."""
+    a = np.asarray(halfspaces, dtype=float)
+    f = a.shape[1]
+    found = []
+    for subset in itertools.combinations(range(len(a)), f - 1):
+        sub = a[list(subset)].reshape(f - 1, f)
+        _, s, vt = np.linalg.svd(sub)
+        if f > 1 and (len(s) < f - 1 or s[-1] <= 1e-9 * max(1.0, s[0])):
+            continue
+        v = vt[-1]
+        for r in (v, -v):
+            if (a @ r).min() >= -tol and all(np.linalg.norm(r - x) > 1e-7 for x in found):
+                found.append(r)
+    return np.array(found).reshape(len(found), f)

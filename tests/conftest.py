@@ -12,6 +12,17 @@ from perigid import (
 )
 
 
+def rotated(fw, seed):
+    """The framework turned by a random rotation (positions and lattice)."""
+    d = fw.dimension
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    pl = fw.placement
+    placement = Placement({o: q @ p for o, p in pl.positions.items()}, q @ pl.lattice)
+    return validate_framework(fw.graph, placement)
+
+
 def make_framework(dimension, positions, lattice, edges):
     graph = QuotientGraph(
         dimension,

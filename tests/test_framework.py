@@ -17,6 +17,8 @@ from perigid import (
     SingularLatticeError,
     UnknownOrbitError,
     ZeroLengthEdgeError,
+    enumerate_pairs,
+    simplex_framework,
     validate_framework,
 )
 from perigid.framework import dumps_framework, loads_framework
@@ -155,6 +157,16 @@ def test_round_trip_bit_for_bit(stressed):
     for o in stressed.graph.vertex_orbits:
         assert np.array_equal(fw2.placement.positions[o], stressed.placement.positions[o])
     assert dumps_framework(fw2) == text
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_regular_lattice_same_bits_in_memory_and_from_json(d):
+    # The Cholesky lattice of the regular simplex comes out Fortran-ordered;
+    # stored C-ordered, `lattice @ w` rounds as for the framework read back.
+    fw = simplex_framework(d, regular=True)
+    again = loads_framework(dumps_framework(fw))
+    assert fw.placement.lattice.flags.c_contiguous
+    assert np.array_equal(enumerate_pairs(fw, 2).separations, enumerate_pairs(again, 2).separations)
 
 
 def test_writer_key_order(stressed):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from perigid import (
-    Placement,
     SimplexVariant,
     analyze,
     audit_expansiveness,
@@ -23,23 +22,18 @@ from perigid import (
     rigidity_matrix,
     simplex_framework,
     stressed_framework,
-    validate_framework,
     vertex_star,
 )
 
 from _oracles import loop_pairs, loop_row
+from conftest import rotated
 
 FAMILIES = [("stressed", 3)] + [(v, d) for d in (2, 3, 4, 5) for v in ("base", "removed:1")]
 
 
 def rotated_framework(kind, d, seed):
     fw = stressed_framework() if kind == "stressed" else simplex_framework(d, SimplexVariant.parse(kind))
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    q = q * np.sign(np.diag(r))
-    pl = fw.placement
-    placement = Placement({o: q @ p for o, p in pl.positions.items()}, q @ pl.lattice)
-    return validate_framework(fw.graph, placement)
+    return rotated(fw, seed)
 
 
 def positions_of(fw, orbits):

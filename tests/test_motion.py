@@ -245,3 +245,16 @@ def test_audit_csv(tmp_path, path2):
     assert lines[0] == "orbit_a,orbit_b,shift_1,shift_2,min_increment,first_violation_step"
     assert len(lines) == 1 + len(audit.pair_results)
     assert all(line.endswith(",") or line.split(",")[-1].isdigit() for line in lines[1:])
+
+
+@pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
+def test_continue_motion_rejects_nonpositive_step(mech2, h):
+    with pytest.raises(ValueError, match="step size"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=2, h=h)
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_export_rejects_negative_supercell(tmp_path, path2, fmt):
+    with pytest.raises(ValueError, match="supercell"):
+        export_frames(path2, supercell=-1, fmt=fmt, outdir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
