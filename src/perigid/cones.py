@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -74,24 +73,14 @@ def positive_dependence(
 
     Strict positivity is normalized to >= 1: dependences form a cone, so a
     strictly positive combination exists iff one with entries >= 1 does.
+    The oracle picks the mode: Fractions when every entry is an integer or
+    a Fraction (or `exact` is True), a float array otherwise.
     """
     if len(star) == 0:
         raise ValueError("empty star")
     rows = _star_matrix(star)
-    d = len(rows)
-    zero = Fraction(0) if _wants_exact(star, exact) else 0.0
     return solve_linear_feasibility(
-        rows, [zero] * d, [1] * len(star), tol=tol, exact=exact
-    )
-
-
-def _wants_exact(star: VectorStar, exact: bool | None) -> bool:
-    if exact is not None:
-        return exact
-    return all(
-        isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-        for row in star.vectors
-        for x in row
+        rows, [0] * len(rows), [1] * len(star), tol=tol, exact=exact
     )
 
 

@@ -9,14 +9,15 @@ matrix, with separations and constraint rows built in one pass by the same
 incidence core as the bars of the rigidity matrix.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
-Extremal rays come from a double description pass over the deduplicated
+Halfspaces that round to the same 9 decimals are merged, the first kept.
+Extremal rays come from a double description pass over the merged
 halfspaces, each ray's active set a row of a boolean rays x halfspaces
 matrix.  The merge and the double description are array code that makes the
 decisions of the one-row, one-ray loop they replaced, in the same order and
 with the same floating-point operations, so the halfspaces and rays are bit
 for bit that loop's.  The stability probe makes truncation bias observable:
-it grows the cone at R to R + 1 by inserting only the halfspaces of the new
-shell of pairs into the rays at R.
+the cone at R + 1 is the cone at R cut by the halfspaces of the new shell of
+pairs, so R is stable when no ray at R violates one of them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .rigidity import RigidityReport, _incidence_rows, rigidity_matrix
 DEFAULT_RADIUS = 2
 DEFAULT_CONE_TOL = 1e-9
 MAX_FLEX_DIM = 6
-_MERGE_TOL = 1e-8  # angular tolerance for parallel halfspace rows
+_MERGE_TOL = 1e-8  # distance below which two unit rays are merged
 _RAY_MATCH_TOL = 1e-6  # angular tolerance when comparing ray sets
 
 
@@ -199,8 +200,7 @@ def extremal_rays(halfspaces, f: int | None = None, tol: float = DEFAULT_CONE_TO
     rays = np.array([m_inv[:, j] / np.linalg.norm(m_inv[:, j]) for j in range(f)])
     # Rows in insertion order: the basis, then the others by index.
     ordered = a[base + sorted(set(range(k)) - set(base))]
-    rays, _ = _clip(ordered, f, rays, _active(ordered, f, rays, tol), tol)
-    return _finish(rays, a, tol)
+    return _finish(_clip(ordered, f, rays, tol), a, tol)
 
 
 # Entries per chunk of the pairwise and rays x halfspaces blocks, so that no
@@ -225,18 +225,18 @@ def _active(a: np.ndarray, n: int, rays: np.ndarray, tol: float) -> np.ndarray:
     return active
 
 
-def _clip(a: np.ndarray, n: int, rays: np.ndarray, active: np.ndarray, tol: float):
+def _clip(a: np.ndarray, n: int, rays: np.ndarray, tol: float) -> np.ndarray:
     """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
 
-    `active[i, j]` says that a[j] is tight at ray i; columns from n on are
-    still False (the array is updated in place).  A run of halfspaces that
+    Each ray's active set is a row of a boolean rays x halfspaces matrix,
+    True where the halfspace is tight at the ray.  A run of halfspaces that
     no ray violates only marks tight rays, so runs are evaluated a block at
     a time.  A violated halfspace keeps the rays on its nonnegative side and
     adds, for every adjacent pair of a ray p on its positive and q on its
-    negative side, the unit ray along vals[p] * q - vals[q] * p.  Returns
-    the new rays and their active sets.
+    negative side, the unit ray along vals[p] * q - vals[q] * p.
     """
     f = a.shape[1]
+    active = _active(a, n, rays, tol)
     block = 8
     while n < len(a) and len(rays):
         vals = _dots(rays, a[n : n + block])
@@ -259,7 +259,7 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray, active: np.ndarray, tol: floa
         n += 1
         rays = np.concatenate([rays[pos], rays[zero], new])
         active = np.concatenate([active[pos], active[zero], _active(a, n, new, tol)])
-    return rays, active
+    return rays
 
 
 def _adjacent_pairs(active: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
@@ -297,33 +297,19 @@ def _any_row(active: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _finish(rays: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:
-    """Merge near-duplicate rays, check them against every halfspace, and
-    sort them lexicographically."""
-    rays = _dedup_unit_rows(rays, _MERGE_TOL)
+    """Merge near-duplicate rays keep-first, check them against every
+    halfspace, and sort them lexicographically."""
+    kept: list[int] = []
+    for i, r in enumerate(rays):
+        if not any(np.linalg.norm(r - rays[j]) <= _MERGE_TOL for j in kept):
+            kept.append(i)
+    rays = rays[kept]
     if len(rays) == 0:
         return rays
     worst = float((a @ rays.T).min())
     if worst < -10 * tol:
         raise NumericalFailureError(f"ray violates a halfspace by {-worst:.3e}")
     return rays[np.lexsort(np.round(rays, 12).T[::-1])]
-
-
-def _dedup_unit_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Keep-first merge: drop each row within distance `tol` of an earlier
-    kept row.  Candidate pairs are those whose largest coordinate difference
-    (never more than the Euclidean distance) is at most 2 tol; each is
-    confirmed with the distance `np.linalg.norm(r - s)` itself."""
-    k = len(rows)
-    keep = np.ones(k, dtype=bool)
-    step = max(1, _CHUNK // max(1, rows.size))
-    for lo in range(0, k, step):
-        block = rows[lo : lo + step]
-        near = np.abs(block[:, None, :] - rows[None, : lo + len(block)]).max(axis=2) <= 2 * tol
-        for j, i in zip(*np.nonzero(np.tril(near, lo - 1))):
-            j += lo
-            if keep[j] and keep[i] and np.linalg.norm(rows[j] - rows[i]) <= tol:
-                keep[j] = False
-    return rows[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +345,8 @@ def expansive_cone(
 
     Pair rows are composed with the flex basis; rows of norm below tolerance
     are dropped (bars project to zero because flexes preserve them exactly),
-    parallel rows are merged, and rays come from the double description pass.
+    unit rows equal to 9 decimals are merged, and rays come from the double
+    description pass.
     """
     f = report.dof
     if f == 0:
@@ -372,13 +359,7 @@ def expansive_cone(
     if len(projected) == 0:
         # No pair restricts the flexes at this radius; the cone is all of R^f.
         raise NonPointedConeError("no active pair constraints; cone has full lineality")
-
-    # Exact-duplicate merge through rounded keys, then a pairwise angular
-    # merge when the survivor count stays small.
     uniq = projected[_first_unique(projected)]
-    if len(uniq) <= 800:
-        uniq = _dedup_unit_rows(uniq, _MERGE_TOL)
-
     rays = extremal_rays(uniq, f, tol)
     return ExpansiveCone(report.flex_basis, uniq, radius, rays, len(rays) == 0)
 
@@ -425,11 +406,27 @@ def _check_flex(fw: PeriodicFramework, flex: np.ndarray, tol: float) -> np.ndarr
     return flex
 
 
-def _pair_values(fw, flex, radius):
+def _flex_verdict(fw: PeriodicFramework, flex, radius: int, tol: float):
+    """(FlexClass, effective orbits) of a checked flex at this radius.
+
+    Thresholds are relative: a pair row counts as strict when its value
+    exceeds tol * |row| * |flex|, as violated when below the negative of it.
+    The effective orbits are those touched by a strict pair.
+    """
+    flex = _check_flex(fw, flex, tol)
     pairs = enumerate_pairs(fw, radius)
     values = _row_dots(pairs.rows, flex)
     scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * np.linalg.norm(flex)
-    return pairs, values, scales
+    thresholds = tol * scales
+    strict = values > thresholds
+    if np.any(values < -thresholds):
+        cls = FlexClass.NOT_EXPANSIVE
+    elif np.any(strict):
+        cls = FlexClass.EFFECTIVELY_EXPANSIVE
+    else:
+        cls = FlexClass.WEAKLY_EXPANSIVE
+    touched = np.union1d(pairs.tails[strict], pairs.heads[strict])
+    return cls, {pairs.orbits[i] for i in touched}
 
 
 def classify_flex(
@@ -438,19 +435,9 @@ def classify_flex(
     radius: int = DEFAULT_RADIUS,
     tol: float = DEFAULT_CONE_TOL,
 ) -> FlexClass:
-    """NotExpansive / WeaklyExpansive / EffectivelyExpansive at this radius.
-
-    Thresholds are relative: a pair row counts as strict when its value
-    exceeds tol * |row| * |flex|, as violated when below the negative of it.
-    """
-    flex = _check_flex(fw, flex, tol)
-    _, values, scales = _pair_values(fw, flex, radius)
-    thresholds = tol * scales
-    if np.any(values < -thresholds):
-        return FlexClass.NOT_EXPANSIVE
-    if np.any(values > thresholds):
-        return FlexClass.EFFECTIVELY_EXPANSIVE
-    return FlexClass.WEAKLY_EXPANSIVE
+    """NotExpansive / WeaklyExpansive / EffectivelyExpansive at this radius,
+    with the relative thresholds of `_flex_verdict`."""
+    return _flex_verdict(fw, flex, radius, tol)[0]
 
 
 def effective_vertices(
@@ -460,11 +447,7 @@ def effective_vertices(
     tol: float = DEFAULT_CONE_TOL,
 ) -> set[str]:
     """Orbits touched by a pair constraint that opens strictly under `flex`."""
-    flex = _check_flex(fw, flex, tol)
-    pairs, values, scales = _pair_values(fw, flex, radius)
-    strict = values > tol * scales
-    touched = np.union1d(pairs.tails[strict], pairs.heads[strict])
-    return {pairs.orbits[i] for i in touched}
+    return _flex_verdict(fw, flex, radius, tol)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,11 +467,11 @@ def verify_pointedness(
     The flex must classify as effectively expansive; a failure on a genuine
     expansive flex indicates a numerical or modeling bug, never a valid state.
     """
-    cls = classify_flex(fw, flex, radius, tol)
+    cls, effective = _flex_verdict(fw, flex, radius, tol)
     if cls is not FlexClass.EFFECTIVELY_EXPANSIVE:
         raise ValueError(f"flex classifies as {cls.value}, not effectively expansive")
     analyses = {}
-    for orbit in sorted(effective_vertices(fw, flex, radius, tol)):
+    for orbit in sorted(effective):
         analyses[orbit] = analyze_star(vertex_star(fw, orbit), fw.dimension, tol)
     return PointednessReport(analyses, all(a.pointed_codim2 for a in analyses.values()))
 
@@ -515,33 +498,33 @@ def find_stable_radius(
     start: int = DEFAULT_RADIUS,
     max_radius: int = 6,
     tol: float = DEFAULT_CONE_TOL,
-    angular_tol: float = _RAY_MATCH_TOL,
     *,
     cone: ExpansiveCone | None = None,
 ) -> int:
-    """Smallest R >= start whose ray set agrees with the one at R + 1.
+    """Smallest R >= start whose rays are not cut by the pairs of radius R + 1.
 
+    The truncated cone at R + 1 is the cone at R cut by the new shell of
+    pairs, those whose shift has max-norm R + 1.  So R is stable exactly when
+    no ray at R violates a shell halfspace by more than tol; otherwise the
+    shell is inserted into the rays at R and the next radius is probed.
     `cone` is the expansive cone at `start` when the caller already has it;
-    otherwise it is computed here.  Each next radius inserts only the new
-    shell of pairs, those whose shift has max-norm R + 1, into the rays at R.
+    otherwise it is computed here.
     """
+    if start > max_radius:
+        raise ValueError(f"start radius {start} exceeds max_radius {max_radius}")
     if cone is None:
         cone = expansive_cone(fw, report, start, tol)
     elif cone.radius != start:
         raise ValueError(f"cone was computed at radius {cone.radius}, not at start {start}")
     a, rays = cone.halfspace_matrix, cone.rays
-    active = _active(a, len(a), rays, tol)
-    prev = rays
     for radius in range(start, max_radius + 1):
-        if len(rays):
-            shell = _new_rows(a, _shell_halfspaces(fw, report, radius + 1, tol))
-            n, a = len(a), np.concatenate([a, shell])
-            active = np.concatenate([active, np.zeros((len(rays), len(shell)), dtype=bool)], axis=1)
-            rays, active = _clip(a, n, rays, active, tol)
-        nxt = _finish(rays, a, tol)
-        if rays_match(prev, nxt, angular_tol):
+        if not len(rays):
             return radius
-        prev = nxt
+        shell = _new_rows(a, _shell_halfspaces(fw, report, radius + 1, tol))
+        if not (_dots(rays, shell) < -tol).any():
+            return radius
+        n, a = len(a), np.concatenate([a, shell])
+        rays = _finish(_clip(a, n, rays, tol), a, tol)
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
     )

@@ -98,7 +98,11 @@ def stable_radius_from_scratch(fw, report, start, max_radius):
     return None
 
 
-PROBES = [("stressed", 3)] + [(kind, d) for kind in ("base", "removed:2") for d in (2, 3, 4)]
+PROBES = [("stressed", 3)] + [
+    (kind, d)
+    for kind in ("base", "regular", "removed:1", "removed:2", "enhanced")
+    for d in (2, 3, 4)
+]
 
 
 @pytest.mark.parametrize("kind, d", PROBES)
@@ -121,3 +125,8 @@ def test_probe_rejects_a_cone_of_another_radius(base3):
     cone = expansive_cone(base3, report, 1)
     with pytest.raises(ValueError, match="radius"):
         find_stable_radius(base3, report, start=2, cone=cone)
+
+
+def test_probe_rejects_a_start_beyond_max_radius(base3):
+    with pytest.raises(ValueError, match="max_radius"):
+        find_stable_radius(base3, analyze(base3), start=3, max_radius=2)

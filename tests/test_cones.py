@@ -82,6 +82,26 @@ def test_exact_dependence_verdict():
     assert dep is not None and all(isinstance(a, Fraction) for a in dep)
 
 
+def test_numpy_integer_star_is_exact_in_both_oracles():
+    # The oracle alone picks the mode: np.int64 entries are exact, so the
+    # dependence and the probe both answer in Fractions.
+    vs = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.int64)
+    dep = positive_dependence(VectorStar("x", vs))
+    assert dep == [1, 1, 1, 1] and all(isinstance(a, Fraction) for a in dep)
+    probe = strict_expansion_probe(VectorStar("x", vs[[0, 2]]))
+    assert all(isinstance(c, Fraction) for v in probe for c in v)
+
+
+@pytest.mark.parametrize("exact", [None, True, False])
+def test_dependence_mode_follows_the_oracle(exact):
+    vs = np.array([[Fraction(1, 2), Fraction(0)], [Fraction(-1, 3), Fraction(0)]], dtype=object)
+    exact_star, float_star = VectorStar("x", vs), VectorStar("x", vs.astype(float))
+    dep_exact = positive_dependence(exact_star, exact=exact)
+    dep_float = positive_dependence(float_star, exact=exact)
+    assert isinstance(dep_exact, list) == (exact is not False)
+    assert isinstance(dep_float, list) == (exact is True)
+
+
 # -- lineality ----------------------------------------------------------------
 
 

@@ -289,6 +289,29 @@ def test_d2_mechanism_pointed_in_classical_sense():
         assert analysis.lineality_dim == 0  # d - 2 = 0 forces classical pointedness
 
 
+def test_pointedness_checks_and_enumerates_once(stressed, monkeypatch):
+    import perigid.expansive as expansive
+
+    report = analyze(stressed)
+    flex = expansive_cone(stressed, report, radius=2).ray_motion(0)
+    calls = []
+
+    def count(name):
+        original = getattr(expansive, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(expansive, name, counted)
+
+    count("rigidity_matrix")
+    count("enumerate_pairs")
+    result = verify_pointedness(stressed, flex)
+    assert set(result.analyses) == {"red", "green"}
+    assert calls == ["rigidity_matrix", "enumerate_pairs"]
+
+
 # -- serialization -------------------------------------------------------------
 
 
