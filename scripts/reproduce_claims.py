@@ -45,10 +45,10 @@ def stressed_example(out):
     print(f"  stress normalized at the v-0 edge: {np.round(coeffs, 12).tolist()}")
 
     cone = pg.expansive_cone(fw, report, radius=2)
-    stable = pg.find_stable_radius(fw, report, start=2, cone=cone)
+    stable = pg.find_stable_radius(fw, cone)
     with open(os.path.join(out, "stressed_cone.json"), "w") as fh:
         fh.write(cone_report_json(cone, stable))
-    write_pair_audit_csv(fw, report, 2, os.path.join(out, "stressed_pairs.csv"))
+    write_pair_audit_csv(fw, cone, os.path.join(out, "stressed_pairs.csv"))
     print(f"  expansive cone: {len(cone.rays)} extremal rays, stable radius {stable}")
     for i in range(len(cone.rays)):
         motion = cone.ray_motion(i)
@@ -86,7 +86,7 @@ def base_cones(out):
         fw = pg.simplex_framework(d)
         report = pg.analyze(fw)
         cone = pg.expansive_cone(fw, report, radius=2)
-        stable = pg.find_stable_radius(fw, report, start=2, cone=cone)
+        stable = pg.find_stable_radius(fw, cone)
         print(f"  d={d}: {len(cone.rays)} extremal rays, stable radius {stable}")
 
 

@@ -135,12 +135,10 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
     fw = load_framework(args.framework)
     report = analyze(fw, cfg.rank_tol)
     cone = expansive.expansive_cone(fw, report, cfg.radius)
-    stable = expansive.find_stable_radius(
-        fw, report, start=cfg.radius, max_radius=cfg.radius + 3, cone=cone
-    )
+    stable = expansive.find_stable_radius(fw, cone, max_radius=cfg.radius + 3)
     _emit(expansive.cone_report_json(cone, stable), args.out)
     if args.pairs is not None:
-        expansive.write_pair_audit_csv(fw, report, cfg.radius, args.pairs)
+        expansive.write_pair_audit_csv(fw, cone, args.pairs)
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ On top of the feasibility oracle this module decides positive dependence
 lineality space of the generated cone, finds separating hyperplanes, and
 tests pointedness in codimension two (lineality dimension at most d - 2),
 the local condition every vertex star must satisfy where an expansive
-deformation is effective.
+deformation is effective.  Float decisions use the oracle's tolerance,
+``feasibility.LP_TOL``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .feasibility import DEFAULT_LP_TOL, solve_linear_feasibility
+from .feasibility import LP_TOL, solve_linear_feasibility
 from .framework import PeriodicFramework, _json_vec
 
 
@@ -66,9 +67,7 @@ def _star_matrix(star: VectorStar) -> list[list]:
     return [[vs[i][c] for i in range(len(vs))] for c in range(d)]
 
 
-def positive_dependence(
-    star: VectorStar, tol: float = DEFAULT_LP_TOL, exact: bool | None = None
-):
+def positive_dependence(star: VectorStar, *, exact: bool | None = None):
     """Coefficients a with every a_i >= 1 and sum a_i v_i = 0, else None.
 
     Strict positivity is normalized to >= 1: dependences form a cone, so a
@@ -79,19 +78,17 @@ def positive_dependence(
     if len(star) == 0:
         raise ValueError("empty star")
     rows = _star_matrix(star)
-    return solve_linear_feasibility(
-        rows, [0] * len(rows), [1] * len(star), tol=tol, exact=exact
-    )
+    return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star), exact=exact)
 
 
-def _in_cone(vectors: np.ndarray, target: np.ndarray, tol: float) -> bool:
+def _in_cone(vectors: np.ndarray, target: np.ndarray) -> bool:
     d = vectors.shape[1]
     rows = [[vectors[i][c] for i in range(len(vectors))] for c in range(d)]
-    sol = solve_linear_feasibility(rows, list(target), [0] * len(vectors), tol=tol)
+    sol = solve_linear_feasibility(rows, list(target), [0] * len(vectors))
     return sol is not None
 
 
-def lineality_space(star: VectorStar, tol: float = DEFAULT_LP_TOL) -> np.ndarray:
+def lineality_space(star: VectorStar) -> np.ndarray:
     """Orthonormal basis of the largest linear subspace inside the star cone.
 
     A generator v_i lies in the lineality space exactly when -v_i is still a
@@ -101,28 +98,26 @@ def lineality_space(star: VectorStar, tol: float = DEFAULT_LP_TOL) -> np.ndarray
     if len(star) == 0:
         raise ValueError("empty star")
     vs = star.as_float()
-    members = [v for v in vs if _in_cone(vs, -v, tol)]
+    members = [v for v in vs if _in_cone(vs, -v)]
     if not members:
         return np.zeros((0, vs.shape[1]))
     stack = np.array(members)
     _, s, vt = np.linalg.svd(stack)
-    dim = int(np.sum(s > tol * s[0]))
+    dim = int(np.sum(s > LP_TOL * s[0]))
     return vt[:dim]
 
 
-def refute_expansive_at_vertex(star: VectorStar, tol: float = DEFAULT_LP_TOL) -> bool:
+def refute_expansive_at_vertex(star: VectorStar) -> bool:
     """True when a positive dependence rules out effective local expansion.
 
     A zero combination with all-positive coefficients forces every velocity
     assignment that preserves the bar lengths to close at least one pair
     whenever it opens another, so no strictly expansive assignment exists.
     """
-    return positive_dependence(star, tol) is not None
+    return positive_dependence(star) is not None
 
 
-def analyze_star(
-    star: VectorStar, d: int | None = None, tol: float = DEFAULT_LP_TOL
-) -> ConeAnalysis:
+def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
     """Full cone report: lineality, codim-2 pointedness, separating normal.
 
     A separating normal is produced whenever the lineality dimension is at
@@ -134,15 +129,15 @@ def analyze_star(
     vs = star.as_float()
     if d is None:
         d = vs.shape[1]
-    lin = lineality_space(star, tol)
+    lin = lineality_space(star)
     ldim = lin.shape[0]
     pointed2 = ldim <= d - 2
 
     normal = None
     if ldim <= d - 1:
-        normal = _separating_normal(vs, lin, tol)
+        normal = _separating_normal(vs, lin)
 
-    dep = positive_dependence(VectorStar(star.vertex_orbit, vs), tol)
+    dep = positive_dependence(VectorStar(star.vertex_orbit, vs))
     return ConeAnalysis(
         orbit=star.vertex_orbit,
         lineality_basis=lin,
@@ -152,12 +147,12 @@ def analyze_star(
     )
 
 
-def _separating_normal(vs: np.ndarray, lin: np.ndarray, tol: float) -> np.ndarray:
+def _separating_normal(vs: np.ndarray, lin: np.ndarray) -> np.ndarray:
     d = vs.shape[1]
     units = vs / np.linalg.norm(vs, axis=1, keepdims=True)
     if lin.shape[0]:
         residual = units - (units @ lin.T) @ lin
-        outside = units[np.linalg.norm(residual, axis=1) > tol]
+        outside = units[np.linalg.norm(residual, axis=1) > LP_TOL]
     else:
         outside = units
     if len(outside) == 0:
@@ -170,7 +165,6 @@ def _separating_normal(vs: np.ndarray, lin: np.ndarray, tol: float) -> np.ndarra
         [None] * d,
         inequalities=[list(u) for u in outside],
         ineq_rhs=[1.0] * len(outside),
-        tol=tol,
     )
     if h is None:
         raise NumericalFailureError(
@@ -179,9 +173,7 @@ def _separating_normal(vs: np.ndarray, lin: np.ndarray, tol: float) -> np.ndarra
     return h / np.linalg.norm(h)
 
 
-def strict_expansion_probe(
-    star: VectorStar, tol: float = DEFAULT_LP_TOL, exact: bool | None = None
-):
+def strict_expansion_probe(star: VectorStar, *, exact: bool | None = None):
     """Velocity assignment opening some pair strictly, or None.
 
     Unknowns are one velocity per star vector (the hub stays fixed); bar
@@ -228,7 +220,6 @@ def strict_expansion_probe(
         [None] * nvars,
         inequalities=ineq_rows,
         ineq_rhs=[0] * (len(ineq_rows) - 1) + [1],
-        tol=tol,
         exact=exact,
     )
     if sol is None:

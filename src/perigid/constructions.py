@@ -56,9 +56,6 @@ class SimplexVariant:
                 pass
         raise InvalidDimensionError(f"unknown simplex variant {text!r}")
 
-    def label(self) -> str:
-        return self.kind if self.removed is None else f"{self.kind}{self.removed}"
-
 
 def _regular_simplex_generators(d: int) -> np.ndarray:
     # Unit generators with pairwise inner product 1/2: the edge vectors of a

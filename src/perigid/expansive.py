@@ -17,7 +17,8 @@ decisions of the one-row, one-ray loop they replaced, in the same order and
 with the same floating-point operations, so the halfspaces and rays are bit
 for bit that loop's.  The stability probe makes truncation bias observable:
 the cone at R + 1 is the cone at R cut by the halfspaces of the new shell of
-pairs, so R is stable when no ray at R violates one of them.
+pairs, so R is stable when no ray at R violates one of them.  Every float
+decision of this layer uses the one module tolerance ``CONE_TOL``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .framework import PeriodicFramework, _json_matrix, _row_dots, _separations
 from .rigidity import RigidityReport, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
-DEFAULT_CONE_TOL = 1e-9
+CONE_TOL = 1e-9
 MAX_FLEX_DIM = 6
 _MERGE_TOL = 1e-8  # distance below which two unit rays are merged
 _RAY_MATCH_TOL = 1e-6  # angular tolerance when comparing ray sets
@@ -146,12 +147,12 @@ def enumerate_pairs(fw: PeriodicFramework, radius: int) -> PairSet:
 # ---------------------------------------------------------------------------
 # Double description.
 
-def _independent_rows(a: np.ndarray, f: int, tol: float) -> list[int]:
+def _independent_rows(a: np.ndarray, f: int) -> list[int]:
     chosen: list[int] = []
     basis = np.zeros((0, f))
     for i, row in enumerate(a):
         residual = row - basis.T @ (basis @ row) if len(basis) else row
-        if np.linalg.norm(residual) > tol:
+        if np.linalg.norm(residual) > CONE_TOL:
             basis = np.vstack([basis, residual / np.linalg.norm(residual)])
             chosen.append(i)
             if len(chosen) == f:
@@ -159,8 +160,9 @@ def _independent_rows(a: np.ndarray, f: int, tol: float) -> list[int]:
     return chosen
 
 
-def extremal_rays(halfspaces, f: int | None = None, tol: float = DEFAULT_CONE_TOL) -> np.ndarray:
-    """Minimal generating rays of {c : A c >= 0} for a pointed cone.
+def extremal_rays(halfspaces) -> np.ndarray:
+    """Minimal generating rays of {c : A c >= 0} for a pointed cone in
+    R^f, f the width of A.
 
     Incremental double description: start from a simplicial subcone given by
     f independent rows, then clip with each remaining halfspace in row order,
@@ -172,11 +174,7 @@ def extremal_rays(halfspaces, f: int | None = None, tol: float = DEFAULT_CONE_TO
     a = np.asarray(halfspaces, dtype=float)
     if a.ndim != 2:
         raise ValueError("halfspaces must be a matrix")
-    k = a.shape[0]
-    if f is None:
-        f = a.shape[1]
-    if f != a.shape[1]:
-        raise ValueError("declared dimension does not match halfspace width")
+    f = a.shape[1]
     if f < 1:
         raise ValueError("cone dimension must be positive")
     if f > MAX_FLEX_DIM:
@@ -184,23 +182,23 @@ def extremal_rays(halfspaces, f: int | None = None, tol: float = DEFAULT_CONE_TO
             f"ray enumeration disabled for dimension {f} > {MAX_FLEX_DIM}"
         )
     norms = np.linalg.norm(a, axis=1)
-    a = a[norms > tol]
+    a = a[norms > CONE_TOL]
     a = a / np.linalg.norm(a, axis=1, keepdims=True) if len(a) else a
     k = len(a)
     if k < f:
         raise NonPointedConeError(f"{k} halfspaces cannot point a {f}-dimensional cone")
     s = np.linalg.svd(a, compute_uv=False)
-    if int(np.sum(s > tol * s[0])) < f:
+    if int(np.sum(s > CONE_TOL * s[0])) < f:
         raise NonPointedConeError("halfspace normals do not span; nonzero lineality")
 
-    base = _independent_rows(a, f, tol)
+    base = _independent_rows(a, f)
     if len(base) < f:
         raise NonPointedConeError("could not extract an independent halfspace basis")
     m_inv = np.linalg.inv(a[base])
     rays = np.array([m_inv[:, j] / np.linalg.norm(m_inv[:, j]) for j in range(f)])
     # Rows in insertion order: the basis, then the others by index.
     ordered = a[base + sorted(set(range(k)) - set(base))]
-    return _finish(_clip(ordered, f, rays, tol), a, tol)
+    return _finish(_clip(ordered, f, rays), a)
 
 
 # Entries per chunk of the pairwise and rays x halfspaces blocks, so that no
@@ -214,18 +212,18 @@ def _dots(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (rays[:, None, None, :] @ rows[:, :, None])[:, :, 0, 0]
 
 
-def _active(a: np.ndarray, n: int, rays: np.ndarray, tol: float) -> np.ndarray:
-    """(r, len(a)) active sets over the first n rows, |a[:n] @ ray| <= tol,
+def _active(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
+    """(r, len(a)) active sets over the first n rows, |a[:n] @ ray| <= CONE_TOL,
     from one matrix-vector product per ray."""
     active = np.zeros((len(rays), len(a)), dtype=bool)
     step = max(1, _CHUNK // max(1, n))
     for i in range(0, len(rays), step):
         vals = (a[None, :n] @ rays[i : i + step, :, None])[:, :, 0]
-        active[i : i + step, :n] = np.abs(vals) <= tol
+        active[i : i + step, :n] = np.abs(vals) <= CONE_TOL
     return active
 
 
-def _clip(a: np.ndarray, n: int, rays: np.ndarray, tol: float) -> np.ndarray:
+def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
 
     Each ray's active set is a row of a boolean rays x halfspaces matrix,
@@ -236,29 +234,29 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray, tol: float) -> np.ndarray:
     negative side, the unit ray along vals[p] * q - vals[q] * p.
     """
     f = a.shape[1]
-    active = _active(a, n, rays, tol)
+    active = _active(a, n, rays)
     block = 8
     while n < len(a) and len(rays):
         vals = _dots(rays, a[n : n + block])
-        cut = np.flatnonzero((vals < -tol).any(axis=0))
+        cut = np.flatnonzero((vals < -CONE_TOL).any(axis=0))
         run = cut[0] if len(cut) else vals.shape[1]
-        active[:, n : n + run] = np.abs(vals[:, :run]) <= tol
+        active[:, n : n + run] = np.abs(vals[:, :run]) <= CONE_TOL
         n += run
         if not len(cut):
             block = min(2 * block, max(8, _CHUNK // len(rays)))
             continue
         block = 8
         v = vals[:, run]
-        pos, neg = np.flatnonzero(v > tol), np.flatnonzero(v < -tol)
-        zero = np.flatnonzero((v >= -tol) & (v <= tol))
+        pos, neg = np.flatnonzero(v > CONE_TOL), np.flatnonzero(v < -CONE_TOL)
+        zero = np.flatnonzero((v >= -CONE_TOL) & (v <= CONE_TOL))
         p, q = _adjacent_pairs(active[:, :n], pos, neg, f)
         new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
         nrm = np.sqrt(_row_dots(new, new))
-        new = new[nrm > tol] / nrm[nrm > tol][:, None]
+        new = new[nrm > CONE_TOL] / nrm[nrm > CONE_TOL][:, None]
         active[zero, n] = True
         n += 1
         rays = np.concatenate([rays[pos], rays[zero], new])
-        active = np.concatenate([active[pos], active[zero], _active(a, n, new, tol)])
+        active = np.concatenate([active[pos], active[zero], _active(a, n, new)])
     return rays
 
 
@@ -296,7 +294,7 @@ def _any_row(active: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _finish(rays: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:
+def _finish(rays: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Merge near-duplicate rays keep-first, check them against every
     halfspace, and sort them lexicographically."""
     kept: list[int] = []
@@ -307,7 +305,7 @@ def _finish(rays: np.ndarray, a: np.ndarray, tol: float) -> np.ndarray:
     if len(rays) == 0:
         return rays
     worst = float((a @ rays.T).min())
-    if worst < -10 * tol:
+    if worst < -10 * CONE_TOL:
         raise NumericalFailureError(f"ray violates a halfspace by {-worst:.3e}")
     return rays[np.lexsort(np.round(rays, 12).T[::-1])]
 
@@ -321,7 +319,10 @@ class ExpansiveCone:
     halfspace_matrix: np.ndarray  # (k, f), unit rows, deduplicated
     radius: int
     rays: np.ndarray  # (r, f), unit rows, deterministic order
-    is_trivial: bool
+
+    @property
+    def is_trivial(self) -> bool:
+        return len(self.rays) == 0
 
     @property
     def flex_dim(self) -> int:
@@ -336,40 +337,38 @@ class ExpansiveCone:
 
 
 def expansive_cone(
-    fw: PeriodicFramework,
-    report: RigidityReport,
-    radius: int = DEFAULT_RADIUS,
-    tol: float = DEFAULT_CONE_TOL,
+    fw: PeriodicFramework, report: RigidityReport, radius: int = DEFAULT_RADIUS
 ) -> ExpansiveCone:
     """Halfspace description and extremal rays in flex coordinates.
 
-    Pair rows are composed with the flex basis; rows of norm below tolerance
+    Pair rows are composed with the flex basis; rows of norm below CONE_TOL
     are dropped (bars project to zero because flexes preserve them exactly),
     unit rows equal to 9 decimals are merged, and rays come from the double
     description pass.
     """
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
     f = report.dof
     if f == 0:
-        return ExpansiveCone(report.flex_basis, np.zeros((0, 0)), radius, np.zeros((0, 0)), True)
+        return ExpansiveCone(report.flex_basis, np.zeros((0, 0)), radius, np.zeros((0, 0)))
     if f > MAX_FLEX_DIM:
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    projected = _unit_halfspaces(enumerate_pairs(fw, radius).rows, report.flex_basis, tol)
+    projected = _unit_halfspaces(enumerate_pairs(fw, radius).rows, report.flex_basis)
     if len(projected) == 0:
         # No pair restricts the flexes at this radius; the cone is all of R^f.
         raise NonPointedConeError("no active pair constraints; cone has full lineality")
     uniq = projected[_first_unique(projected)]
-    rays = extremal_rays(uniq, f, tol)
-    return ExpansiveCone(report.flex_basis, uniq, radius, rays, len(rays) == 0)
+    return ExpansiveCone(report.flex_basis, uniq, radius, extremal_rays(uniq))
 
 
-def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray, tol: float) -> np.ndarray:
+def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
     """Pair rows in flex coordinates, normalized; rows of norm below
-    tolerance (relative to the row, at least 1) are dropped."""
+    CONE_TOL (relative to the row, at least 1) are dropped."""
     projected = rows @ flex_basis.T
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-    projected = projected[np.linalg.norm(projected, axis=1) > tol * scale]
+    projected = projected[np.linalg.norm(projected, axis=1) > CONE_TOL * scale]
     return projected / np.linalg.norm(projected, axis=1, keepdims=True)
 
 
@@ -389,7 +388,7 @@ class FlexClass(Enum):
     EFFECTIVELY_EXPANSIVE = "effectively_expansive"
 
 
-def _check_flex(fw: PeriodicFramework, flex: np.ndarray, tol: float) -> np.ndarray:
+def _check_flex(fw: PeriodicFramework, flex: np.ndarray) -> np.ndarray:
     flex = np.asarray(flex, dtype=float)
     matrix = rigidity_matrix(fw)
     if matrix.shape[1] != flex.shape[0]:
@@ -398,7 +397,7 @@ def _check_flex(fw: PeriodicFramework, flex: np.ndarray, tol: float) -> np.ndarr
         )
     if fw.m:
         resid = np.abs(matrix @ flex)
-        bound = tol * np.linalg.norm(matrix, axis=1) * np.linalg.norm(flex)
+        bound = CONE_TOL * np.linalg.norm(matrix, axis=1) * np.linalg.norm(flex)
         if np.any(resid > bound):
             raise NotAFlexError(
                 f"edge residual {resid.max():.3e} exceeds tolerance; not a flex"
@@ -406,18 +405,18 @@ def _check_flex(fw: PeriodicFramework, flex: np.ndarray, tol: float) -> np.ndarr
     return flex
 
 
-def _flex_verdict(fw: PeriodicFramework, flex, radius: int, tol: float):
+def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     """(FlexClass, effective orbits) of a checked flex at this radius.
 
     Thresholds are relative: a pair row counts as strict when its value
-    exceeds tol * |row| * |flex|, as violated when below the negative of it.
+    exceeds CONE_TOL * |row| * |flex|, as violated when below the negative of it.
     The effective orbits are those touched by a strict pair.
     """
-    flex = _check_flex(fw, flex, tol)
+    flex = _check_flex(fw, flex)
     pairs = enumerate_pairs(fw, radius)
     values = _row_dots(pairs.rows, flex)
     scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * np.linalg.norm(flex)
-    thresholds = tol * scales
+    thresholds = CONE_TOL * scales
     strict = values > thresholds
     if np.any(values < -thresholds):
         cls = FlexClass.NOT_EXPANSIVE
@@ -429,25 +428,15 @@ def _flex_verdict(fw: PeriodicFramework, flex, radius: int, tol: float):
     return cls, {pairs.orbits[i] for i in touched}
 
 
-def classify_flex(
-    fw: PeriodicFramework,
-    flex,
-    radius: int = DEFAULT_RADIUS,
-    tol: float = DEFAULT_CONE_TOL,
-) -> FlexClass:
+def classify_flex(fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS) -> FlexClass:
     """NotExpansive / WeaklyExpansive / EffectivelyExpansive at this radius,
     with the relative thresholds of `_flex_verdict`."""
-    return _flex_verdict(fw, flex, radius, tol)[0]
+    return _flex_verdict(fw, flex, radius)[0]
 
 
-def effective_vertices(
-    fw: PeriodicFramework,
-    flex,
-    radius: int = DEFAULT_RADIUS,
-    tol: float = DEFAULT_CONE_TOL,
-) -> set[str]:
+def effective_vertices(fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS) -> set[str]:
     """Orbits touched by a pair constraint that opens strictly under `flex`."""
-    return _flex_verdict(fw, flex, radius, tol)[1]
+    return _flex_verdict(fw, flex, radius)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,22 +446,19 @@ class PointednessReport:
 
 
 def verify_pointedness(
-    fw: PeriodicFramework,
-    flex,
-    radius: int = DEFAULT_RADIUS,
-    tol: float = DEFAULT_CONE_TOL,
+    fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS
 ) -> PointednessReport:
     """Check codim-2 pointedness of every effective vertex star.
 
     The flex must classify as effectively expansive; a failure on a genuine
     expansive flex indicates a numerical or modeling bug, never a valid state.
     """
-    cls, effective = _flex_verdict(fw, flex, radius, tol)
+    cls, effective = _flex_verdict(fw, flex, radius)
     if cls is not FlexClass.EFFECTIVELY_EXPANSIVE:
         raise ValueError(f"flex classifies as {cls.value}, not effectively expansive")
     analyses = {}
     for orbit in sorted(effective):
-        analyses[orbit] = analyze_star(vertex_star(fw, orbit), fw.dimension, tol)
+        analyses[orbit] = analyze_star(vertex_star(fw, orbit), fw.dimension)
     return PointednessReport(analyses, all(a.pointed_codim2 for a in analyses.values()))
 
 
@@ -492,52 +478,36 @@ def rays_match(a: np.ndarray, b: np.ndarray, angular_tol: float = _RAY_MATCH_TOL
     return True
 
 
-def find_stable_radius(
-    fw: PeriodicFramework,
-    report: RigidityReport,
-    start: int = DEFAULT_RADIUS,
-    max_radius: int = 6,
-    tol: float = DEFAULT_CONE_TOL,
-    *,
-    cone: ExpansiveCone | None = None,
-) -> int:
-    """Smallest R >= start whose rays are not cut by the pairs of radius R + 1.
+def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: int = 6) -> int:
+    """Smallest R >= cone.radius whose rays are not cut by the pairs of radius R + 1.
 
     The truncated cone at R + 1 is the cone at R cut by the new shell of
     pairs, those whose shift has max-norm R + 1.  So R is stable exactly when
-    no ray at R violates a shell halfspace by more than tol; otherwise the
-    shell is inserted into the rays at R and the next radius is probed.
-    `cone` is the expansive cone at `start` when the caller already has it;
-    otherwise it is computed here.
+    no ray at R violates a shell halfspace by more than CONE_TOL; otherwise
+    the shell is inserted into the rays at R and the next radius is probed.
     """
-    if start > max_radius:
-        raise ValueError(f"start radius {start} exceeds max_radius {max_radius}")
-    if cone is None:
-        cone = expansive_cone(fw, report, start, tol)
-    elif cone.radius != start:
-        raise ValueError(f"cone was computed at radius {cone.radius}, not at start {start}")
+    if cone.radius > max_radius:
+        raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
     a, rays = cone.halfspace_matrix, cone.rays
-    for radius in range(start, max_radius + 1):
+    for radius in range(cone.radius, max_radius + 1):
         if not len(rays):
             return radius
-        shell = _new_rows(a, _shell_halfspaces(fw, report, radius + 1, tol))
-        if not (_dots(rays, shell) < -tol).any():
+        shell = _new_rows(a, _shell_halfspaces(fw, cone.flex_basis, radius + 1))
+        if not (_dots(rays, shell) < -CONE_TOL).any():
             return radius
         n, a = len(a), np.concatenate([a, shell])
-        rays = _finish(_clip(a, n, rays, tol), a, tol)
+        rays = _finish(_clip(a, n, rays), a)
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
     )
 
 
-def _shell_halfspaces(
-    fw: PeriodicFramework, report: RigidityReport, radius: int, tol: float
-) -> np.ndarray:
+def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int) -> np.ndarray:
     """Unit halfspaces of the pairs whose shift has max-norm exactly `radius`."""
     tails, heads, shifts = _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius)
     shell = np.abs(shifts).max(axis=1) == radius
     pairs = _pair_set(fw, tails[shell], heads[shell], shifts[shell])
-    return _unit_halfspaces(pairs.rows, report.flex_basis, tol)
+    return _unit_halfspaces(pairs.rows, flex_basis)
 
 
 def _new_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -562,22 +532,17 @@ def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
     )
 
 
-def write_pair_audit_csv(
-    fw: PeriodicFramework,
-    report: RigidityReport,
-    radius: int,
-    path,
-    tol: float = DEFAULT_CONE_TOL,
-) -> None:
-    """Per-pair audit: the norm of each pair row projected to flex coordinates.
+def write_pair_audit_csv(fw: PeriodicFramework, cone: ExpansiveCone, path) -> None:
+    """Per-pair audit at the cone's radius: the norm of each pair row
+    projected to the cone's flex coordinates.
 
     Zero means the pair does not restrict the flex space (bars in particular).
     """
-    pairs = enumerate_pairs(fw, radius)
+    pairs = enumerate_pairs(fw, cone.radius)
     d = fw.dimension
     header = ["orbit_a", "orbit_b"] + [f"shift_{i + 1}" for i in range(d)] + ["value"]
     # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
-    projected = (pairs.rows[:, None, :] @ report.flex_basis.T)[:, 0, :]
+    projected = (pairs.rows[:, None, :] @ cone.flex_basis.T)[:, 0, :]
     values = np.sqrt(_row_dots(projected, projected)).tolist()
     names = np.array(pairs.orbits, dtype=object)
     columns = [names[pairs.tails].tolist(), names[pairs.heads].tolist()]

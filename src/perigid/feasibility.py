@@ -3,10 +3,10 @@
 Finds x with A_eq x = b_eq, A_ineq x >= b_ineq, and per-variable lower bounds
 (None marks a free variable), or certifies that no such x exists.  The solver
 is a Phase-I simplex with Bland's rule, so it terminates and is deterministic
-for a fixed input ordering.  Arithmetic runs in floating point with a
-tolerance by default and switches to exact arithmetic whenever every input
-is an int or Fraction (or when ``exact=True``), in which case all comparisons
-are exact.
+for a fixed input ordering.  Arithmetic runs in floating point with the
+module tolerance ``LP_TOL`` by default and switches to exact arithmetic
+whenever every input is an int or Fraction (or when ``exact=True``), in which
+case all comparisons are exact.
 
 Exact mode pivots on an integer tableau (integer-preserving elimination after
 Edmonds 1967 and Bareiss 1968).  The standard-form rows are scaled by the lcm
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NumericalFailureError
 
-DEFAULT_LP_TOL = 1e-9
+LP_TOL = 1e-9
 _MAX_PIVOTS = 50_000
 _UNBOUNDED = "phase-1 objective unbounded; inconsistent tableau"
 
@@ -63,7 +63,6 @@ def solve_linear_feasibility(
     inequalities=None,
     ineq_rhs=None,
     *,
-    tol: float = DEFAULT_LP_TOL,
     exact: bool | None = None,
     max_pivots: int = _MAX_PIVOTS,
 ):
@@ -100,7 +99,7 @@ def solve_linear_feasibility(
     if exact:
         return _solve_exact(*system, max_pivots)
     try:
-        return _solve_float(*system, tol, max_pivots)
+        return _solve_float(*system, max_pivots)
     except _PhaseOneUnbounded:
         images = _float_images(*system)
     if images is None:
@@ -180,11 +179,11 @@ def _original_point(y, col_map, nvars):
     return x[:nvars]  # drop slack values
 
 
-def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, tol, max_pivots):
+def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     tableau, col_map, width = _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, float)
     m = len(tableau)
     rhs_scale = max([abs(row[-1]) for row in tableau], default=0.0)
-    feas_tol = tol * (1.0 + float(rhs_scale))
+    feas_tol = LP_TOL * (1.0 + float(rhs_scale))
 
     # Phase I: append artificial columns, minimize their sum.
     total = width + m
@@ -202,13 +201,13 @@ def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, tol, max_pivots):
 
     pivots = 0
     while True:
-        enter = next((j for j in range(total) if zrow[j] < -tol), None)
+        enter = next((j for j in range(total) if zrow[j] < -LP_TOL), None)
         if enter is None:
             break
         best_r, best_ratio = None, None
         for r in range(m):
             a = tableau[r][enter]
-            if a > tol:
+            if a > LP_TOL:
                 ratio = tableau[r][-1] / a
                 if (
                     best_ratio is None

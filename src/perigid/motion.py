@@ -50,10 +50,8 @@ class MotionPath:
     placements: list[Placement]  # step 0 is the input placement
     step_size: float  # arc step actually taken (h * min edge length)
     nominal_h: float
-    direction_seed: np.ndarray
     tangents: np.ndarray  # (steps + 1, dn + d^2) unit tangents
     residuals: np.ndarray  # per step, max |len^2 - len0^2| after correction
-    pinning: str
 
     @property
     def n_steps(self) -> int:
@@ -157,10 +155,6 @@ def continue_motion(
             )
 
     report0 = analyze(fw, rank_tol)
-    pinning = (
-        f"vertex orbit '{graph.vertex_orbits[0]}' pinned; "
-        "lattice corrections restricted to upper triangular form"
-    )
     state = pack_motion(graph, pos0, fw.placement.lattice)
     tangent = report0.flex_basis.T @ (report0.flex_basis @ direction) if report0.dof else np.zeros_like(direction)
     norm0 = float(np.linalg.norm(tangent))
@@ -171,10 +165,8 @@ def continue_motion(
             [same] * (n_steps + 1),
             0.0,
             h,
-            direction,
             np.zeros((n_steps + 1, state.size)),
             np.zeros(n_steps + 1),
-            pinning,
         )
     tangent = tangent / norm0
 
@@ -211,10 +203,8 @@ def continue_motion(
         placements,
         step_len,
         h,
-        direction,
         np.array(tangents),
         np.array(residuals),
-        pinning,
     )
 
 

@@ -80,6 +80,21 @@ def test_cone_counts_and_pairs_csv(tmp_path, capsys):
     assert json.loads(out)["rays"] == []
 
 
+def test_cone_out_file_gets_the_stdout_bytes(tmp_path, capsys):
+    target = gen_file(tmp_path, capsys, "stressed")
+    _, expected = run_cli(["cone", str(target)], capsys)
+    report = tmp_path / "cone.json"
+    code, out = run_cli(["cone", str(target), "-o", str(report)], capsys)
+    assert code == 0 and out == ""
+    assert report.read_text() == expected
+
+
+def test_cone_rejects_radius_below_one(tmp_path, capsys):
+    target = gen_file(tmp_path, capsys, "stressed")
+    assert main(["cone", str(target), "--radius", "0"]) == 2
+    assert capsys.readouterr().err == "error: radius must be at least 1\n"
+
+
 def test_star_report(tmp_path, capsys):
     target = gen_file(tmp_path, capsys, "stressed")
     code, out = run_cli(["star", str(target), "--orbit", "green"], capsys)
@@ -143,6 +158,7 @@ def test_simulate_rigid_is_numerical_failure(tmp_path, capsys):
         (2, ["--h", "0"]),
         (2, ["--supercell", "-1"]),
         (4, ["--format", "obj"]),
+        (2, ["--ray", "99"]),
     ],
 )
 def test_simulate_rejects_bad_arguments_before_work(tmp_path, capsys, dim, extra):
@@ -150,7 +166,10 @@ def test_simulate_rejects_bad_arguments_before_work(tmp_path, capsys, dim, extra
     outdir = tmp_path / "sim"
     code = main(["simulate", str(target), "--ray", "0", "--outdir", str(outdir), *extra])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--ray" in extra:  # the last --ray wins
+        assert "out of range" in err
     assert not outdir.exists()
 
 

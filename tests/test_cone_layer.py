@@ -112,21 +112,14 @@ def test_probe_matches_rebuilding_each_cone(kind, d, start, max_radius):
     report = analyze(fw)
     expected = stable_radius_from_scratch(fw, report, start, max_radius)
     cone = expansive_cone(fw, report, start)
-    for given in (None, cone):
-        if expected is None:
-            with pytest.raises(NumericalFailureError):
-                find_stable_radius(fw, report, start, max_radius, cone=given)
-        else:
-            assert find_stable_radius(fw, report, start, max_radius, cone=given) == expected
-
-
-def test_probe_rejects_a_cone_of_another_radius(base3):
-    report = analyze(base3)
-    cone = expansive_cone(base3, report, 1)
-    with pytest.raises(ValueError, match="radius"):
-        find_stable_radius(base3, report, start=2, cone=cone)
+    if expected is None:
+        with pytest.raises(NumericalFailureError):
+            find_stable_radius(fw, cone, max_radius)
+    else:
+        assert find_stable_radius(fw, cone, max_radius) == expected
 
 
 def test_probe_rejects_a_start_beyond_max_radius(base3):
+    cone = expansive_cone(base3, analyze(base3), 3)
     with pytest.raises(ValueError, match="max_radius"):
-        find_stable_radius(base3, analyze(base3), start=3, max_radius=2)
+        find_stable_radius(base3, cone, max_radius=2)

@@ -186,6 +186,13 @@ def test_rigid_framework_trivial_cone(enhanced3):
     assert cone.is_trivial and len(cone.rays) == 0
 
 
+@pytest.mark.parametrize("radius", [0, -5])
+def test_rigid_framework_rejects_radius_below_one(enhanced3, radius):
+    # The same error as a framework with flexes, before the rigid shortcut.
+    with pytest.raises(ValueError, match="radius must be at least 1"):
+        expansive_cone(enhanced3, analyze(enhanced3), radius)
+
+
 def test_flex_dimension_cap_enforced():
     fw = simplex_framework(7)
     report = analyze(fw)
@@ -195,9 +202,8 @@ def test_flex_dimension_cap_enforced():
 
 
 def test_stable_radius_families(stressed, base3):
-    assert find_stable_radius(stressed, analyze(stressed)) == 2
-    assert find_stable_radius(base3, analyze(base3)) == 2
-    assert find_stable_radius(simplex_framework(2), analyze(simplex_framework(2))) == 2
+    for fw in (stressed, base3, simplex_framework(2)):
+        assert find_stable_radius(fw, expansive_cone(fw, analyze(fw))) == 2
 
 
 # -- classification -----------------------------------------------------------
@@ -335,7 +341,7 @@ def test_cone_report_json(stressed):
 def test_pair_audit_csv(tmp_path, stressed):
     report = analyze(stressed)
     target = tmp_path / "pairs.csv"
-    write_pair_audit_csv(stressed, report, 1, target)
+    write_pair_audit_csv(stressed, expansive_cone(stressed, report, 1), target)
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "orbit_a,orbit_b,shift_1,shift_2,shift_3,value"
     assert len(lines) == 1 + 53

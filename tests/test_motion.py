@@ -167,10 +167,8 @@ def test_facet_separation_constant_on_rigid(enhanced3):
         placements=[enhanced3.placement] * 4,
         step_size=0.0,
         nominal_h=0.01,
-        direction_seed=np.zeros(15),
         tangents=np.zeros((4, 15)),
         residuals=np.zeros(4),
-        pinning="none",
     )
     sep = facet_separation(path)
     assert np.allclose(sep, sep[0])
@@ -182,10 +180,8 @@ def test_facet_separation_requires_family(stressed):
         placements=[stressed.placement] * 2,
         step_size=0.0,
         nominal_h=0.01,
-        direction_seed=np.zeros(15),
         tangents=np.zeros((2, 15)),
         residuals=np.zeros(2),
-        pinning="none",
     )
     with pytest.raises(NotSimplexFamilyError):
         facet_separation(path)
@@ -210,10 +206,8 @@ def test_export_obj_vertex_positions_match(tmp_path, stressed):
         placements=[stressed.placement],
         step_size=0.0,
         nominal_h=0.01,
-        direction_seed=np.zeros(15),
         tangents=np.zeros((1, 15)),
         residuals=np.zeros(1),
-        pinning="none",
     )
     files = export_frames(path, supercell=1, fmt="obj", outdir=tmp_path)
     text = (tmp_path / "frame_0000.obj").read_text().strip().split("\n")

@@ -1,0 +1,27 @@
+"""The reproduction script still runs against the package.
+
+`scripts/reproduce_claims.py` calls the cone, probe, pair-audit and motion
+API end to end; an API change that breaks it makes it exit nonzero.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join("scripts", "reproduce_claims.py")
+
+
+def test_reproduce_claims_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, SCRIPT, "--outdir", str(tmp_path), "--steps", "5"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "expansive cone: 2 extremal rays, stable radius 2" in done.stdout
+    for name in ("stressed_cone.json", "stressed_pairs.csv", os.path.join("motion_d2", "audit.csv")):
+        assert (tmp_path / name).is_file()
