@@ -122,11 +122,14 @@ def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
 
     A separating normal is produced whenever the lineality dimension is at
     most d - 1: it vanishes on the lineality space and is strictly positive
-    on every star vector outside it.
+    on every star vector outside it.  A star with a zero vector (no edge
+    direction) is a ValueError.
     """
     if len(star) == 0:
         raise ValueError("empty star")
     vs = star.as_float()
+    if not np.all(np.any(vs != 0, axis=1)):
+        raise ValueError("zero vector in star")
     if d is None:
         d = vs.shape[1]
     lin = lineality_space(star)

@@ -6,23 +6,37 @@ is a Phase-I simplex with Bland's rule, so it terminates and is deterministic
 for a fixed input ordering.  Arithmetic runs in floating point with the
 module tolerance ``LP_TOL`` by default and switches to exact arithmetic
 whenever every input is an int or Fraction (or when ``exact=True``), in which
-case all comparisons are exact.
+case all comparisons are exact.  Floating mode rejects a non-finite entry,
+right-hand side or bound with ValueError.
 
-Exact mode pivots on an integer tableau (integer-preserving elimination after
-Edmonds 1967 and Bareiss 1968).  The standard-form rows are scaled by the lcm
-L of their denominators, so every entry is an int, and the whole tableau
-shares one positive denominator D, the determinant of the current basis
-(D = 1 for the starting artificial basis).  A pivot on (p, e) replaces every
-other row r, the objective row included, by (T[r]*T[p][e] - T[r][e]*T[p]) / D,
-a division that is exact by Sylvester's determinant identity, and sets D to
-T[p][e].  Since L and D are positive, every sign and every ratio comparison
-agrees with the rational tableau, so the pivot sequence and the returned
-Fractions are those of plain Fraction pivoting, without a gcd per entry.
+Exact mode is a revised, fraction-free simplex (integer-preserving
+elimination after Edmonds 1967 and Bareiss 1968).  The standard-form rows
+[A | b] are scaled by the lcm of their denominators, so A and b are integer.
+The Bareiss tableau of Phase I, [A | I | b] under the artificial basis,
+shares one positive denominator D, the determinant of the current basis B,
+and by Cramer's rule each of its integers is D B^-1 times an integer
+column: the artificial block is adj(B) = D B^-1, a real column j is
+adj(B) A_j, and the rhs is beta = adj(B) b.  So the real block is never
+stored: only [adj(B) | beta] and the objective row over the artificial
+columns and the rhs (``zrow``) are kept.
+The objective row of a real column is D c_j - c_B adj(B) A_j with c = 0 on
+real and 1 on artificial columns, and c_B adj(B) = D - zrow[:m], so it is
+priced on demand as sum_r (zrow[r] - D) A[r][j] over the nonzeros of A_j;
+the entering column is adj(B) A_e.  A pivot on (p, e) replaces every other
+row r of [adj | beta], and zrow, by (row*piv - row_e*pivot_row) / D, a
+division that is exact by Sylvester's determinant identity, and sets D to
+piv.  These are the integers the full tableau would hold, so every sign and
+ratio comparison, the pivot sequence, D and the returned Fractions are those
+of plain Fraction pivoting; a system is infeasible when zrow[-1] < 0 (an
+artificial basic row with beta > 0).
 
-In floating mode a tableau that drifts into a state exact arithmetic cannot
-reach (a phase-1 objective that looks unbounded below) is not an answer: the
-system is solved again exactly on the rational images of the same floats, and
-that solution is returned as floats.
+Floating mode pivots on one numpy tableau with the IEEE operations of a
+row-by-row tableau in the same order: the pivot row is divided by the pivot,
+and only rows whose factor is nonzero are updated, so signed zeros are kept.
+A tableau that drifts into a state exact arithmetic cannot reach (a phase-1
+objective that looks unbounded below) is not an answer: the system is solved
+again exactly on the rational images of the same floats, and that solution
+is returned as floats.
 """
 
 from __future__ import annotations
@@ -74,7 +88,8 @@ def solve_linear_feasibility(
     inequalities / ineq_rhs: optional rows A x >= b, handled through slacks
 
     Returns a float ndarray in floating mode, a list of Fractions in exact
-    mode.  Raises NumericalFailureError if the pivot cap is hit.
+    mode.  Raises NumericalFailureError if the pivot cap is hit, and
+    ValueError in floating mode if a value is not finite.
     """
     eq_rows = [list(r) for r in equalities]
     eq_b = list(rhs)
@@ -95,36 +110,22 @@ def solve_linear_feasibility(
             and _all_exact([eq_b, in_b])
             and all(x is None or _is_exact(x) for x in lbs)
         )
-    system = (eq_rows, eq_b, lbs, in_rows, in_b)
     if exact:
-        return _solve_exact(*system, max_pivots)
-    try:
-        return _solve_float(*system, max_pivots)
-    except _PhaseOneUnbounded:
-        images = _float_images(*system)
-    if images is None:
-        raise NumericalFailureError(_UNBOUNDED)
-    x = _solve_exact(*images, max_pivots)
-    return None if x is None else np.array([float(v) for v in x])
-
-
-def _float_images(eq_rows, eq_b, lbs, in_rows, in_b):
-    """The floats the float solver saw, as exact Fractions; None if one of
-    them is not finite."""
+        return _solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots)
     floats = [[float(x) for x in row] for row in (*eq_rows, eq_b, *in_rows, in_b)]
     bounds = [None if x is None else float(x) for x in lbs]
     values = [x for row in floats for x in row] + [x for x in bounds if x is not None]
     if not all(map(math.isfinite, values)):
-        return None
-    exact = [[Fraction(x) for x in row] for row in floats]
+        raise ValueError("non-finite coefficient, right-hand side or bound")
     n_eq = len(eq_rows)
-    return (
-        exact[:n_eq],
-        exact[n_eq],
-        [None if x is None else Fraction(x) for x in bounds],
-        exact[n_eq + 1 : -1],
-        exact[-1],
-    )
+    system = (floats[:n_eq], floats[n_eq], bounds, floats[n_eq + 1 : -1], floats[-1])
+    try:
+        return _solve_float(*system, max_pivots)
+    except _PhaseOneUnbounded:
+        pass
+    # The exact standard form takes each float at its exact rational value.
+    x = _solve_exact(*system, max_pivots)
+    return None if x is None else np.array([float(v) for v in x])
 
 
 def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
@@ -179,36 +180,41 @@ def _original_point(y, col_map, nvars):
     return x[:nvars]  # drop slack values
 
 
+@np.errstate(all="ignore")  # overflow gives inf and NaN silently, as Python floats do
 def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
-    tableau, col_map, width = _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, float)
-    m = len(tableau)
-    rhs_scale = max([abs(row[-1]) for row in tableau], default=0.0)
-    feas_tol = LP_TOL * (1.0 + float(rhs_scale))
+    rows, col_map, width = _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, float)
+    m = len(rows)
+    feas_tol = LP_TOL * (1.0 + float(max([abs(row[-1]) for row in rows], default=0.0)))
 
-    # Phase I: append artificial columns, minimize their sum.
+    # Phase I: artificial columns between the real ones and the rhs, and
+    # below the rows the objective "sum of artificials": its reduced costs
+    # are minus the column sums (added in row order from 0, as sum() does).
     total = width + m
-    basis = []
-    for r in range(m):
-        row = tableau[r]
-        row[-1:-1] = [0.0] * m  # insert artificial block before rhs
-        row[width + r] = 1.0
-        basis.append(width + r)
-    # Reduced costs (artificial basis): -sum of rows on real columns.
-    zrow = [0.0] * (total + 1)
-    for j in range(width):
-        zrow[j] = -sum(tableau[r][j] for r in range(m))
-    zrow[-1] = -sum(tableau[r][-1] for r in range(m))  # = -objective
+    tableau = []
+    for r, row in enumerate(rows):
+        unit = [0.0] * m
+        unit[r] = 1.0
+        tableau.append(row[:-1] + unit + row[-1:])
+    sums = [sum(c) for c in zip(*rows)] if m else [0.0] * (width + 1)
+    tableau.append([-s for s in sums[:-1]] + [0.0] * m + [-sums[-1]])
+    tableau = np.array(tableau)
+    zrow = tableau[-1]
+    basis = list(range(width, total))
 
     pivots = 0
     while True:
-        enter = next((j for j in range(total) if zrow[j] < -LP_TOL), None)
-        if enter is None:
+        # The first negative reduced cost; the rhs entry is not a column.
+        negative = zrow < -LP_TOL
+        enter = negative.argmax()
+        if enter == total or not negative[enter]:
             break
+        col = tableau[:, enter]
+        factors = col.tolist()
         best_r, best_ratio = None, None
-        for r in range(m):
-            a = tableau[r][enter]
+        for r, b in enumerate(tableau[:m, -1].tolist()):
+            a = factors[r]
             if a > LP_TOL:
-                ratio = tableau[r][-1] / a
+                ratio = b / a
                 if (
                     best_ratio is None
                     or ratio < best_ratio
@@ -217,17 +223,13 @@ def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
                     best_r, best_ratio = r, ratio
         if best_r is None:
             raise _PhaseOneUnbounded(_UNBOUNDED)
-        piv = tableau[best_r][enter]
-        tableau[best_r] = [x / piv for x in tableau[best_r]]
-        prow = tableau[best_r]
-        for r in range(m):
-            if r != best_r and tableau[r][enter] != 0.0:
-                factor = tableau[r][enter]
-                tableau[r] = [x - factor * p for x, p in zip(tableau[r], prow)]
-        if zrow[enter] != 0.0:
-            factor = zrow[enter]
-            zrow = [x - factor * p for x, p in zip(zrow, prow)]
-        basis[best_r] = enter
+        prow = tableau[best_r] / factors[best_r]
+        # Only rows with a nonzero factor change, so signed zeros survive.
+        hit = col != 0.0
+        hit[best_r] = False
+        np.subtract(tableau, col[:, None] * prow, out=tableau, where=hit[:, None])
+        tableau[best_r] = prow
+        basis[best_r] = int(enter)
         pivots += 1
         if pivots > max_pivots:
             raise NumericalFailureError(f"simplex exceeded {max_pivots} pivots")
@@ -235,53 +237,64 @@ def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     if -zrow[-1] > feas_tol:
         return None
     y = [0.0] * width
-    for r, var in enumerate(basis):
+    for var, value in zip(basis, tableau[:m, -1].tolist()):
         if var < width:
-            y[var] = tableau[r][-1]
+            y[var] = value
     return np.array([float(v) for v in _original_point(y, col_map, nvars=len(lbs))])
 
 
 def _solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
-    """Phase I with Bland's rule on an integer tableau with common
-    denominator D (see the module docstring); a list of Fractions or None."""
+    """Revised fraction-free Phase I with Bland's rule over [adj(B) | beta]
+    and the objective row's artificial part (see the module docstring); a
+    list of Fractions or None."""
     rational, col_map, width = _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, _fraction)
     scale = math.lcm(*(x.denominator for row in rational for x in row))
-    tableau = [[x.numerator * (scale // x.denominator) for x in row] for row in rational]
-    m = len(tableau)
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rational]
+    m = len(ints)
+    columns = [[(r, row[j]) for r, row in enumerate(ints) if row[j]] for j in range(width)]
 
-    total = width + m
-    basis = list(range(width, total))
-    for r, row in enumerate(tableau):
-        row[-1:-1] = [0] * m
-        row[width + r] = 1
-    zrow = [-sum(col) for col in zip(*tableau)] if m else [0] * (total + 1)
-    zrow[width:total] = [0] * m
+    basis = list(range(width, width + m))
+    adj = [[int(c == r) for c in range(m)] + [row[-1]] for r, row in enumerate(ints)]
+    zrow = [0] * m + [-sum(row[-1] for row in ints)]
     denom = 1
 
     pivots = 0
     while True:
-        enter = next((j for j in range(total) if zrow[j] < 0), None)
-        if enter is None:
-            break
+        # Bland's rule: the first column with a negative objective entry,
+        # real columns priced from their nonzeros, then the artificial ones.
+        dual = [z - denom for z in zrow[:m]]
+        for j, column in enumerate(columns):
+            zenter = sum(dual[r] * a for r, a in column)
+            if zenter < 0:
+                enter = j
+                col = [sum(row[r] * a for r, a in column) for row in adj]
+                break
+        else:
+            enter = next((i for i in range(m) if zrow[i] < 0), None)
+            if enter is None:
+                break
+            zenter = zrow[enter]
+            col = [row[enter] for row in adj]
+            enter += width
         best_r = None
         for r in range(m):
-            a = tableau[r][enter]
+            a = col[r]
             if a > 0:
                 if best_r is None:
-                    best_r, best_a, best_b = r, a, tableau[r][-1]
+                    best_r, best_a, best_b = r, a, adj[r][-1]
                     continue
                 # b/a versus best_b/best_a with both denominators positive.
-                lhs, rhs = tableau[r][-1] * best_a, best_b * a
+                lhs, rhs = adj[r][-1] * best_a, best_b * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
-                    best_r, best_a, best_b = r, a, tableau[r][-1]
+                    best_r, best_a, best_b = r, a, adj[r][-1]
         if best_r is None:
             raise NumericalFailureError(_UNBOUNDED)
-        prow = tableau[best_r]
-        piv = prow[enter]
+        prow = adj[best_r]
+        piv = col[best_r]
         for r in range(m):
             if r != best_r:
-                tableau[r] = _eliminate(tableau[r], prow, enter, piv, denom)
-        zrow = _eliminate(zrow, prow, enter, piv, denom)
+                adj[r] = _eliminate(adj[r], col[r], prow, piv, denom)
+        zrow = _eliminate(zrow, zenter, prow, piv, denom)
         denom = piv
         basis[best_r] = enter
         pivots += 1
@@ -293,13 +306,12 @@ def _solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     y = [Fraction(0)] * width
     for r, var in enumerate(basis):
         if var < width:
-            y[var] = Fraction(tableau[r][-1], denom)
+            y[var] = Fraction(adj[r][-1], denom)
     return _original_point(y, col_map, nvars=len(lbs))
 
 
-def _eliminate(row, prow, enter, piv, denom):
-    """(row * piv - row[enter] * prow) / denom, exactly."""
-    factor = row[enter]
+def _eliminate(row, factor, prow, piv, denom):
+    """(row * piv - factor * prow) / denom, exactly."""
     if factor == 0:
         if piv == denom:
             return row

@@ -3,13 +3,15 @@
 Everything here is deliberately implemented from first principles with no
 code shared with the package: exact Gaussian elimination over Fractions,
 Fourier-Motzkin elimination for linear feasibility, a revised Phase-I simplex
-over Fractions, an angular sweep for two-dimensional cones, a per-pair
-loop over the plain separation formula p_b + L w - p_a, a frozen copy of the
-loop-and-bitmask halfspace merge and double description the cone layer
+over Fractions, a frozen copy of the row-by-row float and fraction-free
+Phase-I tableaus the feasibility oracle must reproduce bit for bit, an
+angular sweep for two-dimensional cones, a per-pair loop over the plain
+separation formula p_b + L w - p_a, a frozen copy of the loop-and-bitmask halfspace merge and double description the cone layer
 must reproduce bit for bit, and a brute-force (f-1)-subset ray enumeration.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +185,233 @@ def bland_phase_one_point(eqs, eq_rhs, lower_bounds, ineqs=(), ineq_rhs=()):
         else:
             point.append(y[col] + bounds[var])
     return point
+
+
+# -- frozen copy of the row-by-row feasibility oracle --------------------------
+#
+# The Phase-I simplex of perigid.feasibility as it was before its exact loop
+# became a revised fraction-free simplex and its float loop a numpy tableau:
+# a Python-list tableau, every row updated entry by entry.  The package must
+# return the same bits (float arrays byte for byte, Fractions equal in value
+# and type) and raise the same errors, pivot caps included.
+
+
+class NumericalFailureError(Exception):
+    """Stands for the package's error of the same name."""
+
+
+class _FrozenPhaseOneUnbounded(NumericalFailureError):
+    pass
+
+
+_FROZEN_UNBOUNDED = "phase-1 objective unbounded; inconsistent tableau"
+_FROZEN_TOL = 1e-9
+
+
+def _frozen_is_exact(value):
+    return isinstance(value, (int, Fraction, np.integer)) and not isinstance(value, bool)
+
+
+def _frozen_fraction(x):
+    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+
+
+def frozen_feasibility(eq_rows, eq_b, lbs, in_rows=(), in_b=(), *, exact=None, max_pivots=50_000):
+    """The frozen oracle's answer for a system with finite values: a float
+    array, a list of Fractions or None, with the same mode rule and the same
+    exact re-solve after a float phase-1 breakdown."""
+    eq_rows = [list(r) for r in eq_rows]
+    in_rows = [list(r) for r in in_rows]
+    eq_b, lbs, in_b = list(eq_b), list(lbs), list(in_b)
+    if exact is None:
+        values = [x for row in (*eq_rows, *in_rows, eq_b, in_b) for x in row]
+        exact = all(map(_frozen_is_exact, values)) and all(
+            x is None or _frozen_is_exact(x) for x in lbs
+        )
+    system = (eq_rows, eq_b, lbs, in_rows, in_b)
+    if exact:
+        return _frozen_solve_exact(*system, max_pivots)
+    try:
+        return _frozen_solve_float(*system, max_pivots)
+    except _FrozenPhaseOneUnbounded:
+        pass
+    floats = [[Fraction(float(x)) for x in row] for row in (*eq_rows, eq_b, *in_rows, in_b)]
+    bounds = [None if x is None else Fraction(float(x)) for x in lbs]
+    n_eq = len(eq_rows)
+    images = (floats[:n_eq], floats[n_eq], bounds, floats[n_eq + 1 : -1], floats[-1])
+    x = _frozen_solve_exact(*images, max_pivots)
+    return None if x is None else np.array([float(v) for v in x])
+
+
+def _frozen_standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
+    zero = num(0)
+    nvars = len(lbs)
+    n_slack = len(in_rows)
+    rows = [[num(x) for x in r] + [zero] * n_slack for r in eq_rows]
+    b = [num(x) for x in eq_b]
+    for idx, (r, bi) in enumerate(zip(in_rows, in_b)):
+        row = [num(x) for x in r] + [zero] * n_slack
+        row[nvars + idx] = -num(1)
+        rows.append(row)
+        b.append(num(bi))
+    bounds = [None if x is None else num(x) for x in lbs] + [zero] * n_slack
+
+    col_map = []
+    width = 0
+    for lb in bounds:
+        if lb is None:
+            col_map.append(("free", width, width + 1))
+            width += 2
+        else:
+            col_map.append(("shift", width, lb))
+            width += 1
+
+    tableau = [[zero] * width + [zero] for _ in rows]
+    for r, src in enumerate(rows):
+        acc = b[r]
+        for j, spec in enumerate(col_map):
+            coeff = src[j]
+            if coeff == zero:
+                continue
+            if spec[0] == "free":
+                tableau[r][spec[1]] = coeff
+                tableau[r][spec[2]] = -coeff
+            else:
+                tableau[r][spec[1]] = coeff
+                acc -= coeff * spec[2]
+        tableau[r][-1] = acc
+        if acc < zero:
+            tableau[r] = [-x for x in tableau[r]]
+    return tableau, col_map, width
+
+
+def _frozen_original_point(y, col_map, nvars):
+    x = [y[s[1]] - y[s[2]] if s[0] == "free" else y[s[1]] + s[2] for s in col_map]
+    return x[:nvars]
+
+
+def _frozen_solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
+    tableau, col_map, width = _frozen_standard_form(eq_rows, eq_b, lbs, in_rows, in_b, float)
+    m = len(tableau)
+    rhs_scale = max([abs(row[-1]) for row in tableau], default=0.0)
+    feas_tol = _FROZEN_TOL * (1.0 + float(rhs_scale))
+
+    total = width + m
+    basis = []
+    for r in range(m):
+        row = tableau[r]
+        row[-1:-1] = [0.0] * m
+        row[width + r] = 1.0
+        basis.append(width + r)
+    zrow = [0.0] * (total + 1)
+    for j in range(width):
+        zrow[j] = -sum(tableau[r][j] for r in range(m))
+    zrow[-1] = -sum(tableau[r][-1] for r in range(m))
+
+    pivots = 0
+    while True:
+        enter = next((j for j in range(total) if zrow[j] < -_FROZEN_TOL), None)
+        if enter is None:
+            break
+        best_r, best_ratio = None, None
+        for r in range(m):
+            a = tableau[r][enter]
+            if a > _FROZEN_TOL:
+                ratio = tableau[r][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] < basis[best_r])
+                ):
+                    best_r, best_ratio = r, ratio
+        if best_r is None:
+            raise _FrozenPhaseOneUnbounded(_FROZEN_UNBOUNDED)
+        piv = tableau[best_r][enter]
+        tableau[best_r] = [x / piv for x in tableau[best_r]]
+        prow = tableau[best_r]
+        for r in range(m):
+            if r != best_r and tableau[r][enter] != 0.0:
+                factor = tableau[r][enter]
+                tableau[r] = [x - factor * p for x, p in zip(tableau[r], prow)]
+        if zrow[enter] != 0.0:
+            factor = zrow[enter]
+            zrow = [x - factor * p for x, p in zip(zrow, prow)]
+        basis[best_r] = enter
+        pivots += 1
+        if pivots > max_pivots:
+            raise NumericalFailureError(f"simplex exceeded {max_pivots} pivots")
+
+    if -zrow[-1] > feas_tol:
+        return None
+    y = [0.0] * width
+    for r, var in enumerate(basis):
+        if var < width:
+            y[var] = tableau[r][-1]
+    return np.array([float(v) for v in _frozen_original_point(y, col_map, nvars=len(lbs))])
+
+
+def _frozen_solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
+    rational, col_map, width = _frozen_standard_form(
+        eq_rows, eq_b, lbs, in_rows, in_b, _frozen_fraction
+    )
+    scale = math.lcm(*(x.denominator for row in rational for x in row))
+    tableau = [[x.numerator * (scale // x.denominator) for x in row] for row in rational]
+    m = len(tableau)
+
+    total = width + m
+    basis = list(range(width, total))
+    for r, row in enumerate(tableau):
+        row[-1:-1] = [0] * m
+        row[width + r] = 1
+    zrow = [-sum(col) for col in zip(*tableau)] if m else [0] * (total + 1)
+    zrow[width:total] = [0] * m
+    denom = 1
+
+    pivots = 0
+    while True:
+        enter = next((j for j in range(total) if zrow[j] < 0), None)
+        if enter is None:
+            break
+        best_r = None
+        for r in range(m):
+            a = tableau[r][enter]
+            if a > 0:
+                if best_r is None:
+                    best_r, best_a, best_b = r, a, tableau[r][-1]
+                    continue
+                lhs, rhs = tableau[r][-1] * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
+                    best_r, best_a, best_b = r, a, tableau[r][-1]
+        if best_r is None:
+            raise NumericalFailureError(_FROZEN_UNBOUNDED)
+        prow = tableau[best_r]
+        piv = prow[enter]
+        for r in range(m):
+            if r != best_r:
+                tableau[r] = _frozen_eliminate(tableau[r], prow, enter, piv, denom)
+        zrow = _frozen_eliminate(zrow, prow, enter, piv, denom)
+        denom = piv
+        basis[best_r] = enter
+        pivots += 1
+        if pivots > max_pivots:
+            raise NumericalFailureError(f"simplex exceeded {max_pivots} pivots")
+
+    if zrow[-1] < 0:
+        return None
+    y = [Fraction(0)] * width
+    for r, var in enumerate(basis):
+        if var < width:
+            y[var] = Fraction(tableau[r][-1], denom)
+    return _frozen_original_point(y, col_map, nvars=len(lbs))
+
+
+def _frozen_eliminate(row, prow, enter, piv, denom):
+    factor = row[enter]
+    if factor == 0:
+        if piv == denom:
+            return row
+        return [x * piv // denom for x in row]
+    return [(x * piv - factor * p) // denom for x, p in zip(row, prow)]
 
 
 def sweep_rays_2d(halfspaces, samples: int = 3600):

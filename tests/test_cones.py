@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +280,23 @@ def test_float_probe_recovers_where_the_float_tableau_fails():
     assert np.abs(np.sum(floats * vel, axis=1)).max() <= 1e-12 * scale
     gaps = [(floats[i] - floats[j]) @ (vel[i] - vel[j]) for i, j in pairs]
     assert min(gaps) >= -1e-12 * scale
+
+
+def test_non_finite_star_is_a_value_error():
+    # Rejected before any pivot: solved, this star gives a NaN "point", the
+    # wrong dependence [1., 1.] and numpy's LinAlgError from the SVD.
+    nan_star = VectorStar("a", [[1, math.nan], [-1, 0]])
+    for call in (positive_dependence, strict_expansion_probe, lineality_space, analyze_star):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(nan_star)
+
+
+def test_zero_vector_star_is_a_value_error():
+    # Rejected before the separating normal divides by the vector's norm.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="zero vector in star"):
+            analyze_star(star(E1, np.zeros(3), E2))
 
 
 def test_star_report_json_fields():

@@ -1,3 +1,10 @@
+import functools
+import importlib.util
+import itertools
+import math
+import operator
+import os
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +24,9 @@ from perigid import (
     vertex_star,
 )
 
-from _oracles import bland_phase_one_point, fourier_motzkin_feasible
+from _oracles import bland_phase_one_point, fourier_motzkin_feasible, frozen_feasibility
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_sum_with_unit_lower_bounds_infeasible():
@@ -178,12 +187,8 @@ def star_vectors(draw, d, k):
     return vectors
 
 
-@pytest.mark.parametrize("k", range(2, 7))
-@pytest.mark.parametrize("d", [2, 3])
-@settings(max_examples=3, deadline=None)
-@given(data=st.data())
-def test_star_systems_match_phase_one_oracle(d, k, data):
-    star = VectorStar("s", np.array(data.draw(star_vectors(d, k)), dtype=object))
+def recorded_systems(*calls):
+    """(args, kwargs, result) of every oracle call the cone functions make."""
     systems = []
 
     def recording(*args, **kwargs):
@@ -192,8 +197,20 @@ def test_star_systems_match_phase_one_oracle(d, k, data):
         return result
 
     with mock.patch.object(cones, "solve_linear_feasibility", recording):
-        positive_dependence(star)
-        strict_expansion_probe(star)
+        for call in calls:
+            call()
+    return systems
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_star_systems_match_phase_one_oracle(d, k, data):
+    star = VectorStar("s", np.array(data.draw(star_vectors(d, k)), dtype=object))
+    systems = recorded_systems(
+        functools.partial(positive_dependence, star), functools.partial(strict_expansion_probe, star)
+    )
     assert len(systems) == 2
     for (eqs, eq_rhs, lbs), kwargs, result in systems:
         expected = bland_phase_one_point(
@@ -258,3 +275,153 @@ def test_exact_pivot_cap_on_a_three_pivot_system():
             solve_linear_feasibility(*args, **kwargs, max_pivots=cap)
     expected = [Fraction(1), Fraction(2, 3), Fraction(4, 3)]
     assert_same_point(solve_linear_feasibility(*args, **kwargs, max_pivots=3), expected)
+
+
+# -- the package against the frozen row-by-row tableau, byte for byte ------------
+
+
+def result_bytes(x):
+    """A solve's answer as comparable bytes: Fractions with their types,
+    float arrays with dtype, shape and every bit (signed zeros included)."""
+    if x is None:
+        return ("infeasible",)
+    if isinstance(x, list):
+        return ("fractions", [(type(v), v) for v in x])
+    return ("floats", x.dtype.str, x.shape, x.tobytes())
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        return result_bytes(solve(*args, **kwargs))
+    except Exception as exc:  # compared by type name and message
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def assert_matches_frozen(eqs, eq_rhs, lbs, ineqs, ineq_rhs, *, exact=None):
+    """Same outcome as the frozen tableau at every pivot cap from 0 up to the
+    solve's own pivot count; each cap below it trips with the same message."""
+    for cap in itertools.count():
+        got = outcome(
+            solve_linear_feasibility, eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs,
+            exact=exact, max_pivots=cap,
+        )
+        expected = outcome(
+            frozen_feasibility, eqs, eq_rhs, lbs, ineqs, ineq_rhs, exact=exact, max_pivots=cap
+        )
+        assert got == expected
+        if expected != ("raised", "NumericalFailureError", f"simplex exceeded {cap} pivots"):
+            return
+
+
+def four_star_calls(star):
+    """Float and exact dependence and probe of a star with Fraction vectors."""
+    floats = VectorStar(star.vertex_orbit, star.as_float())
+    return [functools.partial(f, s) for f in (positive_dependence, strict_expansion_probe)
+            for s in (floats, star)]
+
+
+def assert_calls_match_frozen(calls):
+    """Each oracle call the calls make returns the frozen tableau's bytes;
+    the number of calls seen."""
+    systems = recorded_systems(*calls)
+    for args, kwargs, result in systems:
+        ineqs, ineq_rhs = kwargs.get("inequalities") or [], kwargs.get("ineq_rhs") or []
+        frozen = frozen_feasibility(*args, ineqs, ineq_rhs, exact=kwargs.get("exact"))
+        assert result_bytes(result) == result_bytes(frozen)
+    return len(systems)
+
+
+# Small quotients round like real data and tie often in the ratio test.
+FLOATS = st.one_of(st.just(-0.0), st.builds(operator.truediv, st.integers(-9, 9), st.integers(1, 7)))
+
+
+@st.composite
+def float_systems(draw):
+    n_vars = draw(st.integers(0, 4))
+    row = st.lists(FLOATS, min_size=n_vars, max_size=n_vars)
+    eqs = draw(st.lists(row, max_size=3))
+    ineqs = draw(st.lists(row, max_size=3))
+    eq_rhs = draw(st.lists(FLOATS, min_size=len(eqs), max_size=len(eqs)))
+    ineq_rhs = draw(st.lists(FLOATS, min_size=len(ineqs), max_size=len(ineqs)))
+    bound = st.sampled_from([None, 0.0, -0.0, 1.0, -2.0, 0.5])
+    lbs = draw(st.lists(bound, min_size=n_vars, max_size=n_vars))
+    return eqs, eq_rhs, lbs, ineqs, ineq_rhs
+
+
+@given(float_systems(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_float_systems_match_frozen_tableau(system, exact):
+    # Free variables, negative and -0.0 right-hand sides, ratio ties and
+    # systems without rows all occur; exact=True solves the floats' values.
+    assert_matches_frozen(*system, exact=exact)
+
+
+@given(fractional_systems())
+@settings(max_examples=150, deadline=None)
+def test_exact_systems_match_frozen_tableau(system):
+    assert_matches_frozen(*system)
+
+
+def test_rows_with_a_zero_factor_keep_their_signed_zeros():
+    # x - 0.0 * p turns x = -0.0 into 0.0 when p < 0 (or -0.0 * p, p > 0),
+    # so a pivot must leave rows whose factor is zero untouched.
+    system = ([[0.5, 3.0], [0.0, -0.5]], [-0.0, -0.0], [None, None], [[2.0, -0.0]], [-0.0])
+    x = solve_linear_feasibility(*system[:3], inequalities=system[3], ineq_rhs=system[4])
+    assert x.tobytes() == np.array([-0.0, 0.0]).tobytes()
+    assert_matches_frozen(*system)
+
+
+def test_breakdown_star_systems_match_frozen_tableau():
+    # The star of test_float_probe_recovers_where_the_float_tableau_fails:
+    # its float probe breaks down and is re-solved exactly.
+    F = Fraction
+    vs = [
+        (F(3, 4), F(5, 4), F(5, 3)),
+        (F(3), F(4), F(6)),
+        (F(-5, 2), F(-1, 2), F(6)),
+        (F(6), F(-5), F(-4)),
+        (F(1, 3), F(6), F(5, 3)),
+        (F(0), F(1, 2), F(1, 2)),
+    ]
+    assert assert_calls_match_frozen(four_star_calls(VectorStar("s", np.array(vs, dtype=object)))) == 4
+
+
+@pytest.mark.skipif(
+    not os.path.isfile(os.path.join(ROOT, "perfbench", "workloads.py")),
+    reason="no perfbench/ in this checkout",
+)
+def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
+    # The stars of `perfbench/run.py --workload stars --seed 1`: the workload
+    # draws the stressed framework's 3 x 3 rotation, then its star mix.  Each
+    # star's four oracle calls (float and exact dependence and probe) must
+    # give the frozen tableau's bytes, which keeps the stars digests fixed.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng(1)
+    workloads.random_rotation(rng, 3)
+    calls = []
+    for d, k, plant in workloads.star_plan(workloads.STARS_PER_STRATUM):
+        vectors = workloads._star_vectors(rng, d, k, plant)
+        calls += four_star_calls(VectorStar("s", np.array(vectors, dtype=object)))
+    assert assert_calls_match_frozen(calls) == len(calls) == 440
+
+
+# -- non-finite input ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "eqs, eq_rhs, lbs, ineqs, ineq_rhs",
+    [
+        ([[1.0, math.nan]], [1.0], [0, 0], None, None),
+        ([[1.0, 1.0]], [math.inf], [0, 0], None, None),
+        ([[1.0, 1.0]], [1.0], [0.0, -math.inf], None, None),
+        ([], [], [None], [[1.0]], [math.nan]),
+    ],
+)
+def test_float_mode_rejects_non_finite_values(eqs, eq_rhs, lbs, ineqs, ineq_rhs):
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_linear_feasibility(eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs)
