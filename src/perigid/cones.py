@@ -60,11 +60,9 @@ def vertex_star(fw: PeriodicFramework, orbit: str) -> VectorStar:
     return VectorStar(orbit, both[np.stack([tails == i, heads == i], axis=1)])
 
 
-def _star_matrix(star: VectorStar) -> list[list]:
+def _star_matrix(vectors) -> list[list]:
     """Equality rows (one per coordinate) of sum_i a_i v_i."""
-    vs = star.vectors
-    d = len(vs[0])
-    return [[vs[i][c] for i in range(len(vs))] for c in range(d)]
+    return [list(column) for column in zip(*vectors)]
 
 
 def positive_dependence(star: VectorStar, *, exact: bool | None = None):
@@ -77,14 +75,12 @@ def positive_dependence(star: VectorStar, *, exact: bool | None = None):
     """
     if len(star) == 0:
         raise ValueError("empty star")
-    rows = _star_matrix(star)
+    rows = _star_matrix(star.vectors)
     return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star), exact=exact)
 
 
 def _in_cone(vectors: np.ndarray, target: np.ndarray) -> bool:
-    d = vectors.shape[1]
-    rows = [[vectors[i][c] for i in range(len(vectors))] for c in range(d)]
-    sol = solve_linear_feasibility(rows, list(target), [0] * len(vectors))
+    sol = solve_linear_feasibility(_star_matrix(vectors), list(target), [0] * len(vectors))
     return sol is not None
 
 

@@ -43,8 +43,6 @@ from .rigidity import RigidityReport, _incidence_rows, rigidity_matrix
 DEFAULT_RADIUS = 2
 CONE_TOL = 1e-9
 MAX_FLEX_DIM = 6
-_MERGE_TOL = 1e-8  # distance below which two unit rays are merged
-_RAY_MATCH_TOL = 1e-6  # angular tolerance when comparing ray sets
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,11 +293,11 @@ def _any_row(active: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _finish(rays: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Merge near-duplicate rays keep-first, check them against every
-    halfspace, and sort them lexicographically."""
+    """Merge each ray within CONE_TOL of an earlier one into it, check them
+    against every halfspace, and sort them lexicographically."""
     kept: list[int] = []
     for i, r in enumerate(rays):
-        if not any(np.linalg.norm(r - rays[j]) <= _MERGE_TOL for j in kept):
+        if not any(np.linalg.norm(r - rays[j]) <= CONE_TOL for j in kept):
             kept.append(i)
     rays = rays[kept]
     if len(rays) == 0:
@@ -464,19 +462,6 @@ def verify_pointedness(
 
 # ---------------------------------------------------------------------------
 # Radius stability.
-
-def rays_match(a: np.ndarray, b: np.ndarray, angular_tol: float = _RAY_MATCH_TOL) -> bool:
-    """Same ray set up to angular tolerance (unit rays, same orientation)."""
-    if len(a) != len(b):
-        return False
-    unmatched = list(range(len(b)))
-    for r in a:
-        hit = next((i for i in unmatched if np.linalg.norm(r - b[i]) < angular_tol), None)
-        if hit is None:
-            return False
-        unmatched.remove(hit)
-    return True
-
 
 def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: int = 6) -> int:
     """Smallest R >= cone.radius whose rays are not cut by the pairs of radius R + 1.

@@ -1,34 +1,35 @@
-"""Dense linear feasibility oracle.
+"""Sparse linear feasibility oracle.
 
 Finds x with A_eq x = b_eq, A_ineq x >= b_ineq, and per-variable lower bounds
 (None marks a free variable), or certifies that no such x exists.  The solver
 is a Phase-I simplex with Bland's rule, so it terminates and is deterministic
-for a fixed input ordering.  Arithmetic runs in floating point with the
-module tolerance ``LP_TOL`` by default and switches to exact arithmetic
-whenever every input is an int or Fraction (or when ``exact=True``), in which
-case all comparisons are exact.  Floating mode rejects a non-finite entry,
-right-hand side or bound with ValueError.
+for a fixed input ordering.  One pass over the input picks the mode and
+rejects a non-finite coefficient, right-hand side or bound with ValueError
+in either mode.  Arithmetic runs in floating point with the module tolerance
+``LP_TOL`` by default, and exactly (every comparison exact) when every input
+is an int or Fraction or when ``exact=True``.  Both modes read one standard
+form over y >= 0, built once per row in sparse form: the row's nonzero
+(y-column, value) pairs, its rhs, and whether it was negated to make the rhs
+nonnegative.
 
-Exact mode is a revised, fraction-free simplex (integer-preserving
-elimination after Edmonds 1967 and Bareiss 1968).  The standard-form rows
-[A | b] are scaled by the lcm of their denominators, so A and b are integer.
-The Bareiss tableau of Phase I, [A | I | b] under the artificial basis,
-shares one positive denominator D, the determinant of the current basis B,
-and by Cramer's rule each of its integers is D B^-1 times an integer
-column: the artificial block is adj(B) = D B^-1, a real column j is
-adj(B) A_j, and the rhs is beta = adj(B) b.  So the real block is never
-stored: only [adj(B) | beta] and the objective row over the artificial
-columns and the rhs (``zrow``) are kept.
-The objective row of a real column is D c_j - c_B adj(B) A_j with c = 0 on
-real and 1 on artificial columns, and c_B adj(B) = D - zrow[:m], so it is
-priced on demand as sum_r (zrow[r] - D) A[r][j] over the nonzeros of A_j;
-the entering column is adj(B) A_e.  A pivot on (p, e) replaces every other
-row r of [adj | beta], and zrow, by (row*piv - row_e*pivot_row) / D, a
-division that is exact by Sylvester's determinant identity, and sets D to
-piv.  These are the integers the full tableau would hold, so every sign and
-ratio comparison, the pivot sequence, D and the returned Fractions are those
-of plain Fraction pivoting; a system is infeasible when zrow[-1] < 0 (an
-artificial basic row with beta > 0).
+Exact mode is a revised, fraction-free simplex (integer-preserving elimination
+after Edmonds 1967 and Bareiss 1968).  The rows [A | b] are scaled by the lcm
+of the denominators of their nonzeros, so A and b are integer.  The Bareiss
+tableau of Phase I, [A | I | b] under the artificial basis, shares one positive
+denominator D, the determinant of the current basis B, and by Cramer's rule
+each of its integers is D B^-1 times an integer column: the artificial block is
+adj(B) = D B^-1, a real column j is adj(B) A_j, and the rhs is beta = adj(B) b.
+So the real block is never stored: only [adj(B) | beta] and the objective row
+over the artificial columns and the rhs (``zrow``) are kept.  The objective row
+of a real column is D c_j - c_B adj(B) A_j with c = 0 on real and 1 on
+artificial columns, and c_B adj(B) = D - zrow[:m], so it is priced on demand as
+sum_r (zrow[r] - D) A[r][j] over the nonzeros of A_j; the entering column is
+adj(B) A_e.  A pivot on (p, e) replaces every other row r of [adj | beta], and
+zrow, by (row*piv - row_e*pivot_row) / D, a division that is exact by
+Sylvester's determinant identity, and sets D to piv.  These are the integers
+the full tableau would hold, so every sign and ratio comparison, the pivot
+sequence, D and the returned Fractions are those of plain Fraction pivoting; a
+system is infeasible when zrow[-1] < 0 (an artificial basic row with beta > 0).
 
 Floating mode pivots on one numpy tableau with the IEEE operations of a
 row-by-row tableau in the same order: the pivot row is divided by the pivot,
@@ -41,6 +42,7 @@ is returned as floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -59,10 +61,6 @@ class _PhaseOneUnbounded(NumericalFailureError):
 
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction, np.integer)) and not isinstance(value, bool)
-
-
-def _all_exact(rows) -> bool:
-    return all(_is_exact(x) for row in rows for x in row)
 
 
 def _fraction(x) -> Fraction:
@@ -89,116 +87,99 @@ def solve_linear_feasibility(
 
     Returns a float ndarray in floating mode, a list of Fractions in exact
     mode.  Raises NumericalFailureError if the pivot cap is hit, and
-    ValueError in floating mode if a value is not finite.
+    ValueError in either mode if a value is not finite.
     """
     eq_rows = [list(r) for r in equalities]
-    eq_b = list(rhs)
-    lbs = list(lower_bounds)
+    eq_b, lbs = list(rhs), list(lower_bounds)
     in_rows = [list(r) for r in (inequalities if inequalities is not None else [])]
     in_b = list(ineq_rhs) if ineq_rhs is not None else []
     if len(eq_rows) != len(eq_b) or len(in_rows) != len(in_b):
         raise ValueError("row/rhs length mismatch")
-    nvars = len(lbs)
-    for r in eq_rows + in_rows:
-        if len(r) != nvars:
-            raise ValueError("constraint row length does not match variable count")
+    if any(len(r) != len(lbs) for r in eq_rows + in_rows):
+        raise ValueError("constraint row length does not match variable count")
 
-    if exact is None:
-        exact = (
-            _all_exact(eq_rows)
-            and _all_exact(in_rows)
-            and _all_exact([eq_b, in_b])
-            and all(x is None or _is_exact(x) for x in lbs)
-        )
-    if exact:
-        return _solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots)
-    floats = [[float(x) for x in row] for row in (*eq_rows, eq_b, *in_rows, in_b)]
-    bounds = [None if x is None else float(x) for x in lbs]
-    values = [x for row in floats for x in row] + [x for x in bounds if x is not None]
-    if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite coefficient, right-hand side or bound")
-    n_eq = len(eq_rows)
-    system = (floats[:n_eq], floats[n_eq], bounds, floats[n_eq + 1 : -1], floats[-1])
+    rational = True
+    for x in itertools.chain(*eq_rows, eq_b, *in_rows, in_b, (lb for lb in lbs if lb is not None)):
+        if not _is_exact(x):
+            rational = False
+            if not math.isfinite(float(x)):
+                raise ValueError("non-finite coefficient, right-hand side or bound")
+    system = (eq_rows, eq_b, lbs, in_rows, in_b)
+    if exact or (exact is None and rational):
+        return _solve_exact(_standard_form(*system, _fraction), max_pivots)
     try:
-        return _solve_float(*system, max_pivots)
+        return _solve_float(_standard_form(*system, float), max_pivots)
     except _PhaseOneUnbounded:
         pass
     # The exact standard form takes each float at its exact rational value.
-    x = _solve_exact(*system, max_pivots)
+    x = _solve_exact(_standard_form(*system, lambda v: Fraction(float(v))), max_pivots)
     return None if x is None else np.array([float(v) for v in x])
 
 
 def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
-    """Rows [A | b] over y >= 0 with b >= 0, plus the column map back to x.
+    """Sparse rows over y >= 0, the column map back to x, and the y width.
 
-    Inequality row r >= b becomes r - slack = b with slack >= 0; bounded
-    variables are shifted by their bound, free ones split into y+ - y-.
+    Each row is (its nonzero (y-column, value) pairs in column order, its
+    rhs, whether it was negated).  Inequality row r >= b becomes
+    r - slack = b with slack >= 0; bounded variables are shifted by their
+    bound, free ones split into y+ - y-; a row whose rhs is then negative
+    is negated.
     """
-    zero = num(0)
-    nvars = len(lbs)
-    n_slack = len(in_rows)
-    rows = [[num(x) for x in r] + [zero] * n_slack for r in eq_rows]
-    b = [num(x) for x in eq_b]
-    for idx, (r, bi) in enumerate(zip(in_rows, in_b)):
-        row = [num(x) for x in r] + [zero] * n_slack
-        row[nvars + idx] = -num(1)
-        rows.append(row)
-        b.append(num(bi))
-    bounds = [None if x is None else num(x) for x in lbs] + [zero] * n_slack
-
-    col_map = []  # per original column: ("shift", y_col, lb) or ("free", y+, y-)
+    one, zero = num(1), num(0)
+    col_map = []  # per variable: ("shift", y_col, lb) or ("free", y+, y-)
     width = 0
-    for lb in bounds:
-        if lb is None:
-            col_map.append(("free", width, width + 1))
-            width += 2
-        else:
-            col_map.append(("shift", width, lb))
-            width += 1
+    for lb in lbs:
+        col_map.append(("free", width, width + 1) if lb is None else ("shift", width, num(lb)))
+        width += 2 if lb is None else 1
+    slacks = [None] * len(eq_rows) + list(range(width, width + len(in_rows)))
 
-    tableau = [[zero] * width + [zero] for _ in rows]
-    for r, src in enumerate(rows):
-        acc = b[r]
-        for j, spec in enumerate(col_map):
-            coeff = src[j]
+    rows = []
+    for src, b, slack in zip(eq_rows + in_rows, eq_b + in_b, slacks):
+        pairs, acc = [], num(b)
+        for spec, x in zip(col_map, src):
+            coeff = num(x)
             if coeff == zero:
                 continue
+            pairs.append((spec[1], coeff))
             if spec[0] == "free":
-                tableau[r][spec[1]] = coeff
-                tableau[r][spec[2]] = -coeff
+                pairs.append((spec[2], -coeff))
             else:
-                tableau[r][spec[1]] = coeff
                 acc -= coeff * spec[2]
-        tableau[r][-1] = acc
-        if acc < zero:
-            tableau[r] = [-x for x in tableau[r]]
-    return tableau, col_map, width
+        if slack is not None:
+            # The slack is shifted by 0; a float -0.0 rhs becomes 0.0 here.
+            pairs.append((slack, -one))
+            acc -= -one * zero
+        negated = acc < zero
+        if negated:
+            pairs, acc = [(c, -v) for c, v in pairs], -acc
+        rows.append((pairs, acc, negated))
+    return rows, col_map, width + len(in_rows)
 
 
-def _original_point(y, col_map, nvars):
-    x = [y[s[1]] - y[s[2]] if s[0] == "free" else y[s[1]] + s[2] for s in col_map]
-    return x[:nvars]  # drop slack values
+def _original_point(y, col_map):
+    return [y[s[1]] - y[s[2]] if s[0] == "free" else y[s[1]] + s[2] for s in col_map]
 
 
 @np.errstate(all="ignore")  # overflow gives inf and NaN silently, as Python floats do
-def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
-    rows, col_map, width = _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, float)
+def _solve_float(form, max_pivots):
+    rows, col_map, width = form
     m = len(rows)
-    feas_tol = LP_TOL * (1.0 + float(max([abs(row[-1]) for row in rows], default=0.0)))
+    feas_tol = LP_TOL * (1.0 + float(max([abs(b) for _, b, _ in rows], default=0.0)))
 
     # Phase I: artificial columns between the real ones and the rhs, and
     # below the rows the objective "sum of artificials": its reduced costs
     # are minus the column sums (added in row order from 0, as sum() does).
     total = width + m
-    tableau = []
-    for r, row in enumerate(rows):
-        unit = [0.0] * m
-        unit[r] = 1.0
-        tableau.append(row[:-1] + unit + row[-1:])
-    sums = [sum(c) for c in zip(*rows)] if m else [0.0] * (width + 1)
-    tableau.append([-s for s in sums[:-1]] + [0.0] * m + [-sums[-1]])
-    tableau = np.array(tableau)
+    tableau = np.zeros((m + 1, total + 1))
+    sums = np.zeros(total + 1)
+    for r, (pairs, b, negated) in enumerate(rows):
+        if negated:  # its zeros are -0.0, as negating the dense row left them
+            tableau[r, :width] = -0.0
+        tableau[r, [c for c, _ in pairs]] = [v for _, v in pairs]
+        tableau[r, width + r], tableau[r, -1] = 1.0, b
+        sums += tableau[r]
     zrow = tableau[-1]
+    zrow[:width], zrow[-1] = -sums[:width], -sums[-1]
     basis = list(range(width, total))
 
     pivots = 0
@@ -240,22 +221,26 @@ def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     for var, value in zip(basis, tableau[:m, -1].tolist()):
         if var < width:
             y[var] = value
-    return np.array([float(v) for v in _original_point(y, col_map, nvars=len(lbs))])
+    return np.array([float(v) for v in _original_point(y, col_map)])
 
 
-def _solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
+def _solve_exact(form, max_pivots):
     """Revised fraction-free Phase I with Bland's rule over [adj(B) | beta]
     and the objective row's artificial part (see the module docstring); a
     list of Fractions or None."""
-    rational, col_map, width = _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, _fraction)
-    scale = math.lcm(*(x.denominator for row in rational for x in row))
-    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rational]
-    m = len(ints)
-    columns = [[(r, row[j]) for r, row in enumerate(ints) if row[j]] for j in range(width)]
+    rows, col_map, width = form
+    m = len(rows)
+    scale = math.lcm(*(b.denominator for _, b, _ in rows))
+    scale = math.lcm(scale, *(v.denominator for pairs, _, _ in rows for _, v in pairs))
+    columns = [[] for _ in range(width)]
+    for r, (pairs, _, _) in enumerate(rows):
+        for c, v in pairs:
+            columns[c].append((r, v.numerator * (scale // v.denominator)))
+    beta = [b.numerator * (scale // b.denominator) for _, b, _ in rows]
 
     basis = list(range(width, width + m))
-    adj = [[int(c == r) for c in range(m)] + [row[-1]] for r, row in enumerate(ints)]
-    zrow = [0] * m + [-sum(row[-1] for row in ints)]
+    adj = [[int(c == r) for c in range(m)] + [beta[r]] for r in range(m)]
+    zrow = [0] * m + [-sum(beta)]
     denom = 1
 
     pivots = 0
@@ -307,7 +292,7 @@ def _solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     for r, var in enumerate(basis):
         if var < width:
             y[var] = Fraction(adj[r][-1], denom)
-    return _original_point(y, col_map, nvars=len(lbs))
+    return _original_point(y, col_map)
 
 
 def _eliminate(row, factor, prow, piv, denom):

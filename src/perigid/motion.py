@@ -49,7 +49,6 @@ class MotionPath:
     graph: QuotientGraph
     placements: list[Placement]  # step 0 is the input placement
     step_size: float  # arc step actually taken (h * min edge length)
-    nominal_h: float
     tangents: np.ndarray  # (steps + 1, dn + d^2) unit tangents
     residuals: np.ndarray  # per step, max |len^2 - len0^2| after correction
 
@@ -164,7 +163,6 @@ def continue_motion(
             graph,
             [same] * (n_steps + 1),
             0.0,
-            h,
             np.zeros((n_steps + 1, state.size)),
             np.zeros(n_steps + 1),
         )
@@ -202,7 +200,6 @@ def continue_motion(
         graph,
         placements,
         step_len,
-        h,
         np.array(tangents),
         np.array(residuals),
     )

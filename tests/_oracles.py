@@ -7,7 +7,8 @@ over Fractions, a frozen copy of the row-by-row float and fraction-free
 Phase-I tableaus the feasibility oracle must reproduce bit for bit, an
 angular sweep for two-dimensional cones, a per-pair loop over the plain
 separation formula p_b + L w - p_a, a frozen copy of the loop-and-bitmask halfspace merge and double description the cone layer
-must reproduce bit for bit, and a brute-force (f-1)-subset ray enumeration.
+must reproduce bit for bit, a brute-force (f-1)-subset ray enumeration, and
+a comparison of ray sets up to an angular tolerance.
 """
 
 import itertools
@@ -599,3 +600,19 @@ def brute_force_rays(halfspaces, tol=1e-9):
             if (a @ r).min() >= -tol and all(np.linalg.norm(r - x) > 1e-7 for x in found):
                 found.append(r)
     return np.array(found).reshape(len(found), f)
+
+
+_RAY_MATCH_TOL = 1e-6  # angular tolerance when comparing ray sets
+
+
+def rays_match(a, b, angular_tol=_RAY_MATCH_TOL) -> bool:
+    """Same ray set up to angular tolerance (unit rays, same orientation)."""
+    if len(a) != len(b):
+        return False
+    unmatched = list(range(len(b)))
+    for r in a:
+        hit = next((i for i in unmatched if np.linalg.norm(r - b[i]) < angular_tol), None)
+        if hit is None:
+            return False
+        unmatched.remove(hit)
+    return True

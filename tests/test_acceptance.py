@@ -31,9 +31,7 @@ from perigid import (
     verify_pointedness,
     with_edge_orbit,
 )
-from perigid.expansive import rays_match
-
-from _oracles import fourier_motzkin_feasible
+from _oracles import fourier_motzkin_feasible, rays_match
 
 RANK_TOL = 1e-9
 AUDIT_TOL = 1e-8

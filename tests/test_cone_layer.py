@@ -23,9 +23,7 @@ from perigid import (
     simplex_framework,
     stressed_framework,
 )
-from perigid.expansive import rays_match
-
-from _oracles import brute_force_rays, frozen_cone, frozen_extremal_rays
+from _oracles import brute_force_rays, frozen_cone, frozen_extremal_rays, rays_match
 from conftest import rotated
 
 

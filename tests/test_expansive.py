@@ -26,10 +26,10 @@ from perigid import (
     verify_pointedness,
     with_edge_orbit,
 )
-from perigid import rigidity_matrix
-from perigid.expansive import canonical_pair_key, cone_report_json, rays_match, write_pair_audit_csv
+from perigid import expansive, feasibility, rigidity_matrix
+from perigid.expansive import canonical_pair_key, cone_report_json, write_pair_audit_csv
 
-from _oracles import sweep_rays_2d
+from _oracles import rays_match, sweep_rays_2d
 from conftest import make_framework
 
 
@@ -353,3 +353,13 @@ def test_pair_audit_csv(tmp_path, stressed):
     first_edge = stressed.graph.edge_orbits[0]
     assert values[canonical_pair_key(first_edge.tail, first_edge.head, first_edge.shift)] < 1e-9
     assert values[canonical_pair_key("red", "red", (1, 0, 0))] > 1e-3
+
+
+# -- tolerances ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("module, names", [(expansive, ["CONE_TOL"]), (feasibility, ["LP_TOL"])])
+def test_one_tolerance_per_layer(module, names):
+    # Each layer keeps one module tolerance; a second *_TOL constant is a
+    # second rule for the same decision.
+    assert [name for name in vars(module) if name.endswith("_TOL")] == names

@@ -362,6 +362,38 @@ def test_exact_systems_match_frozen_tableau(system):
     assert_matches_frozen(*system)
 
 
+# Every input type the mode rule sees; small values so negative shifted
+# right-hand sides (negated rows) and -0.0 entries occur often.
+MIXED = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-4, 4).map(np.int64),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    FLOATS,
+    FLOATS.map(np.float64),
+)
+
+
+@st.composite
+def mixed_systems(draw):
+    n_vars = draw(st.integers(1, 4))
+    row = st.lists(MIXED, min_size=n_vars, max_size=n_vars)
+    eqs = draw(st.lists(row, max_size=3))
+    ineqs = draw(st.lists(row, max_size=3))
+    eq_rhs = draw(st.lists(MIXED, min_size=len(eqs), max_size=len(eqs)))
+    ineq_rhs = draw(st.lists(MIXED, min_size=len(ineqs), max_size=len(ineqs)))
+    bound = st.one_of(st.none(), MIXED)
+    lbs = draw(st.lists(bound, min_size=n_vars, max_size=n_vars))
+    return eqs, eq_rhs, lbs, ineqs, ineq_rhs
+
+
+@given(mixed_systems(), st.sampled_from([None, True, False]))
+@settings(max_examples=200, deadline=None)
+def test_mixed_type_systems_match_frozen_tableau(system, exact):
+    # ints, numpy ints, Fractions, floats and numpy floats in one system: the
+    # mode rule, the float images, signed zeros and negated rows all agree.
+    assert_matches_frozen(*system, exact=exact)
+
+
 def test_rows_with_a_zero_factor_keep_their_signed_zeros():
     # x - 0.0 * p turns x = -0.0 into 0.0 when p < 0 (or -0.0 * p, p > 0),
     # so a pivot must leave rows whose factor is zero untouched.
@@ -423,5 +455,9 @@ def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
     ],
 )
 def test_float_mode_rejects_non_finite_values(eqs, eq_rhs, lbs, ineqs, ineq_rhs):
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_linear_feasibility(eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs)
+    # Exact mode rejects the same values with the same error.
+    for exact in (None, True):
+        with pytest.raises(ValueError, match="^non-finite coefficient, right-hand side or bound$"):
+            solve_linear_feasibility(
+                eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs, exact=exact
+            )

@@ -111,7 +111,7 @@ def test_first_order_agreement(mech2, path2):
             - path2.placements[1].positions[a]
         )
         fd = (d1**2 - d0**2) / (2 * h_eff)
-        assert abs(fd - p.row @ t0) < 10 * path2.nominal_h
+        assert abs(fd - p.row @ t0) < 10 * 0.01  # ten times the path's h
 
 
 def test_interior_seed_passes_outside_fails(stressed):
@@ -166,7 +166,6 @@ def test_facet_separation_constant_on_rigid(enhanced3):
         graph=enhanced3.graph,
         placements=[enhanced3.placement] * 4,
         step_size=0.0,
-        nominal_h=0.01,
         tangents=np.zeros((4, 15)),
         residuals=np.zeros(4),
     )
@@ -179,7 +178,6 @@ def test_facet_separation_requires_family(stressed):
         graph=stressed.graph,
         placements=[stressed.placement] * 2,
         step_size=0.0,
-        nominal_h=0.01,
         tangents=np.zeros((2, 15)),
         residuals=np.zeros(2),
     )
@@ -205,7 +203,6 @@ def test_export_obj_vertex_positions_match(tmp_path, stressed):
         graph=stressed.graph,
         placements=[stressed.placement],
         step_size=0.0,
-        nominal_h=0.01,
         tangents=np.zeros((1, 15)),
         residuals=np.zeros(1),
     )
