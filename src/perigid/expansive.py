@@ -9,16 +9,17 @@ matrix, with separations and constraint rows built in one pass by the same
 incidence core as the bars of the rigidity matrix.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
-Halfspaces that round to the same 9 decimals are merged, the first kept.
-Extremal rays come from a double description pass over the merged
-halfspaces, each ray's active set a row of a boolean rays x halfspaces
-matrix.  The merge and the double description are array code that makes the
-decisions of the one-row, one-ray loop they replaced, in the same order and
-with the same floating-point operations, so the halfspaces and rays are bit
-for bit that loop's.  The stability probe makes truncation bias observable:
-the cone at R + 1 is the cone at R cut by the halfspaces of the new shell of
-pairs, so R is stable when no ray at R violates one of them.  Every float
-decision of this layer uses the one module tolerance ``CONE_TOL``.
+Halfspaces that round to the same 9 decimals are merged, the first kept,
+by a stable sort on those keys.  Extremal rays come from a double
+description pass over the merged halfspaces, each ray's active set a row of
+packed bits over the halfspaces processed so far.  The merge and the double
+description are array code that makes the decisions of the one-row, one-ray
+loop they replaced, in the same order and with the same floating-point
+operations, so the halfspaces and rays are bit for bit that loop's.  The
+stability probe makes truncation bias observable: the cone at R + 1 is the
+cone at R cut by the halfspaces of the new shell of pairs, so R is stable
+when no ray at R violates one of them.  Every float decision of this layer
+uses the one module tolerance ``CONE_TOL``.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def extremal_rays(halfspaces) -> np.ndarray:
     Incremental double description: start from a simplicial subcone given by
     f independent rows, then clip with each remaining halfspace in row order,
     combining adjacent positive/negative ray pairs.  Each ray carries its
-    active set, a row of a boolean rays x halfspaces matrix, and adjacency is
+    active set, packed bits over the processed halfspaces, and adjacency is
     the combinatorial test on those sets.  Raises NonPointedConeError when the
     rows have a nontrivial common nullspace.
     """
@@ -179,8 +180,7 @@ def extremal_rays(halfspaces) -> np.ndarray:
         raise FlexDimensionTooLargeError(
             f"ray enumeration disabled for dimension {f} > {MAX_FLEX_DIM}"
         )
-    norms = np.linalg.norm(a, axis=1)
-    a = a[norms > CONE_TOL]
+    a = a[np.linalg.norm(a, axis=1) > CONE_TOL]
     a = a / np.linalg.norm(a, axis=1, keepdims=True) if len(a) else a
     k = len(a)
     if k < f:
@@ -199,8 +199,7 @@ def extremal_rays(halfspaces) -> np.ndarray:
     return _finish(_clip(ordered, f, rays), a)
 
 
-# Entries per chunk of the pairwise and rays x halfspaces blocks, so that no
-# intermediate grows past a few MB.
+# Entries per chunk of the ray x row and pair x ray blocks: a few MB at most.
 _CHUNK = 1 << 17
 
 
@@ -210,51 +209,58 @@ def _dots(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (rays[:, None, None, :] @ rows[:, :, None])[:, :, 0, 0]
 
 
-def _active(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
-    """(r, len(a)) active sets over the first n rows, |a[:n] @ ray| <= CONE_TOL,
-    from one matrix-vector product per ray."""
-    active = np.zeros((len(rays), len(a)), dtype=bool)
+def _active(a: np.ndarray, n: int, rays: np.ndarray, nbytes: int) -> np.ndarray:
+    """(r, nbytes) packed active sets over the first n rows, |a[:n] @ ray| <=
+    CONE_TOL, from one matrix-vector product per ray."""
+    active = np.zeros((len(rays), nbytes), dtype=np.uint8)
     step = max(1, _CHUNK // max(1, n))
     for i in range(0, len(rays), step):
         vals = (a[None, :n] @ rays[i : i + step, :, None])[:, :, 0]
-        active[i : i + step, :n] = np.abs(vals) <= CONE_TOL
+        active[i : i + step, : (n + 7) >> 3] = np.packbits(np.abs(vals) <= CONE_TOL, axis=1)
     return active
 
 
 def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
 
-    Each ray's active set is a row of a boolean rays x halfspaces matrix,
-    True where the halfspace is tight at the ray.  A run of halfspaces that
-    no ray violates only marks tight rays, so runs are evaluated a block at
-    a time.  A violated halfspace keeps the rays on its nonnegative side and
-    adds, for every adjacent pair of a ray p on its positive and q on its
-    negative side, the unit ray along vals[p] * q - vals[q] * p.
+    Each ray's active set is a row of a packed-bit rays x halfspaces matrix
+    (`np.packbits` order), set where the halfspace is tight at the ray.  Only
+    processed halfspaces have columns, in a capacity that doubles past n.  A
+    run of halfspaces that no ray violates only marks tight rays, so runs are
+    evaluated a block at a time.  A violated halfspace keeps the rays on its
+    nonnegative side, positive then zero, and appends, for every adjacent
+    pair of a ray p on its positive and q on its negative side, the unit ray
+    along vals[p] * q - vals[q] * p.
     """
-    f = a.shape[1]
-    active = _active(a, n, rays)
+    active = _active(a, n, rays, 2 * ((n + 7) >> 3))
     block = 8
     while n < len(a) and len(rays):
         vals = _dots(rays, a[n : n + block])
-        cut = np.flatnonzero((vals < -CONE_TOL).any(axis=0))
+        cut = (vals < -CONE_TOL).any(axis=0).nonzero()[0]
         run = cut[0] if len(cut) else vals.shape[1]
-        active[:, n : n + run] = np.abs(vals[:, :run]) <= CONE_TOL
+        # The run's columns and the cut's, which is tight at the zero rays only.
+        tight = np.abs(vals[:, : run + 1]) <= CONE_TOL
+        if (n + tight.shape[1] + 7) >> 3 > active.shape[1]:
+            active = np.pad(active, ((0, 0), (0, active.shape[1] + tight.shape[1])))
+        lo = n >> 3  # columns n and up are clear: repack their first byte with them
+        head = np.unpackbits(active[:, lo : lo + 1], axis=1, count=n & 7)
+        bits = np.packbits(np.concatenate([head, tight], axis=1), axis=1)
+        active[:, lo : lo + bits.shape[1]] = bits
         n += run
         if not len(cut):
             block = min(2 * block, max(8, _CHUNK // len(rays)))
             continue
         block = 8
         v = vals[:, run]
-        pos, neg = np.flatnonzero(v > CONE_TOL), np.flatnonzero(v < -CONE_TOL)
-        zero = np.flatnonzero((v >= -CONE_TOL) & (v <= CONE_TOL))
-        p, q = _adjacent_pairs(active[:, :n], pos, neg, f)
+        pos, neg = (v > CONE_TOL).nonzero()[0], (v < -CONE_TOL).nonzero()[0]
+        keep = np.concatenate([pos, tight[:, run].nonzero()[0]])
+        p, q = _adjacent_pairs(active, pos, neg, a.shape[1])
         new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
         nrm = np.sqrt(_row_dots(new, new))
         new = new[nrm > CONE_TOL] / nrm[nrm > CONE_TOL][:, None]
-        active[zero, n] = True
         n += 1
-        rays = np.concatenate([rays[pos], rays[zero], new])
-        active = np.concatenate([active[pos], active[zero], _active(a, n, new)])
+        rays = np.concatenate([rays[keep], new])
+        active = np.concatenate([active[keep], _active(a, n, new, active.shape[1])])
     return rays
 
 
@@ -266,30 +272,23 @@ def _adjacent_pairs(active: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int
     of dimension at least 3, whose other extremal rays contain that set, so
     only the pairs with at least f - 2 common members get the subset test.
     Common sets lie in the columns tight at some ray of each side, so only
-    those are counted, as 0/1 float32 products (exact below 2^24).
+    those are unpacked and counted, as 0/1 float32 products (exact below 2^24).
     """
-    cols = np.flatnonzero(_any_row(active, pos) & _any_row(active, neg))
-    act = active[:, cols].astype(np.float32)
+    shared = np.bitwise_or.reduce(active[pos], axis=0) & np.bitwise_or.reduce(active[neg], axis=0)
+    idx = shared.nonzero()[0]
+    cols = np.unpackbits(shared[idx]).view(bool)
+    act = np.unpackbits(active[:, idx], axis=1)[:, cols].astype(np.float32)
     common = act[pos] @ act[neg].T
     i, j = np.nonzero(common >= f - 2)
     p, q, size = pos[i], neg[j], common[i, j]
     adjacent = np.empty(len(p), dtype=bool)
-    step = max(1, _CHUNK // max(1, len(cols)))
+    step = max(1, _CHUNK // max(1, *act.shape))
     for lo in range(0, len(p), step):
         both = act[p[lo : lo + step]] * act[q[lo : lo + step]]
         # Rays containing the common set: p and q themselves, and no other.
         contain = (both @ act.T) == size[lo : lo + step, None]
         adjacent[lo : lo + step] = contain.sum(axis=1) == 2
     return p[adjacent], q[adjacent]
-
-
-def _any_row(active: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Columns tight at one of the given rays, gathered a chunk of rays at a time."""
-    hit = np.zeros(active.shape[1], dtype=bool)
-    step = max(1, _CHUNK // max(1, active.shape[1]))
-    for lo in range(0, len(rows), step):
-        hit |= active[rows[lo : lo + step]].any(axis=0)
-    return hit
 
 
 def _finish(rays: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -372,9 +371,14 @@ def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
     """Ascending indices of the first row of each distinct 9-decimal
-    rounding (+ 0.0 folds -0.0 into 0.0, so the two keys are one)."""
-    _, first = np.unique(np.round(rows, 9) + 0.0, axis=0, return_index=True)
-    return np.sort(first)
+    rounding: a stable lexsort puts equal keys (compared as floats, so -0.0
+    is 0.0) next to each other in row order, each run led by its first row."""
+    keys = np.round(rows, 9)
+    order = np.lexsort(keys.T)
+    keys = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return np.sort(order[first])
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +472,10 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
 
     The truncated cone at R + 1 is the cone at R cut by the new shell of
     pairs, those whose shift has max-norm R + 1.  So R is stable exactly when
-    no ray at R violates a shell halfspace by more than CONE_TOL; otherwise
-    the shell is inserted into the rays at R and the next radius is probed.
+    no ray at R violates a merged shell halfspace by more than CONE_TOL;
+    otherwise the merged shell is inserted into the rays at R and the next
+    radius is probed.  The merged rows are some of the shell rows with the
+    same values, so the shell is merged only once some row of it is violated.
     """
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
@@ -477,7 +483,12 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     for radius in range(cone.radius, max_radius + 1):
         if not len(rays):
             return radius
-        shell = _new_rows(a, _shell_halfspaces(fw, cone.flex_basis, radius + 1))
+        shell = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
+        if not (_dots(rays, shell) < -CONE_TOL).any():
+            return radius
+        # The merged shell: the first row of each 9-decimal key new to `a`.
+        first = _first_unique(np.concatenate([a, shell])) - len(a)
+        shell = shell[first[first >= 0]]
         if not (_dots(rays, shell) < -CONE_TOL).any():
             return radius
         n, a = len(a), np.concatenate([a, shell])
@@ -495,25 +506,14 @@ def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int
     return _unit_halfspaces(pairs.rows, flex_basis)
 
 
-def _new_rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows whose 9-decimal rounding is new to `a` and to earlier rows."""
-    first = _first_unique(np.concatenate([a, rows]))
-    return rows[first[first >= len(a)] - len(a)]
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 
 def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
     return (
-        "{"
-        + f'"flex_dim": {cone.flex_dim}, '
-        + f'"radius": {cone.radius}, '
-        + f'"stable_radius": {stable_radius}, '
-        + f'"num_halfspaces": {cone.halfspace_matrix.shape[0]}, '
-        + f'"rays": {_json_matrix(cone.rays)}, '
-        + f'"ray_motions": {_json_matrix(cone.ray_motions())}'
-        + "}"
+        f'{{"flex_dim": {cone.flex_dim}, "radius": {cone.radius}, '
+        f'"stable_radius": {stable_radius}, "num_halfspaces": {len(cone.halfspace_matrix)}, '
+        f'"rays": {_json_matrix(cone.rays)}, "ray_motions": {_json_matrix(cone.ray_motions())}}}'
     )
 
 

@@ -7,10 +7,11 @@ for a fixed input ordering.  One pass over the input picks the mode and
 rejects a non-finite coefficient, right-hand side or bound with ValueError
 in either mode.  Arithmetic runs in floating point with the module tolerance
 ``LP_TOL`` by default, and exactly (every comparison exact) when every input
-is an int or Fraction or when ``exact=True``.  Both modes read one standard
-form over y >= 0, built once per row in sparse form: the row's nonzero
-(y-column, value) pairs, its rhs, and whether it was negated to make the rhs
-nonnegative.
+is an int or Fraction or when ``exact=True``; there a float is taken at its
+exact value, and any other non-rational real (np.float32) at its float's.
+Both modes read one standard form over y >= 0, built once per row in sparse
+form: the row's nonzero (y-column, value) pairs and its rhs, the row negated
+if that made the rhs nonnegative.
 
 Exact mode is a revised, fraction-free simplex (integer-preserving elimination
 after Edmonds 1967 and Bareiss 1968).  The rows [A | b] are scaled by the lcm
@@ -65,7 +66,12 @@ def _is_exact(value) -> bool:
 
 def _fraction(x) -> Fraction:
     # numpy integers would otherwise survive as Fraction numerators.
-    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+    if isinstance(x, np.integer):
+        return Fraction(int(x))
+    try:
+        return Fraction(x)
+    except TypeError:  # a real that is neither a float nor rational (np.float32)
+        return Fraction(float(x))
 
 
 def solve_linear_feasibility(
@@ -120,10 +126,9 @@ def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
     """Sparse rows over y >= 0, the column map back to x, and the y width.
 
     Each row is (its nonzero (y-column, value) pairs in column order, its
-    rhs, whether it was negated).  Inequality row r >= b becomes
-    r - slack = b with slack >= 0; bounded variables are shifted by their
-    bound, free ones split into y+ - y-; a row whose rhs is then negative
-    is negated.
+    rhs).  Inequality row r >= b becomes r - slack = b with slack >= 0;
+    bounded variables are shifted by their bound, free ones split into
+    y+ - y-; a row whose rhs is then negative is negated.
     """
     one, zero = num(1), num(0)
     col_map = []  # per variable: ("shift", y_col, lb) or ("free", y+, y-)
@@ -149,10 +154,9 @@ def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
             # The slack is shifted by 0; a float -0.0 rhs becomes 0.0 here.
             pairs.append((slack, -one))
             acc -= -one * zero
-        negated = acc < zero
-        if negated:
+        if acc < zero:
             pairs, acc = [(c, -v) for c, v in pairs], -acc
-        rows.append((pairs, acc, negated))
+        rows.append((pairs, acc))
     return rows, col_map, width + len(in_rows)
 
 
@@ -164,7 +168,7 @@ def _original_point(y, col_map):
 def _solve_float(form, max_pivots):
     rows, col_map, width = form
     m = len(rows)
-    feas_tol = LP_TOL * (1.0 + float(max([abs(b) for _, b, _ in rows], default=0.0)))
+    feas_tol = LP_TOL * (1.0 + float(max([abs(b) for _, b in rows], default=0.0)))
 
     # Phase I: artificial columns between the real ones and the rhs, and
     # below the rows the objective "sum of artificials": its reduced costs
@@ -172,9 +176,7 @@ def _solve_float(form, max_pivots):
     total = width + m
     tableau = np.zeros((m + 1, total + 1))
     sums = np.zeros(total + 1)
-    for r, (pairs, b, negated) in enumerate(rows):
-        if negated:  # its zeros are -0.0, as negating the dense row left them
-            tableau[r, :width] = -0.0
+    for r, (pairs, b) in enumerate(rows):
         tableau[r, [c for c, _ in pairs]] = [v for _, v in pairs]
         tableau[r, width + r], tableau[r, -1] = 1.0, b
         sums += tableau[r]
@@ -230,13 +232,13 @@ def _solve_exact(form, max_pivots):
     list of Fractions or None."""
     rows, col_map, width = form
     m = len(rows)
-    scale = math.lcm(*(b.denominator for _, b, _ in rows))
-    scale = math.lcm(scale, *(v.denominator for pairs, _, _ in rows for _, v in pairs))
+    scale = math.lcm(*(b.denominator for _, b in rows))
+    scale = math.lcm(scale, *(v.denominator for pairs, _ in rows for _, v in pairs))
     columns = [[] for _ in range(width)]
-    for r, (pairs, _, _) in enumerate(rows):
+    for r, (pairs, _) in enumerate(rows):
         for c, v in pairs:
             columns[c].append((r, v.numerator * (scale // v.denominator)))
-    beta = [b.numerator * (scale // b.denominator) for _, b, _ in rows]
+    beta = [b.numerator * (scale // b.denominator) for _, b in rows]
 
     basis = list(range(width, width + m))
     adj = [[int(c == r) for c in range(m)] + [beta[r]] for r in range(m)]

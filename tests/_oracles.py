@@ -7,7 +7,8 @@ over Fractions, a frozen copy of the row-by-row float and fraction-free
 Phase-I tableaus the feasibility oracle must reproduce bit for bit, an
 angular sweep for two-dimensional cones, a per-pair loop over the plain
 separation formula p_b + L w - p_a, a frozen copy of the loop-and-bitmask halfspace merge and double description the cone layer
-must reproduce bit for bit, a brute-force (f-1)-subset ray enumeration, and
+must reproduce bit for bit, the first rows of each 9-decimal key by
+``np.unique``, a brute-force (f-1)-subset ray enumeration, and
 a comparison of ray sets up to an angular tolerance.
 """
 
@@ -581,6 +582,13 @@ def frozen_cone(pair_rows, flex_basis, tol=1e-9):
     if len(uniq) <= 800:
         uniq = _frozen_dedup(uniq, 1e-8)
     return uniq, frozen_extremal_rays(uniq, flex_basis.shape[0], tol)
+
+
+def first_rounded_rows(rows):
+    """Ascending indices of the first row of each distinct key
+    np.round(row, 9) + 0.0, by np.unique's stable sort."""
+    _, first = np.unique(np.round(rows, 9) + 0.0, axis=0, return_index=True)
+    return np.sort(first)
 
 
 def brute_force_rays(halfspaces, tol=1e-9):

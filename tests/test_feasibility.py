@@ -267,6 +267,15 @@ def test_exact_mode_on_numpy_integers():
     assert_same_point(x, [Fraction(3, 5), Fraction(17, 5)])
 
 
+def test_exact_mode_takes_numpy_floats_at_their_float_value():
+    # Neither a float nor rational: exact mode takes its float image, as the
+    # float mode and its exact fallback do.
+    for value in (np.float32(1), np.float16(1), np.float32(0.1), np.float16(0.1)):
+        x = solve_linear_feasibility([[value]], [1.0], [0], exact=True)
+        assert_same_point(x, [1 / Fraction(float(value))])
+        assert solve_linear_feasibility([[value]], [1.0], [0]).tolist() == [1 / float(value)]
+
+
 def test_exact_pivot_cap_on_a_three_pivot_system():
     args = ([[1, 2, -1], [0, 1, 1]], [1, 2], [0, 0, None])
     kwargs = dict(inequalities=[[1, 1, 1]], ineq_rhs=[3])
