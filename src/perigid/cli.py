@@ -6,7 +6,7 @@ and OBJ artifacts.  Numeric output is full precision in JSON and 12
 significant digits in CSV; identical configurations produce byte-identical
 files.  Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O
 error.  PERIGID_TOL_RANK and PERIGID_TOL_NEWTON override the default
-tolerances.
+tolerances with positive numbers.
 """
 
 from __future__ import annotations
@@ -15,34 +15,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import constructions, expansive, motion
 from .cones import analyze_star, star_report_json, vertex_star
 from .errors import FrameworkError, NumericalError, PerigidError, StressError, UnknownOrbitError
-from .framework import dumps_framework, load_framework, save_framework
+from .framework import _number_list, dumps_framework, load_framework, save_framework
 from .rigidity import DEFAULT_RANK_TOL, analyze, report_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-
-@dataclass
-class RunConfig:
-    radius: int = expansive.DEFAULT_RADIUS
-    rank_tol: float = DEFAULT_RANK_TOL
-    newton_tol: float = motion.DEFAULT_NEWTON_TOL
-
-    def validate(self) -> None:
-        if self.radius < 1:
-            raise UsageError("radius must be at least 1")
-        for name in ("rank_tol", "newton_tol"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"{name.replace('_', ' ')} must be positive")
 
 
 class UsageError(Exception):
@@ -54,9 +37,12 @@ def _env_tol(name: str, default: float) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise UsageError(f"{name} must be a number, got {raw!r}") from None
+    if not value > 0:
+        raise UsageError(f"{name} must be positive, got {raw!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,7 +97,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _cmd_gen(args, cfg: RunConfig) -> int:
+def _cmd_gen(args) -> int:
     if args.family == "stressed":
         fw = constructions.stressed_framework()
     else:
@@ -124,32 +110,32 @@ def _cmd_gen(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args, cfg: RunConfig) -> int:
+def _cmd_analyze(args) -> int:
     fw = load_framework(args.framework)
-    report = analyze(fw, cfg.rank_tol)
+    report = analyze(fw, args.rank_tol)
     _emit(report_to_json(report), args.out)
     return EXIT_OK
 
 
-def _cmd_cone(args, cfg: RunConfig) -> int:
+def _cmd_cone(args) -> int:
     fw = load_framework(args.framework)
-    report = analyze(fw, cfg.rank_tol)
-    cone = expansive.expansive_cone(fw, report, cfg.radius)
-    stable = expansive.find_stable_radius(fw, cone, max_radius=cfg.radius + 3)
+    report = analyze(fw, args.rank_tol)
+    cone = expansive.expansive_cone(fw, report, args.radius)
+    stable = expansive.find_stable_radius(fw, cone, max_radius=args.radius + 3)
     _emit(expansive.cone_report_json(cone, stable), args.out)
     if args.pairs is not None:
         expansive.write_pair_audit_csv(fw, cone, args.pairs)
     return EXIT_OK
 
 
-def _cmd_star(args, cfg: RunConfig) -> int:
+def _cmd_star(args) -> int:
     fw = load_framework(args.framework)
     analysis = analyze_star(vertex_star(fw, args.orbit), fw.dimension)
     _emit(star_report_json(analysis), args.out)
     return EXIT_OK
 
 
-def _cmd_simulate(args, cfg: RunConfig) -> int:
+def _cmd_simulate(args) -> int:
     if args.steps < 1:
         raise UsageError("steps must be at least 1")
     if not args.h > 0:
@@ -159,9 +145,9 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     fw = load_framework(args.framework)
     if args.format == "obj" and fw.dimension > 3:
         raise UsageError("obj export supports d <= 3; use --format csv")
-    report = analyze(fw, cfg.rank_tol)
+    report = analyze(fw, args.rank_tol)
     if args.ray is not None:
-        cone = expansive.expansive_cone(fw, report, cfg.radius)
+        cone = expansive.expansive_cone(fw, report, args.radius)
         if not 0 <= args.ray < len(cone.rays):
             raise UsageError(
                 f"ray index {args.ray} out of range; cone has {len(cone.rays)} rays"
@@ -169,14 +155,16 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
         direction = cone.ray_motion(args.ray)
     else:
         with open(args.direction) as fh:
-            direction = np.asarray(json.load(fh), dtype=float)
+            direction = json.load(fh)
+        if not _number_list(direction):
+            raise UsageError("direction file must hold a list of numbers")
     path = motion.continue_motion(
-        fw, direction, n_steps=args.steps, h=args.h, newton_tol=cfg.newton_tol,
-        rank_tol=cfg.rank_tol,
+        fw, direction, n_steps=args.steps, h=args.h, newton_tol=args.newton_tol,
+        rank_tol=args.rank_tol,
     )
     os.makedirs(args.outdir, exist_ok=True)
     frames = motion.export_frames(path, supercell=args.supercell, fmt=args.format, outdir=args.outdir)
-    audit = motion.audit_expansiveness(path, radius=cfg.radius, audit_tol=motion.DEFAULT_AUDIT_TOL)
+    audit = motion.audit_expansiveness(path, radius=args.radius, audit_tol=motion.DEFAULT_AUDIT_TOL)
     audit_path = os.path.join(args.outdir, "audit.csv")
     motion.write_audit_csv(audit, audit_path)
     summary = {
@@ -209,13 +197,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(
-            radius=getattr(args, "radius", expansive.DEFAULT_RADIUS),
-            rank_tol=_env_tol("PERIGID_TOL_RANK", DEFAULT_RANK_TOL),
-            newton_tol=_env_tol("PERIGID_TOL_NEWTON", motion.DEFAULT_NEWTON_TOL),
-        )
-        cfg.validate()
-        return _HANDLERS[args.command](args, cfg)
+        args.rank_tol = _env_tol("PERIGID_TOL_RANK", DEFAULT_RANK_TOL)
+        args.newton_tol = _env_tol("PERIGID_TOL_NEWTON", motion.DEFAULT_NEWTON_TOL)
+        if getattr(args, "radius", 1) < 1:
+            raise UsageError("radius must be at least 1")
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,8 @@ Two families are provided:
   at the centroid v = (1/(d+1)) sum(lambda_i), with green-to-red bars at the
   offsets {lambda_i} and {lambda_i + lambda_j, i < j}.  The enhanced variant
   adds the d offsets {2 lambda_i}; removing one of those gives a one-degree-
-  of-freedom mechanism.
+  of-freedom mechanism.  The three offset lists come from one table,
+  ``_simplex_offsets(d)``, which the motion module's family test reads too.
 * ``stressed_framework()``: the three-dimensional two-orbit framework with
   eight green-to-red bars that carries a one-dimensional stress space.
 """
@@ -65,6 +66,15 @@ def _regular_simplex_generators(d: int) -> np.ndarray:
     return np.linalg.cholesky(gram).T
 
 
+def _simplex_offsets(d: int) -> tuple[list, list, list]:
+    """Integer shifts of the family's bars, in edge order: the singles
+    {lambda_i}, the pairs {lambda_i + lambda_j, i < j}, the doubles {2 lambda_i}."""
+    singles = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    pairs = [tuple(int(i == a) + int(i == b) for i in range(d)) for a, b in combinations(range(d), 2)]
+    doubles = [tuple(2 * c for c in s) for s in singles]
+    return singles, pairs, doubles
+
+
 def simplex_framework(
     d: int,
     variant: SimplexVariant = SimplexVariant.base(),
@@ -89,21 +99,12 @@ def simplex_framework(
     lattice = _regular_simplex_generators(d) if regular else np.eye(d)
     green = lattice.sum(axis=1) / (d + 1)
 
-    def unit(k: int, scale: int = 1) -> tuple[int, ...]:
-        s = [0] * d
-        s[k] = scale
-        return tuple(s)
-
-    shifts: list[tuple[int, ...]] = [unit(k) for k in range(d)]
-    shifts += [
-        tuple(int(i == a) + int(i == b) for i in range(d))
-        for a, b in combinations(range(d), 2)
-    ]
-    if variant.kind in ("enhanced", "removed"):
-        doubles = [unit(k, 2) for k in range(d)]
-        if variant.kind == "removed":
-            del doubles[variant.removed - 1]
+    singles, pairs, doubles = _simplex_offsets(d)
+    shifts = singles + pairs
+    if variant.kind == "enhanced":
         shifts += doubles
+    elif variant.kind == "removed":
+        shifts += doubles[: variant.removed - 1] + doubles[variant.removed :]
 
     graph = QuotientGraph(
         d,

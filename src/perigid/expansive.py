@@ -35,11 +35,10 @@ from .errors import (
     FlexDimensionTooLargeError,
     FrameworkError,
     NonPointedConeError,
-    NotAFlexError,
     NumericalFailureError,
 )
-from .framework import PeriodicFramework, _json_matrix, _row_dots, _separations
-from .rigidity import RigidityReport, _incidence_rows, rigidity_matrix
+from .framework import EdgeOrbit, PeriodicFramework, _json_matrix, _row_dots, _separations
+from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
 CONE_TOL = 1e-9
@@ -93,9 +92,7 @@ def canonical_pair_key(a: str, b: str, shift) -> tuple[str, str, tuple[int, ...]
     shift = tuple(int(c) for c in shift)
     if a == b and all(c == 0 for c in shift):
         raise FrameworkError(f"({a}, {b}, {shift}) pairs a vertex with itself")
-    fwd = (a, b, shift)
-    rev = (b, a, tuple(-c for c in shift))
-    return min(fwd, rev)
+    return tuple(EdgeOrbit(a, b, shift).canonical())
 
 
 def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
@@ -390,23 +387,6 @@ class FlexClass(Enum):
     EFFECTIVELY_EXPANSIVE = "effectively_expansive"
 
 
-def _check_flex(fw: PeriodicFramework, flex: np.ndarray) -> np.ndarray:
-    flex = np.asarray(flex, dtype=float)
-    matrix = rigidity_matrix(fw)
-    if matrix.shape[1] != flex.shape[0]:
-        raise NotAFlexError(
-            f"motion vector has length {flex.shape[0]}, expected {matrix.shape[1]}"
-        )
-    if fw.m:
-        resid = np.abs(matrix @ flex)
-        bound = CONE_TOL * np.linalg.norm(matrix, axis=1) * np.linalg.norm(flex)
-        if np.any(resid > bound):
-            raise NotAFlexError(
-                f"edge residual {resid.max():.3e} exceeds tolerance; not a flex"
-            )
-    return flex
-
-
 def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     """(FlexClass, effective orbits) of a checked flex at this radius.
 
@@ -414,7 +394,7 @@ def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     exceeds CONE_TOL * |row| * |flex|, as violated when below the negative of it.
     The effective orbits are those touched by a strict pair.
     """
-    flex = _check_flex(fw, flex)
+    flex = _checked_flex(rigidity_matrix(fw), flex, CONE_TOL)
     pairs = enumerate_pairs(fw, radius)
     values = _row_dots(pairs.rows, flex)
     scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * np.linalg.norm(flex)
@@ -444,7 +424,10 @@ def effective_vertices(fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS
 @dataclass(frozen=True, eq=False)
 class PointednessReport:
     analyses: dict[str, ConeAnalysis]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(a.pointed_codim2 for a in self.analyses.values())
 
 
 def verify_pointedness(
@@ -461,7 +444,7 @@ def verify_pointedness(
     analyses = {}
     for orbit in sorted(effective):
         analyses[orbit] = analyze_star(vertex_star(fw, orbit), fw.dimension)
-    return PointednessReport(analyses, all(a.pointed_codim2 for a in analyses.values()))
+    return PointednessReport(analyses)
 
 
 # ---------------------------------------------------------------------------

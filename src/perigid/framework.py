@@ -45,7 +45,7 @@ class EdgeOrbit(NamedTuple):
         return self if tuple(self) <= tuple(rev) else rev
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QuotientGraph:
     dimension: int
     vertex_orbits: tuple[str, ...]
@@ -58,15 +58,6 @@ class QuotientGraph:
     @property
     def m(self) -> int:
         return len(self.edge_orbits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientGraph):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and self.vertex_orbits == other.vertex_orbits
-            and self.edge_orbits == other.edge_orbits
-        )
 
     @cached_property
     def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

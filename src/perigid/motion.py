@@ -8,7 +8,9 @@ pinned and the strictly lower triangular lattice entries are never corrected,
 which removes exactly the d + C(d,2) isometry freedoms without altering
 intrinsic geometry.  The tangent is carried along by projecting the previous
 tangent onto the new nontrivial flex space, so the path follows one smooth
-branch; rank drops surface as errors instead of being stepped through.
+branch; rank drops surface as errors instead of being stepped through.  The
+seed must first pass the flex gate ``rigidity._checked_flex`` at
+``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.
 
 The pair audit, facet gaps and frame export read one stack of per-step
 positions and lattices and get every pair separation and realized vertex
@@ -24,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .constructions import _simplex_offsets
 from .errors import (
     NewtonDivergenceError,
-    NotAFlexError,
     NotSimplexFamilyError,
     NumericalFailureError,
     SingularJacobianError,
@@ -34,7 +36,8 @@ from .errors import (
 from .expansive import _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph, validate_framework
 from .framework import _f17, _row_dots, _separations
-from .rigidity import DEFAULT_RANK_TOL, analyze, motion_size, pack_motion, rigidity_rows, unpack_motion
+from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, motion_size, pack_motion
+from .rigidity import rigidity_rows, unpack_motion
 
 DEFAULT_STEP = 0.01
 DEFAULT_STEPS = 50
@@ -70,10 +73,12 @@ class MotionPath:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionAudit:
-    radius: int
     pair_results: dict[tuple[str, str, tuple[int, ...]], float]  # min step increment
     violations: list[tuple[tuple[str, str, tuple[int, ...]], int, float]]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
@@ -137,21 +142,12 @@ def continue_motion(
     """
     if not h > 0:
         raise ValueError("step size must be positive")
-    direction = np.asarray(direction, dtype=float)
     graph = fw.graph
-    if direction.shape != (motion_size(graph),):
-        raise NotAFlexError(
-            f"direction has shape {direction.shape}, expected ({motion_size(graph)},)"
-        )
     pos0 = np.array([fw.placement.positions[o] for o in graph.vertex_orbits])
+    # The seed's rows come from rigidity_rows, as each Newton Jacobian's do:
+    # perfbench counts its calls as one per seed plus one per iteration.
     rows = rigidity_rows(graph, pos0, fw.placement.lattice)
-    if fw.m:
-        resid = np.abs(rows @ direction)
-        bound = _SEED_FLEX_TOL * np.linalg.norm(rows, axis=1) * max(np.linalg.norm(direction), 1e-300)
-        if np.any(resid > bound):
-            raise NotAFlexError(
-                f"edge residual {resid.max():.3e} exceeds tolerance; seed is not a flex"
-            )
+    direction = _checked_flex(rows, direction, _SEED_FLEX_TOL)
 
     report0 = analyze(fw, rank_tol)
     state = pack_motion(graph, pos0, fw.placement.lattice)
@@ -234,7 +230,7 @@ def audit_expansiveness(
         (keys[k], int(step) + 1, float(-inc[step, k]))
         for k, step in zip(*np.nonzero(inc.T < -audit_tol))
     ]
-    return ExpansionAudit(radius, pair_results, violations, not violations)
+    return ExpansionAudit(pair_results, violations)
 
 
 def _simplex_family_offsets(graph: QuotientGraph):
@@ -242,26 +238,12 @@ def _simplex_family_offsets(graph: QuotientGraph):
     belongs to the two-orbit simplex family; raises otherwise."""
     if graph.n != 2:
         raise NotSimplexFamilyError("simplex family has exactly two vertex orbits")
-    d = graph.dimension
-    singles = {tuple(int(i == k) for i in range(d)) for k in range(d)}
-    pairs = {
-        tuple(int(i == a) + int(i == b) for i in range(d))
-        for a, b in itertools.combinations(range(d), 2)
-    }
-    doubles = {tuple(2 * int(i == k) for i in range(d)) for k in range(d)}
-    for hub, far in (graph.vertex_orbits, graph.vertex_orbits[::-1]):
-        shifts = set()
-        ok = True
-        for e in graph.edge_orbits:
-            if e.tail == hub and e.head == far:
-                shifts.add(e.shift)
-            elif e.tail == far and e.head == hub:
-                shifts.add(tuple(-c for c in e.shift))
-            else:
-                ok = False
-                break
-        if ok and singles <= shifts and pairs <= shifts and shifts <= singles | pairs | doubles:
-            return hub, far, sorted(singles), sorted(doubles)
+    singles, pairs, doubles = map(set, _simplex_offsets(graph.dimension))
+    if all(e.tail != e.head for e in graph.edge_orbits):  # every bar joins the two orbits
+        for hub, far in (graph.vertex_orbits, graph.vertex_orbits[::-1]):
+            shifts = {e.shift if e.tail == hub else tuple(-c for c in e.shift) for e in graph.edge_orbits}
+            if singles | pairs <= shifts <= singles | pairs | doubles:
+                return hub, far, sorted(singles), sorted(doubles)
     raise NotSimplexFamilyError("edge offsets do not match the simplex family")
 
 

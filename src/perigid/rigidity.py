@@ -7,9 +7,12 @@ share one incidence layout: a (tail i, head j, shift w) triple with
 separation e = p_j + L w - p_i (from ``framework._separations``) gives the
 row with -e in block i, +e in block j (cancelling when i = j), and
 e_r * w_c at lattice position (r, c).  ``_incidence_rows`` builds those rows
-for whole index arrays at once; the rigidity matrix is its rows for the edge
-orbits.  The factor 2 from differentiating squared lengths is dropped; it
-does not change ranks, nullspaces, or signs.
+for whole index arrays at once; the rigidity matrix is its rows for the
+framework's stored bar separations.  The factor 2 from differentiating
+squared lengths is dropped; it does not change ranks, nullspaces, or signs.
+``_checked_flex`` is the package's one flex gate: a flex has shape
+(dn + d^2,), finite entries and |r . v| <= tol |r| |v| for every edge row r,
+at the caller's tolerance; anything else raises ``NotAFlexError``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import (
     IllConditionedError,
     NonUniqueStressError,
     NoStressError,
+    NotAFlexError,
     NumericalFailureError,
     ZeroPivotError,
 )
@@ -70,8 +74,22 @@ def rigidity_rows(graph: QuotientGraph, positions: np.ndarray, lattice: np.ndarr
 
 def rigidity_matrix(fw: PeriodicFramework) -> np.ndarray:
     """Constraint rows of the framework, one per edge orbit: shape (m, dn + d^2)."""
-    positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
-    return rigidity_rows(fw.graph, positions, fw.placement.lattice)
+    return _incidence_rows(fw.n, *fw.graph._incidence, fw._edge_vectors)
+
+
+def _checked_flex(matrix: np.ndarray, vector, tol: float) -> np.ndarray:
+    """`vector` as a float array, if it is a flex of the constraint rows
+    `matrix` at relative tolerance `tol`; raises NotAFlexError otherwise."""
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (matrix.shape[1],):
+        raise NotAFlexError(f"motion vector has shape {vector.shape}, expected ({matrix.shape[1]},)")
+    if not np.all(np.isfinite(vector)):
+        raise NotAFlexError("motion vector is not finite")
+    resid = np.abs(matrix @ vector)
+    bound = tol * np.linalg.norm(matrix, axis=1) * np.linalg.norm(vector)
+    if np.any(resid > bound):
+        raise NotAFlexError(f"edge residual {resid.max():.3e} exceeds tolerance; not a flex")
+    return vector
 
 
 def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
@@ -110,8 +128,11 @@ class RigidityReport:
     trivial_basis: np.ndarray  # (d + C(d,2), dn + d^2)
     flex_basis: np.ndarray  # (f, dn + d^2), orthonormal, orthogonal to trivial
     stress_basis: np.ndarray  # (s, m), orthonormal left-nullspace vectors
-    dof: int
     tolerance_used: float
+
+    @property
+    def dof(self) -> int:
+        return self.flex_basis.shape[0]
 
     @property
     def stress_dim(self) -> int:
@@ -181,7 +202,6 @@ def analyze(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> RigidityRep
         trivial_basis=trivial,
         flex_basis=flex_basis,
         stress_basis=stress_basis,
-        dof=f,
         tolerance_used=tol,
     )
 

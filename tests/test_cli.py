@@ -151,6 +151,29 @@ def test_simulate_rigid_is_numerical_failure(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("content", ['{"x": 1}', "[[1, 2], [3]]", '"abc"', "[[0, 0, 0, 0, 0, 0, 0, 0]]"])
+def test_simulate_rejects_malformed_direction_file(tmp_path, capsys, content):
+    target = gen_file(tmp_path, capsys, "simplex", "--dim", "2", "--variant", "removed:1")
+    direction = tmp_path / "dir.json"
+    direction.write_text(content)
+    outdir = tmp_path / "sim"
+    code = main(["simulate", str(target), "--direction", str(direction), "--outdir", str(outdir)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: direction file must hold a list of numbers\n"
+    assert not outdir.exists()
+
+
+def test_simulate_nan_direction_is_numerical_failure(tmp_path, capfd):
+    target = gen_file(tmp_path, capfd, "simplex", "--dim", "2", "--variant", "removed:1")
+    direction = tmp_path / "dir.json"
+    direction.write_text("[NaN, 0, 0, 0, 0, 0, 0, 0]")
+    outdir = tmp_path / "sim"
+    code = main(["simulate", str(target), "--direction", str(direction), "--outdir", str(outdir)])
+    assert code == 3
+    assert capfd.readouterr().err == "error: numerical failure: motion vector is not finite\n"
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize(
     "dim, extra",
     [
@@ -207,6 +230,14 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERIGID_TOL_RANK", "not-a-number")
     code, _ = run_cli(["analyze", str(target)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name, raw", [("PERIGID_TOL_RANK", "nan"), ("PERIGID_TOL_NEWTON", "0")])
+def test_env_tolerance_must_be_positive(tmp_path, capsys, monkeypatch, name, raw):
+    target = gen_file(tmp_path, capsys, "stressed")
+    monkeypatch.setenv(name, raw)
+    assert main(["analyze", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be positive, got {raw!r}\n"
 
 
 def test_module_entry_point(tmp_path):

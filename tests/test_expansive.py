@@ -14,6 +14,7 @@ from perigid import (
     SimplexVariant,
     analyze,
     classify_flex,
+    continue_motion,
     effective_vertices,
     enumerate_pairs,
     expansive_cone,
@@ -26,7 +27,7 @@ from perigid import (
     verify_pointedness,
     with_edge_orbit,
 )
-from perigid import expansive, feasibility, rigidity_matrix
+from perigid import expansive, feasibility, motion, rigidity_matrix
 from perigid.expansive import canonical_pair_key, cone_report_json, write_pair_audit_csv
 
 from _oracles import rays_match, sweep_rays_2d
@@ -226,6 +227,36 @@ def test_not_a_flex_rejected(stressed):
     bad = np.ones(15)
     with pytest.raises(NotAFlexError):
         classify_flex(stressed, bad)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "column"])
+@pytest.mark.parametrize(
+    "entry", [classify_flex, effective_vertices, verify_pointedness, continue_motion],
+    ids=lambda f: f.__name__,
+)
+def test_flex_gate_rejects_nonfinite_and_misshaped(entry, bad):
+    # One flex gate for all four entry points: a non-finite or mis-shaped
+    # vector is not a flex, whatever its residual would be.
+    fw = simplex_framework(2, SimplexVariant.removed_edge(1))
+    vector = analyze(fw).flex_basis[0].copy()
+    if bad == "column":
+        vector = vector[:, None]
+    else:
+        vector[0] = float(bad)
+    with pytest.raises(NotAFlexError):
+        entry(fw, vector)
+
+
+def test_flex_gate_tolerance_band():
+    # A flex nudged off edge row 0 by 3e-9 |row| lies between the two gate
+    # tolerances: a seed for continuation, not a flex for the cone layer.
+    assert (expansive.CONE_TOL, motion._SEED_FLEX_TOL) == (1e-9, 1e-8)
+    fw = simplex_framework(2, SimplexVariant.removed_edge(1), regular=True)
+    row = rigidity_matrix(fw)[0]
+    nudged = analyze(fw).flex_basis[0] + 3e-9 * row / np.linalg.norm(row)
+    assert continue_motion(fw, nudged, n_steps=1).n_steps == 1
+    with pytest.raises(NotAFlexError):
+        classify_flex(fw, nudged)
 
 
 def test_cone_membership_soundness(stressed):
