@@ -22,7 +22,6 @@ from .errors import *  # noqa: F401,F403
 from .expansive import (
     ExpansiveCone,
     FlexClass,
-    PairConstraint,
     PairSet,
     classify_flex,
     effective_vertices,

@@ -19,7 +19,7 @@ import sys
 from . import constructions, expansive, motion
 from .cones import analyze_star, star_report_json, vertex_star
 from .errors import FrameworkError, NumericalError, PerigidError, StressError, UnknownOrbitError
-from .framework import _number_list, dumps_framework, load_framework, save_framework
+from .framework import _number_list, dumps_framework, load_framework
 from .rigidity import DEFAULT_RANK_TOL, analyze, report_to_json
 
 EXIT_OK = 0
@@ -103,10 +103,7 @@ def _cmd_gen(args) -> int:
     else:
         variant = constructions.SimplexVariant.parse(args.variant)
         fw = constructions.simplex_framework(args.dim, variant, regular=args.regular)
-    if args.out is None:
-        sys.stdout.write(dumps_framework(fw))
-    else:
-        save_framework(fw, args.out)
+    _emit(dumps_framework(fw), args.out)
     return EXIT_OK
 
 

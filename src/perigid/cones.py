@@ -7,8 +7,9 @@ On top of the feasibility oracle this module decides positive dependence
 lineality space of the generated cone, finds separating hyperplanes, and
 tests pointedness in codimension two (lineality dimension at most d - 2),
 the local condition every vertex star must satisfy where an expansive
-deformation is effective.  Float decisions use the oracle's tolerance,
-``feasibility.LP_TOL``.
+deformation is effective.  The oracle picks each system's mode from the
+star's entries: exact when every entry is an integer or a Fraction, float
+otherwise.  Float decisions use the oracle's tolerance, ``feasibility.LP_TOL``.
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ def _star_matrix(vectors) -> list[list]:
     return [list(column) for column in zip(*vectors)]
 
 
-def positive_dependence(star: VectorStar, *, exact: bool | None = None):
+def positive_dependence(star: VectorStar):
     """Coefficients a with every a_i >= 1 and sum a_i v_i = 0, else None.
 
     Strict positivity is normalized to >= 1: dependences form a cone, so a
     strictly positive combination exists iff one with entries >= 1 does.
-    The oracle picks the mode: Fractions when every entry is an integer or
-    a Fraction (or `exact` is True), a float array otherwise.
+    The mode comes from the star's entries: Fractions when every entry is an
+    integer or a Fraction, a float array otherwise.
     """
     if len(star) == 0:
         raise ValueError("empty star")
     rows = _star_matrix(star.vectors)
-    return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star), exact=exact)
+    return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star))
 
 
 def _in_cone(vectors: np.ndarray, target: np.ndarray) -> bool:
@@ -172,14 +173,15 @@ def _separating_normal(vs: np.ndarray, lin: np.ndarray) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
-def strict_expansion_probe(star: VectorStar, *, exact: bool | None = None):
+def strict_expansion_probe(star: VectorStar):
     """Velocity assignment opening some pair strictly, or None.
 
     Unknowns are one velocity per star vector (the hub stays fixed); bar
     constraints <v_i, vdot_i> = 0 hold exactly, every pair satisfies
     <v_i - v_j, vdot_i - vdot_j> >= 0, and a probe row asks for total opening
     >= 1.  Because solutions scale, feasibility is equivalent to the
-    existence of a strictly expansive assignment.
+    existence of a strictly expansive assignment.  The mode comes from the
+    star's entries, as for :func:`positive_dependence`.
     """
     if len(star) == 0:
         raise ValueError("empty star")
@@ -187,23 +189,15 @@ def strict_expansion_probe(star: VectorStar, *, exact: bool | None = None):
     k = len(vs)
     d = len(vs[0])
     nvars = k * d
-
-    def empty_row():
-        return [0] * nvars
-
-    eq_rows, eq_b = [], []
+    eq_rows = [[0] * nvars for _ in range(k)]
     for i in range(k):
-        row = empty_row()
         for c in range(d):
-            row[i * d + c] = vs[i][c]
-        eq_rows.append(row)
-        eq_b.append(0)
+            eq_rows[i][i * d + c] = vs[i][c]
 
-    ineq_rows = []
-    probe = empty_row()
+    ineq_rows, probe = [], [0] * nvars
     for i in range(k):
         for j in range(i + 1, k):
-            row = empty_row()
+            row = [0] * nvars
             for c in range(d):
                 diff = vs[i][c] - vs[j][c]
                 row[i * d + c] = diff
@@ -215,11 +209,10 @@ def strict_expansion_probe(star: VectorStar, *, exact: bool | None = None):
 
     sol = solve_linear_feasibility(
         eq_rows,
-        eq_b,
+        [0] * k,
         [None] * nvars,
         inequalities=ineq_rows,
         ineq_rhs=[0] * (len(ineq_rows) - 1) + [1],
-        exact=exact,
     )
     if sol is None:
         return None

@@ -46,32 +46,17 @@ MAX_FLEX_DIM = 6
 
 
 @dataclass(frozen=True, eq=False)
-class PairConstraint:
-    """One truncated pair inequality <s, sdot> >= 0 in rigidity coordinates.
-
-    The row evaluates a motion u to <s, pdot_b + ldot w - pdot_a> where
-    s = p_b + lattice w - p_a; it is invariant under orientation reversal,
-    and pairs are stored with (a, b, w) lexicographically minimal versus
-    (b, a, -w).  Same-orbit pairs with w a generator shift encode period
-    length constraints.
-    """
-
-    orbit_a: str
-    orbit_b: str
-    shift: tuple[int, ...]
-    separation: np.ndarray
-    row: np.ndarray
-
-    @property
-    def key(self) -> tuple[str, str, tuple[int, ...]]:
-        return (self.orbit_a, self.orbit_b, self.shift)
-
-
-@dataclass(frozen=True, eq=False)
 class PairSet:
-    """Canonical pairs within a truncation radius, one array row per pair:
-    pair k is :class:`PairConstraint` (orbits[tails[k]], orbits[heads[k]],
-    shifts[k]) with its separation and row."""
+    """Canonical pairs, one array row per pair: pair k joins a = orbits[tails[k]]
+    to b = orbits[heads[k]] translated by w = shifts[k].
+
+    Its separation is s = p_b + lattice w - p_a, and its row evaluates a
+    motion u to <s, pdot_b + ldot w - pdot_a>, so the truncated pair
+    inequality is row . u >= 0.  The row is invariant under orientation
+    reversal, and pairs are stored with (a, b, w) lexicographically minimal
+    versus (b, a, -w).  Same-orbit pairs with w a generator shift encode
+    period length constraints.
+    """
 
     orbits: tuple[str, ...]
     tails: np.ndarray  # (k,) vertex orbit indices
@@ -103,11 +88,11 @@ def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
     return PairSet(fw.graph.vertex_orbits, tails, heads, shifts, s, rows)
 
 
-def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairConstraint:
+def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
+    """The one-pair :class:`PairSet` of the canonical key of (a, b, shift)."""
     a, b, shift = canonical_pair_key(a, b, shift)
     ends = np.array([fw.orbit_index(a)]), np.array([fw.orbit_index(b)])
-    pair = _pair_set(fw, *ends, np.array([shift]))
-    return PairConstraint(a, b, shift, pair.separations[0], pair.rows[0])
+    return _pair_set(fw, *ends, np.array([shift]))
 
 
 def _pair_incidence(orbits, d: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,7 +5,8 @@ Finds x with A_eq x = b_eq, A_ineq x >= b_ineq, and per-variable lower bounds
 is a Phase-I simplex with Bland's rule, so it terminates and is deterministic
 for a fixed input ordering.  One pass over the input picks the mode and
 rejects a non-finite coefficient, right-hand side or bound with ValueError
-in either mode.  Arithmetic runs in floating point with the module tolerance
+in either mode; float mode raises the same for an int beyond the float
+range.  Arithmetic runs in floating point with the module tolerance
 ``LP_TOL`` by default, and exactly (every comparison exact) when every input
 is an int or Fraction or when ``exact=True``; there a float is taken at its
 exact value, and any other non-rational real (np.float32) at its float's.
@@ -93,7 +94,7 @@ def solve_linear_feasibility(
 
     Returns a float ndarray in floating mode, a list of Fractions in exact
     mode.  Raises NumericalFailureError if the pivot cap is hit, and
-    ValueError in either mode if a value is not finite.
+    ValueError if a value is not finite or, in float mode, beyond floats.
     """
     eq_rows = [list(r) for r in equalities]
     eq_b, lbs = list(rhs), list(lower_bounds)
@@ -117,6 +118,8 @@ def solve_linear_feasibility(
         return _solve_float(_standard_form(*system, float), max_pivots)
     except _PhaseOneUnbounded:
         pass
+    except OverflowError:  # float() of an int or Fraction beyond the float range
+        raise ValueError("non-finite coefficient, right-hand side or bound") from None
     # The exact standard form takes each float at its exact rational value.
     x = _solve_exact(_standard_form(*system, lambda v: Fraction(float(v))), max_pivots)
     return None if x is None else np.array([float(v) for v in x])

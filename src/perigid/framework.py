@@ -10,6 +10,7 @@ p[head] + lattice @ shift.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -334,8 +335,9 @@ def loads_framework(text: str) -> PeriodicFramework:
 
 
 def _number_list(values) -> bool:
+    # Floats, and ints a float can hold: 10**400 would overflow in numpy.
     return isinstance(values, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in values
+        isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max) for x in values
     )
 
 

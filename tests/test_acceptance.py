@@ -145,8 +145,8 @@ def test_criterion_6_stressed_rays_and_mechanisms():
     cone = expansive_cone(fw, rep, radius=2)
     assert len(cone.rays) == 2
     rows = {
-        1: pair_constraint(fw, "red", "red", (1, 0, 0)).row,
-        2: pair_constraint(fw, "red", "red", (0, 1, 0)).row,
+        1: pair_constraint(fw, "red", "red", (1, 0, 0)).rows[0],
+        2: pair_constraint(fw, "red", "red", (0, 1, 0)).rows[0],
     }
     fixed_by_ray = {}
     for i in range(2):
@@ -257,7 +257,7 @@ def test_criterion_9_numerical_hygiene():
             d0 = np.linalg.norm(p0.positions[b] + p0.lattice @ w - p0.positions[a])
             d1 = np.linalg.norm(p1.positions[b] + p1.lattice @ w - p1.positions[a])
             fd = (d1**2 - d0**2) / (2 * path.step_size)
-            analytic = pair_constraint(fw, a, b, shift).row @ t0
+            analytic = pair_constraint(fw, a, b, shift).rows[0] @ t0
             worst_fd = max(worst_fd, abs(fd - analytic))
         base_sq = fw.edge_lengths**2
         for step in range(len(path.placements)):

@@ -151,7 +151,13 @@ def test_simulate_rigid_is_numerical_failure(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("content", ['{"x": 1}', "[[1, 2], [3]]", '"abc"', "[[0, 0, 0, 0, 0, 0, 0, 0]]"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"x": 1}', "[[1, 2], [3]]", '"abc"', "[[0, 0, 0, 0, 0, 0, 0, 0]]",
+        pytest.param(f"[{10**400}, 0, 0, 0, 0, 0, 0, 0]", id="int-beyond-float"),
+    ],
+)
 def test_simulate_rejects_malformed_direction_file(tmp_path, capsys, content):
     target = gen_file(tmp_path, capsys, "simplex", "--dim", "2", "--variant", "removed:1")
     direction = tmp_path / "dir.json"
@@ -203,6 +209,10 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"dimension\": 3}")
     assert main(["analyze", str(bad)]) == 2  # schema
+    huge = json.loads(gen_file(tmp_path, capsys, "stressed").read_text())
+    huge["vertex_orbits"][0]["position"][0] = 10**400  # an int no float holds
+    bad.write_text(json.dumps(huge))
+    assert main(["analyze", str(bad)]) == 2  # schema, not an OverflowError
     capsys.readouterr()
 
 
@@ -217,6 +227,9 @@ def test_determinism(tmp_path, capsys):
     b = tmp_path / "b.json"
     code, _ = run_cli(["gen", "stressed", "-o", str(b)], capsys)
     assert a.read_text() == b.read_text()
+    # stdout and -o carry the same bytes, one trailing newline included.
+    code, out = run_cli(["gen", "stressed"], capsys)
+    assert code == 0 and out.encode() == b.read_bytes()
     _, out1 = run_cli(["cone", str(a)], capsys)
     _, out2 = run_cli(["cone", str(b)], capsys)
     assert out1 == out2

@@ -94,14 +94,11 @@ def test_numpy_integer_star_is_exact_in_both_oracles():
     assert all(isinstance(c, Fraction) for v in probe for c in v)
 
 
-@pytest.mark.parametrize("exact", [None, True, False])
-def test_dependence_mode_follows_the_oracle(exact):
+def test_dependence_mode_follows_the_oracle():
     vs = np.array([[Fraction(1, 2), Fraction(0)], [Fraction(-1, 3), Fraction(0)]], dtype=object)
     exact_star, float_star = VectorStar("x", vs), VectorStar("x", vs.astype(float))
-    dep_exact = positive_dependence(exact_star, exact=exact)
-    dep_float = positive_dependence(float_star, exact=exact)
-    assert isinstance(dep_exact, list) == (exact is not False)
-    assert isinstance(dep_float, list) == (exact is True)
+    assert isinstance(positive_dependence(exact_star), list)
+    assert not isinstance(positive_dependence(float_star), list)
 
 
 # -- lineality ----------------------------------------------------------------

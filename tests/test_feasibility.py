@@ -470,3 +470,17 @@ def test_float_mode_rejects_non_finite_values(eqs, eq_rhs, lbs, ineqs, ineq_rhs)
             solve_linear_feasibility(
                 eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs, exact=exact
             )
+
+
+def test_float_mode_rejects_an_int_beyond_the_float_range():
+    # float() cannot take these; an all-rational system still solves exactly.
+    for huge in (10**400, -(10**400), Fraction(10**400, 3)):
+        for args, kwargs in (
+            (([[1.0, huge]], [1.0], [0, 0]), {}),
+            (([[1, huge]], [1], [0, 0]), {"exact": False}),
+        ):
+            with pytest.raises(ValueError, match="^non-finite coefficient, right-hand side or bound$"):
+                solve_linear_feasibility(*args, **kwargs)
+        x = solve_linear_feasibility([[1, huge]], [abs(huge)], [0, 0])
+        assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+        assert x[0] + huge * x[1] == abs(huge)

@@ -58,8 +58,8 @@ def test_pairs_match_loop(kind, d, radius):
     assert same_bits(pairs.rows, rows)
     for k in range(0, len(keys), max(1, len(keys) // 7)):
         p = pair_constraint(fw, *keys[k])
-        assert p.key == keys[k]
-        assert same_bits(p.separation, seps[k]) and same_bits(p.row, rows[k])
+        assert p.keys() == [keys[k]]
+        assert same_bits(p.separations[0], seps[k]) and same_bits(p.rows[0], rows[k])
 
 
 @pytest.mark.parametrize("kind, d", FAMILIES)

@@ -111,7 +111,7 @@ def test_first_order_agreement(mech2, path2):
             - path2.placements[1].positions[a]
         )
         fd = (d1**2 - d0**2) / (2 * h_eff)
-        assert abs(fd - p.row @ t0) < 10 * 0.01  # ten times the path's h
+        assert abs(fd - p.rows[0] @ t0) < 10 * 0.01  # ten times the path's h
 
 
 def test_interior_seed_passes_outside_fails(stressed):
@@ -131,7 +131,7 @@ def test_boundary_ray_via_period_edge_mechanism(stressed):
     # and keeps that pair distance constant.
     report = analyze(stressed)
     cone = expansive_cone(stressed, report, radius=2)
-    row_e1 = pair_constraint(stressed, "red", "red", (1, 0, 0)).row
+    row_e1 = pair_constraint(stressed, "red", "red", (1, 0, 0)).rows[0]
     ray = min(range(2), key=lambda i: abs(row_e1 @ cone.ray_motion(i)))
     mech = with_edge_orbit(stressed, "red", "red", (1, 0, 0))
     flex = analyze(mech).flex_basis[0]
