@@ -12,6 +12,7 @@ tolerances with positive numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,6 +46,7 @@ def _env_tol(name: str, default: float) -> float:
     return value
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perigid",

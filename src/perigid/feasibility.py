@@ -37,9 +37,10 @@ Floating mode pivots on one numpy tableau with the IEEE operations of a
 row-by-row tableau in the same order: the pivot row is divided by the pivot,
 and only rows whose factor is nonzero are updated, so signed zeros are kept.
 A tableau that drifts into a state exact arithmetic cannot reach (a phase-1
-objective that looks unbounded below) is not an answer: the system is solved
-again exactly on the rational images of the same floats, and that solution
-is returned as floats.
+objective that looks unbounded below), or that overflows (a bound shift that
+makes a finite rhs infinite, a non-finite value in the final rhs column or
+point), is not an answer: the system is solved again exactly on the rational
+images of the same floats, and that solution is returned as floats.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .errors import NumericalFailureError
 LP_TOL = 1e-9
 _MAX_PIVOTS = 50_000
 _UNBOUNDED = "phase-1 objective unbounded; inconsistent tableau"
+_OVERFLOW = "float tableau overflowed"
 
 
 class _PhaseOneUnbounded(NumericalFailureError):
@@ -94,7 +96,8 @@ def solve_linear_feasibility(
 
     Returns a float ndarray in floating mode, a list of Fractions in exact
     mode.  Raises NumericalFailureError if the pivot cap is hit, and
-    ValueError if a value is not finite or, in float mode, beyond floats.
+    ValueError if a value is not finite or, in float mode, beyond floats,
+    or if float mode finds a feasible point no float vector represents.
     """
     eq_rows = [list(r) for r in equalities]
     eq_b, lbs = list(rhs), list(lower_bounds)
@@ -122,7 +125,10 @@ def solve_linear_feasibility(
         raise ValueError("non-finite coefficient, right-hand side or bound") from None
     # The exact standard form takes each float at its exact rational value.
     x = _solve_exact(_standard_form(*system, lambda v: Fraction(float(v))), max_pivots)
-    return None if x is None else np.array([float(v) for v in x])
+    try:
+        return None if x is None else np.array([float(v) for v in x])
+    except OverflowError:  # the exact point lies beyond the float range
+        raise ValueError("feasible point beyond the float range") from None
 
 
 def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
@@ -220,13 +226,21 @@ def _solve_float(form, max_pivots):
         if pivots > max_pivots:
             raise NumericalFailureError(f"simplex exceeded {max_pivots} pivots")
 
+    # An infinite shifted rhs or an overflowing pivot: row operations keep a
+    # non-finite rhs entry non-finite, so it is still there at the end.
+    rhs = tableau[:, -1].tolist()
+    if not all(map(math.isfinite, rhs)):
+        raise _PhaseOneUnbounded(_OVERFLOW)
     if -zrow[-1] > feas_tol:
         return None
     y = [0.0] * width
-    for var, value in zip(basis, tableau[:m, -1].tolist()):
+    for var, value in zip(basis, rhs):
         if var < width:
             y[var] = value
-    return np.array([float(v) for v in _original_point(y, col_map)])
+    x = [float(v) for v in _original_point(y, col_map)]
+    if not all(map(math.isfinite, x)):  # a value plus its bound overflowed
+        raise _PhaseOneUnbounded(_OVERFLOW)
+    return np.array(x)
 
 
 def _solve_exact(form, max_pivots):

@@ -104,7 +104,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicFramework:
-    """Validated framework; build through :func:`validate_framework` only.
+    """Validated framework; build through :func:`validate_framework` only, or
+    through its placement-only check ``_with_placement`` on ``fw.graph``.
 
     Immutable after construction: all arrays are read-only and safe to share
     between threads.
@@ -190,6 +191,14 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
         seen.add(canon)
         canonical_edges.append(canon)
 
+    return _with_placement(QuotientGraph(d, orbits, tuple(canonical_edges)), placement)
+
+
+def _with_placement(graph: QuotientGraph, placement: Placement) -> PeriodicFramework:
+    """The placement checks of :func:`validate_framework` on a graph it has
+    already validated (such as ``fw.graph``), whose incidence is reused."""
+    d, orbits = graph.dimension, graph.vertex_orbits
+    orbit_set = set(orbits)
     positions = dict(placement.positions)
     if set(positions) != orbit_set:
         missing = orbit_set - set(positions)
@@ -222,16 +231,15 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
     lattice = _freeze(lattice)
 
     scale = max(1.0, col_norm, max(float(np.abs(p).max()) for p in frozen_positions.values()))
-    out_graph = QuotientGraph(d, orbits, tuple(canonical_edges))
     positions = np.array([frozen_positions[o] for o in orbits])
-    vectors = _separations(positions, lattice, *out_graph._incidence)
+    vectors = _separations(positions, lattice, *graph._incidence)
     lengths = np.linalg.norm(vectors, axis=1)
     short = np.flatnonzero(lengths <= 1e-12 * scale)
     if short.size:
-        raise ZeroLengthEdgeError(f"edge orbit {canonical_edges[short[0]]} realizes to a zero vector")
+        raise ZeroLengthEdgeError(f"edge orbit {graph.edge_orbits[short[0]]} realizes to a zero vector")
 
     out_placement = Placement(frozen_positions, lattice)
-    return PeriodicFramework(out_graph, out_placement, _freeze(lengths), _freeze(vectors))
+    return PeriodicFramework(graph, out_placement, _freeze(lengths), _freeze(vectors))
 
 
 # ---------------------------------------------------------------------------

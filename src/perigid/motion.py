@@ -10,7 +10,9 @@ intrinsic geometry.  The tangent is carried along by projecting the previous
 tangent onto the new nontrivial flex space, so the path follows one smooth
 branch; rank drops surface as errors instead of being stepped through.  The
 seed must first pass the flex gate ``rigidity._checked_flex`` at
-``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.
+``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.  Each
+step is one Newton correction, one placement-only check
+(``framework._with_placement`` on ``fw.graph``) and one rigidity analysis.
 
 The pair audit, facet gaps and frame export read one stack of per-step
 positions and lattices and get every pair separation and realized vertex
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .expansive import _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph, validate_framework
-from .framework import _f17, _row_dots, _separations
+from .framework import _row_dots, _separations, _with_placement
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, motion_size, pack_motion
 from .rigidity import rigidity_rows, unpack_motion
 
@@ -175,7 +177,7 @@ def continue_motion(
         predicted = state + step_len * tangent
         state, residual = _newton_correct(graph, target_sq, predicted, free, newton_tol)
         placement = _placement_of(graph, state)
-        step_fw = validate_framework(graph, placement)
+        step_fw = _with_placement(graph, placement)
         report = analyze(step_fw, rank_tol)
         if report.rank < report0.rank or report.dof != report0.dof:
             raise SingularJacobianError(
@@ -293,16 +295,18 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
             + [f"shift_{i + 1}" for i in range(d)]
             + [f"x_{i + 1}" for i in range(d)]
         )
-        labels = [",".join([orbit, *map(str, w)]) for orbit, w in vertices]
-        lines = [",".join(header)]
+        # One %-format per step; '%.12g' is format(v, '.12g') bit for bit.
+        rows = [
+            ",".join([orbit.replace("%", "%%"), *map(str, w), *["%.12g"] * d])
+            for orbit, w in vertices
+        ]
+        parts = [",".join(header)]
         for step, xs in enumerate(coords):
-            lines += [
-                f"{step},{label}," + ",".join(format(v, ".12g") for v in x)
-                for label, x in zip(labels, xs.tolist())
-            ]
+            prefix = f"\n{step},"
+            parts.append(prefix + (prefix.join(rows) % tuple(xs.ravel().tolist())))
         target = os.path.join(outdir, "frames.csv")
         with open(target, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("".join(parts) + "\n")
         return [target]
 
     vertex_index = {v: k + 1 for k, v in enumerate(vertices)}
@@ -314,13 +318,14 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
             if other in box:
                 segments.append(f"l {vertex_index[(e.tail, z)]} {vertex_index[(e.head, other)]}")
 
-    pad = ["0"] * (3 - d)
+    # One %-format per frame; '%.17g' is framework._f17 bit for bit.
+    vertex_block = "\n".join(["v " + " ".join(["%.17g"] * d + ["0"] * (3 - d))] * len(vertices))
+    tail = "".join("\n" + seg for seg in segments) + "\n"
     written = []
     for step, xs in enumerate(coords):
-        lines = ["v " + " ".join([*map(_f17, x), *pad]) for x in xs.tolist()] + segments
         target = os.path.join(outdir, f"frame_{step:04d}.obj")
         with open(target, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(vertex_block % tuple(xs.ravel().tolist()) + tail)
         written.append(target)
     return written
 

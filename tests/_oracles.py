@@ -8,8 +8,9 @@ Phase-I tableaus the feasibility oracle must reproduce bit for bit, an
 angular sweep for two-dimensional cones, a per-pair loop over the plain
 separation formula p_b + L w - p_a, a frozen copy of the loop-and-bitmask halfspace merge and double description the cone layer
 must reproduce bit for bit, the first rows of each 9-decimal key by
-``np.unique``, a brute-force (f-1)-subset ray enumeration, and
-a comparison of ray sets up to an angular tolerance.
+``np.unique``, a brute-force (f-1)-subset ray enumeration,
+a comparison of ray sets up to an angular tolerance, and a frozen copy of the
+frame writers that format one value at a time.
 """
 
 import itertools
@@ -624,3 +625,38 @@ def rays_match(a, b, angular_tol=_RAY_MATCH_TOL) -> bool:
             return False
         unmatched.remove(hit)
     return True
+
+
+# ---------------------------------------------------------------------------
+# Frozen frame writers: the OBJ and CSV frame export as first written, one
+# format call per value, with every vertex realized on its own as p + L @ w.
+
+def frozen_frames(orbits, edges, placements, supercell, fmt):
+    """{file name: text} of the frame export; `edges` are (tail, head,
+    shift) triples and `placements` (positions dict, lattice) per step."""
+    d = len(placements[0][1])
+    shifts = list(itertools.product(range(-supercell, supercell + 1), repeat=d))
+    vertices = [(o, w) for o in orbits for w in shifts]
+    coords = [
+        [positions[o] + lattice @ np.array(w, dtype=float) for o, w in vertices]
+        for positions, lattice in placements
+    ]
+    if fmt == "csv":
+        header = ["step", "orbit"] + [f"shift_{i + 1}" for i in range(d)] + [f"x_{i + 1}" for i in range(d)]
+        lines = [",".join(header)]
+        for step, xs in enumerate(coords):
+            for (o, w), x in zip(vertices, xs):
+                lines.append(",".join([str(step), o, *map(str, w)] + [format(float(v), ".12g") for v in x]))
+        return {"frames.csv": "\n".join(lines) + "\n"}
+    index = {v: k + 1 for k, v in enumerate(vertices)}
+    segments = []
+    for z in shifts:
+        for tail, head, shift in edges:
+            other = tuple(a + b for a, b in zip(z, shift))
+            if (head, other) in index:
+                segments.append(f"l {index[(tail, z)]} {index[(head, other)]}")
+    files = {}
+    for step, xs in enumerate(coords):
+        lines = ["v " + " ".join([format(float(v), ".17g") for v in x] + ["0"] * (3 - d)) for x in xs]
+        files[f"frame_{step:04d}.obj"] = "\n".join(lines + segments) + "\n"
+    return files

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from perigid.cli import main
-from perigid.framework import load_framework
+from perigid import SimplexVariant, simplex_framework, stressed_framework, with_edge_orbit
+from perigid.cli import _build_parser, main
+from perigid.framework import load_framework, save_framework
 
 
 def run_cli(args, capsys):
@@ -216,6 +218,29 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_per_process(capsys):
+    # A usage error, then a valid command, through one cached parser: the
+    # same exit codes and bytes as with a fresh parser for each call.
+    calls = [
+        ["simulate", "--ray", "x"], ["gen", "stressed"], ["bogus"], ["gen", "simplex", "--dim", "2"]
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [2, 0, 2, 0]
+    assert fresh[0][2].startswith("usage: perigid simulate")
+    _build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1
+
+
 def test_gen_unwritable_path_is_io_error(tmp_path, capsys):
     target = tmp_path / "nodir" / "out.json"
     assert main(["gen", "stressed", "-o", str(target)]) == 4
@@ -261,3 +286,60 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["dimension"] == 3
+
+
+# SHA-256 of the frame files (concatenated in the order stdout lists them),
+# audit.csv and stdout of `perigid simulate --ray 0 --steps 10`, recorded at
+# commit 8a71bae with numpy 2.4.6 and OpenBLAS on x86-64 (other BLAS builds
+# may round differently).
+MOTION_DIGESTS = {
+    "removed1_d2": (
+        "acba144216475dd3ea8dc97c47210bcb7cd0cef6631e5428c7536808b7863c7f",
+        "64fb516aea81e5f50af7322b7f5f41a6007368b5c356f02c1e770a114555dc14",
+        "c747d3cb754278ce8167c9d789741b915dbc2ec1b182b374864dbaa6d14a8392",
+    ),
+    "removed1_d3": (
+        "5814f1e712e6e0980f58fbd09006e2d9ac8dec37ad72d71e915a25988be371fa",
+        "1ef468e7815d1a855bfceac5e0f7963a0f5e335e47c4d437ead7110dc22a876c",
+        "7c6293223c24c8d54b63fcb606ae2a1874dc9cb02570437e86d104ff9764dfd1",
+    ),
+    "removed1_d4": (
+        "d120e1a741fd8642f14477a655c2bebb69ab741c77c37d12e69d1a9979123171",
+        "6b49304bff32b74c0dc97ac50a217dd87f4a23b3c67e1397db03bb30f0e86412",
+        "e4eb7bf40fb5e0b4f664806ba7cf0a18477b68ac91bd58cb7d99ca444dd3729a",
+    ),
+    "stressed_rr100": (
+        "d90fc73dd615601c9878c848d97db5e03fe8bcd79cb6c99c777999dfc1df7855",
+        "4f06758d358d2ef455d105c28938d39aff4b550ca64be3a63f835360312c2c82",
+        "e12b117fb1dd7a32cace60feb37c9afd8cd9088c84d54b5e3237228f5a6f7703",
+    ),
+}
+
+
+def motion_input(name):
+    if name == "stressed_rr100":
+        return "obj", with_edge_orbit(stressed_framework(), "red", "red", (1, 0, 0))
+    d = int(name[-1])
+    fw = simplex_framework(d, SimplexVariant.removed_edge(1), regular=True)
+    return ("obj" if d < 4 else "csv"), fw
+
+
+@pytest.mark.parametrize("name", sorted(MOTION_DIGESTS))
+def test_simulate_bytes(tmp_path, capsys, name):
+    fmt, fw = motion_input(name)
+    target = tmp_path / "fw.json"
+    save_framework(fw, target)
+    outdir = tmp_path / "sim"
+    code, out = run_cli(
+        ["simulate", str(target), "--ray", "0", "--steps", "10", "--format", fmt,
+         "--outdir", str(outdir)],
+        capsys,
+    )
+    assert code == 0
+    summary = json.loads(out)
+    frames = b"".join((outdir / f).read_bytes() for f in summary["frames"])
+    digests = tuple(
+        hashlib.sha256(blob).hexdigest()
+        for blob in (frames, (outdir / summary["audit"]).read_bytes(), out.encode())
+    )
+    assert digests == MOTION_DIGESTS[name]

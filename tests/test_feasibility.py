@@ -484,3 +484,32 @@ def test_float_mode_rejects_an_int_beyond_the_float_range():
         x = solve_linear_feasibility([[1, huge]], [abs(huge)], [0, 0])
         assert all(isinstance(v, Fraction) and v >= 0 for v in x)
         assert x[0] + huge * x[1] == abs(huge)
+
+
+# -- overflow after the bound shift -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "eqs, eq_rhs, lbs",
+    [
+        ([[1e308]], [1.0], [10.0]),  # shifted rhs 1 - 1e309 is -inf
+        ([[1e308, 1e308]], [-1e308], [-1e308, 0.0]),  # shifted rhs +inf
+        ([[1.0]], [1e308], [-1e308]),  # shifted rhs 2e308
+    ],
+)
+def test_float_mode_overflow_gives_the_exact_answer(eqs, eq_rhs, lbs):
+    # Finite floats whose bound shift overflows: float mode answers with exact
+    # mode's verdict and point on the same floats.
+    expected = solve_linear_feasibility(eqs, eq_rhs, lbs, exact=True)
+    got = solve_linear_feasibility(eqs, eq_rhs, lbs)
+    if expected is None:
+        assert got is None
+    else:
+        assert np.isfinite(got).all()
+        assert got.tolist() == [float(v) for v in expected]
+
+
+def test_float_mode_rejects_a_point_beyond_the_float_range():
+    # Feasible, but x1 = x2 + 1e308 >= 2e308 at every feasible point.
+    with pytest.raises(ValueError, match="^feasible point beyond the float range$"):
+        solve_linear_feasibility([[1.0, -1.0]], [1e308], [1e308, 1e308])

@@ -1,11 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
 from perigid import (
+    EdgeOrbit,
     FlexClass,
+    FrameworkError,
     NotAFlexError,
     NotSimplexFamilyError,
+    Placement,
+    QuotientGraph,
     SimplexVariant,
+    SingularLatticeError,
+    ZeroLengthEdgeError,
     analyze,
     audit_expansiveness,
     classify_flex,
@@ -17,10 +25,14 @@ from perigid import (
     simplex_framework,
     stressed_framework,
     trivial_motion_basis,
+    validate_framework,
     with_edge_orbit,
 )
+from perigid import motion
 from perigid.motion import MotionPath, write_audit_csv
+from perigid.rigidity import pack_motion
 
+from _oracles import frozen_frames
 from conftest import make_framework
 
 
@@ -249,3 +261,75 @@ def test_export_rejects_negative_supercell(tmp_path, path2, fmt):
     with pytest.raises(ValueError, match="supercell"):
         export_frames(path2, supercell=-1, fmt=fmt, outdir=tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+# -- per-step placement check ------------------------------------------------------
+
+
+def broken_state(fw, kind):
+    """The framework's motion state with a singular lattice, a zero-length
+    bar or a non-finite coordinate."""
+    positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
+    lattice = fw.placement.lattice.copy()
+    if kind is SingularLatticeError:
+        lattice[:, 1] = lattice[:, 0]
+    elif kind is ZeroLengthEdgeError:
+        tail, head, shift = fw.graph.edge_orbits[0]
+        positions[fw.orbit_index(head)] = (
+            positions[fw.orbit_index(tail)] - lattice @ np.asarray(shift, float)
+        )
+    else:
+        positions[-1, 0] = np.nan
+    return pack_motion(fw.graph, positions, lattice)
+
+
+@pytest.mark.parametrize("kind", [SingularLatticeError, ZeroLengthEdgeError, FrameworkError])
+def test_step_errors_match_validate_framework(mech2, monkeypatch, kind):
+    # A corrector that lands on a broken state: the step raises what
+    # validate_framework raises on that state, class and message.
+    state = broken_state(mech2, kind)
+    with pytest.raises(FrameworkError) as expected:
+        validate_framework(mech2.graph, motion._placement_of(mech2.graph, state))
+    assert type(expected.value) is kind
+    monkeypatch.setattr(motion, "_newton_correct", lambda *args: (state.copy(), 0.0))
+    with pytest.raises(FrameworkError) as got:
+        continue_motion(mech2, expanding_flex(mech2), n_steps=1)
+    assert type(got.value) is kind
+    assert str(got.value) == str(expected.value)
+
+
+# -- frame writers against the frozen per-value writers ----------------------------
+
+# Values whose formatting is easy to get wrong: a signed zero, the smallest
+# subnormal, a large power of ten, a repeating fraction and a small one.
+AWKWARD = [-0.0, 5e-324, 1e22, 1 / 3, 1e-7]
+
+
+def awkward_path(d):
+    """A two-step path over a hand-built graph (not validated) whose
+    positions and lattice entries are the awkward values; an orbit id with a
+    '%' must reach the CSV as it is."""
+    orbits = ("a", "b%s")
+    edges = [("a", "b%s", (0,) * d), ("a", "a", (1,) + (0,) * (d - 1)), ("b%s", "a", (1,) * d)]
+    graph = QuotientGraph(d, orbits, tuple(EdgeOrbit(*e) for e in edges))
+    placements = []
+    for scale in (1.0, -1 / 7):
+        positions = {"a": scale * np.array(AWKWARD[:d]), "b%s": scale * np.array(AWKWARD[-d:])}
+        lattice = scale * np.array([[AWKWARD[(i + j) % 5] for j in range(d)] for i in range(d)])
+        placements.append(Placement(positions, lattice))
+    path = MotionPath(graph, placements, 0.0, np.zeros((2, 2 * d + d * d)), np.zeros(2))
+    return path, (orbits, edges, [(pl.positions, pl.lattice) for pl in placements])
+
+
+@pytest.mark.parametrize("supercell", [0, 1, 2])
+@pytest.mark.parametrize(
+    "fmt, d", [("obj", 1), ("obj", 2), ("obj", 3), ("csv", 1), ("csv", 2), ("csv", 3), ("csv", 4)]
+)
+def test_export_matches_frozen_writers(tmp_path, fmt, d, supercell):
+    path, data = awkward_path(d)
+    files = export_frames(path, supercell=supercell, fmt=fmt, outdir=tmp_path)
+    expected = frozen_frames(*data, supercell, fmt)
+    assert [os.path.basename(f) for f in files] == list(expected)
+    for f in files:
+        with open(f, "rb") as fh:
+            assert fh.read() == expected[os.path.basename(f)].encode()
