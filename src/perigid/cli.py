@@ -129,7 +129,10 @@ def _cmd_cone(args) -> int:
 
 def _cmd_star(args) -> int:
     fw = load_framework(args.framework)
-    analysis = analyze_star(vertex_star(fw, args.orbit), fw.dimension)
+    star = vertex_star(fw, args.orbit)
+    if len(star) == 0:
+        raise UsageError(f"orbit {args.orbit!r} has no incident bar; its star is empty")
+    analysis = analyze_star(star, fw.dimension)
     _emit(star_report_json(analysis), args.out)
     return EXIT_OK
 

@@ -80,11 +80,6 @@ def positive_dependence(star: VectorStar):
     return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star))
 
 
-def _in_cone(vectors: np.ndarray, target: np.ndarray) -> bool:
-    sol = solve_linear_feasibility(_star_matrix(vectors), list(target), [0] * len(vectors))
-    return sol is not None
-
-
 def lineality_space(star: VectorStar) -> np.ndarray:
     """Orthonormal basis of the largest linear subspace inside the star cone.
 
@@ -95,7 +90,8 @@ def lineality_space(star: VectorStar) -> np.ndarray:
     if len(star) == 0:
         raise ValueError("empty star")
     vs = star.as_float()
-    members = [v for v in vs if _in_cone(vs, -v)]
+    rows, bounds = _star_matrix(vs), [0] * len(vs)
+    members = [v for v in vs if solve_linear_feasibility(rows, list(-v), bounds) is not None]
     if not members:
         return np.zeros((0, vs.shape[1]))
     stack = np.array(members)
@@ -156,8 +152,9 @@ def _separating_normal(vs: np.ndarray, lin: np.ndarray) -> np.ndarray:
     else:
         outside = units
     if len(outside) == 0:
-        # Everything lies in the lineality span; any unit normal to it works.
-        _, _, vt = np.linalg.svd(lin) if lin.shape[0] else (None, None, np.eye(d))
+        # Everything lies in the lineality span, which is then nonzero (with
+        # none, every vector is outside); any unit normal to it works.
+        _, _, vt = np.linalg.svd(lin)
         return vt[lin.shape[0]]
     h = solve_linear_feasibility(
         [list(u) for u in lin],

@@ -95,14 +95,21 @@ def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
     return _pair_set(fw, *ends, np.array([shift]))
 
 
-def _pair_incidence(orbits, d: int, radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_incidence(
+    orbits, d: int, radius: int, shell: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(tail index, head index, integer shift) arrays of the canonical pairs:
     each a < b (sorted orbits) over the lexicographic shift box, then each
-    (a, a) over its first half, the shifts w < -w."""
+    (a, a) over its first half, the shifts w < -w.  With `shell`, only the
+    shifts of max-norm exactly `radius`: the box is filtered before it is
+    tiled, and the filter keeps w and -w together, so the first half of the
+    filtered box is still the w < -w half."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     n, width = len(orbits), 2 * radius + 1
     box = np.indices((width,) * d).reshape(d, -1).T - radius
+    if shell:
+        box = box[np.abs(box).max(axis=1) == radius]
     half = len(box) // 2
     order = np.array(sorted(range(n), key=lambda i: orbits[i]), dtype=int)
     first, second = np.triu_indices(n, 1)
@@ -347,8 +354,10 @@ def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
     CONE_TOL (relative to the row, at least 1) are dropped."""
     projected = rows @ flex_basis.T
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-    projected = projected[np.linalg.norm(projected, axis=1) > CONE_TOL * scale]
-    return projected / np.linalg.norm(projected, axis=1, keepdims=True)
+    # Each row's norm depends on that row alone, so one pass serves both.
+    norms = np.linalg.norm(projected, axis=1)
+    keep = norms > CONE_TOL * scale
+    return projected[keep] / norms[keep, None]
 
 
 def _first_unique(rows: np.ndarray) -> np.ndarray:
@@ -468,10 +477,9 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
 
 def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int) -> np.ndarray:
     """Unit halfspaces of the pairs whose shift has max-norm exactly `radius`."""
-    tails, heads, shifts = _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius)
-    shell = np.abs(shifts).max(axis=1) == radius
-    pairs = _pair_set(fw, tails[shell], heads[shell], shifts[shell])
-    return _unit_halfspaces(pairs.rows, flex_basis)
+    orbits, d = fw.graph.vertex_orbits, fw.dimension
+    rows = _pair_set(fw, *_pair_incidence(orbits, d, radius, shell=True)).rows
+    return _unit_halfspaces(rows, flex_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,6 @@ def solve_linear_feasibility(
     ineq_rhs=None,
     *,
     exact: bool | None = None,
-    max_pivots: int = _MAX_PIVOTS,
 ):
     """Feasible point for the system, or None if infeasible.
 
@@ -95,7 +94,7 @@ def solve_linear_feasibility(
     inequalities / ineq_rhs: optional rows A x >= b, handled through slacks
 
     Returns a float ndarray in floating mode, a list of Fractions in exact
-    mode.  Raises NumericalFailureError if the pivot cap is hit, and
+    mode.  Raises NumericalFailureError past ``_MAX_PIVOTS`` pivots, and
     ValueError if a value is not finite or, in float mode, beyond floats,
     or if float mode finds a feasible point no float vector represents.
     """
@@ -116,15 +115,15 @@ def solve_linear_feasibility(
                 raise ValueError("non-finite coefficient, right-hand side or bound")
     system = (eq_rows, eq_b, lbs, in_rows, in_b)
     if exact or (exact is None and rational):
-        return _solve_exact(_standard_form(*system, _fraction), max_pivots)
+        return _solve_exact(_standard_form(*system, _fraction))
     try:
-        return _solve_float(_standard_form(*system, float), max_pivots)
+        return _solve_float(_standard_form(*system, float))
     except _PhaseOneUnbounded:
         pass
     except OverflowError:  # float() of an int or Fraction beyond the float range
         raise ValueError("non-finite coefficient, right-hand side or bound") from None
     # The exact standard form takes each float at its exact rational value.
-    x = _solve_exact(_standard_form(*system, lambda v: Fraction(float(v))), max_pivots)
+    x = _solve_exact(_standard_form(*system, lambda v: Fraction(float(v))))
     try:
         return None if x is None else np.array([float(v) for v in x])
     except OverflowError:  # the exact point lies beyond the float range
@@ -174,7 +173,7 @@ def _original_point(y, col_map):
 
 
 @np.errstate(all="ignore")  # overflow gives inf and NaN silently, as Python floats do
-def _solve_float(form, max_pivots):
+def _solve_float(form):
     rows, col_map, width = form
     m = len(rows)
     feas_tol = LP_TOL * (1.0 + float(max([abs(b) for _, b in rows], default=0.0)))
@@ -223,8 +222,8 @@ def _solve_float(form, max_pivots):
         tableau[best_r] = prow
         basis[best_r] = int(enter)
         pivots += 1
-        if pivots > max_pivots:
-            raise NumericalFailureError(f"simplex exceeded {max_pivots} pivots")
+        if pivots > _MAX_PIVOTS:
+            raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
     # An infinite shifted rhs or an overflowing pivot: row operations keep a
     # non-finite rhs entry non-finite, so it is still there at the end.
@@ -243,7 +242,7 @@ def _solve_float(form, max_pivots):
     return np.array(x)
 
 
-def _solve_exact(form, max_pivots):
+def _solve_exact(form):
     """Revised fraction-free Phase I with Bland's rule over [adj(B) | beta]
     and the objective row's artificial part (see the module docstring); a
     list of Fractions or None."""
@@ -302,8 +301,8 @@ def _solve_exact(form, max_pivots):
         denom = piv
         basis[best_r] = enter
         pivots += 1
-        if pivots > max_pivots:
-            raise NumericalFailureError(f"simplex exceeded {max_pivots} pivots")
+        if pivots > _MAX_PIVOTS:
+            raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
     if zrow[-1] < 0:  # phase-1 objective -zrow[-1] / D is positive
         return None

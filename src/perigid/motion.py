@@ -1,17 +1,24 @@
 """Finite deformation along a flex by predictor-corrector continuation.
 
 State is the full coordinate vector (representative positions plus lattice,
-in the rigidity motion layout, packed and unpacked by ``rigidity``).  Each step advances by ``h * min_edge_length`` along the
-current unit tangent, then Newton iterations restore the squared edge lengths.
-Corrections are restricted to a gauge complement: the first vertex orbit stays
-pinned and the strictly lower triangular lattice entries are never corrected,
-which removes exactly the d + C(d,2) isometry freedoms without altering
-intrinsic geometry.  The tangent is carried along by projecting the previous
-tangent onto the new nontrivial flex space, so the path follows one smooth
-branch; rank drops surface as errors instead of being stepped through.  The
-seed must first pass the flex gate ``rigidity._checked_flex`` at
-``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.  Each
-step is one Newton correction, one placement-only check
+in the rigidity motion layout, packed and unpacked by ``rigidity``).  Each
+step advances by ``h * min_edge_length`` along the current unit tangent, then
+Newton iterations restore the squared edge lengths.  Corrections are
+restricted to a gauge complement: the first vertex orbit stays pinned and the
+strictly lower triangular lattice entries are never corrected, which removes
+exactly the d + C(d,2) isometry freedoms without altering intrinsic geometry,
+as long as the trivial motions stay independent on the fixed coordinates.
+Rotated input can break that (a lattice whose (0, 0) entry is 0 does), and
+the gauged corrector then stalls.  Such a step is corrected once more from
+the same predicted state with every coordinate free, by minimum-norm updates,
+which are orthogonal to the trivial motions; a step whose gauged correction
+converges never reaches that retry, and a second stall raises
+``NewtonDivergenceError``.  The tangent is carried along by projecting the
+previous tangent onto the new nontrivial flex space, so the path follows one
+smooth branch; rank drops surface as errors instead of being stepped
+through.  The seed must first pass the flex gate ``rigidity._checked_flex``
+at ``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.  Each
+step is one Newton correction (two after a stall), one placement-only check
 (``framework._with_placement`` on ``fw.graph``) and one rigidity analysis.
 
 The pair audit, facet gaps and frame export read one stack of per-step
@@ -175,7 +182,13 @@ def continue_motion(
 
     for _ in range(n_steps):
         predicted = state + step_len * tangent
-        state, residual = _newton_correct(graph, target_sq, predicted, free, newton_tol)
+        try:
+            state, residual = _newton_correct(graph, target_sq, predicted, free, newton_tol)
+        except NewtonDivergenceError:
+            # The gauge no longer complements the rotations (see the module
+            # docstring); a second stall propagates.
+            every = np.arange(predicted.size)
+            state, residual = _newton_correct(graph, target_sq, predicted, every, newton_tol)
         placement = _placement_of(graph, state)
         step_fw = _with_placement(graph, placement)
         report = analyze(step_fw, rank_tol)

@@ -125,7 +125,6 @@ def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RigidityReport:
     rank: int
-    trivial_basis: np.ndarray  # (d + C(d,2), dn + d^2)
     flex_basis: np.ndarray  # (f, dn + d^2), orthonormal, orthogonal to trivial
     stress_basis: np.ndarray  # (s, m), orthonormal left-nullspace vectors
     tolerance_used: float
@@ -156,7 +155,7 @@ def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
 
 
 def analyze(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> RigidityReport:
-    """Rank, trivial motions, nontrivial flexes, stresses, and DOF count.
+    """Rank, nontrivial flexes, stresses, and DOF count.
 
     Rank comes from an SVD with threshold tol * (largest singular value).
     The flex basis spans nullspace intersected with the orthogonal complement
@@ -199,7 +198,6 @@ def analyze(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> RigidityRep
 
     return RigidityReport(
         rank=rank,
-        trivial_basis=trivial,
         flex_basis=flex_basis,
         stress_basis=stress_basis,
         tolerance_used=tol,
@@ -236,11 +234,11 @@ def stress_coefficients(
     return stress
 
 
-def is_minimally_rigid(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """True iff rank = m = dn + C(d,2)."""
+def is_minimally_rigid(fw: PeriodicFramework) -> bool:
+    """True iff rank = m = dn + C(d,2), the rank at ``DEFAULT_RANK_TOL``."""
     d = fw.dimension
     target = d * fw.n + d * (d - 1) // 2
-    report = analyze(fw, tol)
+    report = analyze(fw)
     return report.rank == fw.m == target
 
 

@@ -72,7 +72,7 @@ def test_criterion_2_minimal_rigidity():
         assert rep.dof == 0
         assert rep.stress_dim == 0
         assert fw.m == d * fw.n + d * (d - 1) // 2
-        assert is_minimally_rigid(fw, RANK_TOL)
+        assert is_minimally_rigid(fw)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(2, f"enhanced variant minimally rigid for d = 2..5 ({elapsed:.2f}s)")

@@ -8,7 +8,9 @@ import pytest
 
 from perigid import SimplexVariant, simplex_framework, stressed_framework, with_edge_orbit
 from perigid.cli import _build_parser, main
-from perigid.framework import load_framework, save_framework
+from perigid.framework import Placement, load_framework, save_framework, validate_framework
+
+from conftest import make_framework
 
 
 def run_cli(args, capsys):
@@ -105,6 +107,22 @@ def test_star_report(tmp_path, capsys):
     assert data["orbit"] == "green"
     assert data["pointed_codim2"] is True
     assert "lineality_dim" in data and "separating_normal" in data
+
+
+@pytest.mark.parametrize(
+    "edges, orbit",
+    [([], "a"), ([("a", "b", (0, 0)), ("b", "a", (0, 1))], "c")],
+    ids=["one_orbit_no_bars", "bars_avoid_c"],
+)
+def test_star_of_an_orbit_without_bars_is_a_usage_error(tmp_path, capsys, edges, orbit):
+    names = "a" if not edges else "abc"
+    positions = {o: [0.25 * i, 0.5 * (i % 2)] for i, o in enumerate(names)}
+    target = tmp_path / "fw.json"
+    save_framework(make_framework(2, positions, np.eye(2), edges), target)
+    assert main(["star", str(target), "--orbit", orbit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: orbit '{orbit}' has no incident bar; its star is empty\n"
 
 
 def test_simulate_mechanism_passes(tmp_path, capsys):
@@ -343,3 +361,36 @@ def test_simulate_bytes(tmp_path, capsys, name):
         for blob in (frames, (outdir / summary["audit"]).read_bytes(), out.encode())
     )
     assert digests == MOTION_DIGESTS[name]
+
+
+# The gauged corrector stalls on these rotations of the stressed framework
+# plus the red-red (1,0,0) bar: the rotation the perfbench motion workload
+# draws for it at seed 1504 (lattice (0, 0) entry -1.3e-4), and a quarter
+# turn about z (that entry exactly 0).  Each stalled step is corrected again
+# with every coordinate free, and the run must pass the workload's checks.
+ROTATIONS = {
+    "seed1504": [
+        [-0.00013099495235513459, -0.6144574115816099, 0.7889499807926679],
+        [-0.7856501674519867, -0.4880372385658026, -0.38022817906584894],
+        [0.6186709927117872, -0.6198884924932014, -0.48268463788639265],
+    ],
+    "quarter_turn_z": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_simulate_rotated_input_where_the_gauge_stalls(tmp_path, capsys, name):
+    _, fw = motion_input("stressed_rr100")
+    q, pl = np.array(ROTATIONS[name]), fw.placement
+    rotated = Placement({o: q @ p for o, p in pl.positions.items()}, q @ pl.lattice)
+    target = tmp_path / "fw.json"
+    save_framework(validate_framework(fw.graph, rotated), target)
+    code, out = run_cli(
+        ["simulate", str(target), "--ray", "0", "--steps", "50", "--outdir", str(tmp_path / "sim")],
+        capsys,
+    )
+    assert code == 0, capsys.readouterr().err
+    summary = json.loads(out)
+    assert summary["steps"] == 50
+    assert summary["passed"] and summary["num_violations"] == 0
+    assert summary["max_residual"] < 1e-10

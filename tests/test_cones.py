@@ -24,6 +24,7 @@ from perigid import (
 from perigid.cones import star_report_json
 
 from _oracles import fourier_motzkin_feasible
+from conftest import make_framework
 
 E1, E2, E3 = np.eye(3)
 
@@ -294,6 +295,26 @@ def test_zero_vector_star_is_a_value_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="zero vector in star"):
             analyze_star(star(E1, np.zeros(3), E2))
+
+
+def test_all_generators_in_the_lineality_space():
+    # One orbit, d = 2, one bar to its own e1 translate: the star {e1, -e1}
+    # is all lineality, so the normal is the unit vector normal to that line.
+    fw = make_framework(2, {"a": [0.0, 0.0]}, np.eye(2), [("a", "a", (1, 0))])
+    analysis = analyze_star(vertex_star(fw, "a"), 2)
+    assert analysis.lineality_dim == 1
+    assert not analysis.pointed_codim2
+    assert np.allclose(np.abs(analysis.separating_normal), [0.0, 1.0])
+    assert np.allclose(np.abs(analysis.lineality_basis[0]), [1.0, 0.0])
+
+
+def test_star_of_an_orbit_without_bars_is_a_value_error():
+    fw = make_framework(2, {"a": [0.0, 0.0]}, np.eye(2), [])
+    empty = vertex_star(fw, "a")
+    assert len(empty) == 0
+    for call in (positive_dependence, strict_expansion_probe, lineality_space, analyze_star):
+        with pytest.raises(ValueError, match="empty star"):
+            call(empty)
 
 
 def test_star_report_json_fields():

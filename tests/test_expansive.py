@@ -11,6 +11,7 @@ from perigid import (
     FrameworkError,
     NonPointedConeError,
     NotAFlexError,
+    NumericalFailureError,
     SimplexVariant,
     analyze,
     classify_flex,
@@ -89,6 +90,12 @@ def test_edge_rows_project_to_zero(stressed):
 def test_quadrant_rays():
     rays = extremal_rays(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert rays_match(rays, np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-9)
+
+
+def test_finish_rejects_a_ray_that_violates_a_halfspace():
+    rays, halfspaces = np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericalFailureError, match="ray violates a halfspace by 1.000e"):
+        expansive._finish(rays, halfspaces)
 
 
 def test_wedge_rays_vs_sweep():

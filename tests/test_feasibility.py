@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import importlib.util
 import itertools
@@ -17,6 +18,7 @@ from perigid import (
     NumericalFailureError,
     VectorStar,
     cones,
+    feasibility,
     positive_dependence,
     solve_linear_feasibility,
     strict_expansion_probe,
@@ -27,6 +29,15 @@ from perigid import (
 from _oracles import bland_phase_one_point, fourier_motzkin_feasible, frozen_feasibility
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@contextlib.contextmanager
+def pivot_cap(cap):
+    """The oracle's pivot cap set to `cap` inside the block.  A MonkeyPatch
+    context, since hypothesis tests cannot take function-scoped fixtures."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(feasibility, "_MAX_PIVOTS", cap)
+        yield
 
 
 def test_sum_with_unit_lower_bounds_infeasible():
@@ -91,8 +102,8 @@ def test_determinism():
 
 
 def test_pivot_cap():
-    with pytest.raises(NumericalFailureError):
-        solve_linear_feasibility([[1, 1]], [5], [0, 0], max_pivots=0)
+    with pivot_cap(0), pytest.raises(NumericalFailureError):
+        solve_linear_feasibility([[1, 1]], [5], [0, 0])
 
 
 @st.composite
@@ -280,10 +291,11 @@ def test_exact_pivot_cap_on_a_three_pivot_system():
     args = ([[1, 2, -1], [0, 1, 1]], [1, 2], [0, 0, None])
     kwargs = dict(inequalities=[[1, 1, 1]], ineq_rhs=[3])
     for cap in (0, 1, 2):
-        with pytest.raises(NumericalFailureError, match=f"simplex exceeded {cap} pivots"):
-            solve_linear_feasibility(*args, **kwargs, max_pivots=cap)
+        with pivot_cap(cap), pytest.raises(NumericalFailureError, match=f"simplex exceeded {cap} pivots"):
+            solve_linear_feasibility(*args, **kwargs)
     expected = [Fraction(1), Fraction(2, 3), Fraction(4, 3)]
-    assert_same_point(solve_linear_feasibility(*args, **kwargs, max_pivots=3), expected)
+    with pivot_cap(3):
+        assert_same_point(solve_linear_feasibility(*args, **kwargs), expected)
 
 
 # -- the package against the frozen row-by-row tableau, byte for byte ------------
@@ -310,10 +322,11 @@ def assert_matches_frozen(eqs, eq_rhs, lbs, ineqs, ineq_rhs, *, exact=None):
     """Same outcome as the frozen tableau at every pivot cap from 0 up to the
     solve's own pivot count; each cap below it trips with the same message."""
     for cap in itertools.count():
-        got = outcome(
-            solve_linear_feasibility, eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs,
-            exact=exact, max_pivots=cap,
-        )
+        with pivot_cap(cap):
+            got = outcome(
+                solve_linear_feasibility, eqs, eq_rhs, lbs, inequalities=ineqs, ineq_rhs=ineq_rhs,
+                exact=exact,
+            )
         expected = outcome(
             frozen_feasibility, eqs, eq_rhs, lbs, ineqs, ineq_rhs, exact=exact, max_pivots=cap
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -7,11 +8,14 @@ from perigid import (
     EdgeOrbit,
     FlexClass,
     FrameworkError,
+    NewtonDivergenceError,
     NotAFlexError,
+    NumericalFailureError,
     NotSimplexFamilyError,
     Placement,
     QuotientGraph,
     SimplexVariant,
+    SingularJacobianError,
     SingularLatticeError,
     ZeroLengthEdgeError,
     analyze,
@@ -30,7 +34,7 @@ from perigid import (
 )
 from perigid import motion
 from perigid.motion import MotionPath, write_audit_csv
-from perigid.rigidity import pack_motion
+from perigid.rigidity import motion_size, pack_motion
 
 from _oracles import frozen_frames
 from conftest import make_framework
@@ -296,6 +300,67 @@ def test_step_errors_match_validate_framework(mech2, monkeypatch, kind):
         continue_motion(mech2, expanding_flex(mech2), n_steps=1)
     assert type(got.value) is kind
     assert str(got.value) == str(expected.value)
+
+
+def recording_corrector(monkeypatch, stall=False):
+    """Patch the corrector to record the size of each call's free set, and
+    to stall on every call if `stall`; returns the recorded sizes."""
+    sizes, real = [], motion._newton_correct
+
+    def corrector(graph, target_sq, state, free, newton_tol):
+        sizes.append(len(free))
+        if stall:
+            raise NewtonDivergenceError("corrector stalled")
+        return real(graph, target_sq, state, free, newton_tol)
+
+    monkeypatch.setattr(motion, "_newton_correct", corrector)
+    return sizes
+
+
+def test_converging_steps_never_free_every_coordinate(mech2, monkeypatch):
+    sizes = recording_corrector(monkeypatch)
+    continue_motion(mech2, expanding_flex(mech2), n_steps=10)
+    assert sizes == [len(motion._gauge_free_indices(mech2.graph))] * 10
+
+
+def test_a_stall_is_retried_once_with_every_coordinate_free(mech2, monkeypatch):
+    sizes = recording_corrector(monkeypatch, stall=True)
+    with pytest.raises(NewtonDivergenceError, match="corrector stalled"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=3)
+    assert sizes == [len(motion._gauge_free_indices(mech2.graph)), motion_size(mech2.graph)]
+
+
+def patched_step_reports(monkeypatch, change):
+    """Patch the rigidity analysis so every report after the first is
+    `change(fw, report)`."""
+    real, seen = motion.analyze, []
+
+    def analyze_step(fw, tol):
+        report = real(fw, tol)
+        if seen:
+            report = change(fw, report)
+        seen.append(report)
+        return report
+
+    monkeypatch.setattr(motion, "analyze", analyze_step)
+
+
+def test_rank_change_along_the_path_is_a_singular_jacobian(mech2, monkeypatch):
+    patched_step_reports(monkeypatch, lambda fw, r: dataclasses.replace(r, rank=r.rank - 1))
+    with pytest.raises(SingularJacobianError, match="rank changed from 4 to 3"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=3)
+
+
+def test_tangent_leaving_the_flex_space_is_a_numerical_failure(mech2, monkeypatch):
+    # A flex basis of one translation: the tangent, a nontrivial flex, is
+    # orthogonal to it, so its projection shrinks to 0.
+    def translation_basis(fw, report):
+        t = trivial_motion_basis(fw)[:1]
+        return dataclasses.replace(report, flex_basis=t / np.linalg.norm(t))
+
+    patched_step_reports(monkeypatch, translation_basis)
+    with pytest.raises(NumericalFailureError, match="tangent projection shrank to 0.000"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=3)
 
 
 # -- frame writers against the frozen per-value writers ----------------------------

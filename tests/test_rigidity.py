@@ -86,12 +86,23 @@ def test_analyze_builtin_families(base3, enhanced3, stressed):
     assert report.tolerance_used == 1e-9
 
 
+def test_framework_without_bars():
+    # No rows to factor: rank 0, every nontrivial motion a flex, no stress.
+    fw = make_framework(2, {"a": [0.0, 0.0]}, np.eye(2), [])
+    report = analyze(fw)
+    assert (report.rank, report.dof, report.stress_dim) == (0, 3, 0)
+    assert np.allclose(report.flex_basis @ trivial_motion_basis(fw).T, 0.0)
+    data = json.loads(report_to_json(report))
+    assert (data["rank"], data["dof"], data["stress_dim"]) == (0, 3, 0)
+    assert len(data["flex_basis"]) == 3 and data["stress_basis"] == []
+
+
 def test_flex_basis_properties(stressed):
     report = analyze(stressed)
     matrix = rigidity_matrix(stressed)
     for flex in report.flex_basis:
         assert np.abs(matrix @ flex).max() < 1e-9
-        for t in report.trivial_basis:
+        for t in trivial_motion_basis(stressed):
             assert abs(flex @ t) < 1e-9
     gram = report.flex_basis @ report.flex_basis.T
     assert np.allclose(gram, np.eye(report.dof))

@@ -25,3 +25,23 @@ def test_reproduce_claims_runs(tmp_path):
     assert "expansive cone: 2 extremal rays, stable radius 2" in done.stdout
     for name in ("stressed_cone.json", "stressed_pairs.csv", os.path.join("motion_d2", "audit.csv")):
         assert (tmp_path / name).is_file()
+
+
+def test_settable_values_counts_every_module():
+    # `scripts/settable_values.py` imports every counted module; its total is
+    # the sum of the per-module lines.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, os.path.join("scripts", "settable_values.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    *modules, total = [line.split(": ") for line in done.stdout.splitlines()]
+    assert [name for name, _ in modules] == [
+        "framework", "rigidity", "expansive", "feasibility", "cones", "motion", "constructions", "cli",
+    ]
+    assert all(int(count) > 0 for _, count in modules)
+    assert total == ["total", str(sum(int(count) for _, count in modules))]
