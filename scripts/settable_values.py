@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Count the settable values of the perigid library and CLI.
+"""Count the settable values and the public names of the perigid library and CLI.
 
 A settable value is a parameter of a public module-level function defined in
 the module, or a field of a dataclass defined there, over the modules below.
-Prints one "module: count" line per module, then "total: N".
+A public name is a public module-level function or class defined in the
+module, or a public method, property or classmethod such a class defines.
+Prints one "module: count" line of settable values per module, then
+"total: N", then "public names: N".
 
     PYTHONPATH=src python scripts/settable_values.py
 """
@@ -29,13 +32,32 @@ def settable_values(module) -> int:
     return count
 
 
+def public_names(module) -> int:
+    count = 0
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            count += 1
+        elif inspect.isclass(obj):
+            count += 1 + sum(
+                not attr.startswith("_")
+                and (inspect.isfunction(value) or isinstance(value, (property, classmethod)))
+                for attr, value in vars(obj).items()
+            )
+    return count
+
+
 def main() -> None:
-    total = 0
+    total = names = 0
     for name in MODULES:
-        count = settable_values(importlib.import_module(f"perigid.{name}"))
+        module = importlib.import_module(f"perigid.{name}")
+        count = settable_values(module)
         print(f"{name}: {count}")
         total += count
+        names += public_names(module)
     print(f"total: {total}")
+    print(f"public names: {names}")
 
 
 if __name__ == "__main__":

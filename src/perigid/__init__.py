@@ -7,13 +7,11 @@ from .cones import (
     analyze_star,
     lineality_space,
     positive_dependence,
-    refute_expansive_at_vertex,
     strict_expansion_probe,
     vertex_star,
 )
 from .constructions import (
     SimplexVariant,
-    remove_edge_orbit,
     simplex_framework,
     stressed_framework,
     with_edge_orbit,
@@ -24,7 +22,6 @@ from .expansive import (
     FlexClass,
     PairSet,
     classify_flex,
-    effective_vertices,
     enumerate_pairs,
     expansive_cone,
     extremal_rays,

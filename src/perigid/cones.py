@@ -71,6 +71,10 @@ def positive_dependence(star: VectorStar):
 
     Strict positivity is normalized to >= 1: dependences form a cone, so a
     strictly positive combination exists iff one with entries >= 1 does.
+    A dependence refutes effective expansion at the vertex: a zero
+    combination with all-positive coefficients forces every velocity
+    assignment that preserves the bar lengths to close at least one pair
+    whenever it opens another, so no strictly expansive assignment exists.
     The mode comes from the star's entries: Fractions when every entry is an
     integer or a Fraction, a float array otherwise.
     """
@@ -98,16 +102,6 @@ def lineality_space(star: VectorStar) -> np.ndarray:
     _, s, vt = np.linalg.svd(stack)
     dim = int(np.sum(s > LP_TOL * s[0]))
     return vt[:dim]
-
-
-def refute_expansive_at_vertex(star: VectorStar) -> bool:
-    """True when a positive dependence rules out effective local expansion.
-
-    A zero combination with all-positive coefficients forces every velocity
-    assignment that preserves the bar lengths to close at least one pair
-    whenever it opens another, so no strictly expansive assignment exists.
-    """
-    return positive_dependence(star) is not None
 
 
 def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:

@@ -1,4 +1,4 @@
-"""Constructors for the built-in framework families and edge-orbit surgery.
+"""Constructors for the built-in framework families and for adding an edge orbit.
 
 Two families are provided:
 
@@ -89,6 +89,10 @@ def simplex_framework(
     """
     if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise InvalidDimensionError(f"simplex family needs integer d >= 2, got {d!r}")
+    if variant.kind not in ("base", "enhanced", "removed"):
+        raise InvalidDimensionError(f"unknown simplex variant kind {variant.kind!r}")
+    if variant.kind != "removed" and variant.removed is not None:
+        raise InvalidDimensionError(f"variant {variant.kind!r} removes no edge")
     if variant.kind == "removed" and not (
         isinstance(variant.removed, int) and 1 <= variant.removed <= d
     ):
@@ -147,8 +151,9 @@ def stressed_framework() -> PeriodicFramework:
 def with_edge_orbit(
     fw: PeriodicFramework, tail: str, head: str, shift
 ) -> PeriodicFramework:
-    """Return a new framework with one extra edge orbit appended."""
-    new_edge = EdgeOrbit(tail, head, tuple(int(c) for c in shift))
+    """Return a new framework with one extra edge orbit appended; its shift
+    is checked by ``validate_framework``."""
+    new_edge = EdgeOrbit(tail, head, shift)
     graph = QuotientGraph(
         fw.dimension,
         fw.graph.vertex_orbits,
@@ -156,13 +161,3 @@ def with_edge_orbit(
     )
     return validate_framework(graph, fw.placement)
 
-
-def remove_edge_orbit(fw: PeriodicFramework, k: int) -> PeriodicFramework:
-    """Return a new framework with edge orbit k removed."""
-    if not 0 <= k < fw.m:
-        raise IndexError(f"edge orbit index {k} out of range 0..{fw.m - 1}")
-    edges = fw.graph.edge_orbits
-    graph = QuotientGraph(
-        fw.dimension, fw.graph.vertex_orbits, edges[:k] + edges[k + 1 :]
-    )
-    return validate_framework(graph, fw.placement)

@@ -37,7 +37,8 @@ from .errors import (
     NonPointedConeError,
     NumericalFailureError,
 )
-from .framework import EdgeOrbit, PeriodicFramework, _json_matrix, _row_dots, _separations
+from .framework import EdgeOrbit, PeriodicFramework, _integer_shift, _json_matrix, _row_dots
+from .framework import _separations
 from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
@@ -73,13 +74,6 @@ class PairSet:
         return _pair_keys(self.orbits, self.tails, self.heads, self.shifts)
 
 
-def canonical_pair_key(a: str, b: str, shift) -> tuple[str, str, tuple[int, ...]]:
-    shift = tuple(int(c) for c in shift)
-    if a == b and all(c == 0 for c in shift):
-        raise FrameworkError(f"({a}, {b}, {shift}) pairs a vertex with itself")
-    return tuple(EdgeOrbit(a, b, shift).canonical())
-
-
 def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
     w = shifts.astype(float)
@@ -89,8 +83,15 @@ def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
 
 
 def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
-    """The one-pair :class:`PairSet` of the canonical key of (a, b, shift)."""
-    a, b, shift = canonical_pair_key(a, b, shift)
+    """The one-pair :class:`PairSet` of (a, b, shift) in the orientation of
+    ``EdgeOrbit.canonical``, so ``keys()[0]`` is the key ``enumerate_pairs``
+    gives that pair.  The shift is checked as a bar's: one that is not
+    integral is a FrameworkError, a wrong length a DimensionMismatchError; a
+    vertex paired with itself at shift zero is a FrameworkError."""
+    shift = _integer_shift(shift, fw.dimension, f"pair ({a}, {b})")
+    if a == b and all(c == 0 for c in shift):
+        raise FrameworkError(f"({a}, {b}, {shift}) pairs a vertex with itself")
+    a, b, shift = EdgeOrbit(a, b, shift).canonical()
     ends = np.array([fw.orbit_index(a)]), np.array([fw.orbit_index(b)])
     return _pair_set(fw, *ends, np.array([shift]))
 
@@ -307,10 +308,6 @@ class ExpansiveCone:
     rays: np.ndarray  # (r, f), unit rows, deterministic order
 
     @property
-    def is_trivial(self) -> bool:
-        return len(self.rays) == 0
-
-    @property
     def flex_dim(self) -> int:
         return self.flex_basis.shape[0]
 
@@ -408,11 +405,6 @@ def classify_flex(fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS) -> 
     """NotExpansive / WeaklyExpansive / EffectivelyExpansive at this radius,
     with the relative thresholds of `_flex_verdict`."""
     return _flex_verdict(fw, flex, radius)[0]
-
-
-def effective_vertices(fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS) -> set[str]:
-    """Orbits touched by a pair constraint that opens strictly under `flex`."""
-    return _flex_verdict(fw, flex, radius)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,12 +37,9 @@ class EdgeOrbit(NamedTuple):
     head: str
     shift: tuple[int, ...]
 
-    def reversed(self) -> "EdgeOrbit":
-        return EdgeOrbit(self.head, self.tail, tuple(-c for c in self.shift))
-
     def canonical(self) -> "EdgeOrbit":
         """Orientation with the lexicographically smaller (tail, head, shift)."""
-        rev = self.reversed()
+        rev = EdgeOrbit(self.head, self.tail, tuple(-c for c in self.shift))
         return self if tuple(self) <= tuple(rev) else rev
 
 
@@ -114,7 +111,7 @@ class PeriodicFramework:
     graph: QuotientGraph
     placement: Placement
     edge_lengths: np.ndarray
-    _edge_vectors: np.ndarray = field(repr=False, default=None)
+    _edge_vectors: np.ndarray = field(repr=False, default=None)  # (m, d) separations
 
     @property
     def dimension(self) -> int:
@@ -134,26 +131,25 @@ class PeriodicFramework:
         except ValueError:
             raise UnknownOrbitError(orbit) from None
 
-    def edge_vector(self, k: int) -> np.ndarray:
-        """Realized bar vector of edge orbit k (head + lattice@shift - tail)."""
-        if not 0 <= k < self.m:
-            raise IndexError(f"edge orbit index {k} out of range 0..{self.m - 1}")
-        return self._edge_vectors[k]
-
-    def realized_vertex(self, orbit: str, shift: Iterable[int]) -> np.ndarray:
-        """Position of the translate of `orbit` by the given lattice shift."""
-        if orbit not in self.placement.positions:
-            raise UnknownOrbitError(orbit)
-        w = np.asarray(tuple(shift), dtype=float)
-        if w.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"shift has length {w.size}, expected {self.dimension}"
-            )
-        return self.placement.positions[orbit] + self.placement.lattice @ w
-
     @property
     def min_edge_length(self) -> float:
         return float(self.edge_lengths.min()) if self.m else 0.0
+
+
+def _integer_shift(shift, d: int, what: str) -> tuple[int, ...]:
+    """The lattice shift of `what` as d Python ints.  Numpy integers and
+    integral floats are accepted; a fractional, NaN or infinite coordinate
+    is a FrameworkError, a wrong length a DimensionMismatchError."""
+    coords = tuple(shift)
+    if len(coords) != d:
+        raise DimensionMismatchError(f"{what} has a shift of length {len(coords)}, expected {d}")
+    try:
+        ints = tuple(int(c) for c in coords)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints is None or ints != coords:
+        raise FrameworkError(f"{what} has a shift {coords} that is not integral")
+    return ints
 
 
 def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFramework:
@@ -176,13 +172,10 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
     canonical_edges = []
     seen: set[EdgeOrbit] = set()
     for e in graph.edge_orbits:
-        e = EdgeOrbit(e[0], e[1], tuple(int(c) for c in e[2]))
+        e = EdgeOrbit(e[0], e[1], e[2])
         if e.tail not in orbit_set or e.head not in orbit_set:
             raise FrameworkError(f"edge orbit {e} references an unknown vertex orbit")
-        if len(e.shift) != d:
-            raise DimensionMismatchError(
-                f"edge orbit {e} has a shift of length {len(e.shift)}, expected {d}"
-            )
+        e = e._replace(shift=_integer_shift(e.shift, d, f"edge orbit {e}"))
         if e.tail == e.head and all(c == 0 for c in e.shift):
             raise LoopEdgeError(f"edge orbit {e} is a loop")
         canon = e.canonical()

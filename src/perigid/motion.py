@@ -43,7 +43,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expansive import _pair_incidence, _pair_keys
-from .framework import PeriodicFramework, Placement, QuotientGraph, validate_framework
+from .framework import PeriodicFramework, Placement, QuotientGraph
 from .framework import _row_dots, _separations, _with_placement
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, motion_size, pack_motion
 from .rigidity import rigidity_rows, unpack_motion
@@ -67,9 +67,6 @@ class MotionPath:
     @property
     def n_steps(self) -> int:
         return len(self.placements) - 1
-
-    def framework_at(self, k: int) -> PeriodicFramework:
-        return validate_framework(self.graph, self.placements[k])
 
     @cached_property
     def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -144,13 +141,16 @@ def continue_motion(
 ) -> MotionPath:
     """Follow the flex `direction` for `n_steps` steps of size h.
 
-    h is measured in units of the shortest edge length.  The seed must
+    h is measured in units of the shortest edge length and must be
+    positive; n_steps must be a nonnegative integer.  The seed must
     annihilate the edge rows; its trivial (isometry) component is projected
     out before stepping.  A purely trivial seed, or a rigid framework, yields
     a zero-displacement path.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     graph = fw.graph
     pos0 = np.array([fw.placement.positions[o] for o in graph.vertex_orbits])
     # The seed's rows come from rigidity_rows, as each Newton Jacobian's do:

@@ -14,7 +14,6 @@ from perigid import (
     analyze_star,
     lineality_space,
     positive_dependence,
-    refute_expansive_at_vertex,
     simplex_framework,
     strict_expansion_probe,
     stressed_framework,
@@ -205,9 +204,9 @@ def test_separating_normal_present_when_pointed(base3):
 
 
 def test_refute_examples():
-    assert refute_expansive_at_vertex(star(E1, -E1))
-    assert not refute_expansive_at_vertex(star(E1, E2))
-    assert refute_expansive_at_vertex(star(E1, E2, E3, -(E1 + E2 + E3)))
+    assert positive_dependence(star(E1, -E1)) is not None
+    assert positive_dependence(star(E1, E2)) is None
+    assert positive_dependence(star(E1, E2, E3, -(E1 + E2 + E3))) is not None
 
 
 def test_probe_blocked_by_dependence():

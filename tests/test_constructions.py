@@ -3,15 +3,18 @@ import pytest
 
 from perigid import (
     DuplicateEdgeOrbitError,
+    FrameworkError,
     InvalidDimensionError,
+    QuotientGraph,
     SimplexVariant,
     analyze,
     is_minimally_rigid,
-    remove_edge_orbit,
     simplex_framework,
     stressed_framework,
+    validate_framework,
     with_edge_orbit,
 )
+from perigid.framework import dumps_framework
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -104,15 +107,44 @@ def test_fig_style_mechanism_from_enhanced():
     idx = next(
         k for k, e in enumerate(enhanced.graph.edge_orbits) if e.shift == (2, 0)
     )
-    mech = remove_edge_orbit(enhanced, idx)
+    edges = enhanced.graph.edge_orbits
+    graph = QuotientGraph(2, enhanced.graph.vertex_orbits, edges[:idx] + edges[idx + 1 :])
+    mech = validate_framework(graph, enhanced.placement)
     assert analyze(mech).dof == 1
     assert mech.graph == simplex_framework(2, SimplexVariant.removed_edge(1)).graph
 
 
 def test_edge_surgery_round_trip(stressed):
-    fw2 = remove_edge_orbit(stressed, 3)
+    edges = stressed.graph.edge_orbits
+    graph = QuotientGraph(3, stressed.graph.vertex_orbits, edges[:3] + edges[4:])
+    fw2 = validate_framework(graph, stressed.placement)
     fw3 = with_edge_orbit(fw2, "green", "red", (0, 0, 1))
     assert set(fw3.graph.edge_orbits) == set(stressed.graph.edge_orbits)
+
+
+@pytest.mark.parametrize(
+    "variant", [SimplexVariant("enhnced"), SimplexVariant("base", 2), SimplexVariant("enhanced", 1)]
+)
+def test_malformed_variant_rejected(variant):
+    # A misspelled kind, or an edge index on a kind that removes none, is not
+    # silently read as the base framework.
+    with pytest.raises(InvalidDimensionError):
+        simplex_framework(3, variant)
+
+
+@pytest.mark.parametrize("shift", [(1.5, 0, 0), (0.9, 0, 0), (float("nan"), 0, 0), (float("inf"), 0, 0)])
+def test_insert_non_integral_shift_rejected(stressed, shift):
+    with pytest.raises(FrameworkError) as info:
+        with_edge_orbit(stressed, "red", "red", shift)
+    assert type(info.value) is FrameworkError
+
+
+def test_insert_integral_shift_types_accepted(stressed):
+    reference = dumps_framework(with_edge_orbit(stressed, "red", "red", (1, 0, 0)))
+    for shift in [(1.0, 0.0, 0.0), tuple(np.array([1, 0, 0], dtype=np.int64)), np.array([1.0, 0, 0])]:
+        fw = with_edge_orbit(stressed, "red", "red", shift)
+        assert dumps_framework(fw) == reference
+        assert all(type(c) is int for c in fw.graph.edge_orbits[-1].shift)
 
 
 def test_insert_duplicate_rejected(stressed):
@@ -125,8 +157,3 @@ def test_insert_duplicate_rejected(stressed):
 def test_insert_period_edge_drops_dof(stressed):
     fw = with_edge_orbit(stressed, "red", "red", (1, 0, 0))
     assert analyze(fw).dof == 1
-
-
-def test_remove_out_of_range(stressed):
-    with pytest.raises(IndexError):
-        remove_edge_orbit(stressed, 8)

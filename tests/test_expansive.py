@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perigid import (
+    DimensionMismatchError,
     FlexClass,
     FlexDimensionTooLargeError,
     FrameworkError,
@@ -16,7 +17,6 @@ from perigid import (
     analyze,
     classify_flex,
     continue_motion,
-    effective_vertices,
     enumerate_pairs,
     expansive_cone,
     extremal_rays,
@@ -29,7 +29,7 @@ from perigid import (
     with_edge_orbit,
 )
 from perigid import expansive, feasibility, motion, rigidity_matrix
-from perigid.expansive import canonical_pair_key, cone_report_json, write_pair_audit_csv
+from perigid.expansive import cone_report_json, write_pair_audit_csv
 
 from _oracles import rays_match, sweep_rays_2d
 from conftest import make_framework
@@ -58,7 +58,7 @@ def test_pair_count_single_orbit():
 
 def test_contains_period_pair(stressed):
     keys = set(enumerate_pairs(stressed, 1).keys())
-    key = canonical_pair_key("red", "red", (1, 0, 0))
+    key = pair_constraint(stressed, "red", "red", (1, 0, 0)).keys()[0]
     assert key in keys
     p = pair_constraint(stressed, "red", "red", (1, 0, 0))
     assert np.allclose(np.abs(p.separations[0]), [1, 0, 0])
@@ -74,6 +74,30 @@ def test_pair_row_orientation_invariant(stressed):
 def test_self_pair_rejected(stressed):
     with pytest.raises(FrameworkError):
         pair_constraint(stressed, "red", "red", (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "shift, error",
+    [
+        ((1, 0), DimensionMismatchError),
+        ((1, 0, 0, 0), DimensionMismatchError),
+        ((1.5, 0, 0), FrameworkError),
+        ((float("nan"), 0, 0), FrameworkError),
+        ((0, float("-inf"), 0), FrameworkError),
+    ],
+)
+def test_pair_shift_checked(stressed, shift, error):
+    with pytest.raises(error) as info:
+        pair_constraint(stressed, "red", "red", shift)
+    assert type(info.value) is error
+
+
+def test_pair_integral_shift_types_accepted(stressed):
+    ref = pair_constraint(stressed, "green", "red", (1, 1, 0))
+    for shift in [(1.0, 1.0, 0.0), tuple(np.array([1, 1, 0], dtype=np.int64))]:
+        p = pair_constraint(stressed, "green", "red", shift)
+        assert p.keys() == ref.keys() and p.shifts.dtype == ref.shifts.dtype
+        assert np.array_equal(p.rows, ref.rows) and np.array_equal(p.separations, ref.separations)
 
 
 def test_edge_rows_project_to_zero(stressed):
@@ -170,7 +194,7 @@ def test_stressed_cone_two_rays(stressed):
     cone = expansive_cone(stressed, report, radius=2)
     assert cone.flex_dim == 2
     assert len(cone.rays) == 2
-    assert not cone.is_trivial
+    assert len(cone.rays) != 0
     row1 = pair_constraint(stressed, "red", "red", (1, 0, 0)).rows[0]
     row2 = pair_constraint(stressed, "red", "red", (0, 1, 0)).rows[0]
     vals = np.array([[abs(row1 @ cone.ray_motion(i)), abs(row2 @ cone.ray_motion(i))] for i in range(2)])
@@ -191,7 +215,7 @@ def test_base_cone_d_rays(d):
 def test_rigid_framework_trivial_cone(enhanced3):
     report = analyze(enhanced3)
     cone = expansive_cone(enhanced3, report, radius=2)
-    assert cone.is_trivial and len(cone.rays) == 0
+    assert len(cone.rays) == 0
 
 
 @pytest.mark.parametrize("radius", [0, -5])
@@ -238,11 +262,11 @@ def test_not_a_flex_rejected(stressed):
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "column"])
 @pytest.mark.parametrize(
-    "entry", [classify_flex, effective_vertices, verify_pointedness, continue_motion],
+    "entry", [classify_flex, verify_pointedness, continue_motion],
     ids=lambda f: f.__name__,
 )
 def test_flex_gate_rejects_nonfinite_and_misshaped(entry, bad):
-    # One flex gate for all four entry points: a non-finite or mis-shaped
+    # One flex gate for all three entry points: a non-finite or mis-shaped
     # vector is not a flex, whatever its residual would be.
     fw = simplex_framework(2, SimplexVariant.removed_edge(1))
     vector = analyze(fw).flex_basis[0].copy()
@@ -283,11 +307,12 @@ def test_cone_membership_soundness(stressed):
 
 
 def test_effective_vertices(stressed, enhanced3):
+    # Trivial motions open no pair strictly, so they touch no orbit.
     for v in trivial_motion_basis(stressed):
-        assert effective_vertices(stressed, v) == set()
+        assert classify_flex(stressed, v) is FlexClass.WEAKLY_EXPANSIVE
     report = analyze(stressed)
     cone = expansive_cone(stressed, report, radius=2)
-    assert effective_vertices(stressed, cone.ray_motion(0)) == {"red", "green"}
+    assert set(verify_pointedness(stressed, cone.ray_motion(0)).analyses) == {"red", "green"}
 
 
 # -- pointedness verification --------------------------------------------------
@@ -389,8 +414,8 @@ def test_pair_audit_csv(tmp_path, stressed):
         values[(fields[0], fields[1], tuple(int(c) for c in fields[2:5]))] = float(fields[5])
     # Edge pairs are inert; the e1 period pair is active.
     first_edge = stressed.graph.edge_orbits[0]
-    assert values[canonical_pair_key(first_edge.tail, first_edge.head, first_edge.shift)] < 1e-9
-    assert values[canonical_pair_key("red", "red", (1, 0, 0))] > 1e-3
+    assert values[pair_constraint(stressed, *first_edge).keys()[0]] < 1e-9
+    assert values[pair_constraint(stressed, "red", "red", (1, 0, 0)).keys()[0]] > 1e-3
 
 
 # -- tolerances ----------------------------------------------------------------

@@ -15,12 +15,12 @@ from perigid import (
     QuotientGraph,
     SchemaError,
     SingularLatticeError,
-    UnknownOrbitError,
     ZeroLengthEdgeError,
     enumerate_pairs,
     simplex_framework,
     validate_framework,
 )
+from perigid.cli import main
 from perigid.framework import dumps_framework, loads_framework
 
 from conftest import make_framework
@@ -31,7 +31,7 @@ def test_stressed_inputs_validate(stressed):
     assert stressed.n == 2
     assert stressed.m == 8
     for k in range(stressed.m):
-        assert stressed.edge_lengths[k] == np.linalg.norm(stressed.edge_vector(k))
+        assert stressed.edge_lengths[k] == np.linalg.norm(stressed._edge_vectors[k])
 
 
 def test_loop_edge_rejected():
@@ -89,6 +89,28 @@ def test_shift_length_mismatch_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "shift", [(1.5, 0), (0.9, 0), (float("nan"), 0), (0, float("inf")), ("1", 0)]
+)
+def test_non_integral_shift_rejected(shift):
+    # Not truncated: (1.5, 0) is not the bar (1, 0), and (0.9, 0) is no loop.
+    with pytest.raises(FrameworkError) as info:
+        make_framework(2, {"a": [0.0, 0.0], "b": [0.5, 0.25]}, np.eye(2), [("a", "b", shift)])
+    assert type(info.value) is FrameworkError
+
+
+def test_integral_shift_types_accepted():
+    def build(shift):
+        return make_framework(2, {"a": [0.0, 0.0], "b": [0.5, 0.25]}, np.eye(2), [("a", "b", shift)])
+
+    reference = build((1, 0))
+    for shift in [(1.0, 0.0), tuple(np.array([1, 0], dtype=np.int64)), np.array([1.0, -0.0])]:
+        fw = build(shift)
+        assert fw.graph == reference.graph
+        assert all(type(c) is int for c in fw.graph.edge_orbits[0].shift)
+        assert dumps_framework(fw) == dumps_framework(reference)
+
+
 def test_unknown_endpoint_rejected():
     with pytest.raises(FrameworkError):
         make_framework(2, {"a": [0.0, 0.0]}, np.eye(2), [("a", "c", (1, 0))])
@@ -96,21 +118,14 @@ def test_unknown_endpoint_rejected():
 
 def test_edge_vector_values(stressed):
     # green -> red with shift 0: 0 - v
-    assert np.allclose(stressed.edge_vector(0), [-0.5, -0.5, 0.5])
+    assert np.allclose(stressed._edge_vectors[0], [-0.5, -0.5, 0.5])
     # green -> red with shift e1
-    assert np.allclose(stressed.edge_vector(1), [0.5, -0.5, 0.5])
+    assert np.allclose(stressed._edge_vectors[1], [0.5, -0.5, 0.5])
 
 
 def test_edge_vector_simplex(base3):
     # green -> red with shift e1: e1 - (1/4)(e1+e2+e3)
-    assert np.allclose(base3.edge_vector(0), [0.75, -0.25, -0.25])
-
-
-def test_edge_vector_index_errors(stressed):
-    with pytest.raises(IndexError):
-        stressed.edge_vector(8)
-    with pytest.raises(IndexError):
-        stressed.edge_vector(-1)
+    assert np.allclose(base3._edge_vectors[0], [0.75, -0.25, -0.25])
 
 
 def test_reversed_storage_accepted_identically():
@@ -122,15 +137,7 @@ def test_reversed_storage_accepted_identically():
     fw = make_framework(edges=[("a", "b", (1, 0))], **kwargs)
     fw_rev = make_framework(edges=[("b", "a", (-1, 0))], **kwargs)
     assert fw.graph == fw_rev.graph
-    assert np.array_equal(fw.edge_vector(0), fw_rev.edge_vector(0))
-
-
-def test_realized_vertex(stressed):
-    assert np.allclose(stressed.realized_vertex("red", (1, 0, 0)), [1, 0, 0])
-    assert np.allclose(stressed.realized_vertex("green", (0, 0, 0)), [0.5, 0.5, -0.5])
-    assert np.allclose(stressed.realized_vertex("red", (1, 1, 0)), [1, 1, 0])
-    with pytest.raises(UnknownOrbitError):
-        stressed.realized_vertex("blue", (0, 0, 0))
+    assert np.array_equal(fw._edge_vectors[0], fw_rev._edge_vectors[0])
 
 
 def test_edge_order_permutation_permutes_vectors(stressed):
@@ -143,7 +150,7 @@ def test_edge_order_permutation_permutes_vectors(stressed):
         [(e.tail, e.head, e.shift) for e in edges],
     )
     for new_k, old_k in enumerate(perm):
-        assert np.array_equal(fw2.edge_vector(new_k), stressed.edge_vector(old_k))
+        assert np.array_equal(fw2._edge_vectors[new_k], stressed._edge_vectors[old_k])
 
 
 # -- serialization ----------------------------------------------------------
@@ -192,6 +199,69 @@ def test_loader_rejects_non_integer_shift(stressed):
     data["edge_orbits"][0]["shift"] = [0.5, 0, 0]
     with pytest.raises(SchemaError):
         loads_framework(json.dumps(data))
+
+
+def framework_text(**changes) -> str:
+    """JSON text of a valid two-orbit framework with some top-level values replaced."""
+    data = {
+        "dimension": 2,
+        "vertex_orbits": [{"id": "a", "position": [0.0, 0.0]}, {"id": "b", "position": [0.5, 0.25]}],
+        "lattice": [[1.0, 0.0], [0.0, 1.0]],
+        "edge_orbits": [{"tail": "a", "head": "b", "shift": [1, 0]}],
+    }
+    return json.dumps({**data, **changes})
+
+
+ORBIT_B = {"id": "b", "position": [0.5, 0.25]}
+AB_GRAPH = QuotientGraph(2, ("a", "b"), (EdgeOrbit("a", "b", (1, 0)),))
+
+# (file text, or a placement for AB_GRAPH, and the class the library raises).
+REJECTIONS = {
+    # validate_framework
+    "dimension-zero": (framework_text(dimension=0), DimensionMismatchError),
+    "no-orbits": (framework_text(vertex_orbits=[], edge_orbits=[]), FrameworkError),
+    "duplicate-ids": (framework_text(vertex_orbits=[ORBIT_B, ORBIT_B]), FrameworkError),
+    "missing-position": (Placement({"a": [0.0, 0.0]}, np.eye(2)), FrameworkError),
+    "extra-position": (
+        Placement({"a": [0.0, 0.0], "b": [0.5, 0.25], "c": [0.1, 0.1]}, np.eye(2)),
+        FrameworkError,
+    ),
+    "position-shape": (
+        framework_text(vertex_orbits=[{"id": "a", "position": [0.0]}, ORBIT_B]),
+        DimensionMismatchError,
+    ),
+    "lattice-shape": (framework_text(lattice=np.eye(3).tolist()), DimensionMismatchError),
+    "lattice-infinite": (framework_text(lattice=[[1.0, 0.0], [0.0, float("inf")]]), FrameworkError),
+    # loads_framework
+    "not-an-object": ("[]", SchemaError),
+    "invalid-json": ('{"dimension": 2,', SchemaError),
+    "dimension-float": (framework_text(dimension=2.0), SchemaError),
+    "vertex-orbits-not-list": (framework_text(vertex_orbits={}), SchemaError),
+    "edge-orbits-not-list": (framework_text(edge_orbits={}), SchemaError),
+    "id-not-string": (
+        framework_text(vertex_orbits=[{"id": 1, "position": [0.0, 0.0]}, ORBIT_B]),
+        SchemaError,
+    ),
+    "lattice-not-numbers": (framework_text(lattice=[[1.0, "x"], [0.0, 1.0]]), SchemaError),
+    "lattice-not-square": (framework_text(lattice=[[1.0, 0.0], [0.0]]), DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_typed_rejections(case, tmp_path, capsys):
+    source, error = REJECTIONS[case]
+    with pytest.raises(error) as info:
+        if isinstance(source, Placement):
+            validate_framework(AB_GRAPH, source)
+        else:
+            loads_framework(source)
+    assert type(info.value) is error
+    if isinstance(source, Placement):
+        return  # a framework file always gives each orbit one position
+    target = tmp_path / "fw.json"
+    target.write_text(source)
+    assert main(["analyze", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid input: ")
 
 
 @st.composite

@@ -84,7 +84,7 @@ def test_edge_lengths_preserved(mech2, path2):
     base = mech2.edge_lengths
     for k in range(mech2.m):
         for step in range(0, 51, 10):
-            fw_k = path2.framework_at(step)
+            fw_k = validate_framework(path2.graph, path2.placements[step])
             assert abs(fw_k.edge_lengths[k] ** 2 - base[k] ** 2) < 10 * 1e-10
 
 
@@ -232,7 +232,8 @@ def test_export_obj_vertex_positions_match(tmp_path, stressed):
     idx = 0
     for orbit in stressed.graph.vertex_orbits:
         for w in shifts:
-            expected = stressed.realized_vertex(orbit, w)
+            p, lattice = stressed.placement.positions[orbit], stressed.placement.lattice
+            expected = p + lattice @ np.asarray(w, dtype=float)
             got = np.array([float(x) for x in verts[idx]])
             assert np.array_equal(got, expected)
             idx += 1
@@ -258,6 +259,18 @@ def test_audit_csv(tmp_path, path2):
 def test_continue_motion_rejects_nonpositive_step(mech2, h):
     with pytest.raises(ValueError, match="step size"):
         continue_motion(mech2, expanding_flex(mech2), n_steps=2, h=h)
+
+
+@pytest.mark.parametrize("n_steps", [-3, 2.5, "2", None])
+def test_continue_motion_rejects_a_step_count_that_is_not_a_nonnegative_int(mech2, n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [0, np.int64(2)])
+def test_continue_motion_accepts_zero_and_numpy_step_counts(mech2, n_steps):
+    path = continue_motion(mech2, expanding_flex(mech2), n_steps=n_steps)
+    assert path.n_steps == n_steps and len(path.residuals) == n_steps + 1
 
 
 @pytest.mark.parametrize("fmt", ["obj", "csv"])

@@ -58,7 +58,7 @@ def test_same_orbit_row_is_lattice_only():
     fw = make_framework(2, {"a": [0.3, 0.1]}, np.eye(2), [("a", "a", (1, 2))])
     row = rigidity_matrix(fw)[0]
     assert np.allclose(row[:2], 0.0)  # vertex blocks cancel
-    e = fw.edge_vector(0)
+    e = fw._edge_vectors[0]
     w = np.array(fw.graph.edge_orbits[0].shift, dtype=float)
     assert np.allclose(row[2:], np.outer(e, w).reshape(-1, order="F"))
 

@@ -29,7 +29,7 @@ def test_reproduce_claims_runs(tmp_path):
 
 def test_settable_values_counts_every_module():
     # `scripts/settable_values.py` imports every counted module; its total is
-    # the sum of the per-module lines.
+    # the sum of the per-module lines, and its last line counts public names.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -39,9 +39,10 @@ def test_settable_values_counts_every_module():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    *modules, total = [line.split(": ") for line in done.stdout.splitlines()]
+    *modules, total, names = [line.split(": ") for line in done.stdout.splitlines()]
     assert [name for name, _ in modules] == [
         "framework", "rigidity", "expansive", "feasibility", "cones", "motion", "constructions", "cli",
     ]
     assert all(int(count) > 0 for _, count in modules)
     assert total == ["total", str(sum(int(count) for _, count in modules))]
+    assert names[0] == "public names" and int(names[1]) > 0
