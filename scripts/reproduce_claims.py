@@ -22,10 +22,10 @@ def dof_ladder(out):
     print("== simplex family: degrees of freedom ==")
     for d in range(2, 6):
         base = pg.simplex_framework(d)
-        enhanced = pg.simplex_framework(d, pg.SimplexVariant.enhanced())
+        enhanced = pg.simplex_framework(d, pg.SimplexVariant("enhanced"))
         rb, re = pg.analyze(base), pg.analyze(enhanced)
         removed_dofs = [
-            pg.analyze(pg.simplex_framework(d, pg.SimplexVariant.removed_edge(k))).dof
+            pg.analyze(pg.simplex_framework(d, pg.SimplexVariant("removed", k))).dof
             for k in range(1, d + 1)
         ]
         print(
@@ -92,7 +92,7 @@ def base_cones(out):
 
 def finite_motion(out, d=2, steps=50, h=0.01):
     print("== finite expansive motion (regular-simplex placement) ==")
-    fw = pg.simplex_framework(d, pg.SimplexVariant.removed_edge(1), regular=True)
+    fw = pg.simplex_framework(d, pg.SimplexVariant("removed", 1), regular=True)
     path = pg.continue_motion(fw, _expanding(fw), n_steps=steps, h=h)
     audit = pg.audit_expansiveness(path, radius=2)
     sep = pg.facet_separation(path)

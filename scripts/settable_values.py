@@ -6,14 +6,20 @@ the module, or a field of a dataclass defined there, over the modules below.
 A public name is a public module-level function or class defined in the
 module, or a public method, property or classmethod such a class defines.
 Prints one "module: count" line of settable values per module, then
-"total: N", then "public names: N".
+"total: N", then "public names: N", then "lines: N", the line count of
+src/perigid/*.py.  It imports perigid from the src/ beside it.
 
-    PYTHONPATH=src python scripts/settable_values.py
+    python scripts/settable_values.py
 """
 
 import dataclasses
 import importlib
 import inspect
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 MODULES = (
     "framework", "rigidity", "expansive", "feasibility", "cones", "motion", "constructions", "cli",
@@ -58,6 +64,8 @@ def main() -> None:
         names += public_names(module)
     print(f"total: {total}")
     print(f"public names: {names}")
+    lines = sum(path.read_bytes().count(b"\n") for path in (SRC / "perigid").glob("*.py"))
+    print(f"lines: {lines}")
 
 
 if __name__ == "__main__":

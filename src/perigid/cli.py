@@ -140,8 +140,8 @@ def _cmd_star(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.steps < 1:
         raise UsageError("steps must be at least 1")
-    if not args.h > 0:
-        raise UsageError("step size h must be positive")
+    if not 0 < args.h < float("inf"):
+        raise UsageError("step size h must be positive and finite")
     if args.supercell < 0:
         raise UsageError("supercell must be nonnegative")
     fw = load_framework(args.framework)

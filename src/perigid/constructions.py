@@ -32,27 +32,13 @@ class SimplexVariant:
     removed: int | None = None
 
     @classmethod
-    def base(cls) -> "SimplexVariant":
-        return cls("base")
-
-    @classmethod
-    def enhanced(cls) -> "SimplexVariant":
-        return cls("enhanced")
-
-    @classmethod
-    def removed_edge(cls, k: int) -> "SimplexVariant":
-        return cls("removed", k)
-
-    @classmethod
     def parse(cls, text: str) -> "SimplexVariant":
         """Parse CLI-style variant spec: ``base``, ``enhanced``, ``removed:K``."""
-        if text == "base":
-            return cls.base()
-        if text == "enhanced":
-            return cls.enhanced()
+        if text in ("base", "enhanced"):
+            return cls(text)
         if text.startswith("removed:"):
             try:
-                return cls.removed_edge(int(text.split(":", 1)[1]))
+                return cls("removed", int(text.split(":", 1)[1]))
             except ValueError:
                 pass
         raise InvalidDimensionError(f"unknown simplex variant {text!r}")
@@ -77,7 +63,7 @@ def _simplex_offsets(d: int) -> tuple[list, list, list]:
 
 def simplex_framework(
     d: int,
-    variant: SimplexVariant = SimplexVariant.base(),
+    variant: SimplexVariant = SimplexVariant("base"),
     regular: bool = False,
 ) -> PeriodicFramework:
     """Two-orbit simplex-family framework in dimension d >= 2.

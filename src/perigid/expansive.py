@@ -37,8 +37,8 @@ from .errors import (
     NonPointedConeError,
     NumericalFailureError,
 )
-from .framework import EdgeOrbit, PeriodicFramework, _integer_shift, _json_matrix, _row_dots
-from .framework import _separations
+from .framework import EdgeOrbit, PeriodicFramework, _csv_field, _integer_shift, _json_matrix
+from .framework import _row_dots, _separations
 from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
@@ -193,12 +193,6 @@ def extremal_rays(halfspaces) -> np.ndarray:
 _CHUNK = 1 << 17
 
 
-def _dots(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(r, b) values rows[t] @ rays[i], each one BLAS dot: bit for bit the
-    1-d product (a plain `rays @ rows.T` rounds differently)."""
-    return (rays[:, None, None, :] @ rows[:, :, None])[:, :, 0, 0]
-
-
 def _active(a: np.ndarray, n: int, rays: np.ndarray, nbytes: int) -> np.ndarray:
     """(r, nbytes) packed active sets over the first n rows, |a[:n] @ ray| <=
     CONE_TOL, from one matrix-vector product per ray."""
@@ -225,7 +219,8 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     active = _active(a, n, rays, 2 * ((n + 7) >> 3))
     block = 8
     while n < len(a) and len(rays):
-        vals = _dots(rays, a[n : n + block])
+        # (r, block) values, each the 1-d `a[t] @ ray` (`rays @ a.T` rounds differently).
+        vals = _row_dots(rays[:, None, :], a[n : n + block])
         cut = (vals < -CONE_TOL).any(axis=0).nonzero()[0]
         run = cut[0] if len(cut) else vals.shape[1]
         # The run's columns and the cut's, which is tight at the zero rays only.
@@ -444,7 +439,8 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     no ray at R violates a merged shell halfspace by more than CONE_TOL;
     otherwise the merged shell is inserted into the rays at R and the next
     radius is probed.  The merged rows are some of the shell rows with the
-    same values, so the shell is merged only once some row of it is violated.
+    same values, so the shell is merged only once some row of it is violated,
+    and the merged rows are tested by their columns of the shell's one product.
     """
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
@@ -453,14 +449,15 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
         if not len(rays):
             return radius
         shell = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
-        if not (_dots(rays, shell) < -CONE_TOL).any():
+        cuts = _row_dots(rays[:, None, :], shell) < -CONE_TOL
+        if not cuts.any():
             return radius
         # The merged shell: the first row of each 9-decimal key new to `a`.
         first = _first_unique(np.concatenate([a, shell])) - len(a)
-        shell = shell[first[first >= 0]]
-        if not (_dots(rays, shell) < -CONE_TOL).any():
+        first = first[first >= 0]
+        if not cuts[:, first].any():
             return radius
-        n, a = len(a), np.concatenate([a, shell])
+        n, a = len(a), np.concatenate([a, shell[first]])
         rays = _finish(_clip(a, n, rays), a)
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
@@ -497,7 +494,7 @@ def write_pair_audit_csv(fw: PeriodicFramework, cone: ExpansiveCone, path) -> No
     # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
     projected = (pairs.rows[:, None, :] @ cone.flex_basis.T)[:, 0, :]
     values = np.sqrt(_row_dots(projected, projected)).tolist()
-    names = np.array(pairs.orbits, dtype=object)
+    names = np.array([_csv_field(o) for o in pairs.orbits], dtype=object)
     columns = [names[pairs.tails].tolist(), names[pairs.heads].tolist()]
     columns += [map(str, pairs.shifts[:, c].tolist()) for c in range(d)]
     columns.append(map(format, values, itertools.repeat(".12g")))

@@ -247,6 +247,14 @@ def _f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted as RFC 4180 does (a quote doubled)
+    when it holds a comma, a quote, CR or LF, and as it is otherwise."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _json_vec(v) -> str:
     if v is None:
         return "null"

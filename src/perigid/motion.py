@@ -44,9 +44,9 @@ from .errors import (
 )
 from .expansive import _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph
-from .framework import _row_dots, _separations, _with_placement
-from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, motion_size, pack_motion
-from .rigidity import rigidity_rows, unpack_motion
+from .framework import _csv_field, _row_dots, _separations, _with_placement
+from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
+from .rigidity import unpack_motion
 
 DEFAULT_STEP = 0.01
 DEFAULT_STEPS = 50
@@ -95,12 +95,11 @@ def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
 
 
 def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
-    d, n = graph.dimension, graph.n
-    fixed = set(range(d))  # first orbit pinned
-    for c in range(d):
-        for r in range(c + 1, d):  # strictly lower triangular lattice entries
-            fixed.add(d * n + c * d + r)
-    return np.array([i for i in range(motion_size(graph)) if i not in fixed])
+    """Indices of the coordinates the gauged corrector moves: the zeros of a
+    motion that is 1 on the first orbit and the strictly lower lattice entries."""
+    pin = np.zeros((graph.n, graph.dimension))
+    pin[0] = 1.0
+    return np.flatnonzero(pack_motion(graph, pin, np.tri(graph.dimension, k=-1)) == 0)
 
 
 def _edge_sq_lengths(graph: QuotientGraph, state: np.ndarray) -> np.ndarray:
@@ -121,6 +120,8 @@ def _newton_correct(
         residual = float(np.abs(g).max()) if len(g) else 0.0
         if residual < newton_tol:
             return x, residual
+        if not np.isfinite(residual):
+            raise NewtonDivergenceError(f"corrector residual is {residual}; the step overflowed")
         jac = 2.0 * rigidity_rows(graph, *unpack_motion(graph, x))
         delta, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
         x[free] += delta
@@ -142,13 +143,13 @@ def continue_motion(
     """Follow the flex `direction` for `n_steps` steps of size h.
 
     h is measured in units of the shortest edge length and must be
-    positive; n_steps must be a nonnegative integer.  The seed must
+    positive and finite; n_steps must be a nonnegative integer.  The seed must
     annihilate the edge rows; its trivial (isometry) component is projected
     out before stepping.  A purely trivial seed, or a rigid framework, yields
     a zero-displacement path.
     """
-    if not h > 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {h!r}")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     graph = fw.graph
@@ -310,7 +311,7 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
         )
         # One %-format per step; '%.12g' is format(v, '.12g') bit for bit.
         rows = [
-            ",".join([orbit.replace("%", "%%"), *map(str, w), *["%.12g"] * d])
+            ",".join([_csv_field(orbit).replace("%", "%%"), *map(str, w), *["%.12g"] * d])
             for orbit, w in vertices
         ]
         parts = [",".join(header)]
@@ -361,7 +362,7 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
         step = first_violation.get(key)
         lines.append(
             ",".join(
-                [a, b]
+                [_csv_field(a), _csv_field(b)]
                 + [str(c) for c in shift]
                 + [format(audit.pair_results[key], ".12g"), "" if step is None else str(step)]
             )

@@ -2,7 +2,9 @@
 
 Motion vectors are laid out as (dn + d^2) coordinates: first the velocity of
 each vertex-orbit representative (d entries per orbit, in graph order), then
-the lattice velocity column by column (generator 1 first).  Bars and pairs
+the lattice velocity column by column (generator 1 first).  ``pack_motion``
+and ``unpack_motion`` are the layout's only owners: other modules build and
+read motion vectors through them and compute no index into one.  Bars and pairs
 share one incidence layout: a (tail i, head j, shift w) triple with
 separation e = p_j + L w - p_i (from ``framework._separations``) gives the
 row with -e in block i, +e in block j (cancelling when i = j), and

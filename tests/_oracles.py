@@ -9,8 +9,9 @@ angular sweep for two-dimensional cones, a per-pair loop over the plain
 separation formula p_b + L w - p_a, a frozen copy of the loop-and-bitmask halfspace merge and double description the cone layer
 must reproduce bit for bit, the first rows of each 9-decimal key by
 ``np.unique``, a brute-force (f-1)-subset ray enumeration,
-a comparison of ray sets up to an angular tolerance, and a frozen copy of the
-frame writers that format one value at a time.
+a comparison of ray sets up to an angular tolerance, a frozen copy of the
+frame writers that format one value at a time, and the motion gauge's free
+coordinates by the index formula of the (dn + d^2) layout.
 """
 
 import itertools
@@ -660,3 +661,17 @@ def frozen_frames(orbits, edges, placements, supercell, fmt):
         lines = ["v " + " ".join([format(float(v), ".17g") for v in x] + ["0"] * (3 - d)) for x in xs]
         files[f"frame_{step:04d}.obj"] = "\n".join(lines + segments) + "\n"
     return files
+
+
+# ---------------------------------------------------------------------------
+# Frozen motion gauge: the corrector's free coordinates as first written, by
+# index arithmetic on the layout (d entries per orbit, then the lattice
+# velocity column by column).
+
+def frozen_gauge_free_indices(d, n):
+    """All coordinates but the first orbit's and the strictly lower lattice entries."""
+    fixed = set(range(d))
+    for c in range(d):
+        for r in range(c + 1, d):
+            fixed.add(d * n + c * d + r)
+    return np.array([i for i in range(d * n + d * d) if i not in fixed])

@@ -44,4 +44,4 @@ def base3():
 
 @pytest.fixture(scope="session")
 def enhanced3():
-    return simplex_framework(3, SimplexVariant.enhanced())
+    return simplex_framework(3, SimplexVariant("enhanced"))

@@ -68,7 +68,7 @@ def test_criterion_1_base_dof():
 def test_criterion_2_minimal_rigidity():
     start = time.perf_counter()
     for d in (2, 3, 4, 5):
-        fw = simplex_framework(d, SimplexVariant.enhanced())
+        fw = simplex_framework(d, SimplexVariant("enhanced"))
         rep = analyze(fw, RANK_TOL)
         assert rep.dof == 0
         assert rep.stress_dim == 0
@@ -87,7 +87,7 @@ def criterion_3_paths():
     for d in (2, 3):
         for k in range(1, d + 1):
             for regular in (False, True):
-                fw = simplex_framework(d, SimplexVariant.removed_edge(k), regular=regular)
+                fw = simplex_framework(d, SimplexVariant("removed", k), regular=regular)
                 rep = analyze(fw, RANK_TOL)
                 assert rep.dof == 1
                 flex = expanding_flex(fw)
@@ -120,7 +120,7 @@ def test_criterion_4_cone_ray_count_and_correspondence():
         assert rays_match(cone2.rays, cone3.rays, ANGULAR_TOL)
         matched = set()
         for k in range(1, d + 1):
-            removed = simplex_framework(d, SimplexVariant.removed_edge(k))
+            removed = simplex_framework(d, SimplexVariant("removed", k))
             coeff = rep.flex_basis @ analyze(removed, RANK_TOL).flex_basis[0]
             angles = [angle(coeff, ray) for ray in cone2.rays]
             best = int(np.argmin(angles))
@@ -172,7 +172,7 @@ def test_criterion_7_pointedness_necessary_condition():
     checked = 0
     for d in (2, 3):
         for k in range(1, d + 1):
-            fw = simplex_framework(d, SimplexVariant.removed_edge(k))
+            fw = simplex_framework(d, SimplexVariant("removed", k))
             assert verify_pointedness(fw, expanding_flex(fw), radius=2).passed
             checked += 1
     for d in (2, 3, 4):

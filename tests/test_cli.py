@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 from perigid import SimplexVariant, simplex_framework, stressed_framework, with_edge_orbit
 from perigid.cli import _build_parser, main
-from perigid.framework import Placement, load_framework, save_framework, validate_framework
+from perigid.framework import EdgeOrbit, Placement, QuotientGraph, load_framework, save_framework
+from perigid.framework import validate_framework
 
 from conftest import make_framework
 
@@ -208,6 +210,7 @@ def test_simulate_nan_direction_is_numerical_failure(tmp_path, capfd):
         (2, ["--supercell", "-1"]),
         (4, ["--format", "obj"]),
         (2, ["--ray", "99"]),
+        (2, ["--h", "inf"]),
     ],
 )
 def test_simulate_rejects_bad_arguments_before_work(tmp_path, capsys, dim, extra):
@@ -220,6 +223,49 @@ def test_simulate_rejects_bad_arguments_before_work(tmp_path, capsys, dim, extra
     if "--ray" in extra:  # the last --ray wins
         assert "out of range" in err
     assert not outdir.exists()
+
+
+def test_simulate_overflowing_step_is_numerical_failure(tmp_path, capfd):
+    target = gen_file(tmp_path, capfd, "simplex", "--dim", "2", "--variant", "removed:1")
+    code = main(["simulate", str(target), "--ray", "0", "--h", "1e308", "--outdir", str(tmp_path)])
+    assert code == 3
+    captured = capfd.readouterr()
+    assert "error: numerical failure: corrector residual is inf" in captured.err
+    assert "LinAlgError" not in captured.out + captured.err
+    assert "DLASCL" not in captured.out + captured.err
+
+
+def renamed(fw, names):
+    """The framework with vertex orbit o renamed names[o]."""
+    graph = QuotientGraph(
+        fw.dimension,
+        tuple(names[o] for o in fw.graph.vertex_orbits),
+        tuple(EdgeOrbit(names[t], names[h], w) for t, h, w in fw.graph.edge_orbits),
+    )
+    positions = {names[o]: p for o, p in fw.placement.positions.items()}
+    return validate_framework(graph, Placement(positions, fw.placement.lattice))
+
+
+def test_csv_artifacts_quote_orbit_ids(tmp_path, capsys):
+    # Ids holding a comma, a quote and a line feed read back as one field each.
+    names = {"red": "r,ed", "green": 'gr"e\neen'}
+    fw = renamed(with_edge_orbit(stressed_framework(), "red", "red", (1, 0, 0)), names)
+    target = tmp_path / "fw.json"
+    save_framework(fw, target)
+    pairs = tmp_path / "pairs.csv"
+    assert run_cli(["cone", str(target), "--radius", "1", "--pairs", str(pairs)], capsys)[0] == 0
+    outdir = tmp_path / "sim"
+    code, _ = run_cli(
+        ["simulate", str(target), "--ray", "0", "--steps", "2", "--radius", "1", "--format", "csv",
+         "--outdir", str(outdir)],
+        capsys,
+    )
+    assert code == 0
+    for path, orbit_columns in ((pairs, (0, 1)), (outdir / "audit.csv", (0, 1)), (outdir / "frames.csv", (1,))):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert {row[c] for row in rows for c in orbit_columns} == set(names.values())
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -338,7 +384,7 @@ def motion_input(name):
     if name == "stressed_rr100":
         return "obj", with_edge_orbit(stressed_framework(), "red", "red", (1, 0, 0))
     d = int(name[-1])
-    fw = simplex_framework(d, SimplexVariant.removed_edge(1), regular=True)
+    fw = simplex_framework(d, SimplexVariant("removed", 1), regular=True)
     return ("obj" if d < 4 else "csv"), fw
 
 

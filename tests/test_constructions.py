@@ -22,10 +22,10 @@ def test_simplex_counts(d):
     base = simplex_framework(d)
     assert base.n == 2
     assert base.m == d + d * (d - 1) // 2
-    enhanced = simplex_framework(d, SimplexVariant.enhanced())
+    enhanced = simplex_framework(d, SimplexVariant("enhanced"))
     assert enhanced.m == 2 * d + d * (d - 1) // 2
     for k in range(1, d + 1):
-        removed = simplex_framework(d, SimplexVariant.removed_edge(k))
+        removed = simplex_framework(d, SimplexVariant("removed", k))
         assert removed.m == enhanced.m - 1
 
 
@@ -35,14 +35,14 @@ def test_simplex_green_position():
 
 
 def test_simplex_enhanced_d3_minimally_rigid():
-    assert is_minimally_rigid(simplex_framework(3, SimplexVariant.enhanced()))
+    assert is_minimally_rigid(simplex_framework(3, SimplexVariant("enhanced")))
 
 
 def test_invalid_dimension_and_variant():
     with pytest.raises(InvalidDimensionError):
         simplex_framework(1)
     with pytest.raises(InvalidDimensionError):
-        simplex_framework(3, SimplexVariant.removed_edge(4))
+        simplex_framework(3, SimplexVariant("removed", 4))
     with pytest.raises(InvalidDimensionError):
         SimplexVariant.parse("removed:x")
     with pytest.raises(InvalidDimensionError):
@@ -50,9 +50,9 @@ def test_invalid_dimension_and_variant():
 
 
 def test_variant_parse_round_trip():
-    assert SimplexVariant.parse("base") == SimplexVariant.base()
-    assert SimplexVariant.parse("enhanced") == SimplexVariant.enhanced()
-    assert SimplexVariant.parse("removed:2") == SimplexVariant.removed_edge(2)
+    assert SimplexVariant.parse("base") == SimplexVariant("base")
+    assert SimplexVariant.parse("enhanced") == SimplexVariant("enhanced")
+    assert SimplexVariant.parse("removed:2") == SimplexVariant("removed", 2)
 
 
 def test_regular_lattice_geometry():
@@ -80,16 +80,16 @@ def test_regular_and_standard_placements_agree(d, kind):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_family_dof_ladder(d):
     assert analyze(simplex_framework(d)).dof == d
-    enhanced = simplex_framework(d, SimplexVariant.enhanced())
+    enhanced = simplex_framework(d, SimplexVariant("enhanced"))
     assert analyze(enhanced).dof == 0
     assert is_minimally_rigid(enhanced)
     for k in range(1, d + 1):
-        assert analyze(simplex_framework(d, SimplexVariant.removed_edge(k))).dof == 1
+        assert analyze(simplex_framework(d, SimplexVariant("removed", k))).dof == 1
 
 
 def test_removed_variants_agree_under_axis_swap():
-    r1 = analyze(simplex_framework(3, SimplexVariant.removed_edge(1)))
-    r2 = analyze(simplex_framework(3, SimplexVariant.removed_edge(2)))
+    r1 = analyze(simplex_framework(3, SimplexVariant("removed", 1)))
+    r2 = analyze(simplex_framework(3, SimplexVariant("removed", 2)))
     assert (r1.rank, r1.dof, r1.stress_dim) == (r2.rank, r2.dof, r2.stress_dim)
 
 
@@ -103,7 +103,7 @@ def test_stressed_framework_basics():
 
 def test_fig_style_mechanism_from_enhanced():
     # d=2 enhanced minus the v(2*lambda_1) edge: one degree of freedom.
-    enhanced = simplex_framework(2, SimplexVariant.enhanced())
+    enhanced = simplex_framework(2, SimplexVariant("enhanced"))
     idx = next(
         k for k, e in enumerate(enhanced.graph.edge_orbits) if e.shift == (2, 0)
     )
@@ -111,7 +111,7 @@ def test_fig_style_mechanism_from_enhanced():
     graph = QuotientGraph(2, enhanced.graph.vertex_orbits, edges[:idx] + edges[idx + 1 :])
     mech = validate_framework(graph, enhanced.placement)
     assert analyze(mech).dof == 1
-    assert mech.graph == simplex_framework(2, SimplexVariant.removed_edge(1)).graph
+    assert mech.graph == simplex_framework(2, SimplexVariant("removed", 1)).graph
 
 
 def test_edge_surgery_round_trip(stressed):

@@ -268,7 +268,7 @@ def test_not_a_flex_rejected(stressed):
 def test_flex_gate_rejects_nonfinite_and_misshaped(entry, bad):
     # One flex gate for all three entry points: a non-finite or mis-shaped
     # vector is not a flex, whatever its residual would be.
-    fw = simplex_framework(2, SimplexVariant.removed_edge(1))
+    fw = simplex_framework(2, SimplexVariant("removed", 1))
     vector = analyze(fw).flex_basis[0].copy()
     if bad == "column":
         vector = vector[:, None]
@@ -282,7 +282,7 @@ def test_flex_gate_tolerance_band():
     # A flex nudged off edge row 0 by 3e-9 |row| lies between the two gate
     # tolerances: a seed for continuation, not a flex for the cone layer.
     assert (expansive.CONE_TOL, motion._SEED_FLEX_TOL) == (1e-9, 1e-8)
-    fw = simplex_framework(2, SimplexVariant.removed_edge(1), regular=True)
+    fw = simplex_framework(2, SimplexVariant("removed", 1), regular=True)
     row = rigidity_matrix(fw)[0]
     nudged = analyze(fw).flex_basis[0] + 3e-9 * row / np.linalg.norm(row)
     assert continue_motion(fw, nudged, n_steps=1).n_steps == 1
@@ -319,7 +319,7 @@ def test_effective_vertices(stressed, enhanced3):
 
 
 def test_pointedness_on_mechanism():
-    fw = simplex_framework(3, SimplexVariant.removed_edge(1))
+    fw = simplex_framework(3, SimplexVariant("removed", 1))
     report = analyze(fw)
     flex = report.flex_basis[0]
     if classify_flex(fw, flex) is FlexClass.NOT_EXPANSIVE:
@@ -347,7 +347,7 @@ def test_pointedness_stressed_with_period_edge(stressed):
 
 
 def test_d2_mechanism_pointed_in_classical_sense():
-    fw = simplex_framework(2, SimplexVariant.removed_edge(1))
+    fw = simplex_framework(2, SimplexVariant("removed", 1))
     report = analyze(fw)
     flex = report.flex_basis[0]
     if classify_flex(fw, flex) is FlexClass.NOT_EXPANSIVE:

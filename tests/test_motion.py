@@ -36,7 +36,7 @@ from perigid import motion
 from perigid.motion import MotionPath, write_audit_csv
 from perigid.rigidity import motion_size, pack_motion
 
-from _oracles import frozen_frames
+from _oracles import frozen_frames, frozen_gauge_free_indices
 from conftest import make_framework
 
 
@@ -50,7 +50,7 @@ def expanding_flex(fw):
 
 @pytest.fixture(scope="module")
 def mech2():
-    return simplex_framework(2, SimplexVariant.removed_edge(1))
+    return simplex_framework(2, SimplexVariant("removed", 1))
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def test_facet_separation_increases(path2):
 
 
 def test_facet_separation_increases_3d():
-    fw = simplex_framework(3, SimplexVariant.removed_edge(2))
+    fw = simplex_framework(3, SimplexVariant("removed", 2))
     path = continue_motion(fw, expanding_flex(fw), n_steps=20, h=0.01)
     sep = facet_separation(path)
     assert np.all(np.diff(sep) > 0)
@@ -255,10 +255,18 @@ def test_audit_csv(tmp_path, path2):
     assert all(line.endswith(",") or line.split(",")[-1].isdigit() for line in lines[1:])
 
 
-@pytest.mark.parametrize("h", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
 def test_continue_motion_rejects_nonpositive_step(mech2, h):
     with pytest.raises(ValueError, match="step size"):
         continue_motion(mech2, expanding_flex(mech2), n_steps=2, h=h)
+
+
+def test_an_overflowing_step_is_a_newton_divergence(mech2, capfd):
+    # The predicted state's squared lengths overflow: the corrector raises
+    # before least squares, which would fail inside LAPACK.
+    with pytest.raises(NewtonDivergenceError, match="corrector residual is inf"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=2, h=1e308)
+    assert "DLASCL" not in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("n_steps", [-3, 2.5, "2", None])
@@ -328,6 +336,15 @@ def recording_corrector(monkeypatch, stall=False):
 
     monkeypatch.setattr(motion, "_newton_correct", corrector)
     return sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_gauge_matches_the_frozen_index_formula(d, n):
+    graph = QuotientGraph(d, tuple(f"o{i}" for i in range(n)), ())
+    free = motion._gauge_free_indices(graph)
+    expected = frozen_gauge_free_indices(d, n)
+    assert free.dtype == expected.dtype and free.tolist() == expected.tolist()
 
 
 def test_converging_steps_never_free_every_coordinate(mech2, monkeypatch):

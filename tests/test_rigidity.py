@@ -191,8 +191,8 @@ def test_exact_rank_oracle_small_frameworks():
             [("a", "b", (0, 0)), ("a", "b", (1, 0)), ("a", "b", (0, 1)), ("a", "a", (1, 1))],
         ),
         simplex_framework(2),
-        simplex_framework(2, SimplexVariant.enhanced()),
-        simplex_framework(2, SimplexVariant.removed_edge(2)),
+        simplex_framework(2, SimplexVariant("enhanced")),
+        simplex_framework(2, SimplexVariant("removed", 2)),
         make_framework(2, {"a": [0.25, 0.5]}, np.eye(2), [("a", "a", (1, 0)), ("a", "a", (0, 1))]),
     ]
     for fw in cases:
@@ -202,7 +202,7 @@ def test_exact_rank_oracle_small_frameworks():
 
 def test_perturbation_stability():
     rng = np.random.default_rng(20240817)
-    for fw in (simplex_framework(3), simplex_framework(3, SimplexVariant.enhanced()), stressed_framework()):
+    for fw in (simplex_framework(3), simplex_framework(3, SimplexVariant("enhanced")), stressed_framework()):
         rank0 = analyze(fw).rank
         jitter = {
             o: fw.placement.positions[o] + rng.uniform(-1e-8, 1e-8, 3)
