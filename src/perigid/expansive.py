@@ -11,11 +11,16 @@ expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
 Halfspaces that round to the same 9 decimals are merged, the first kept,
 by a stable sort on those keys.  Extremal rays come from a double
-description pass over the merged halfspaces, each ray's active set a row of
-packed bits over the halfspaces processed so far.  The merge and the double
-description are array code that makes the decisions of the one-row, one-ray
-loop they replaced, in the same order and with the same floating-point
-operations, so the halfspaces and rays are bit for bit that loop's.  The
+description pass over the merged halfspaces, each ray's active set a bool
+row over the live columns, the processed halfspaces tight at some ray.  The
+merge and the double description are array code that makes the decisions
+of the one-row, one-ray loop they replaced, in the same order, and builds
+every ray with the same floating-point operations, so the halfspaces and
+rays are bit for bit that loop's.  A tight-or-violated decision may be read
+from a faster product (a GEMM) only when every value it reads lies outside
+a band of twice gamma_(f+1) around its threshold, wider than any difference
+in rounding between the two products (Higham, section 3.1); the values
+inside the band are recomputed by the loop's product.  The
 stability probe makes truncation bias observable: the cone at R + 1 is the
 cone at R cut by the halfspaces of the new shell of pairs, so R is stable
 when no ray at R violates one of them.  Every float decision of this layer
@@ -156,9 +161,9 @@ def extremal_rays(halfspaces) -> np.ndarray:
     Incremental double description: start from a simplicial subcone given by
     f independent rows, then clip with each remaining halfspace in row order,
     combining adjacent positive/negative ray pairs.  Each ray carries its
-    active set, packed bits over the processed halfspaces, and adjacency is
-    the combinatorial test on those sets.  Raises NonPointedConeError when the
-    rows have a nontrivial common nullspace.
+    active set, a bool row over the processed halfspaces tight at some ray,
+    and adjacency is the combinatorial test on those sets.  Raises
+    NonPointedConeError when the rows have a nontrivial common nullspace.
     """
     a = np.asarray(halfspaces, dtype=float)
     if a.ndim != 2:
@@ -191,97 +196,203 @@ def extremal_rays(halfspaces) -> np.ndarray:
 
 # Entries per chunk of the ray x row and pair x ray blocks: a few MB at most.
 _CHUNK = 1 << 17
+# Starting column count of `_clip`'s incidence buffer.
+_WIDTH = 256
 
 
-def _active(a: np.ndarray, n: int, rays: np.ndarray, nbytes: int) -> np.ndarray:
-    """(r, nbytes) packed active sets over the first n rows, |a[:n] @ ray| <=
-    CONE_TOL, from one matrix-vector product per ray."""
-    active = np.zeros((len(rays), nbytes), dtype=np.uint8)
-    step = max(1, _CHUNK // max(1, n))
-    for i in range(0, len(rays), step):
-        vals = (a[None, :n] @ rays[i : i + step, :, None])[:, :, 0]
-        active[i : i + step, : (n + 7) >> 3] = np.packbits(np.abs(vals) <= CONE_TOL, axis=1)
-    return active
+def _band(rows: np.ndarray, rays: np.ndarray) -> float:
+    """Half-width of the band around a threshold inside which a decision on
+    `row @ ray` read from a faster product is recomputed by the reference one.
+
+    Two evaluations of a length-f dot product x . y, in any order, differ by
+    at most 2 gamma_f ||x|| ||y||, gamma_f = f u / (1 - f u) with u the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, section
+    3.1).  Rays built later are unit, hence max(1, .); gamma_(f+1) exceeds
+    gamma_f by about u, which covers the rounding of the norms.  A scale that
+    is not finite sends every decision to the reference product.
+    """
+    fu = (rows.shape[1] + 1) * np.finfo(float).eps / 2
+    scale = np.linalg.norm(rows, axis=1).max(initial=0.0) * np.linalg.norm(rays, axis=1).max(initial=1.0)
+    band = 2 * fu / (1 - fu) * scale
+    return band if band < np.inf else np.inf
+
+
+def _below(mag: np.ndarray, band: float):
+    """mag <= CONE_TOL, or None when some magnitude lies within `band` of
+    CONE_TOL, where a faster product may have decided it differently."""
+    tight = mag <= CONE_TOL + band
+    return None if np.count_nonzero(tight) != np.count_nonzero(mag <= CONE_TOL - band) else tight
+
+
+class _ActiveSets:
+    """The active sets of `_clip`'s rays: row i of the bool buffer `inc`,
+    over its first `c` columns, is the set of ray i.  Halfspace t has column
+    `col[t]` while some ray may be tight at it, and otherwise the buffer's
+    last column, which is written but never read."""
+
+    def __init__(self, a: np.ndarray, n: int, rays: np.ndarray):
+        self.a, self.at, self.band = a, a.T.copy(), _band(a, rays)
+        self.inc = np.zeros((len(rays), _WIDTH), dtype=bool)
+        self.col = np.full(len(a), _WIDTH - 1)
+        self.c = 0
+        self.write(0, n, rays)
+
+    def append(self, r: int, n: int, tight: np.ndarray) -> None:
+        """Give halfspaces n, n + 1, ... the next columns, set where `tight`."""
+        w = tight.shape[1]
+        if self.c + w >= self.inc.shape[1]:
+            self._rebuild(r, len(self.inc), w)
+        self.inc[:r, self.c : self.c + w] = tight
+        self.col[n : n + w] = np.arange(self.c, self.c + w)
+        self.c += w
+
+    def write(self, lo: int, n: int, rays: np.ndarray) -> None:
+        """Set rows lo, lo + 1, ... to the active sets |a[:n] @ ray| <=
+        CONE_TOL of `rays`, each decision the one of the matrix-vector
+        product per ray: from one GEMM per chunk, unless a value of the
+        chunk lies in the band, which sends its rays to their products."""
+        hi = lo + len(rays)
+        if not hi <= len(self.inc) <= 2 * hi:
+            self._rebuild(lo, hi + hi // 4, 0)
+        step = max(1, _CHUNK // max(1, n))
+        for i in range(lo, hi, step):
+            chunk = rays[i - lo : i - lo + step]
+            mag = np.abs(chunk @ self.at[:, :n])
+            tight = _below(mag, self.band)
+            if tight is None:
+                near = ((mag > CONE_TOL - self.band) & (mag <= CONE_TOL + self.band)).any(axis=1)
+                mag[near] = np.abs((self.a[None, :n] @ chunk[near, :, None])[:, :, 0])
+                tight = mag <= CONE_TOL
+            self._set(i, tight)
+
+    def _set(self, lo: int, tight: np.ndarray) -> None:
+        hi = lo + len(tight)
+        self.inc[lo:hi] = False
+        self.inc[lo:hi, self.col[: tight.shape[1]]] = tight
+        if np.count_nonzero(self.inc[lo:hi, : self.c]) != np.count_nonzero(tight):
+            self._revive(lo, tight)
+            self._set(lo, tight)
+
+    def _revive(self, lo: int, tight: np.ndarray) -> None:
+        """Give a column to each halfspace that `tight` sets and has none."""
+        hit = np.logical_or.reduce(tight, axis=0).nonzero()[0]
+        self._rebuild(lo, len(self.inc), len(hit))
+        gone = hit[self.col[hit] == self.inc.shape[1] - 1]
+        self.col[gone] = np.arange(self.c, self.c + len(gone))
+        self.c += len(gone)
+
+    def _rebuild(self, r: int, rows: int, extra: int) -> None:
+        """A new buffer of `rows` rows over the columns some ray of the first
+        r is tight at, with half as many columns again as those and `extra`."""
+        live = np.logical_or.reduce(self.inc[:r, : self.c], axis=0).nonzero()[0]
+        c = len(live)
+        inc = np.zeros((rows, max(_WIDTH, 3 * (c + extra) // 2 + 1)), dtype=bool)
+        step = max(1, _CHUNK // max(1, c))
+        for i in range(0, r, step):
+            inc[i : min(i + step, r), :c] = self.inc[i : min(i + step, r), live]
+        # Dropped columns, and the old last one, map to the new last one.
+        index = np.full(self.inc.shape[1], inc.shape[1] - 1)
+        index[live] = np.arange(c)
+        self.col = index[self.col]
+        self.inc, self.c = inc, c
 
 
 def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
 
-    Each ray's active set is a row of a packed-bit rays x halfspaces matrix
-    (`np.packbits` order), set where the halfspace is tight at the ray.  Only
-    processed halfspaces have columns, in a capacity that doubles past n.  A
-    run of halfspaces that no ray violates only marks tight rays, so runs are
-    evaluated a block at a time.  A violated halfspace keeps the rays on its
-    nonnegative side, positive then zero, and appends, for every adjacent
-    pair of a ray p on its positive and q on its negative side, the unit ray
-    along vals[p] * q - vals[q] * p.
+    Each ray's active set, the processed halfspaces tight at it, is a bool
+    row over the live columns of a reusable buffer (`_ActiveSets`).  A run
+    of halfspaces that no ray violates only marks tight rays, so runs are
+    evaluated a block at a time and written with one slice.  A violated
+    halfspace keeps the rays on its nonnegative side, positive then zero,
+    and appends, for every adjacent pair of a ray p on its positive and q on
+    its negative side, the unit ray along vals[p] * q - vals[q] * p.  Only
+    the rows after the first ray that moves are copied, and only the new
+    rays' rows are written; a halfspace whose column was dropped gets one
+    again.  Columns no ray is tight at are dropped when the buffer is full.
+
+    Tight and violated come from one GEMM per block; a block with a value
+    within `_band` of CONE_TOL is decided by the 1-d dots `a[t] @ ray`, which
+    also give the values that build new rays, so every decision is the one
+    those dots make.
     """
-    active = _active(a, n, rays, 2 * ((n + 7) >> 3))
+    f = a.shape[1]
+    sets = _ActiveSets(a, n, rays)
     block = 8
     while n < len(a) and len(rays):
-        # (r, block) values, each the 1-d `a[t] @ ray` (`rays @ a.T` rounds differently).
-        vals = _row_dots(rays[:, None, :], a[n : n + block])
-        cut = (vals < -CONE_TOL).any(axis=0).nonzero()[0]
+        vals = rays @ sets.at[:, n : n + block]
+        tight = _below(np.abs(vals), sets.band)
+        if tight is None:
+            vals = _row_dots(rays[:, None, :], a[n : n + block])
+            tight = np.abs(vals) <= CONE_TOL
+        cut = np.logical_or.reduce(vals < -CONE_TOL, axis=0).nonzero()[0]
         run = cut[0] if len(cut) else vals.shape[1]
         # The run's columns and the cut's, which is tight at the zero rays only.
-        tight = np.abs(vals[:, : run + 1]) <= CONE_TOL
-        if (n + tight.shape[1] + 7) >> 3 > active.shape[1]:
-            active = np.pad(active, ((0, 0), (0, active.shape[1] + tight.shape[1])))
-        lo = n >> 3  # columns n and up are clear: repack their first byte with them
-        head = np.unpackbits(active[:, lo : lo + 1], axis=1, count=n & 7)
-        bits = np.packbits(np.concatenate([head, tight], axis=1), axis=1)
-        active[:, lo : lo + bits.shape[1]] = bits
+        sets.append(len(rays), n, tight[:, : run + 1])
         n += run
         if not len(cut):
             block = min(2 * block, max(8, _CHUNK // len(rays)))
             continue
         block = 8
-        v = vals[:, run]
-        pos, neg = (v > CONE_TOL).nonzero()[0], (v < -CONE_TOL).nonzero()[0]
+        v = _row_dots(rays, a[n])  # each the 1-d `a[n] @ ray`
+        positive = v > CONE_TOL
+        pos, neg = positive.nonzero()[0], (v < -CONE_TOL).nonzero()[0]
         keep = np.concatenate([pos, tight[:, run].nonzero()[0]])
-        p, q = _adjacent_pairs(active, pos, neg, a.shape[1])
+        p, q = _adjacent_pairs(sets.inc[: len(rays), : sets.c], pos, neg, f)
         new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
         nrm = np.sqrt(_row_dots(new, new))
-        new = new[nrm > CONE_TOL] / nrm[nrm > CONE_TOL][:, None]
+        long = nrm > CONE_TOL
+        new = new[long] / nrm[long][:, None]
         n += 1
         rays = np.concatenate([rays[keep], new])
-        active = np.concatenate([active[keep], _active(a, n, new, active.shape[1])])
+        # The rays before the first one off the positive side keep their rows.
+        first = positive.argmin()
+        sets.inc[first : len(keep), : sets.c] = sets.inc[keep[first:], : sets.c]
+        if len(new):
+            sets.write(len(keep), n, new)
     return rays
 
 
-def _adjacent_pairs(active: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
+def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     """Ray pairs (p in pos, q in neg), p-major, that pass the combinatorial
     adjacency test: no third ray's active set contains their common one.
 
     A pair whose common active set has fewer than f - 2 members spans a face
     of dimension at least 3, whose other extremal rays contain that set, so
     only the pairs with at least f - 2 common members get the subset test.
-    Common sets lie in the columns tight at some ray of each side, so only
-    those are unpacked and counted, as 0/1 float32 products (exact below 2^24).
+    Common sets lie in the columns tight at some ray of the negative side,
+    which are found first; when those make a large block, only the ones the
+    positive side shares are kept.  Sets are counted as 0/1 float32
+    products (exact below 2^24).
     """
-    shared = np.bitwise_or.reduce(active[pos], axis=0) & np.bitwise_or.reduce(active[neg], axis=0)
-    idx = shared.nonzero()[0]
-    cols = np.unpackbits(shared[idx]).view(bool)
-    act = np.unpackbits(active[:, idx], axis=1)[:, cols].astype(np.float32)
-    common = act[pos] @ act[neg].T
-    i, j = np.nonzero(common >= f - 2)
-    p, q, size = pos[i], neg[j], common[i, j]
-    adjacent = np.empty(len(p), dtype=bool)
+    act = inc[:, np.logical_or.reduce(inc[neg], axis=0).nonzero()[0]]
+    if act.size > _CHUNK:
+        act = act[:, np.logical_or.reduce(act[pos], axis=0)]
+    act = act.astype(np.float32)
+    act_pos, act_neg = act[pos], act[neg]
+    i, j = np.nonzero(act_pos @ act_neg.T >= f - 2)
+    adjacent = np.empty(len(i), dtype=bool)
     step = max(1, _CHUNK // max(1, *act.shape))
-    for lo in range(0, len(p), step):
-        both = act[p[lo : lo + step]] * act[q[lo : lo + step]]
+    for lo in range(0, len(i), step):
+        both = act_pos[i[lo : lo + step]] * act_neg[j[lo : lo + step]]
         # Rays containing the common set: p and q themselves, and no other.
-        contain = (both @ act.T) == size[lo : lo + step, None]
+        contain = (both @ act.T) == both.sum(axis=1, keepdims=True)
         adjacent[lo : lo + step] = contain.sum(axis=1) == 2
-    return p[adjacent], q[adjacent]
+    return pos[i[adjacent]], neg[j[adjacent]]
 
 
 def _finish(rays: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Merge each ray within CONE_TOL of an earlier one into it, check them
-    against every halfspace, and sort them lexicographically."""
+    """Merge each ray within CONE_TOL of an earlier kept one into it, check
+    them against every halfspace, and sort them lexicographically.  The
+    distances are `np.linalg.norm(rays[i] - rays[j])`, bit for bit."""
+    close = np.empty((len(rays), len(rays)), dtype=bool)
+    step = max(1, _CHUNK // max(1, rays.size))
+    for i in range(0, len(rays), step):
+        diff = rays[i : i + step, None, :] - rays[None, :, :]
+        close[i : i + step] = np.sqrt(_row_dots(diff, diff)) <= CONE_TOL
     kept: list[int] = []
-    for i, r in enumerate(rays):
-        if not any(np.linalg.norm(r - rays[j]) <= CONE_TOL for j in kept):
+    for i, near in enumerate(close):
+        if not near[kept].any():
             kept.append(i)
     rays = rays[kept]
     if len(rays) == 0:
@@ -440,7 +551,8 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     otherwise the merged shell is inserted into the rays at R and the next
     radius is probed.  The merged rows are some of the shell rows with the
     same values, so the shell is merged only once some row of it is violated,
-    and the merged rows are tested by their columns of the shell's one product.
+    and the merged rows are tested by their columns of the shell's one guarded
+    product (`_cuts`).
     """
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
@@ -449,7 +561,7 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
         if not len(rays):
             return radius
         shell = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
-        cuts = _row_dots(rays[:, None, :], shell) < -CONE_TOL
+        cuts = _cuts(rays, shell)
         if not cuts.any():
             return radius
         # The merged shell: the first row of each 9-decimal key new to `a`.
@@ -462,6 +574,19 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
     )
+
+
+def _cuts(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(r, k) `ray @ row < -CONE_TOL`, each decision the one of the 1-d dot.
+    The values come from one GEMM; those within `_band` of -CONE_TOL get
+    the 1-d dot instead."""
+    band = _band(rows, rays)
+    vals = rays @ rows.T
+    cuts = vals < -CONE_TOL
+    vals += CONE_TOL
+    near = np.nonzero(np.abs(vals, out=vals) <= band)
+    cuts[near] = _row_dots(rays[near[0]], rows[near[1]]) < -CONE_TOL
+    return cuts
 
 
 def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int) -> np.ndarray:

@@ -116,7 +116,9 @@ def _newton_correct(
 ) -> tuple[np.ndarray, float]:
     x = state.copy()
     for _ in range(_MAX_NEWTON_ITER):
-        g = _edge_sq_lengths(graph, x) - target_sq
+        # An overflowing step is reported by the check below, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _edge_sq_lengths(graph, x) - target_sq
         residual = float(np.abs(g).max()) if len(g) else 0.0
         if residual < newton_tol:
             return x, residual

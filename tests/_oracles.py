@@ -566,6 +566,16 @@ def frozen_extremal_rays(halfspaces, f, tol=1e-9):
     return rays[order] if len(rays) else rays
 
 
+def frozen_finish_kept(rays, tol=1e-9):
+    """Indices of the rays the package's final merge keeps, as first
+    written: ray i is kept unless an earlier kept ray is within tol of it."""
+    kept = []
+    for i, r in enumerate(rays):
+        if not any(np.linalg.norm(r - rays[j]) <= tol for j in kept):
+            kept.append(i)
+    return kept
+
+
 def frozen_cone(pair_rows, flex_basis, tol=1e-9):
     """(halfspace matrix, rays) of the projected pair rows: exact duplicates
     merged through rounded dict keys, then the pairwise angular merge when

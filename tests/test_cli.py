@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,8 +228,11 @@ def test_simulate_rejects_bad_arguments_before_work(tmp_path, capsys, dim, extra
 
 def test_simulate_overflowing_step_is_numerical_failure(tmp_path, capfd):
     target = gen_file(tmp_path, capfd, "simplex", "--dim", "2", "--variant", "removed:1")
-    code = main(["simulate", str(target), "--ray", "0", "--h", "1e308", "--outdir", str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", str(target), "--ray", "0", "--h", "1e308", "--outdir", str(tmp_path)])
     assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capfd.readouterr()
     assert "error: numerical failure: corrector residual is inf" in captured.err
     assert "LinAlgError" not in captured.out + captured.err

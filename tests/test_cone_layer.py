@@ -1,5 +1,6 @@
 """The array cone layer against frozen loop code, brute force, np.unique
-and the from-scratch radius probe.
+and the from-scratch radius probe, and its guarded products against the
+reference products.
 
 The halfspace merge and the double description must make the same
 decisions with the same arithmetic as the loop-and-bitmask code they
@@ -30,10 +31,12 @@ from perigid import (
     stressed_framework,
 )
 from _oracles import (
+    _frozen_adjacent,
     brute_force_rays,
     first_rounded_rows,
     frozen_cone,
     frozen_extremal_rays,
+    frozen_finish_kept,
     rays_match,
 )
 from conftest import rotated
@@ -202,3 +205,159 @@ def test_probe_rejects_a_start_beyond_max_radius(base3):
     cone = expansive_cone(base3, analyze(base3), 3)
     with pytest.raises(ValueError, match="max_radius"):
         find_stable_radius(base3, cone, max_radius=2)
+
+
+# -- guarded products ---------------------------------------------------------
+
+
+def reference_tight(a, rays):
+    """The reference: |a @ ray| <= CONE_TOL from one matrix-vector product
+    per ray."""
+    return np.abs((a[None] @ rays[:, :, None])[:, :, 0]) <= expansive.CONE_TOL
+
+
+def guarded_tight(a, rays):
+    """The active sets `_ActiveSets` writes for `rays` over every row of `a`."""
+    sets = expansive._ActiveSets(a, len(a), rays)
+    spill = sets.col == sets.inc.shape[1] - 1
+    return sets.inc[: len(rays)][:, sets.col] & ~spill
+
+
+def test_a_value_in_the_band_takes_the_reference_path():
+    # The GEMM value of the first row is CONE_TOL itself.
+    a = np.array([[np.sqrt(1 - 1e-18), 0.0, 1e-9], [0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    rays = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    assert expansive._below(np.abs(rays @ a.T), expansive._band(a, rays)) is None
+    got = guarded_tight(a, rays)
+    assert got.tolist() == reference_tight(a, rays).tolist() == [[True, True, False], [True, False, True]]
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def rows_near_the_threshold(draw):
+    """Unit rays and unit rows whose dot with one of the rays is
+    +-(CONE_TOL + delta), delta a few band widths at most, or arbitrary."""
+    f = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rays = np.array([unit(rng.standard_normal(f)) for _ in range(draw(st.integers(1, 5)))])
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        target = rays[draw(st.integers(0, len(rays) - 1))]
+        if draw(st.booleans()):
+            rows.append(unit(rng.standard_normal(f)))
+            continue
+        t = draw(st.sampled_from([-1.0, 1.0])) * expansive.CONE_TOL
+        t += draw(st.floats(-5e-15, 5e-15))
+        side = rng.standard_normal(f)
+        side = unit(side - (side @ target) * target)
+        rows.append(np.sqrt(1 - t * t) * side + t * target)
+    return np.array(rows), rays
+
+
+@given(rows_near_the_threshold())
+@settings(max_examples=300, deadline=None)
+def test_guarded_tight_sets_match_the_per_ray_products(case):
+    a, rays = case
+    assert guarded_tight(a, rays).tolist() == reference_tight(a, rays).tolist()
+
+
+@st.composite
+def incidences(draw):
+    """A random ray x column incidence, each ray on the positive (1),
+    zero (0) or negative (-1) side, and a cone dimension."""
+    r, c = draw(st.integers(1, 10)), draw(st.integers(0, 8))
+    bits = draw(st.lists(st.booleans(), min_size=r * c, max_size=r * c))
+    sides = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=r, max_size=r)))
+    return np.array(bits, dtype=bool).reshape(r, c), sides, draw(st.integers(2, 6))
+
+
+@given(incidences())
+@settings(max_examples=300, deadline=None)
+def test_adjacent_pairs_are_the_frozen_subset_test(case):
+    inc, sides, f = case
+    pos, neg = np.flatnonzero(sides == 1), np.flatnonzero(sides == -1)
+    p, q = expansive._adjacent_pairs(inc, pos, neg, f)
+    masks = [sum(1 << int(t) for t in np.flatnonzero(row)) for row in inc]
+    # Only pairs with at least f - 2 common members are tested: in a double
+    # description the others are never adjacent.
+    expected = [
+        (i, j)
+        for i in pos.tolist()
+        for j in neg.tolist()
+        if bin(masks[i] & masks[j]).count("1") >= f - 2 and _frozen_adjacent(masks, i, j)
+    ]
+    assert list(zip(p.tolist(), q.tolist())) == expected
+
+
+def counting(monkeypatch, name):
+    """Count the calls of `_ActiveSets.<name>`."""
+    calls = []
+    method = getattr(expansive._ActiveSets, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(expansive._ActiveSets, name, counted)
+    return calls
+
+
+def test_a_small_buffer_drops_and_revives_columns_bit_for_bit(monkeypatch):
+    # Two columns, the last one never read: every halfspace forces a rebuild.
+    monkeypatch.setattr(expansive, "_WIDTH", 2)
+    rebuilds, revivals = counting(monkeypatch, "_rebuild"), counting(monkeypatch, "_revive")
+    rng = np.random.default_rng(7)
+    cones = [random_pointed_cone(rng, f, True) for f in (3, 4, 5, 6) for _ in range(4)]
+    cones = [rows for rows in cones if np.linalg.matrix_rank(rows) == rows.shape[1]]
+    for kind, d, radius in [("base", 4, 2), ("removed:1", 4, 2), ("stressed", 3, 2)]:
+        fw = framework(kind, d, seed=d + radius)
+        cones.append(expansive_cone(fw, analyze(fw), radius).halfspace_matrix)
+    for rows in cones:
+        assert extremal_rays(rows).tobytes() == frozen_extremal_rays(rows, rows.shape[1]).tobytes()
+    assert rebuilds and revivals
+
+
+def test_finish_merges_as_the_frozen_loop():
+    rng = np.random.default_rng(3)
+    base = np.array([unit(rng.standard_normal(4)) for _ in range(6)])
+    offset = unit(rng.standard_normal(4))
+    # Twins just inside and just outside CONE_TOL of a base ray, and a chain
+    # whose middle link is merged, so its last one is compared only with kept rays.
+    rays = np.concatenate([
+        base,
+        base[:3] + 0.99e-9 * offset,
+        base[3:] + 1.01e-9 * offset,
+        base[:1] + 1.6e-9 * offset,
+    ])
+    kept = rays[frozen_finish_kept(rays)]
+    expected = kept[np.lexsort(np.round(kept, 12).T[::-1])]
+    got = expansive._finish(rays, np.zeros((1, 4)))
+    assert got.tobytes() == expected.tobytes()
+    assert 6 < len(got) < len(rays)
+
+
+def test_probe_shell_values_in_the_band_take_the_reference_path(base3, monkeypatch):
+    # The shell value at the ray (1, 0) is -CONE_TOL itself (not a cut) or a
+    # band width's fraction below it (a cut): the second moves the radius.
+    cone = ExpansiveCone(
+        np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]]), 2, np.array([[0.0, 1.0], [1.0, 0.0]])
+    )
+    referred = []
+    row_dots = expansive._row_dots
+
+    def spy(a, b):
+        referred.append(len(a))
+        return row_dots(a, b)
+
+    monkeypatch.setattr(expansive, "_row_dots", spy)
+    for value, radius in [(-1e-9, 2), (-1.0000001e-9, 3)]:
+        shell = np.array([[value, 1.0]])
+        monkeypatch.setattr(expansive, "_shell_halfspaces", lambda fw, basis, r, s=shell: s)
+        referred.clear()
+        cuts = expansive._cuts(cone.rays, shell)
+        assert referred == [1]
+        assert cuts.tolist() == (row_dots(cone.rays[:, None, :], shell) < -expansive.CONE_TOL).tolist()
+        assert find_stable_radius(base3, cone, max_radius=4) == radius

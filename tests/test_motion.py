@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -264,9 +265,12 @@ def test_continue_motion_rejects_nonpositive_step(mech2, h):
 def test_an_overflowing_step_is_a_newton_divergence(mech2, capfd):
     # The predicted state's squared lengths overflow: the corrector raises
     # before least squares, which would fail inside LAPACK.
-    with pytest.raises(NewtonDivergenceError, match="corrector residual is inf"):
-        continue_motion(mech2, expanding_flex(mech2), n_steps=2, h=1e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NewtonDivergenceError, match="corrector residual is inf"):
+            continue_motion(mech2, expanding_flex(mech2), n_steps=2, h=1e308)
     assert "DLASCL" not in capfd.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("n_steps", [-3, 2.5, "2", None])
