@@ -226,50 +226,49 @@ def _below(mag: np.ndarray, band: float):
 
 class _ActiveSets:
     """The active sets of `_clip`'s rays: row i of the bool buffer `inc`,
-    over its first `c` columns, is the set of ray i.  Halfspace t has column
-    `col[t]` while some ray may be tight at it, and otherwise the buffer's
-    last column, which is written but never read."""
+    over its first `c` columns, is the set of ray i, column j standing for
+    halfspace `hs[j]`.  A halfspace has a column while some ray may be tight
+    at it, and the columns from `c` on are clear."""
 
     def __init__(self, a: np.ndarray, n: int, rays: np.ndarray):
         self.a, self.at, self.band = a, a.T.copy(), _band(a, rays)
         self.inc = np.zeros((len(rays), _WIDTH), dtype=bool)
-        self.col = np.full(len(a), _WIDTH - 1)
+        self.hs = np.empty(_WIDTH, dtype=int)
         self.c = 0
         self.write(0, n, rays)
 
     def append(self, r: int, n: int, tight: np.ndarray) -> None:
         """Give halfspaces n, n + 1, ... the next columns, set where `tight`."""
         w = tight.shape[1]
-        if self.c + w >= self.inc.shape[1]:
+        if self.c + w > self.inc.shape[1]:
             self._rebuild(r, len(self.inc), w)
         self.inc[:r, self.c : self.c + w] = tight
-        self.col[n : n + w] = np.arange(self.c, self.c + w)
+        self.hs[self.c : self.c + w] = np.arange(n, n + w)
         self.c += w
 
     def write(self, lo: int, n: int, rays: np.ndarray) -> None:
         """Set rows lo, lo + 1, ... to the active sets |a[:n] @ ray| <=
         CONE_TOL of `rays`, each decision the one of the matrix-vector
         product per ray: from one GEMM per chunk, unless a value of the
-        chunk lies in the band, which sends its rays to their products."""
+        chunk lies in the band, which sends the chunk's rays to their
+        products."""
         hi = lo + len(rays)
         if not hi <= len(self.inc) <= 2 * hi:
             self._rebuild(lo, hi + hi // 4, 0)
         step = max(1, _CHUNK // max(1, n))
         for i in range(lo, hi, step):
             chunk = rays[i - lo : i - lo + step]
-            mag = np.abs(chunk @ self.at[:, :n])
-            tight = _below(mag, self.band)
+            tight = _below(np.abs(chunk @ self.at[:, :n]), self.band)
             if tight is None:
-                near = ((mag > CONE_TOL - self.band) & (mag <= CONE_TOL + self.band)).any(axis=1)
-                mag[near] = np.abs((self.a[None, :n] @ chunk[near, :, None])[:, :, 0])
-                tight = mag <= CONE_TOL
+                tight = np.abs((self.a[None, :n] @ chunk[:, :, None])[:, :, 0]) <= CONE_TOL
             self._set(i, tight)
 
     def _set(self, lo: int, tight: np.ndarray) -> None:
-        hi = lo + len(tight)
-        self.inc[lo:hi] = False
-        self.inc[lo:hi, self.col[: tight.shape[1]]] = tight
-        if np.count_nonzero(self.inc[lo:hi, : self.c]) != np.count_nonzero(tight):
+        """Rows lo, lo + 1, ... from their sets over all processed
+        halfspaces, read at the halfspaces that have columns."""
+        rows = self.inc[lo : lo + len(tight), : self.c]
+        rows[:] = np.take(tight, self.hs[: self.c], axis=1)
+        if np.count_nonzero(rows) != np.count_nonzero(tight):
             self._revive(lo, tight)
             self._set(lo, tight)
 
@@ -277,8 +276,8 @@ class _ActiveSets:
         """Give a column to each halfspace that `tight` sets and has none."""
         hit = np.logical_or.reduce(tight, axis=0).nonzero()[0]
         self._rebuild(lo, len(self.inc), len(hit))
-        gone = hit[self.col[hit] == self.inc.shape[1] - 1]
-        self.col[gone] = np.arange(self.c, self.c + len(gone))
+        gone = np.setdiff1d(hit, self.hs[: self.c], assume_unique=True)
+        self.hs[self.c : self.c + len(gone)] = gone
         self.c += len(gone)
 
     def _rebuild(self, r: int, rows: int, extra: int) -> None:
@@ -286,15 +285,14 @@ class _ActiveSets:
         r is tight at, with half as many columns again as those and `extra`."""
         live = np.logical_or.reduce(self.inc[:r, : self.c], axis=0).nonzero()[0]
         c = len(live)
-        inc = np.zeros((rows, max(_WIDTH, 3 * (c + extra) // 2 + 1)), dtype=bool)
+        width = max(_WIDTH, 3 * (c + extra) // 2)
+        inc = np.zeros((rows, width), dtype=bool)
         step = max(1, _CHUNK // max(1, c))
         for i in range(0, r, step):
             inc[i : min(i + step, r), :c] = self.inc[i : min(i + step, r), live]
-        # Dropped columns, and the old last one, map to the new last one.
-        index = np.full(self.inc.shape[1], inc.shape[1] - 1)
-        index[live] = np.arange(c)
-        self.col = index[self.col]
-        self.inc, self.c = inc, c
+        hs = np.empty(width, dtype=int)
+        hs[:c] = self.hs[live]
+        self.inc, self.hs, self.c = inc, hs, c
 
 
 def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
@@ -360,15 +358,11 @@ def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     A pair whose common active set has fewer than f - 2 members spans a face
     of dimension at least 3, whose other extremal rays contain that set, so
     only the pairs with at least f - 2 common members get the subset test.
-    Common sets lie in the columns tight at some ray of the negative side,
-    which are found first; when those make a large block, only the ones the
-    positive side shares are kept.  Sets are counted as 0/1 float32
-    products (exact below 2^24).
+    Common sets lie in the columns tight at some ray of each side, so only
+    those are counted, as 0/1 float32 products (exact below 2^24).
     """
-    act = inc[:, np.logical_or.reduce(inc[neg], axis=0).nonzero()[0]]
-    if act.size > _CHUNK:
-        act = act[:, np.logical_or.reduce(act[pos], axis=0)]
-    act = act.astype(np.float32)
+    shared = np.logical_or.reduce(inc[pos], axis=0) & np.logical_or.reduce(inc[neg], axis=0)
+    act = inc[:, shared.nonzero()[0]].astype(np.float32)
     act_pos, act_neg = act[pos], act[neg]
     i, j = np.nonzero(act_pos @ act_neg.T >= f - 2)
     adjacent = np.empty(len(i), dtype=bool)
@@ -384,16 +378,15 @@ def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
 def _finish(rays: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Merge each ray within CONE_TOL of an earlier kept one into it, check
     them against every halfspace, and sort them lexicographically.  The
-    distances are `np.linalg.norm(rays[i] - rays[j])`, bit for bit."""
-    close = np.empty((len(rays), len(rays)), dtype=bool)
-    step = max(1, _CHUNK // max(1, rays.size))
-    for i in range(0, len(rays), step):
-        diff = rays[i : i + step, None, :] - rays[None, :, :]
-        close[i : i + step] = np.sqrt(_row_dots(diff, diff)) <= CONE_TOL
+    distances are `np.linalg.norm(rays[i] - rays[j])`, bit for bit, computed
+    a chunk of rows at a time and read as they come."""
     kept: list[int] = []
-    for i, near in enumerate(close):
-        if not near[kept].any():
-            kept.append(i)
+    step = max(1, _CHUNK // max(1, rays.size))
+    for lo in range(0, len(rays), step):
+        diff = rays[lo : lo + step, None, :] - rays[None, :, :]
+        for i, near in enumerate(np.sqrt(_row_dots(diff, diff)) <= CONE_TOL, lo):
+            if not near[kept].any():
+                kept.append(i)
     rays = rays[kept]
     if len(rays) == 0:
         return rays
@@ -551,8 +544,7 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     otherwise the merged shell is inserted into the rays at R and the next
     radius is probed.  The merged rows are some of the shell rows with the
     same values, so the shell is merged only once some row of it is violated,
-    and the merged rows are tested by their columns of the shell's one guarded
-    product (`_cuts`).
+    and the merged rows are tested by their columns of the shell's one product.
     """
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
@@ -561,7 +553,7 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
         if not len(rays):
             return radius
         shell = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
-        cuts = _cuts(rays, shell)
+        cuts = _row_dots(rays[:, None, :], shell) < -CONE_TOL
         if not cuts.any():
             return radius
         # The merged shell: the first row of each 9-decimal key new to `a`.
@@ -574,19 +566,6 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
     )
-
-
-def _cuts(rays: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(r, k) `ray @ row < -CONE_TOL`, each decision the one of the 1-d dot.
-    The values come from one GEMM; those within `_band` of -CONE_TOL get
-    the 1-d dot instead."""
-    band = _band(rows, rays)
-    vals = rays @ rows.T
-    cuts = vals < -CONE_TOL
-    vals += CONE_TOL
-    near = np.nonzero(np.abs(vals, out=vals) <= band)
-    cuts[near] = _row_dots(rays[near[0]], rows[near[1]]) < -CONE_TOL
-    return cuts
 
 
 def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int) -> np.ndarray:

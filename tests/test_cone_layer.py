@@ -219,8 +219,9 @@ def reference_tight(a, rays):
 def guarded_tight(a, rays):
     """The active sets `_ActiveSets` writes for `rays` over every row of `a`."""
     sets = expansive._ActiveSets(a, len(a), rays)
-    spill = sets.col == sets.inc.shape[1] - 1
-    return sets.inc[: len(rays)][:, sets.col] & ~spill
+    tight = np.zeros((len(rays), len(a)), dtype=bool)
+    tight[:, sets.hs[: sets.c]] = sets.inc[: len(rays), : sets.c]
+    return tight
 
 
 def test_a_value_in_the_band_takes_the_reference_path():
@@ -320,7 +321,10 @@ def test_a_small_buffer_drops_and_revives_columns_bit_for_bit(monkeypatch):
     assert rebuilds and revivals
 
 
-def test_finish_merges_as_the_frozen_loop():
+@pytest.mark.parametrize("chunk", [expansive._CHUNK, 130, 1])
+def test_finish_merges_as_the_frozen_loop(chunk, monkeypatch):
+    # 130 entries are chunks of two rows, 1 is a chunk of one row.
+    monkeypatch.setattr(expansive, "_CHUNK", chunk)
     rng = np.random.default_rng(3)
     base = np.array([unit(rng.standard_normal(4)) for _ in range(6)])
     offset = unit(rng.standard_normal(4))
@@ -338,26 +342,3 @@ def test_finish_merges_as_the_frozen_loop():
     assert got.tobytes() == expected.tobytes()
     assert 6 < len(got) < len(rays)
 
-
-def test_probe_shell_values_in_the_band_take_the_reference_path(base3, monkeypatch):
-    # The shell value at the ray (1, 0) is -CONE_TOL itself (not a cut) or a
-    # band width's fraction below it (a cut): the second moves the radius.
-    cone = ExpansiveCone(
-        np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]]), 2, np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
-    referred = []
-    row_dots = expansive._row_dots
-
-    def spy(a, b):
-        referred.append(len(a))
-        return row_dots(a, b)
-
-    monkeypatch.setattr(expansive, "_row_dots", spy)
-    for value, radius in [(-1e-9, 2), (-1.0000001e-9, 3)]:
-        shell = np.array([[value, 1.0]])
-        monkeypatch.setattr(expansive, "_shell_halfspaces", lambda fw, basis, r, s=shell: s)
-        referred.clear()
-        cuts = expansive._cuts(cone.rays, shell)
-        assert referred == [1]
-        assert cuts.tolist() == (row_dots(cone.rays[:, None, :], shell) < -expansive.CONE_TOL).tolist()
-        assert find_stable_radius(base3, cone, max_radius=4) == radius
