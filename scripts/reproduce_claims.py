@@ -48,7 +48,7 @@ def stressed_example(out):
     stable = pg.find_stable_radius(fw, cone)
     with open(os.path.join(out, "stressed_cone.json"), "w") as fh:
         fh.write(cone_report_json(cone, stable))
-    write_pair_audit_csv(fw, cone, os.path.join(out, "stressed_pairs.csv"))
+    write_pair_audit_csv(pg.enumerate_pairs(fw, 2), cone, os.path.join(out, "stressed_pairs.csv"))
     print(f"  expansive cone: {len(cone.rays)} extremal rays, stable radius {stable}")
     for i in range(len(cone.rays)):
         motion = cone.ray_motion(i)

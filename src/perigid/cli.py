@@ -119,11 +119,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_cone(args) -> int:
     fw = load_framework(args.framework)
     report = analyze(fw, args.rank_tol)
-    cone = expansive.expansive_cone(fw, report, args.radius)
+    # The pair audit is written from the cone's own pairs, before the probe.
+    cone = expansive._audited_cone(fw, report, args.radius, args.pairs)
     stable = expansive.find_stable_radius(fw, cone, max_radius=args.radius + 3)
     _emit(expansive.cone_report_json(cone, stable), args.out)
-    if args.pairs is not None:
-        expansive.write_pair_audit_csv(fw, cone, args.pairs)
     return EXIT_OK
 
 

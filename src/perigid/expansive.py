@@ -12,7 +12,8 @@ satisfy every pair row with equality and would only add spurious lineality).
 Halfspaces that round to the same 9 decimals are merged, the first kept,
 by a stable sort on those keys.  Extremal rays come from a double
 description pass over the merged halfspaces, each ray's active set a bool
-row over the live columns, the processed halfspaces tight at some ray.  The
+row over the processed halfspaces that some ray is tight at or may become
+tight at (`_ActiveSets`).  The
 merge and the double description are array code that makes the decisions
 of the one-row, one-ray loop they replaced, in the same order, and builds
 every ray with the same floating-point operations, so the halfspaces and
@@ -198,6 +199,9 @@ def extremal_rays(halfspaces) -> np.ndarray:
 _CHUNK = 1 << 17
 # Starting column count of `_clip`'s incidence buffer.
 _WIDTH = 256
+# A processed halfspace keeps its column while its lower bound is at most
+# this; the margin over CONE_TOL is argued in `_ActiveSets`.
+_NEAR = CONE_TOL + 1e-10
 
 
 def _band(rows: np.ndarray, rays: np.ndarray) -> float:
@@ -227,92 +231,111 @@ def _below(mag: np.ndarray, band: float):
 class _ActiveSets:
     """The active sets of `_clip`'s rays: row i of the bool buffer `inc`,
     over its first `c` columns, is the set of ray i, column j standing for
-    halfspace `hs[j]`.  A halfspace has a column while some ray may be tight
-    at it, and the columns from `c` on are clear."""
+    halfspace `hs[j]`, whose row is `ha[j]`; the columns from `c` on are
+    clear.  A new ray's set is computed at the columns only.
+
+    A processed halfspace h keeps its column while some ray is tight at it
+    or `low[h]`, a lower bound of a[h] @ ray over the current rays, is at
+    most `_NEAR`.  Every later ray is (v_p q - v_q p) / N for current unit
+    rays p, q, v_p > 0 > v_q and N <= v_p + |v_q|, so in exact arithmetic it
+    keeps a[h] @ ray >= low[h] > 0 (Fukuda and Prodon, Double description
+    method revisited, 1996).  In floating point a generation of rays loses
+    about 10 units of roundoff from the bound, itself a GEMM value within
+    gamma_f of the dot, and a pass makes at most one generation per cut, so
+    the 1e-10 margin covers some 9 x 10^4 cuts (d = 6, R = 4 makes 12,633):
+    a product not taken is one the reference calls not tight, and the bits
+    do not change.
+    `low[h]` is the smallest value the run scan read at h, recomputed over
+    the current rays when a rebuild finds no ray tight at h's column.
+    """
 
     def __init__(self, a: np.ndarray, n: int, rays: np.ndarray):
         self.a, self.at, self.band = a, a.T.copy(), _band(a, rays)
-        self.inc = np.zeros((len(rays), _WIDTH), dtype=bool)
-        self.hs = np.empty(_WIDTH, dtype=int)
-        self.c = 0
+        self.low = np.empty(len(a))
+        near = np.arange(n)[self._near(rays, np.arange(n))]
+        width = max(_WIDTH, 3 * len(near) // 2)
+        self.inc = np.zeros((len(rays), width), dtype=bool)
+        self.hs, self.ha = np.empty(width, dtype=int), np.empty((width, a.shape[1]))
+        self.hs[: len(near)], self.ha[: len(near)], self.c = near, a[near], len(near)
         self.write(0, n, rays)
 
-    def append(self, r: int, n: int, tight: np.ndarray) -> None:
-        """Give halfspaces n, n + 1, ... the next columns, set where `tight`."""
+    def append(self, rays: np.ndarray, n: int, tight: np.ndarray, low: np.ndarray) -> None:
+        """Give halfspaces n, n + 1, ... the next columns, set where `tight`,
+        and the lower bounds `low`."""
         w = tight.shape[1]
         if self.c + w > self.inc.shape[1]:
-            self._rebuild(r, len(self.inc), w)
-        self.inc[:r, self.c : self.c + w] = tight
+            self._rebuild(rays, len(rays), len(self.inc), w)
+        self.inc[: len(rays), self.c : self.c + w] = tight
         self.hs[self.c : self.c + w] = np.arange(n, n + w)
+        self.ha[self.c : self.c + w] = self.a[n : n + w]
+        self.low[n : n + w] = low
         self.c += w
 
     def write(self, lo: int, n: int, rays: np.ndarray) -> None:
         """Set rows lo, lo + 1, ... to the active sets |a[:n] @ ray| <=
-        CONE_TOL of `rays`, each decision the one of the matrix-vector
-        product per ray: from one GEMM per chunk, unless a value of the
-        chunk lies in the band, which sends the chunk's rays to their
-        products."""
-        hi = lo + len(rays)
+        CONE_TOL of rays[lo:], each decision the one of the matrix-vector
+        product per ray: from one GEMM per chunk at the columns, unless a
+        value of the chunk lies in the band, which sends the chunk's rays to
+        their products."""
+        hi = len(rays)
         if not hi <= len(self.inc) <= 2 * hi:
-            self._rebuild(lo, hi + hi // 4, 0)
-        step = max(1, _CHUNK // max(1, n))
+            self._rebuild(rays, lo, hi + hi // 4, 0)
+        step = max(1, _CHUNK // max(1, self.c))
         for i in range(lo, hi, step):
-            chunk = rays[i - lo : i - lo + step]
-            tight = _below(np.abs(chunk @ self.at[:, :n]), self.band)
+            chunk = rays[i : i + step]
+            tight = _below(np.abs(chunk @ self.ha[: self.c].T), self.band)
             if tight is None:
-                tight = np.abs((self.a[None, :n] @ chunk[:, :, None])[:, :, 0]) <= CONE_TOL
-            self._set(i, tight)
+                dots = (self.a[None, :n] @ chunk[:, :, None])[:, self.hs[: self.c], 0]
+                tight = np.abs(dots) <= CONE_TOL
+            self.inc[i : i + len(chunk), : self.c] = tight
 
-    def _set(self, lo: int, tight: np.ndarray) -> None:
-        """Rows lo, lo + 1, ... from their sets over all processed
-        halfspaces, read at the halfspaces that have columns."""
-        rows = self.inc[lo : lo + len(tight), : self.c]
-        rows[:] = np.take(tight, self.hs[: self.c], axis=1)
-        if np.count_nonzero(rows) != np.count_nonzero(tight):
-            self._revive(lo, tight)
-            self._set(lo, tight)
+    def _near(self, rays: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """Set `low` at the halfspaces hs to its minimum over `rays`; whether
+        each is at most `_NEAR`."""
+        step = max(1, _CHUNK // max(1, len(rays)))
+        for i in range(0, len(hs), step):
+            cols = hs[i : i + step]
+            self.low[cols] = (rays @ self.at[:, cols]).min(axis=0, initial=np.inf)
+        return self.low[hs] <= _NEAR
 
-    def _revive(self, lo: int, tight: np.ndarray) -> None:
-        """Give a column to each halfspace that `tight` sets and has none."""
-        hit = np.logical_or.reduce(tight, axis=0).nonzero()[0]
-        self._rebuild(lo, len(self.inc), len(hit))
-        gone = np.setdiff1d(hit, self.hs[: self.c], assume_unique=True)
-        self.hs[self.c : self.c + len(gone)] = gone
-        self.c += len(gone)
-
-    def _rebuild(self, r: int, rows: int, extra: int) -> None:
+    def _rebuild(self, rays: np.ndarray, r: int, rows: int, extra: int) -> None:
         """A new buffer of `rows` rows over the columns some ray of the first
-        r is tight at, with half as many columns again as those and `extra`."""
-        live = np.logical_or.reduce(self.inc[:r, : self.c], axis=0).nonzero()[0]
+        r is tight at or whose bound, recomputed over `rays`, is at most
+        `_NEAR`, with half as many columns again as those and `extra`."""
+        keep = np.logical_or.reduce(self.inc[:r, : self.c], axis=0)
+        loose = (~keep & (self.low[self.hs[: self.c]] <= _NEAR)).nonzero()[0]
+        keep[loose] = self._near(rays, self.hs[loose])
+        live = keep.nonzero()[0]
         c = len(live)
         width = max(_WIDTH, 3 * (c + extra) // 2)
         inc = np.zeros((rows, width), dtype=bool)
         step = max(1, _CHUNK // max(1, c))
         for i in range(0, r, step):
             inc[i : min(i + step, r), :c] = self.inc[i : min(i + step, r), live]
-        hs = np.empty(width, dtype=int)
-        hs[:c] = self.hs[live]
-        self.inc, self.hs, self.c = inc, hs, c
+        hs, ha = np.empty(width, dtype=int), np.empty((width, self.a.shape[1]))
+        hs[:c], ha[:c] = self.hs[live], self.ha[live]
+        self.inc, self.hs, self.ha, self.c = inc, hs, ha, c
 
 
 def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
 
     Each ray's active set, the processed halfspaces tight at it, is a bool
-    row over the live columns of a reusable buffer (`_ActiveSets`).  A run
+    row over the columns of a reusable buffer (`_ActiveSets`).  A run
     of halfspaces that no ray violates only marks tight rays, so runs are
     evaluated a block at a time and written with one slice.  A violated
     halfspace keeps the rays on its nonnegative side, positive then zero,
     and appends, for every adjacent pair of a ray p on its positive and q on
     its negative side, the unit ray along vals[p] * q - vals[q] * p.  Only
     the rows after the first ray that moves are copied, and only the new
-    rays' rows are written; a halfspace whose column was dropped gets one
-    again.  Columns no ray is tight at are dropped when the buffer is full.
+    rays' rows are written.  Columns that no ray is tight at or can become
+    tight at are dropped when the buffer is full.
 
     Tight and violated come from one GEMM per block; a block with a value
     within `_band` of CONE_TOL is decided by the 1-d dots `a[t] @ ray`, which
     also give the values that build new rays, so every decision is the one
-    those dots make.
+    those dots make.  A halfspace is violated when the smallest value of its
+    column is below -CONE_TOL; that smallest value is also its lower bound.
     """
     f = a.shape[1]
     sets = _ActiveSets(a, n, rays)
@@ -323,10 +346,11 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
         if tight is None:
             vals = _row_dots(rays[:, None, :], a[n : n + block])
             tight = np.abs(vals) <= CONE_TOL
-        cut = np.logical_or.reduce(vals < -CONE_TOL, axis=0).nonzero()[0]
+        low = vals.min(axis=0)
+        cut = (low < -CONE_TOL).nonzero()[0]
         run = cut[0] if len(cut) else vals.shape[1]
         # The run's columns and the cut's, which is tight at the zero rays only.
-        sets.append(len(rays), n, tight[:, : run + 1])
+        sets.append(rays, n, tight[:, : run + 1], low[: run + 1])
         n += run
         if not len(cut):
             block = min(2 * block, max(8, _CHUNK // len(rays)))
@@ -347,7 +371,7 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
         first = positive.argmin()
         sets.inc[first : len(keep), : sets.c] = sets.inc[keep[first:], : sets.c]
         if len(new):
-            sets.write(len(keep), n, new)
+            sets.write(len(keep), n, rays)
     return rays
 
 
@@ -358,11 +382,11 @@ def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     A pair whose common active set has fewer than f - 2 members spans a face
     of dimension at least 3, whose other extremal rays contain that set, so
     only the pairs with at least f - 2 common members get the subset test.
-    Common sets lie in the columns tight at some ray of each side, so only
-    those are counted, as 0/1 float32 products (exact below 2^24).
+    Common sets lie in the columns some negative ray is tight at, so all
+    rays are read at only those, and counted as 0/1 float32 products (exact
+    below 2^24).
     """
-    shared = np.logical_or.reduce(inc[pos], axis=0) & np.logical_or.reduce(inc[neg], axis=0)
-    act = inc[:, shared.nonzero()[0]].astype(np.float32)
+    act = inc[:, np.logical_or.reduce(inc[neg], axis=0).nonzero()[0]].astype(np.float32)
     act_pos, act_neg = act[pos], act[neg]
     i, j = np.nonzero(act_pos @ act_neg.T >= f - 2)
     adjacent = np.empty(len(i), dtype=bool)
@@ -428,28 +452,51 @@ def expansive_cone(
     unit rows equal to 9 decimals are merged, and rays come from the double
     description pass.
     """
+    return _audited_cone(fw, report, radius, None)
+
+
+def _audited_cone(
+    fw: PeriodicFramework, report: RigidityReport, radius: int, audit_path
+) -> ExpansiveCone:
+    """`expansive_cone`, which also writes the pair audit CSV of the pairs it
+    is built from to `audit_path` unless that is None: one enumeration
+    serves both."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     f = report.dof
-    if f == 0:
-        return ExpansiveCone(report.flex_basis, np.zeros((0, 0)), radius, np.zeros((0, 0)))
     if f > MAX_FLEX_DIM:
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    projected = _unit_halfspaces(enumerate_pairs(fw, radius).rows, report.flex_basis)
-    if len(projected) == 0:
-        # No pair restricts the flexes at this radius; the cone is all of R^f.
-        raise NonPointedConeError("no active pair constraints; cone has full lineality")
-    uniq = projected[_first_unique(projected)]
-    return ExpansiveCone(report.flex_basis, uniq, radius, extremal_rays(uniq))
+    pairs = enumerate_pairs(fw, radius) if audit_path is not None else None
+    uniq = rays = np.zeros((0, 0))
+    if f:
+        # Without an audit the pairs live only until their rows are projected.
+        projected = _unit_halfspaces(
+            (enumerate_pairs(fw, radius) if pairs is None else pairs).rows, report.flex_basis
+        )
+        if len(projected) == 0:
+            # No pair restricts the flexes at this radius; the cone is all of R^f.
+            raise NonPointedConeError("no active pair constraints; cone has full lineality")
+        uniq = projected[_first_unique(projected)]
+        rays = extremal_rays(uniq)
+    cone = ExpansiveCone(report.flex_basis, uniq, radius, rays)
+    if pairs is not None:
+        write_pair_audit_csv(pairs, cone, audit_path)
+    return cone
 
 
 def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
     """Pair rows in flex coordinates, normalized; rows of norm below
-    CONE_TOL (relative to the row, at least 1) are dropped."""
+    CONE_TOL (relative to the row, at least 1) are dropped.  The row norms
+    are taken a chunk of rows at a time, each row's the one of its own
+    reduction, so no temporary as large as the rows is made."""
     projected = rows @ flex_basis.T
-    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+    scale = np.empty(len(rows))
+    step = max(1, _CHUNK // max(1, rows.shape[1]))
+    for i in range(0, len(rows), step):
+        scale[i : i + step] = np.linalg.norm(rows[i : i + step], axis=1)
+    np.maximum(scale, 1.0, out=scale)
     # Each row's norm depends on that row alone, so one pass serves both.
     norms = np.linalg.norm(projected, axis=1)
     keep = norms > CONE_TOL * scale
@@ -586,14 +633,14 @@ def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
     )
 
 
-def write_pair_audit_csv(fw: PeriodicFramework, cone: ExpansiveCone, path) -> None:
-    """Per-pair audit at the cone's radius: the norm of each pair row
-    projected to the cone's flex coordinates.
+def write_pair_audit_csv(pairs: PairSet, cone: ExpansiveCone, path) -> None:
+    """Per-pair audit of the pairs the cone was built from, those of
+    ``enumerate_pairs`` at its radius: the norm of each pair row projected
+    to the cone's flex coordinates.
 
     Zero means the pair does not restrict the flex space (bars in particular).
     """
-    pairs = enumerate_pairs(fw, cone.radius)
-    d = fw.dimension
+    d = pairs.shifts.shape[1]
     header = ["orbit_a", "orbit_b"] + [f"shift_{i + 1}" for i in range(d)] + ["value"]
     # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
     projected = (pairs.rows[:, None, :] @ cone.flex_basis.T)[:, 0, :]

@@ -8,7 +8,8 @@ Phase-I tableaus the feasibility oracle must reproduce bit for bit, an
 angular sweep for two-dimensional cones, a per-pair loop over the plain
 separation formula p_b + L w - p_a, a frozen copy of the loop-and-bitmask halfspace merge and double description the cone layer
 must reproduce bit for bit, the first rows of each 9-decimal key by
-``np.unique``, a brute-force (f-1)-subset ray enumeration,
+``np.unique``, a brute-force (f-1)-subset ray enumeration, a completeness
+check of a simplicial cone by its facet normals,
 a comparison of ray sets up to an angular tolerance, a frozen copy of the
 frame writers that format one value at a time, and the motion gauge's free
 coordinates by the index formula of the (dn + d^2) layout.
@@ -620,6 +621,28 @@ def brute_force_rays(halfspaces, tol=1e-9):
             if (a @ r).min() >= -tol and all(np.linalg.norm(r - x) > 1e-7 for x in found):
                 found.append(r)
     return np.array(found).reshape(len(found), f)
+
+
+def simplicial_cone_is_complete(halfspaces, rays, tol=1e-9) -> bool:
+    """Whether f independent rays R span exactly {c : A c >= 0}.
+
+    cone(R) lies in the halfspaces when every ray satisfies every row within
+    `tol`.  The halfspaces lie in cone(R) when each facet normal of cone(R),
+    a row of (R^T)^-1 (its dot with ray j is 1 at its own ray and 0 at the
+    others), is a row of A up to a positive scale: both unit, their dot is
+    within 1e-12 of 1.  Then the intersection of the halfspaces is cut by
+    every facet of cone(R), so the two cones are equal."""
+    a = np.asarray(halfspaces, dtype=float)
+    r = np.asarray(rays, dtype=float)
+    f = a.shape[1]
+    if r.shape != (f, f) or np.linalg.matrix_rank(r) < f:
+        return False
+    if (a @ r.T).min() < -tol:
+        return False
+    normals = np.linalg.inv(r.T)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    unit = a / np.linalg.norm(a, axis=1, keepdims=True)
+    return bool(((normals @ unit.T).max(axis=1) >= 1 - 1e-12).all())
 
 
 _RAY_MATCH_TOL = 1e-6  # angular tolerance when comparing ray sets

@@ -87,6 +87,32 @@ def test_cone_counts_and_pairs_csv(tmp_path, capsys):
     assert json.loads(out)["rays"] == []
 
 
+# SHA-256 of `perigid cone --pairs` CSVs, recorded at commit d9a694d with
+# numpy 2.4.6, when the audit enumerated the pairs a second time.
+PAIRS_CSV_DIGESTS = {
+    ("stressed", 2): "758e6e1b8d8e5d8755818c5e61c426b252029be4684c931bbcb955f4f9024c54",
+    ("base", 2): "b8e579513b81a40895f4a84d87ee2b927f56739d5eb418c547737f00145a9152",
+    ("enhanced", 1): "a943950899e627db053d291c85a5b538d31b77d93debed65b65a53cefcd344fc",
+}
+
+
+@pytest.mark.parametrize("kind, radius", sorted(PAIRS_CSV_DIGESTS))
+def test_cone_pairs_csv_comes_from_one_enumeration(kind, radius, tmp_path, capsys, monkeypatch):
+    from perigid import expansive
+
+    fw = stressed_framework() if kind == "stressed" else simplex_framework(3, SimplexVariant(kind))
+    target, pairs = tmp_path / "fw.json", tmp_path / "pairs.csv"
+    save_framework(fw, target)
+    calls = []
+    enumerate_pairs = expansive.enumerate_pairs
+    monkeypatch.setattr(expansive, "enumerate_pairs", lambda *a: calls.append(a) or enumerate_pairs(*a))
+    code, _ = run_cli(["cone", str(target), "--radius", str(radius), "--pairs", str(pairs)], capsys)
+    assert code == 0
+    # The flex dimension 0 cone has no rays but its pairs are still audited.
+    assert len(calls) == 1
+    assert hashlib.sha256(pairs.read_bytes()).hexdigest() == PAIRS_CSV_DIGESTS[kind, radius]
+
+
 def test_cone_out_file_gets_the_stdout_bytes(tmp_path, capsys):
     target = gen_file(tmp_path, capsys, "stressed")
     _, expected = run_cli(["cone", str(target)], capsys)

@@ -14,7 +14,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from perigid import (
@@ -38,6 +38,7 @@ from _oracles import (
     frozen_extremal_rays,
     frozen_finish_kept,
     rays_match,
+    simplicial_cone_is_complete,
 )
 from conftest import rotated
 
@@ -71,11 +72,34 @@ def test_cone_matches_frozen_pipeline_bit_for_bit(kind, d, radius):
     assert cone.halfspace_matrix.tobytes() == halfspaces.tobytes()
     assert cone.rays.shape == rays.shape
     assert cone.rays.tobytes() == rays.tobytes()
+    if kind in ("base", "regular"):
+        assert simplicial_cone_is_complete(cone.halfspace_matrix, cone.rays)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, 3, None])
+@pytest.mark.parametrize("kind, d", [("stressed", 3), ("base", 4), ("regular", 5)])
+def test_row_norms_by_chunks_are_the_one_pass_norms(kind, d, rows_per_chunk, monkeypatch):
+    fw = framework(kind, d, seed=d)
+    rows, basis = enumerate_pairs(fw, 2).rows, analyze(fw).flex_basis
+    projected = rows @ basis.T
+    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+    norms = np.linalg.norm(projected, axis=1)
+    keep = norms > expansive.CONE_TOL * scale
+    expected = projected[keep] / norms[keep, None]
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(expansive, "_CHUNK", rows_per_chunk * rows.shape[1])
+    assert expansive._unit_halfspaces(rows, basis).tobytes() == expected.tobytes()
+    step = rows_per_chunk or len(rows)
+    chunked = np.concatenate([np.linalg.norm(rows[i : i + step], axis=1) for i in range(0, len(rows), step)])
+    assert chunked.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
 # SHA-256 of the halfspace and ray bytes of the simplex base cone, recorded
-# at commit f3c979d with numpy 2.4.6 and OpenBLAS on x86-64 (other BLAS builds
-# may round differently).  The frozen oracle needs ~40 s at these sizes.
+# with numpy 2.4.6 and OpenBLAS on x86-64 (other BLAS builds may round
+# differently): d = 5, R = 3 and d = 6, R = 2 at commit f3c979d, d = 5, R = 4
+# at commit d9a694d.  The frozen oracle needs ~40 s at d = 5, R = 3, so the
+# simplicial oracle checks these cones instead.  The d = 6, R = 3 digests
+# are checked outside this suite, by scripts/north_star_digests.py.
 BASE_DIGESTS = {
     (5, 3): (
         "0b1b8769ad0388b4fe89a72d13734a8fdf2db97ae0303d38dfc293bb759a3b85",
@@ -84,6 +108,10 @@ BASE_DIGESTS = {
     (6, 2): (
         "6a8c7b59601d0b4718cfa1e845f6be81deffe81ada72de4983eb95adcfc09e80",
         "9ea303af66a61b72b75817532b8a401482a0ea2c99014de4f95396e2359f73f0",
+    ),
+    (5, 4): (
+        "68cdd37306664e30936e021029024a674f2f18f461c6737c2b95c9fb6069567f",
+        "a1c44f43d5ce853f3c44e8097669335e64335d198dab179385a4cfa561007fc8",
     ),
 }
 
@@ -96,6 +124,26 @@ def test_base_cone_bytes_at_flex_dimension_five_and_six(d, radius):
         hashlib.sha256(m.tobytes()).hexdigest() for m in (cone.halfspace_matrix, cone.rays)
     )
     assert digests == BASE_DIGESTS[d, radius]
+    assert simplicial_cone_is_complete(cone.halfspace_matrix, cone.rays)
+
+
+# Rotated base cones beyond the frozen pipeline's sizes, each checked as the
+# digests are: by the simplicial oracle, which shares no code with the package.
+@pytest.mark.parametrize("d, radius", [(5, 3), (6, 1), (6, 2), (5, 4)])
+def test_rotated_base_cones_are_complete(d, radius):
+    fw = framework("base", d, seed=31 * d + radius)
+    cone = expansive_cone(fw, analyze(fw), radius)
+    assert cone.rays.shape == (d, d)
+    assert simplicial_cone_is_complete(cone.halfspace_matrix, cone.rays)
+
+
+def test_the_simplicial_oracle_rejects_a_missing_facet_and_a_cut_ray():
+    rays = np.eye(3)
+    assert simplicial_cone_is_complete(np.eye(3), rays)
+    # Without its third facet the cone is larger than the rays span.
+    assert not simplicial_cone_is_complete(np.eye(3)[:2], rays)
+    # A row that the third ray violates.
+    assert not simplicial_cone_is_complete(np.vstack([np.eye(3), [[0.0, 1.0, -1.0]]]), rays)
 
 
 # Entries that round to the same 9 decimals or not: signed zeros, values a
@@ -142,11 +190,12 @@ def test_probe_tests_the_merged_shell_rows(base3, monkeypatch):
     assert find_stable_radius(base3, cone, max_radius=4) == 2
 
 
-def random_pointed_cone(rng, f, integer):
-    """Rows with a positive product against a common interior direction, so
-    the cone is pointed with nonempty interior; small integer rows make
-    degenerate rays, tight on more than f - 1 rows."""
-    k = int(rng.integers(f + 1, f + 6))
+def random_pointed_cone(rng, f, integer, k=None):
+    """k rows (f + 1 to f + 5 by default) with a positive product against a
+    common interior direction, so the cone is pointed with nonempty
+    interior; small integer rows make degenerate rays, tight on more than
+    f - 1 rows."""
+    k = int(rng.integers(f + 1, f + 6)) if k is None else k
     inside = rng.integers(1, 4, f) * rng.choice([-1, 1], f) if integer else rng.standard_normal(f)
     rows = []
     while len(rows) < k:
@@ -294,31 +343,93 @@ def test_adjacent_pairs_are_the_frozen_subset_test(case):
 
 
 def counting(monkeypatch, name):
-    """Count the calls of `_ActiveSets.<name>`."""
+    """Record the arguments and results of `_ActiveSets.<name>`."""
     calls = []
     method = getattr(expansive._ActiveSets, name)
 
     def counted(self, *args):
-        calls.append(args)
-        return method(self, *args)
+        result = method(self, *args)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr(expansive._ActiveSets, name, counted)
     return calls
 
 
-def test_a_small_buffer_drops_and_revives_columns_bit_for_bit(monkeypatch):
-    # Two columns, the last one never read: every halfspace forces a rebuild.
+def test_a_small_buffer_drops_and_refreshes_columns_bit_for_bit(monkeypatch):
+    # Two columns, the last one never read: every halfspace forces a rebuild,
+    # and every rebuild recomputes the bounds of the columns no ray is tight at.
     monkeypatch.setattr(expansive, "_WIDTH", 2)
-    rebuilds, revivals = counting(monkeypatch, "_rebuild"), counting(monkeypatch, "_revive")
+    rebuilds = counting(monkeypatch, "_rebuild")
     rng = np.random.default_rng(7)
     cones = [random_pointed_cone(rng, f, True) for f in (3, 4, 5, 6) for _ in range(4)]
     cones = [rows for rows in cones if np.linalg.matrix_rank(rows) == rows.shape[1]]
     for kind, d, radius in [("base", 4, 2), ("removed:1", 4, 2), ("stressed", 3, 2)]:
         fw = framework(kind, d, seed=d + radius)
         cones.append(expansive_cone(fw, analyze(fw), radius).halfspace_matrix)
+    refreshes = counting(monkeypatch, "_near")
     for rows in cones:
         assert extremal_rays(rows).tobytes() == frozen_extremal_rays(rows, rows.shape[1]).tobytes()
-    assert rebuilds and revivals
+    assert rebuilds
+    # The refreshed bounds keep some columns no ray is tight at and drop others.
+    near = np.concatenate([result for _, result in refreshes])
+    assert near.any() and not near.all()
+
+
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+def test_a_column_no_ray_is_tight_at_stays_while_its_bound_is_within_the_margin(offset):
+    # The coordinate rays; the planted row's smallest value over them is its
+    # first entry, a hair inside or outside the margin of 1e-10 above
+    # CONE_TOL, so no ray is tight at it.
+    low = expansive.CONE_TOL + 1e-10 + offset
+    side = np.sqrt((1 - low * low) / 2)
+    a = np.vstack([np.eye(3), [[low, side, side]]])
+    rays = np.eye(3)
+    inside = offset < 0
+    # At the start of a pass, and when the buffer is rebuilt after the row
+    # was appended with its run-scan minimum.
+    sets = expansive._ActiveSets(a, 4, rays)
+    assert (3 in sets.hs[: sets.c]) == inside
+    sets = expansive._ActiveSets(a, 3, rays)
+    sets.append(rays, 3, np.zeros((3, 1), dtype=bool), np.array([low]))
+    assert 3 in sets.hs[: sets.c]
+    sets._rebuild(rays, 3, 3, 0)
+    assert (3 in sets.hs[: sets.c]) == inside
+    assert guarded_tight(a, rays).tolist() == reference_tight(a, rays).tolist()
+    # The rays a pass makes from here are still not tight at the row.
+    rows = np.vstack([a, [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]]])
+    assert extremal_rays(rows).tobytes() == frozen_extremal_rays(rows, 3).tobytes()
+
+
+@st.composite
+def cut_sequences(draw):
+    """A pointed cone of up to 40 rows in random order, so a random sequence
+    of cuts, and a starting buffer width small enough to force rebuilds or
+    not."""
+    f = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = random_pointed_cone(rng, f, draw(st.booleans()), draw(st.integers(f, 40)))
+    return rows, draw(st.sampled_from([2, 8, 256]))
+
+
+@given(cut_sequences())
+@settings(max_examples=150, deadline=None)
+def test_pruned_tight_sets_are_the_per_ray_products_over_every_processed_halfspace(case):
+    rows, width = case
+    assume(np.linalg.matrix_rank(rows) == rows.shape[1])
+    write = expansive._ActiveSets.write
+
+    def checked(self, lo, n, rays):
+        write(self, lo, n, rays)
+        got = np.zeros((len(rays), n), dtype=bool)
+        got[:, self.hs[: self.c]] = self.inc[: len(rays), : self.c]
+        assert got.tolist() == reference_tight(self.a[:n], rays).tolist()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expansive, "_WIDTH", width)
+        patch.setattr(expansive._ActiveSets, "write", checked)
+        rays = extremal_rays(rows)
+    assert rays.tobytes() == frozen_extremal_rays(rows, rows.shape[1]).tobytes()
 
 
 @pytest.mark.parametrize("chunk", [expansive._CHUNK, 130, 1])

@@ -404,7 +404,7 @@ def test_cone_report_json(stressed):
 def test_pair_audit_csv(tmp_path, stressed):
     report = analyze(stressed)
     target = tmp_path / "pairs.csv"
-    write_pair_audit_csv(stressed, expansive_cone(stressed, report, 1), target)
+    write_pair_audit_csv(enumerate_pairs(stressed, 1), expansive_cone(stressed, report, 1), target)
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "orbit_a,orbit_b,shift_1,shift_2,shift_3,value"
     assert len(lines) == 1 + 53
