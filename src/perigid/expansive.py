@@ -13,8 +13,8 @@ Halfspaces that round to the same 9 decimals are merged, the first kept,
 by a stable sort on those keys.  Extremal rays come from a double
 description pass over the merged halfspaces, each ray's active set a bool
 row over the processed halfspaces that some ray is tight at or may become
-tight at (`_ActiveSets`).  The
-merge and the double description are array code that makes the decisions
+tight at, which one rule decides when the buffer is rebuilt (`_ActiveSets`).
+The merge and the double description are array code that makes the decisions
 of the one-row, one-ray loop they replaced, in the same order, and builds
 every ray with the same floating-point operations, so the halfspaces and
 rays are bit for bit that loop's.  A tight-or-violated decision may be read
@@ -146,9 +146,10 @@ def _independent_rows(a: np.ndarray, f: int) -> list[int]:
     chosen: list[int] = []
     basis = np.zeros((0, f))
     for i, row in enumerate(a):
-        residual = row - basis.T @ (basis @ row) if len(basis) else row
-        if np.linalg.norm(residual) > CONE_TOL:
-            basis = np.vstack([basis, residual / np.linalg.norm(residual)])
+        residual = row - basis.T @ (basis @ row)
+        norm = np.linalg.norm(residual)
+        if norm > CONE_TOL:
+            basis = np.vstack([basis, residual / norm])
             chosen.append(i)
             if len(chosen) == f:
                 return chosen
@@ -199,8 +200,9 @@ def extremal_rays(halfspaces) -> np.ndarray:
 _CHUNK = 1 << 17
 # Starting column count of `_clip`'s incidence buffer.
 _WIDTH = 256
-# A processed halfspace keeps its column while its lower bound is at most
-# this; the margin over CONE_TOL is argued in `_ActiveSets`.
+# A rebuild keeps the column of a processed halfspace no ray is tight at
+# while the rays' smallest value at it is at most this; the margin over
+# CONE_TOL is argued in `_ActiveSets`.
 _NEAR = CONE_TOL + 1e-10
 
 
@@ -234,41 +236,35 @@ class _ActiveSets:
     halfspace `hs[j]`, whose row is `ha[j]`; the columns from `c` on are
     clear.  A new ray's set is computed at the columns only.
 
-    A processed halfspace h keeps its column while some ray is tight at it
-    or `low[h]`, a lower bound of a[h] @ ray over the current rays, is at
-    most `_NEAR`.  Every later ray is (v_p q - v_q p) / N for current unit
-    rays p, q, v_p > 0 > v_q and N <= v_p + |v_q|, so in exact arithmetic it
-    keeps a[h] @ ray >= low[h] > 0 (Fukuda and Prodon, Double description
-    method revisited, 1996).  In floating point a generation of rays loses
-    about 10 units of roundoff from the bound, itself a GEMM value within
-    gamma_f of the dot, and a pass makes at most one generation per cut, so
-    the 1e-10 margin covers some 9 x 10^4 cuts (d = 6, R = 4 makes 12,633):
-    a product not taken is one the reference calls not tight, and the bits
-    do not change.
-    `low[h]` is the smallest value the run scan read at h, recomputed over
-    the current rays when a rebuild finds no ray tight at h's column.
+    `_rebuild` alone decides which processed halfspaces have a column: h
+    keeps its column while some ray is tight at it or the smallest value of
+    a[h] @ ray over the current rays, computed afresh, is at most `_NEAR`.
+    Every later ray is (v_p q - v_q p) / N for current unit rays p, q,
+    v_p > 0 > v_q and N <= v_p + |v_q|, so in exact arithmetic it keeps
+    a[h] @ ray at or above that minimum (Fukuda and Prodon, Double
+    description method revisited, 1996).  In floating point a generation of
+    rays loses about 10 units of roundoff from the bound, itself a GEMM value
+    within gamma_f of the dot, and a pass makes at most one generation per
+    cut, so the 1e-10 margin covers some 9 x 10^4 cuts (d = 6, R = 4 makes
+    12,633): a product not taken is one the reference calls not tight, and
+    the bits do not change.
     """
 
     def __init__(self, a: np.ndarray, n: int, rays: np.ndarray):
-        self.a, self.at, self.band = a, a.T.copy(), _band(a, rays)
-        self.low = np.empty(len(a))
-        near = np.arange(n)[self._near(rays, np.arange(n))]
-        width = max(_WIDTH, 3 * len(near) // 2)
-        self.inc = np.zeros((len(rays), width), dtype=bool)
-        self.hs, self.ha = np.empty(width, dtype=int), np.empty((width, a.shape[1]))
-        self.hs[: len(near)], self.ha[: len(near)], self.c = near, a[near], len(near)
+        self.a, self.band = a, _band(a, rays)
+        # No ray's set yet: the first rebuild keeps halfspaces by their minima.
+        self.inc, self.hs, self.ha, self.c = np.zeros((0, n), dtype=bool), np.arange(n), a[:n], n
+        self._rebuild(rays, 0, len(rays), 0)
         self.write(0, n, rays)
 
-    def append(self, rays: np.ndarray, n: int, tight: np.ndarray, low: np.ndarray) -> None:
-        """Give halfspaces n, n + 1, ... the next columns, set where `tight`,
-        and the lower bounds `low`."""
+    def append(self, rays: np.ndarray, n: int, tight: np.ndarray) -> None:
+        """Give halfspaces n, n + 1, ... the next columns, set where `tight`."""
         w = tight.shape[1]
         if self.c + w > self.inc.shape[1]:
             self._rebuild(rays, len(rays), len(self.inc), w)
         self.inc[: len(rays), self.c : self.c + w] = tight
         self.hs[self.c : self.c + w] = np.arange(n, n + w)
         self.ha[self.c : self.c + w] = self.a[n : n + w]
-        self.low[n : n + w] = low
         self.c += w
 
     def write(self, lo: int, n: int, rays: np.ndarray) -> None:
@@ -289,29 +285,21 @@ class _ActiveSets:
                 tight = np.abs(dots) <= CONE_TOL
             self.inc[i : i + len(chunk), : self.c] = tight
 
-    def _near(self, rays: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        """Set `low` at the halfspaces hs to its minimum over `rays`; whether
-        each is at most `_NEAR`."""
-        step = max(1, _CHUNK // max(1, len(rays)))
-        for i in range(0, len(hs), step):
-            cols = hs[i : i + step]
-            self.low[cols] = (rays @ self.at[:, cols]).min(axis=0, initial=np.inf)
-        return self.low[hs] <= _NEAR
-
     def _rebuild(self, rays: np.ndarray, r: int, rows: int, extra: int) -> None:
         """A new buffer of `rows` rows over the columns some ray of the first
-        r is tight at or whose bound, recomputed over `rays`, is at most
-        `_NEAR`, with half as many columns again as those and `extra`."""
+        r is tight at or whose minimum over `rays` is at most `_NEAR`, with
+        half as many columns again as those and `extra`."""
         keep = np.logical_or.reduce(self.inc[:r, : self.c], axis=0)
-        loose = (~keep & (self.low[self.hs[: self.c]] <= _NEAR)).nonzero()[0]
-        keep[loose] = self._near(rays, self.hs[loose])
+        loose = (~keep).nonzero()[0]
+        step = max(1, _CHUNK // max(1, len(rays)))
+        for i in range(0, len(loose), step):
+            cols = loose[i : i + step]
+            keep[cols] = (rays @ self.ha[cols].T).min(axis=0, initial=np.inf) <= _NEAR
         live = keep.nonzero()[0]
         c = len(live)
         width = max(_WIDTH, 3 * (c + extra) // 2)
         inc = np.zeros((rows, width), dtype=bool)
-        step = max(1, _CHUNK // max(1, c))
-        for i in range(0, r, step):
-            inc[i : min(i + step, r), :c] = self.inc[i : min(i + step, r), live]
+        inc[:r, :c] = self.inc[:r, live]
         hs, ha = np.empty(width, dtype=int), np.empty((width, self.a.shape[1]))
         hs[:c], ha[:c] = self.hs[live], self.ha[live]
         self.inc, self.hs, self.ha, self.c = inc, hs, ha, c
@@ -329,28 +317,27 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     its negative side, the unit ray along vals[p] * q - vals[q] * p.  Only
     the rows after the first ray that moves are copied, and only the new
     rays' rows are written.  Columns that no ray is tight at or can become
-    tight at are dropped when the buffer is full.
+    tight at are dropped when the buffer is rebuilt.
 
     Tight and violated come from one GEMM per block; a block with a value
     within `_band` of CONE_TOL is decided by the 1-d dots `a[t] @ ray`, which
     also give the values that build new rays, so every decision is the one
     those dots make.  A halfspace is violated when the smallest value of its
-    column is below -CONE_TOL; that smallest value is also its lower bound.
+    column is below -CONE_TOL.
     """
     f = a.shape[1]
     sets = _ActiveSets(a, n, rays)
     block = 8
     while n < len(a) and len(rays):
-        vals = rays @ sets.at[:, n : n + block]
+        vals = rays @ a[n : n + block].T
         tight = _below(np.abs(vals), sets.band)
         if tight is None:
             vals = _row_dots(rays[:, None, :], a[n : n + block])
             tight = np.abs(vals) <= CONE_TOL
-        low = vals.min(axis=0)
-        cut = (low < -CONE_TOL).nonzero()[0]
+        cut = (vals.min(axis=0) < -CONE_TOL).nonzero()[0]
         run = cut[0] if len(cut) else vals.shape[1]
         # The run's columns and the cut's, which is tight at the zero rays only.
-        sets.append(rays, n, tight[:, : run + 1], low[: run + 1])
+        sets.append(rays, n, tight[:, : run + 1])
         n += run
         if not len(cut):
             block = min(2 * block, max(8, _CHUNK // len(rays)))

@@ -42,7 +42,7 @@ from .errors import (
     NumericalFailureError,
     SingularJacobianError,
 )
-from .expansive import _pair_incidence, _pair_keys
+from .expansive import DEFAULT_RADIUS, _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph
 from .framework import _csv_field, _row_dots, _separations, _with_placement
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
@@ -224,7 +224,7 @@ def continue_motion(
 
 def audit_expansiveness(
     path: MotionPath,
-    radius: int = 2,
+    radius: int = DEFAULT_RADIUS,
     audit_tol: float = DEFAULT_AUDIT_TOL,
 ) -> ExpansionAudit:
     """Check that every truncated pair distance is nondecreasing stepwise.

@@ -36,11 +36,6 @@ from .framework import PeriodicFramework, QuotientGraph, _f17, _json_matrix, _se
 DEFAULT_RANK_TOL = 1e-9
 
 
-def motion_size(graph: QuotientGraph) -> int:
-    d = graph.dimension
-    return d * graph.n + d * d
-
-
 def unpack_motion(graph: QuotientGraph, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a motion vector into vertex velocities (n, d) and lattice velocity (d, d)."""
     d, n = graph.dimension, graph.n
@@ -102,7 +97,7 @@ def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
     alike, so each constraint row evaluates to <e, S e> = 0.
     """
     d, n = fw.dimension, fw.n
-    size = motion_size(fw.graph)
+    size = d * n + d * d
     out = []
     for a in range(d):
         v = np.zeros(size)

@@ -282,6 +282,31 @@ def test_a_value_in_the_band_takes_the_reference_path():
     assert got.tolist() == reference_tight(a, rays).tolist() == [[True, True, False], [True, False, True]]
 
 
+@pytest.mark.parametrize(
+    "kind, d, radius", [("stressed", 3, 2), ("base", 3, 3), ("regular", 4, 2), ("base", 5, 2)]
+)
+def test_the_reference_products_alone_give_the_frozen_cone(kind, d, radius, monkeypatch):
+    # A band of 1 holds every value of unit rows and rays, so every block of
+    # the run scan and every chunk of `write` is decided by the reference
+    # products.
+    below, sent = expansive._below, []
+
+    def recorded(mag, band):
+        tight = below(mag, band)
+        sent.append(tight is None)
+        return tight
+
+    monkeypatch.setattr(expansive, "_band", lambda rows, rays: 1.0)
+    monkeypatch.setattr(expansive, "_below", recorded)
+    fw = framework(kind, d, seed=31 * d + radius)
+    report = analyze(fw)
+    cone = expansive_cone(fw, report, radius)
+    halfspaces, rays = frozen_cone(enumerate_pairs(fw, radius).rows, report.flex_basis)
+    assert cone.halfspace_matrix.tobytes() == halfspaces.tobytes()
+    assert cone.rays.shape == rays.shape and cone.rays.tobytes() == rays.tobytes()
+    assert sent and all(sent)
+
+
 def unit(v):
     return v / np.linalg.norm(v)
 
@@ -342,56 +367,54 @@ def test_adjacent_pairs_are_the_frozen_subset_test(case):
     assert list(zip(p.tolist(), q.tolist())) == expected
 
 
-def counting(monkeypatch, name):
-    """Record the arguments and results of `_ActiveSets.<name>`."""
-    calls = []
-    method = getattr(expansive._ActiveSets, name)
-
-    def counted(self, *args):
-        result = method(self, *args)
-        calls.append((args, result))
-        return result
-
-    monkeypatch.setattr(expansive._ActiveSets, name, counted)
-    return calls
-
-
 def test_a_small_buffer_drops_and_refreshes_columns_bit_for_bit(monkeypatch):
     # Two columns, the last one never read: every halfspace forces a rebuild,
-    # and every rebuild recomputes the bounds of the columns no ray is tight at.
+    # and every rebuild computes afresh the minima of the columns no ray's set
+    # holds.
     monkeypatch.setattr(expansive, "_WIDTH", 2)
-    rebuilds = counting(monkeypatch, "_rebuild")
+    rebuild, kept = expansive._ActiveSets._rebuild, []
+
+    def recorded(self, rays, r, rows, extra):
+        before = self.hs[: self.c].copy()
+        loose = ~np.logical_or.reduce(self.inc[:r, : self.c], axis=0)
+        rebuild(self, rays, r, rows, extra)
+        after = np.isin(before, self.hs[: self.c])
+        # A dropped column is one no current ray is tight at.
+        assert not reference_tight(self.a[before[~after]], rays).any()
+        if r:
+            kept.append(after[loose])
+
+    monkeypatch.setattr(expansive._ActiveSets, "_rebuild", recorded)
     rng = np.random.default_rng(7)
     cones = [random_pointed_cone(rng, f, True) for f in (3, 4, 5, 6) for _ in range(4)]
     cones = [rows for rows in cones if np.linalg.matrix_rank(rows) == rows.shape[1]]
     for kind, d, radius in [("base", 4, 2), ("removed:1", 4, 2), ("stressed", 3, 2)]:
         fw = framework(kind, d, seed=d + radius)
         cones.append(expansive_cone(fw, analyze(fw), radius).halfspace_matrix)
-    refreshes = counting(monkeypatch, "_near")
     for rows in cones:
         assert extremal_rays(rows).tobytes() == frozen_extremal_rays(rows, rows.shape[1]).tobytes()
-    assert rebuilds
-    # The refreshed bounds keep some columns no ray is tight at and drop others.
-    near = np.concatenate([result for _, result in refreshes])
-    assert near.any() and not near.all()
+    # Within a pass the fresh minima keep some columns no ray's set holds
+    # and drop others.
+    kept = np.concatenate(kept)
+    assert kept.any() and not kept.all()
 
 
 @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
 def test_a_column_no_ray_is_tight_at_stays_while_its_bound_is_within_the_margin(offset):
     # The coordinate rays; the planted row's smallest value over them is its
-    # first entry, a hair inside or outside the margin of 1e-10 above
-    # CONE_TOL, so no ray is tight at it.
-    low = expansive.CONE_TOL + 1e-10 + offset
+    # first entry, a hair inside or outside `_NEAR`, the margin of 1e-10
+    # above CONE_TOL, so no ray is tight at it.
+    low = expansive._NEAR + offset
     side = np.sqrt((1 - low * low) / 2)
     a = np.vstack([np.eye(3), [[low, side, side]]])
     rays = np.eye(3)
     inside = offset < 0
-    # At the start of a pass, and when the buffer is rebuilt after the row
-    # was appended with its run-scan minimum.
+    # The first buffer is a rebuild's, and so is a later one: a column
+    # appended by the run scan stays until the next rebuild decides.
     sets = expansive._ActiveSets(a, 4, rays)
     assert (3 in sets.hs[: sets.c]) == inside
     sets = expansive._ActiveSets(a, 3, rays)
-    sets.append(rays, 3, np.zeros((3, 1), dtype=bool), np.array([low]))
+    sets.append(rays, 3, np.zeros((3, 1), dtype=bool))
     assert 3 in sets.hs[: sets.c]
     sets._rebuild(rays, 3, 3, 0)
     assert (3 in sets.hs[: sets.c]) == inside

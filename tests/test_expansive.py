@@ -150,6 +150,13 @@ def test_dimension_cap():
         extremal_rays(np.eye(7))
 
 
+def test_halfspaces_must_be_a_matrix_of_positive_width():
+    with pytest.raises(ValueError, match="halfspaces must be a matrix"):
+        extremal_rays(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="cone dimension must be positive"):
+        extremal_rays(np.zeros((3, 0)))
+
+
 def test_simplicial_3d_cone():
     rays = extremal_rays(np.eye(3))
     assert rays_match(rays, np.eye(3), 1e-9)

@@ -68,6 +68,15 @@ def test_infeasible_inequalities():
     )
 
 
+def test_mismatched_rows_are_value_errors():
+    with pytest.raises(ValueError, match="row/rhs length mismatch"):
+        solve_linear_feasibility([[1, 1]], [1, 2], [0, 0])
+    with pytest.raises(ValueError, match="row/rhs length mismatch"):
+        solve_linear_feasibility([], [], [0, 0], [[1, 1]], [])
+    with pytest.raises(ValueError, match="constraint row length does not match variable count"):
+        solve_linear_feasibility([[1, 1, 1]], [1], [0, 0])
+
+
 def test_exact_mode_returns_fractions():
     x = solve_linear_feasibility(
         [[Fraction(1), Fraction(-2)]], [Fraction(0)], [1, 1]

@@ -35,7 +35,7 @@ from perigid import (
 )
 from perigid import motion
 from perigid.motion import MotionPath, write_audit_csv
-from perigid.rigidity import motion_size, pack_motion
+from perigid.rigidity import pack_motion
 
 from _oracles import frozen_frames, frozen_gauge_free_indices
 from conftest import make_framework
@@ -198,8 +198,20 @@ def test_facet_separation_requires_family(stressed):
         tangents=np.zeros((2, 15)),
         residuals=np.zeros(2),
     )
-    with pytest.raises(NotSimplexFamilyError):
+    with pytest.raises(NotSimplexFamilyError, match="edge offsets"):
         facet_separation(path)
+    positions = {"a": [0.0, 0.0], "b": [0.5, 0.0], "c": [0.0, 0.5]}
+    edges = [("a", "b", (0, 0)), ("b", "c", (0, 0)), ("c", "a", (1, 1))]
+    fw = make_framework(2, positions, np.eye(2), edges)
+    path = MotionPath(fw.graph, [fw.placement] * 2, 0.0, np.zeros((2, 10)), np.zeros(2))
+    with pytest.raises(NotSimplexFamilyError, match="exactly two vertex orbits"):
+        facet_separation(path)
+
+
+def test_audit_needs_two_steps(mech2):
+    path = continue_motion(mech2, expanding_flex(mech2), n_steps=0)
+    with pytest.raises(ValueError, match="at least two steps"):
+        audit_expansiveness(path)
 
 
 # -- exports --------------------------------------------------------------------
@@ -292,6 +304,16 @@ def test_export_rejects_negative_supercell(tmp_path, path2, fmt):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_rejects_an_unknown_format_and_obj_beyond_three_dimensions(tmp_path, path2):
+    with pytest.raises(ValueError, match="unknown format 'ply'"):
+        export_frames(path2, fmt="ply", outdir=tmp_path)
+    fw = simplex_framework(4)
+    path4 = MotionPath(fw.graph, [fw.placement] * 2, 0.0, np.zeros((2, 24)), np.zeros(2))
+    with pytest.raises(ValueError, match="obj export supports d <= 3"):
+        export_frames(path4, fmt="obj", outdir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- per-step placement check ------------------------------------------------------
 
 
@@ -361,7 +383,9 @@ def test_a_stall_is_retried_once_with_every_coordinate_free(mech2, monkeypatch):
     sizes = recording_corrector(monkeypatch, stall=True)
     with pytest.raises(NewtonDivergenceError, match="corrector stalled"):
         continue_motion(mech2, expanding_flex(mech2), n_steps=3)
-    assert sizes == [len(motion._gauge_free_indices(mech2.graph)), motion_size(mech2.graph)]
+    # The retry frees every coordinate: d n vertex and d^2 lattice ones.
+    full = mech2.dimension * mech2.n + mech2.dimension**2
+    assert sizes == [len(motion._gauge_free_indices(mech2.graph)), full]
 
 
 def patched_step_reports(monkeypatch, change):

@@ -169,6 +169,11 @@ def test_zero_pivot(stressed):
     assert abs(w[-1]) < 1e-9
 
 
+def test_stress_normalized_at_a_missing_edge_is_an_index_error(stressed):
+    with pytest.raises(IndexError, match=f"edge orbit index {stressed.m} out of range"):
+        stress_coefficients(stressed, analyze(stressed), stressed.m)
+
+
 # -- rank estimation ---------------------------------------------------------
 
 

@@ -1,15 +1,34 @@
-"""The reproduction script still runs against the package.
+"""The reproduction script still runs against the package, byte for byte.
 
 `scripts/reproduce_claims.py` calls the cone, probe, pair-audit and motion
-API end to end; an API change that breaks it makes it exit nonzero.
+API end to end; an API change that breaks it makes it exit nonzero, and a
+change to its stdout or to any artifact it writes changes a digest.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join("scripts", "reproduce_claims.py")
+
+
+# SHA-256 of the stdout, without its `artifacts written to` line, and of every
+# file `--steps 5` writes, as recorded with numpy 2.4.6 (OpenBLAS 0.3.31).
+CLAIMS_DIGESTS = {
+    "stdout": "33b89503aadc8aeaad7f13e2588b89832c43abf9b617f5c692ece5e0de6ab730",
+    "stressed.json": "dc07289d33660526e6fbc5b5dcfcfc24a4ca033538c6faf1a8750e68d17c7191",
+    "stressed_cone.json": "290a8061034794ad3c62bf786e87ffe905f61dee82c1ed0dc665dcb4562cfad3",
+    "stressed_pairs.csv": "758e6e1b8d8e5d8755818c5e61c426b252029be4684c931bbcb955f4f9024c54",
+    "motion_d2/audit.csv": "322ccea3c090bed980709f309d5808c0151bdc16d52c0b15bada52c78b6c5a51",
+    "motion_d2/frame_0000.obj": "4c847d23051ccbb67316e39e666f7ddfd6d75b9b15715852a5e64d6cb4fcae24",
+    "motion_d2/frame_0001.obj": "1c4289437eb9a6354eec65d8e004614bad8f4aa8e6dd2656cf68b10f66b29f16",
+    "motion_d2/frame_0002.obj": "43fb64a7c3f5d670d52ee6b08ee767572c63a37731076ff9d396551bb94df62c",
+    "motion_d2/frame_0003.obj": "896ae7511f428e549cf71704455ff829143e88eb2ebd5ab05acb62fbc003639a",
+    "motion_d2/frame_0004.obj": "bfd48ea2cc4d14f5edeebb222ab2596981a970c63d746ed599256cb09255eff3",
+    "motion_d2/frame_0005.obj": "9a87d3da15f0714ad0f8213a84f667caf87250e6ab2081bcfbf0e02159c75f22",
+}
 
 
 def test_reproduce_claims_runs(tmp_path):
@@ -19,12 +38,17 @@ def test_reproduce_claims_runs(tmp_path):
     )
     done = subprocess.run(
         [sys.executable, SCRIPT, "--outdir", str(tmp_path), "--steps", "5"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
     )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "expansive cone: 2 extremal rays, stable radius 2" in done.stdout
-    for name in ("stressed_cone.json", "stressed_pairs.csv", os.path.join("motion_d2", "audit.csv")):
-        assert (tmp_path / name).is_file()
+    assert done.returncode == 0, (done.stdout + done.stderr).decode()
+    stdout = b"".join(
+        line for line in done.stdout.splitlines(keepends=True) if not line.startswith(b"artifacts written to")
+    )
+    got = {"stdout": hashlib.sha256(stdout).hexdigest()}
+    for path in sorted(tmp_path.rglob("*")):
+        if path.is_file():
+            got[path.relative_to(tmp_path).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == CLAIMS_DIGESTS
 
 
 def test_settable_values_counts_every_module():
