@@ -21,17 +21,21 @@ tableau of Phase I, [A | I | b] under the artificial basis, shares one positive
 denominator D, the determinant of the current basis B, and by Cramer's rule
 each of its integers is D B^-1 times an integer column: the artificial block is
 adj(B) = D B^-1, a real column j is adj(B) A_j, and the rhs is beta = adj(B) b.
-So the real block is never stored: only [adj(B) | beta] and the objective row
-over the artificial columns and the rhs (``zrow``) are kept.  The objective row
-of a real column is D c_j - c_B adj(B) A_j with c = 0 on real and 1 on
-artificial columns, and c_B adj(B) = D - zrow[:m], so it is priced on demand as
-sum_r (zrow[r] - D) A[r][j] over the nonzeros of A_j; the entering column is
-adj(B) A_e.  A pivot on (p, e) replaces every other row r of [adj | beta], and
-zrow, by (row*piv - row_e*pivot_row) / D, a division that is exact by
-Sylvester's determinant identity, and sets D to piv.  These are the integers
-the full tableau would hold, so every sign and ratio comparison, the pivot
-sequence, D and the returned Fractions are those of plain Fraction pivoting; a
-system is infeasible when zrow[-1] < 0 (an artificial basic row with beta > 0).
+Only beta, the columns of adj(B) of the nonbasic artificials and the objective
+row over those columns and the rhs (``zrow``) are stored.  The column of an
+artificial basic at row q is D e_q with objective entry 0: it is stored when
+the artificial leaves (at row p, as D e_p) and dropped when it re-enters, after
+the pivot makes it D' e_p again.  A real column's objective entry is
+D c_j - c_B adj(B) A_j with c = 0 on real and 1 on artificial columns, where
+c_B adj(B) is D - zrow at a stored column and D at a basic one; it is priced
+on demand over the nonzeros of A_j, once per free pair, since y- is -(y+).
+The entering column is adj(B) A_e.  A pivot on (p, e) replaces every other row
+of the stored tableau, and zrow, by (row*piv - row_e*pivot_row) / D, a division
+that is exact by Sylvester's determinant identity, and sets D to piv.  These
+are the integers the full tableau would hold, so every sign and ratio
+comparison, the pivot sequence, D and the returned Fractions are those of
+plain Fraction pivoting (the entering artificial is the lowest-indexed one, not
+the first stored); a system is infeasible when zrow's rhs entry is negative.
 
 Floating mode pivots on one numpy tableau with the IEEE operations of a
 row-by-row tableau in the same order: the pivot row is divided by the pivot,
@@ -150,8 +154,8 @@ def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
     for src, b, slack in zip(eq_rows + in_rows, eq_b + in_b, slacks):
         pairs, acc = [], num(b)
         for spec, x in zip(col_map, src):
-            coeff = num(x)
-            if coeff == zero:
+            # A nonzero Fraction below the float range converts to 0.0.
+            if x == 0 or (coeff := num(x)) == zero:
                 continue
             pairs.append((spec[1], coeff))
             if spec[0] == "free":
@@ -243,9 +247,9 @@ def _solve_float(form):
 
 
 def _solve_exact(form):
-    """Revised fraction-free Phase I with Bland's rule over [adj(B) | beta]
-    and the objective row's artificial part (see the module docstring); a
-    list of Fractions or None."""
+    """Revised fraction-free Phase I with Bland's rule over beta and the
+    stored artificial columns of adj(B), with the objective row over the
+    same columns (see the module docstring); a list of Fractions or None."""
     rows, col_map, width = form
     m = len(rows)
     scale = math.lcm(*(b.denominator for _, b in rows))
@@ -254,44 +258,63 @@ def _solve_exact(form):
     for r, (pairs, _) in enumerate(rows):
         for c, v in pairs:
             columns[c].append((r, v.numerator * (scale // v.denominator)))
-    beta = [b.numerator * (scale // b.denominator) for _, b in rows]
+    # A free pair's y- column is minus its y+ column, which is priced just before it.
+    twins = {spec[2] for spec in col_map if spec[0] == "free"}
 
+    # Row r is beta_r, then adj(B)'s entries in the stored columns: artificial
+    # i's column sits at position slot[i] while i is nonbasic.  A basic
+    # artificial's column is D e_q at its row q, with objective entry 0.
     basis = list(range(width, width + m))
-    adj = [[int(c == r) for c in range(m)] + [beta[r]] for r in range(m)]
-    zrow = [0] * m + [-sum(beta)]
+    adj = [[b.numerator * (scale // b.denominator)] for _, b in rows]
+    zrow = [-sum(row[0] for row in adj)]
+    slot = {}
     denom = 1
 
     pivots = 0
     while True:
         # Bland's rule: the first column with a negative objective entry,
         # real columns priced from their nonzeros, then the artificial ones.
-        dual = [z - denom for z in zrow[:m]]
+        dual = [-denom] * m
+        for i, k in slot.items():
+            dual[i] = zrow[k] - denom
         for j, column in enumerate(columns):
-            zenter = sum(dual[r] * a for r, a in column)
+            zenter = -zenter if j in twins else sum([dual[r] * a for r, a in column])
             if zenter < 0:
                 enter = j
-                col = [sum(row[r] * a for r, a in column) for row in adj]
+                col = [0] * m
+                for i, a in column:
+                    k = slot.get(i)
+                    if k is None:
+                        col[basis.index(width + i)] += denom * a
+                    else:
+                        col = [c + row[k] * a for c, row in zip(col, adj)]
                 break
         else:
-            enter = next((i for i in range(m) if zrow[i] < 0), None)
+            # The lowest index, not the first stored: Bland's order.
+            enter = min((i for i, k in slot.items() if zrow[k] < 0), default=None)
             if enter is None:
                 break
-            zenter = zrow[enter]
-            col = [row[enter] for row in adj]
+            zenter = zrow[slot[enter]]
+            col = [row[slot[enter]] for row in adj]
             enter += width
         best_r = None
         for r in range(m):
             a = col[r]
             if a > 0:
                 if best_r is None:
-                    best_r, best_a, best_b = r, a, adj[r][-1]
+                    best_r, best_a, best_b = r, a, adj[r][0]
                     continue
                 # b/a versus best_b/best_a with both denominators positive.
-                lhs, rhs = adj[r][-1] * best_a, best_b * a
+                lhs, rhs = adj[r][0] * best_a, best_b * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
-                    best_r, best_a, best_b = r, a, adj[r][-1]
+                    best_r, best_a, best_b = r, a, adj[r][0]
         if best_r is None:
             raise NumericalFailureError(_UNBOUNDED)
+        if basis[best_r] >= width:  # a leaving artificial's column, D e_p, is stored
+            slot[basis[best_r] - width] = len(zrow)
+            zrow.append(0)
+            for r, row in enumerate(adj):
+                row.append(denom if r == best_r else 0)
         prow = adj[best_r]
         piv = col[best_r]
         for r in range(m):
@@ -300,16 +323,21 @@ def _solve_exact(form):
         zrow = _eliminate(zrow, zenter, prow, piv, denom)
         denom = piv
         basis[best_r] = enter
+        if enter >= width:  # an entering artificial's column is D e_p again
+            k = slot.pop(enter - width)
+            for row in adj + [zrow]:
+                del row[k]
+            slot = {i: s - (s > k) for i, s in slot.items()}
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
-    if zrow[-1] < 0:  # phase-1 objective -zrow[-1] / D is positive
+    if zrow[0] < 0:  # phase-1 objective -zrow[0] / D is positive
         return None
     y = [Fraction(0)] * width
     for r, var in enumerate(basis):
         if var < width:
-            y[var] = Fraction(adj[r][-1], denom)
+            y[var] = Fraction(adj[r][0], denom)
     return _original_point(y, col_map)
 
 

@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import os
+import random
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -423,6 +424,30 @@ def test_mixed_type_systems_match_frozen_tableau(system, exact):
     # ints, numpy ints, Fractions, floats and numpy floats in one system: the
     # mode rule, the float images, signed zeros and negated rows all agree.
     assert_matches_frozen(*system, exact=exact)
+
+
+def test_entering_artificial_is_the_lowest_indexed():
+    # Bland's rule among the nonbasic artificials picks the lowest index, not
+    # the one whose column left the basis first: the frozen tableau ends
+    # infeasible after 9 pivots, the order of leaving after 5.
+    assert_matches_frozen(
+        [[-2, -1, 0], [-1, 3, -2]], [-1, 3], [None, 1, None], [[2, -3, 1], [-1, 3, -2]], [-1, -3]
+    )
+
+
+def test_small_integer_systems_match_frozen_tableau_at_every_pivot_cap():
+    # More rows than free variables, so artificials leave and re-enter the
+    # basis often: about 3% of these systems pivot differently when the
+    # entering artificial is not the lowest-indexed one.
+    rng = random.Random(24)
+    for _ in range(200):
+        n_vars = rng.randint(2, 4)
+        eqs, ineqs = (
+            [[rng.randint(-3, 3) for _ in range(n_vars)] for _ in range(rng.randint(3, 5))]
+            for _ in range(2)
+        )
+        eq_rhs, ineq_rhs = ([rng.randint(-3, 3) for _ in rows] for rows in (eqs, ineqs))
+        assert_matches_frozen(eqs, eq_rhs, [None] * n_vars, ineqs, ineq_rhs)
 
 
 def test_rows_with_a_zero_factor_keep_their_signed_zeros():
