@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 import perigid as pg
-from perigid.expansive import cone_report_json, write_pair_audit_csv
+from perigid.expansive import cone_report_json
 from perigid.motion import write_audit_csv
 
 
@@ -44,11 +44,10 @@ def stressed_example(out):
     coeffs = pg.stress_coefficients(fw, report, 0, value=-1.0)
     print(f"  stress normalized at the v-0 edge: {np.round(coeffs, 12).tolist()}")
 
-    cone = pg.expansive_cone(fw, report, radius=2)
+    cone = pg.expansive_cone(fw, report, radius=2, pairs_csv=os.path.join(out, "stressed_pairs.csv"))
     stable = pg.find_stable_radius(fw, cone)
     with open(os.path.join(out, "stressed_cone.json"), "w") as fh:
         fh.write(cone_report_json(cone, stable))
-    write_pair_audit_csv(pg.enumerate_pairs(fw, 2), cone, os.path.join(out, "stressed_pairs.csv"))
     print(f"  expansive cone: {len(cone.rays)} extremal rays, stable radius {stable}")
     for i in range(len(cone.rays)):
         motion = cone.ray_motion(i)

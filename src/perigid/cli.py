@@ -120,7 +120,7 @@ def _cmd_cone(args) -> int:
     fw = load_framework(args.framework)
     report = analyze(fw, args.rank_tol)
     # The pair audit is written from the cone's own pairs, before the probe.
-    cone = expansive._audited_cone(fw, report, args.radius, args.pairs)
+    cone = expansive.expansive_cone(fw, report, args.radius, pairs_csv=args.pairs)
     stable = expansive.find_stable_radius(fw, cone, max_radius=args.radius + 3)
     _emit(expansive.cone_report_json(cone, stable), args.out)
     return EXIT_OK

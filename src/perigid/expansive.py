@@ -44,7 +44,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .framework import EdgeOrbit, PeriodicFramework, _csv_field, _integer_shift, _json_matrix
-from .framework import _row_dots, _separations
+from .framework import _row_dots, _separations, _write_pair_table
 from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
@@ -430,24 +430,17 @@ class ExpansiveCone:
 
 
 def expansive_cone(
-    fw: PeriodicFramework, report: RigidityReport, radius: int = DEFAULT_RADIUS
+    fw: PeriodicFramework, report: RigidityReport, radius: int = DEFAULT_RADIUS, pairs_csv=None
 ) -> ExpansiveCone:
     """Halfspace description and extremal rays in flex coordinates.
 
     Pair rows are composed with the flex basis; rows of norm below CONE_TOL
     are dropped (bars project to zero because flexes preserve them exactly),
     unit rows equal to 9 decimals are merged, and rays come from the double
-    description pass.
+    description pass.  Unless `pairs_csv` is None, the pair audit of the
+    pairs the cone is built from (`write_pair_audit_csv`) is written there:
+    one enumeration serves both.
     """
-    return _audited_cone(fw, report, radius, None)
-
-
-def _audited_cone(
-    fw: PeriodicFramework, report: RigidityReport, radius: int, audit_path
-) -> ExpansiveCone:
-    """`expansive_cone`, which also writes the pair audit CSV of the pairs it
-    is built from to `audit_path` unless that is None: one enumeration
-    serves both."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     f = report.dof
@@ -455,21 +448,20 @@ def _audited_cone(
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    pairs = enumerate_pairs(fw, radius) if audit_path is not None else None
+    pairs = enumerate_pairs(fw, radius) if f or pairs_csv is not None else None
     uniq = rays = np.zeros((0, 0))
     if f:
-        # Without an audit the pairs live only until their rows are projected.
-        projected = _unit_halfspaces(
-            (enumerate_pairs(fw, radius) if pairs is None else pairs).rows, report.flex_basis
-        )
+        projected = _unit_halfspaces(pairs.rows, report.flex_basis)
+        if pairs_csv is None:
+            pairs = None  # without an audit the pairs live only until their rows are projected
         if len(projected) == 0:
             # No pair restricts the flexes at this radius; the cone is all of R^f.
             raise NonPointedConeError("no active pair constraints; cone has full lineality")
         uniq = projected[_first_unique(projected)]
         rays = extremal_rays(uniq)
     cone = ExpansiveCone(report.flex_basis, uniq, radius, rays)
-    if pairs is not None:
-        write_pair_audit_csv(pairs, cone, audit_path)
+    if pairs_csv is not None:
+        write_pair_audit_csv(pairs, cone, pairs_csv)
     return cone
 
 
@@ -627,14 +619,13 @@ def write_pair_audit_csv(pairs: PairSet, cone: ExpansiveCone, path) -> None:
 
     Zero means the pair does not restrict the flex space (bars in particular).
     """
-    d = pairs.shifts.shape[1]
-    header = ["orbit_a", "orbit_b"] + [f"shift_{i + 1}" for i in range(d)] + ["value"]
     # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
     projected = (pairs.rows[:, None, :] @ cone.flex_basis.T)[:, 0, :]
     values = np.sqrt(_row_dots(projected, projected)).tolist()
+    # Each orbit is quoted once, not once per row.
     names = np.array([_csv_field(o) for o in pairs.orbits], dtype=object)
+    d = pairs.shifts.shape[1]
     columns = [names[pairs.tails].tolist(), names[pairs.heads].tolist()]
     columns += [map(str, pairs.shifts[:, c].tolist()) for c in range(d)]
     columns.append(map(format, values, itertools.repeat(".12g")))
-    with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
+    _write_pair_table(path, d, ["value"], zip(*columns))

@@ -255,6 +255,14 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _write_pair_table(path, d: int, value_names: list[str], rows) -> None:
+    """The CSV table orbit_a,orbit_b,shift_1..shift_d,*value_names with one
+    line per row of `rows`, each a sequence of fields already quoted."""
+    header = ["orbit_a", "orbit_b", *(f"shift_{i + 1}" for i in range(d)), *value_names]
+    with open(path, "w") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+
+
 def _json_vec(v) -> str:
     if v is None:
         return "null"

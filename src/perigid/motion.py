@@ -44,7 +44,7 @@ from .errors import (
 )
 from .expansive import DEFAULT_RADIUS, _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph
-from .framework import _csv_field, _row_dots, _separations, _with_placement
+from .framework import _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
 from .rigidity import unpack_motion
 
@@ -353,21 +353,12 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
     first_violation: dict = {}
     for key, step, _ in sorted(audit.violations, key=lambda v: v[1]):
         first_violation.setdefault(key, step)
-    header = (
-        ["orbit_a", "orbit_b"]
-        + [f"shift_{i + 1}" for i in range(d)]
-        + ["min_increment", "first_violation_step"]
-    )
-    lines = [",".join(header)]
+    rows = []
     for key in keys:
         a, b, shift = key
         step = first_violation.get(key)
-        lines.append(
-            ",".join(
-                [_csv_field(a), _csv_field(b)]
-                + [str(c) for c in shift]
-                + [format(audit.pair_results[key], ".12g"), "" if step is None else str(step)]
-            )
+        rows.append(
+            [_csv_field(a), _csv_field(b), *map(str, shift)]
+            + [format(audit.pair_results[key], ".12g"), "" if step is None else str(step)]
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_pair_table(path, d, ["min_increment", "first_violation_step"], rows)

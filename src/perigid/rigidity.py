@@ -19,6 +19,7 @@ at the caller's tolerance; anything else raises ``NotAFlexError``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,13 @@ def unpack_motion(graph: QuotientGraph, vec: np.ndarray) -> tuple[np.ndarray, np
 
 
 def pack_motion(graph: QuotientGraph, pdot: np.ndarray, ldot: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(pdot, float).reshape(-1), np.asarray(ldot, float).reshape(-1, order="F")])
+    """The motion vector of vertex velocities (n, d) and lattice velocity
+    (d, d); stacks of them, (k, n, d) and (k, d, d), give k vectors."""
+    pdot, ldot = np.asarray(pdot, float), np.asarray(ldot, float)
+    lead = ldot.shape[:-2]
+    return np.concatenate(
+        [pdot.reshape(*lead, -1), np.swapaxes(ldot, -1, -2).reshape(*lead, -1)], axis=-1
+    )
 
 
 def _incidence_rows(n: int, tails, heads, shifts, separations) -> np.ndarray:
@@ -97,26 +104,16 @@ def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
     alike, so each constraint row evaluates to <e, S e> = 0.
     """
     d, n = fw.dimension, fw.n
-    size = d * n + d * d
-    out = []
-    for a in range(d):
-        v = np.zeros(size)
-        for i in range(n):
-            v[i * d + a] = 1.0
-        out.append(v)
+    positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits], dtype=float)
     lattice = fw.placement.lattice
+    planes = list(itertools.combinations(range(d), 2))
+    pdot, ldot = np.zeros((d + len(planes), n, d)), np.zeros((d + len(planes), d, d))
     for a in range(d):
-        for b in range(a + 1, d):
-            v = np.zeros(size)
-            for i, orbit in enumerate(fw.graph.vertex_orbits):
-                p = fw.placement.positions[orbit]
-                v[i * d + a] = -p[b]
-                v[i * d + b] = p[a]
-            for c in range(d):
-                v[n * d + c * d + a] = -lattice[b, c]
-                v[n * d + c * d + b] = lattice[a, c]
-            out.append(v)
-    return np.array(out)
+        pdot[a, :, a] = 1.0
+    for r, (a, b) in enumerate(planes, d):
+        pdot[r, :, a], pdot[r, :, b] = -positions[:, b], positions[:, a]
+        ldot[r, a], ldot[r, b] = -lattice[b], lattice[a]
+    return pack_motion(fw.graph, pdot, ldot)
 
 
 @dataclass(frozen=True, eq=False)

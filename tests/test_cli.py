@@ -98,19 +98,30 @@ PAIRS_CSV_DIGESTS = {
 
 @pytest.mark.parametrize("kind, radius", sorted(PAIRS_CSV_DIGESTS))
 def test_cone_pairs_csv_comes_from_one_enumeration(kind, radius, tmp_path, capsys, monkeypatch):
-    from perigid import expansive
+    # `perigid cone --pairs` builds its cone with the public `expansive_cone`,
+    # so the library's entry point (and whatever wraps it) sees every CLI cone.
+    from perigid import analyze, expansive
 
     fw = stressed_framework() if kind == "stressed" else simplex_framework(3, SimplexVariant(kind))
-    target, pairs = tmp_path / "fw.json", tmp_path / "pairs.csv"
+    target, pairs, expected = tmp_path / "fw.json", tmp_path / "pairs.csv", tmp_path / "expected.csv"
     save_framework(fw, target)
-    calls = []
-    enumerate_pairs = expansive.enumerate_pairs
-    monkeypatch.setattr(expansive, "enumerate_pairs", lambda *a: calls.append(a) or enumerate_pairs(*a))
+    calls = {"expansive_cone": 0, "enumerate_pairs": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(expansive, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(expansive, name, counted)
     code, _ = run_cli(["cone", str(target), "--radius", str(radius), "--pairs", str(pairs)], capsys)
     assert code == 0
     # The flex dimension 0 cone has no rays but its pairs are still audited.
-    assert len(calls) == 1
+    assert calls == {"expansive_cone": 1, "enumerate_pairs": 1}
     assert hashlib.sha256(pairs.read_bytes()).hexdigest() == PAIRS_CSV_DIGESTS[kind, radius]
+    monkeypatch.undo()
+    cone = expansive.expansive_cone(fw, analyze(fw), radius)
+    expansive.write_pair_audit_csv(expansive.enumerate_pairs(fw, radius), cone, expected)
+    assert pairs.read_bytes() == expected.read_bytes()
 
 
 def test_cone_out_file_gets_the_stdout_bytes(tmp_path, capsys):

@@ -435,6 +435,25 @@ def test_entering_artificial_is_the_lowest_indexed():
     )
 
 
+@st.composite
+def crowded_systems(draw):
+    # More rows than free variables, so artificials leave and re-enter the
+    # basis with a choice among several: the Bland order among them matters.
+    n_vars, n_eq, n_ineq = draw(st.integers(2, 4)), draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    val = st.integers(-3, 3)
+    eqs = [[draw(val) for _ in range(n_vars)] for _ in range(n_eq)]
+    eq_rhs = [draw(val) for _ in range(n_eq)]
+    ineqs = [[draw(val) for _ in range(n_vars)] for _ in range(n_ineq)]
+    ineq_rhs = [draw(val) for _ in range(n_ineq)]
+    return eqs, eq_rhs, [None] * n_vars, ineqs, ineq_rhs
+
+
+@given(crowded_systems())
+@settings(max_examples=150, deadline=None)
+def test_crowded_integer_systems_match_frozen_tableau(system):
+    assert_matches_frozen(*system)
+
+
 def test_small_integer_systems_match_frozen_tableau_at_every_pivot_cap():
     # More rows than free variables, so artificials leave and re-enter the
     # basis often: about 3% of these systems pivot differently when the
