@@ -29,13 +29,19 @@ the pivot makes it D' e_p again.  A real column's objective entry is
 D c_j - c_B adj(B) A_j with c = 0 on real and 1 on artificial columns, where
 c_B adj(B) is D - zrow at a stored column and D at a basic one; it is priced
 on demand over the nonzeros of A_j, once per free pair, since y- is -(y+).
-The entering column is adj(B) A_e.  A pivot on (p, e) replaces every other row
-of the stored tableau, and zrow, by (row*piv - row_e*pivot_row) / D, a division
-that is exact by Sylvester's determinant identity, and sets D to piv.  These
-are the integers the full tableau would hold, so every sign and ratio
-comparison, the pivot sequence, D and the returned Fractions are those of
-plain Fraction pivoting (the entering artificial is the lowest-indexed one, not
-the first stored); a system is infeasible when zrow's rhs entry is negative.
+The entering column is adj(B) A_e.  Row r is stored at at[r], the D it was
+last written at: its true integers are the stored ones times D / at[r].  A
+pivot on (p, e) skips a row whose entry f in column e is 0 and replaces every
+other row by (row*piv - f*pivot_row) / at[r], exact by Sylvester's determinant
+identity, stamping it piv; zrow's entry is negative, so zrow is always
+rewritten, and D becomes piv.  Only the pivot row (rescaled to D once if
+stale), a basic artificial's D e_q term in an entering column (at[q] times
+the entry) and the readout (beta_r / at[r]) need true values.  Every D is a
+pivot, so positive, and so is every scale D / at[r]: every sign, ratio and
+tie the ratio test reads, the pivot sequence, D and the returned Fractions are
+those of plain Fraction pivoting (the entering artificial is the lowest-indexed
+one, not the first stored); a system is infeasible when zrow's rhs entry is
+negative.
 
 Floating mode pivots on one numpy tableau with the IEEE operations of a
 row-by-row tableau in the same order: the pivot row is divided by the pivot,
@@ -72,6 +78,8 @@ def _is_exact(value) -> bool:
 
 
 def _fraction(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
     # numpy integers would otherwise survive as Fraction numerators.
     if isinstance(x, np.integer):
         return Fraction(int(x))
@@ -165,7 +173,7 @@ def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
         if slack is not None:
             # The slack is shifted by 0; a float -0.0 rhs becomes 0.0 here.
             pairs.append((slack, -one))
-            acc -= -one * zero
+            acc += zero
         if acc < zero:
             pairs, acc = [(c, -v) for c, v in pairs], -acc
         rows.append((pairs, acc))
@@ -249,7 +257,8 @@ def _solve_float(form):
 def _solve_exact(form):
     """Revised fraction-free Phase I with Bland's rule over beta and the
     stored artificial columns of adj(B), with the objective row over the
-    same columns (see the module docstring); a list of Fractions or None."""
+    same columns, each row at its own stamp (see the module docstring); a
+    list of Fractions or None."""
     rows, col_map, width = form
     m = len(rows)
     scale = math.lcm(*(b.denominator for _, b in rows))
@@ -263,9 +272,11 @@ def _solve_exact(form):
 
     # Row r is beta_r, then adj(B)'s entries in the stored columns: artificial
     # i's column sits at position slot[i] while i is nonbasic.  A basic
-    # artificial's column is D e_q at its row q, with objective entry 0.
+    # artificial's column is D e_q at its row q, with objective entry 0.  Row r
+    # holds its true integers times at[r] / D.
     basis = list(range(width, width + m))
     adj = [[b.numerator * (scale // b.denominator)] for _, b in rows]
+    at = [1] * m
     zrow = [-sum(row[0] for row in adj)]
     slot = {}
     denom = 1
@@ -285,7 +296,8 @@ def _solve_exact(form):
                 for i, a in column:
                     k = slot.get(i)
                     if k is None:
-                        col[basis.index(width + i)] += denom * a
+                        q = basis.index(width + i)
+                        col[q] += at[q] * a
                     else:
                         col = [c + row[k] * a for c, row in zip(col, adj)]
                 break
@@ -310,18 +322,24 @@ def _solve_exact(form):
                     best_r, best_a, best_b = r, a, adj[r][0]
         if best_r is None:
             raise NumericalFailureError(_UNBOUNDED)
+        stamp = at[best_r]
+        piv = col[best_r] * denom // stamp
+        prow = adj[best_r]
+        if stamp != denom:
+            prow = adj[best_r] = [x * denom // stamp for x in prow]
         if basis[best_r] >= width:  # a leaving artificial's column, D e_p, is stored
             slot[basis[best_r] - width] = len(zrow)
             zrow.append(0)
-            for r, row in enumerate(adj):
-                row.append(denom if r == best_r else 0)
-        prow = adj[best_r]
-        piv = col[best_r]
-        for r in range(m):
-            if r != best_r:
-                adj[r] = _eliminate(adj[r], col[r], prow, piv, denom)
-        zrow = _eliminate(zrow, zenter, prow, piv, denom)
-        denom = piv
+            for row in adj:
+                row.append(0)
+            prow[-1] = denom
+        for r, f in enumerate(col):
+            if f and r != best_r:
+                stamp = at[r]
+                adj[r] = [(x * piv - f * p) // stamp for x, p in zip(adj[r], prow)]
+                at[r] = piv
+        zrow = [(x * piv - zenter * p) // denom for x, p in zip(zrow, prow)]
+        at[best_r] = denom = piv
         basis[best_r] = enter
         if enter >= width:  # an entering artificial's column is D e_p again
             k = slot.pop(enter - width)
@@ -337,14 +355,5 @@ def _solve_exact(form):
     y = [Fraction(0)] * width
     for r, var in enumerate(basis):
         if var < width:
-            y[var] = Fraction(adj[r][0], denom)
+            y[var] = Fraction(adj[r][0], at[r])
     return _original_point(y, col_map)
-
-
-def _eliminate(row, factor, prow, piv, denom):
-    """(row * piv - factor * prow) / denom, exactly."""
-    if factor == 0:
-        if piv == denom:
-            return row
-        return [x * piv // denom for x in row]
-    return [(x * piv - factor * p) // denom for x, p in zip(row, prow)]

@@ -221,10 +221,17 @@ def _frozen_fraction(x):
     return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
 
 
-def frozen_feasibility(eq_rows, eq_b, lbs, in_rows=(), in_b=(), *, exact=None, max_pivots=50_000):
+def frozen_feasibility(
+    eq_rows, eq_b, lbs, in_rows=(), in_b=(), *, exact=None, max_pivots=50_000, stale=None
+):
     """The frozen oracle's answer for a system with finite values: a float
     array, a list of Fractions or None, with the same mode rule and the same
-    exact re-solve after a float phase-1 breakdown."""
+    exact re-solve after a float phase-1 breakdown.
+
+    ``stale``, a Counter, records the exact tableau's stale rows: each time a
+    row whose entry in the entering column was 0 at the last two or more
+    pivots is then eliminated, chosen as the pivot row (by the kind of
+    variable leaving there) or read out as part of the answer."""
     eq_rows = [list(r) for r in eq_rows]
     in_rows = [list(r) for r in in_rows]
     eq_b, lbs, in_b = list(eq_b), list(lbs), list(in_b)
@@ -235,7 +242,7 @@ def frozen_feasibility(eq_rows, eq_b, lbs, in_rows=(), in_b=(), *, exact=None, m
         )
     system = (eq_rows, eq_b, lbs, in_rows, in_b)
     if exact:
-        return _frozen_solve_exact(*system, max_pivots)
+        return _frozen_solve_exact(*system, max_pivots, stale)
     try:
         return _frozen_solve_float(*system, max_pivots)
     except _FrozenPhaseOneUnbounded:
@@ -244,7 +251,7 @@ def frozen_feasibility(eq_rows, eq_b, lbs, in_rows=(), in_b=(), *, exact=None, m
     bounds = [None if x is None else Fraction(float(x)) for x in lbs]
     n_eq = len(eq_rows)
     images = (floats[:n_eq], floats[n_eq], bounds, floats[n_eq + 1 : -1], floats[-1])
-    x = _frozen_solve_exact(*images, max_pivots)
+    x = _frozen_solve_exact(*images, max_pivots, stale)
     return None if x is None else np.array([float(v) for v in x])
 
 
@@ -355,7 +362,7 @@ def _frozen_solve_float(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     return np.array([float(v) for v in _frozen_original_point(y, col_map, nvars=len(lbs))])
 
 
-def _frozen_solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
+def _frozen_solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots, stale=None):
     rational, col_map, width = _frozen_standard_form(
         eq_rows, eq_b, lbs, in_rows, in_b, _frozen_fraction
     )
@@ -371,6 +378,7 @@ def _frozen_solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     zrow = [-sum(col) for col in zip(*tableau)] if m else [0] * (total + 1)
     zrow[width:total] = [0] * m
     denom = 1
+    skipped = [0] * m  # pivots in a row at which each row's factor was 0
 
     pivots = 0
     while True:
@@ -389,6 +397,15 @@ def _frozen_solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
                     best_r, best_a, best_b = r, a, tableau[r][-1]
         if best_r is None:
             raise NumericalFailureError(_FROZEN_UNBOUNDED)
+        if stale is not None:
+            for r in range(m):
+                if r != best_r and tableau[r][enter] == 0:
+                    skipped[r] += 1
+                    continue
+                if skipped[r] >= 2:
+                    leaving = "artificial" if basis[r] >= width else "real"
+                    stale["eliminated" if r != best_r else f"pivot row, {leaving} leaves"] += 1
+                skipped[r] = 0
         prow = tableau[best_r]
         piv = prow[enter]
         for r in range(m):
@@ -407,6 +424,8 @@ def _frozen_solve_exact(eq_rows, eq_b, lbs, in_rows, in_b, max_pivots):
     for r, var in enumerate(basis):
         if var < width:
             y[var] = Fraction(tableau[r][-1], denom)
+            if stale is not None and skipped[r] >= 2:
+                stale["read out"] += 1
     return _frozen_original_point(y, col_map, nvars=len(lbs))
 
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import functools
 import importlib.util
@@ -469,6 +470,35 @@ def test_small_integer_systems_match_frozen_tableau_at_every_pivot_cap():
         assert_matches_frozen(eqs, eq_rhs, [None] * n_vars, ineqs, ineq_rhs)
 
 
+def test_stale_rows_match_frozen_tableau_at_every_pivot_cap():
+    # A row whose entry in the entering column is 0 keeps the integers of an
+    # older determinant.  Sparse rows make such rows sit out several pivots
+    # in a row; every other system has a planted integer point, so it is
+    # feasible and its stale rows are read out as the answer.
+    rng = random.Random(26)
+
+    def entry():
+        return 0 if rng.random() < 0.4 else rng.randint(-3, 3)
+
+    stale = collections.Counter()
+    for i in range(150):
+        n_vars = rng.randint(3, 5)
+        eqs, ineqs = (
+            [[entry() for _ in range(n_vars)] for _ in range(rng.randint(3, 6))] for _ in range(2)
+        )
+        if i % 2:
+            point = [rng.randint(-2, 2) for _ in range(n_vars)]
+            eq_rhs = [sum(map(operator.mul, row, point)) for row in eqs]
+            ineq_rhs = [sum(map(operator.mul, row, point)) - rng.randint(0, 2) for row in ineqs]
+        else:
+            eq_rhs, ineq_rhs = ([rng.randint(-3, 3) for _ in rows] for rows in (eqs, ineqs))
+        system = (eqs, eq_rhs, [None] * n_vars, ineqs, ineq_rhs)
+        assert_matches_frozen(*system)
+        frozen_feasibility(*system, stale=stale)
+    kinds = ("eliminated", "pivot row, real leaves", "pivot row, artificial leaves", "read out")
+    assert set(stale) == set(kinds) and min(stale.values()) >= 20, stale
+
+
 def test_rows_with_a_zero_factor_keep_their_signed_zeros():
     # x - 0.0 * p turns x = -0.0 into 0.0 when p < 0 (or -0.0 * p, p > 0),
     # so a pivot must leave rows whose factor is zero untouched.
@@ -476,6 +506,33 @@ def test_rows_with_a_zero_factor_keep_their_signed_zeros():
     x = solve_linear_feasibility(*system[:3], inequalities=system[3], ineq_rhs=system[4])
     assert x.tobytes() == np.array([-0.0, 0.0]).tobytes()
     assert_matches_frozen(*system)
+
+
+def test_negative_zero_rhs_of_an_inequality_becomes_zero():
+    # The slack's shift by 0 turns an inequality's -0.0 rhs into 0.0, so x
+    # reads 0.0; an equality has no slack, and its -0.0 survives into x.
+    for system, expected in (
+        (([], [], [None], [[1.0]], [-0.0]), 0.0),
+        (([[1.0]], [-0.0], [None], [[1.0]], [-0.0]), -0.0),
+    ):
+        x = solve_linear_feasibility(*system[:3], inequalities=system[3], ineq_rhs=system[4])
+        assert x.tobytes() == np.array([expected]).tobytes()
+        assert_matches_frozen(*system)
+
+
+class _Rational(Fraction):
+    """A Fraction subclass, which the exact standard form keeps as it is."""
+
+
+def test_fraction_subclass_entries_and_bounds_give_plain_fractions():
+    half, third = _Rational(1, 2), _Rational(-1, 3)
+    for system in (
+        ([[half, half]], [half], [third, third], [], []),
+        ([], [], [third, None], [[half, 0]], [third]),
+    ):
+        x = solve_linear_feasibility(*system[:3], inequalities=system[3], ineq_rhs=system[4])
+        assert all(type(v) is Fraction for v in x)
+        assert_matches_frozen(*system)  # result_bytes compares the types too
 
 
 def test_breakdown_star_systems_match_frozen_tableau():
