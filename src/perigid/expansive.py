@@ -5,8 +5,14 @@ nondecreasing.  For a quotient description that quantifies over all pairs of
 vertex-orbit translates; here the pair set is truncated to lattice shifts
 with max-norm at most a radius R.  The truncated pairs are held as arrays
 (:class:`PairSet`): tail and head orbit indices plus an integer shift
-matrix, with separations and constraint rows built in one pass by the same
-incidence core as the bars of the rigidity matrix.  The halfspace rows are
+matrix, with separations and constraint rows built by the same incidence
+core as the bars of the rigidity matrix.  The cone, the radius probe and the
+flex verdict read the pairs as one stream of such arrays in the canonical
+order (`_pair_chunks`, chunks of 1,024 to 2,047 pairs) and keep only what
+each needs of a chunk, so no array spans the pair set.  Each step is per
+pair, so its bits do not depend on the chunk, except the projection's
+matrix product, whose rows are observed, not proved, to be the one
+product's for chunks of 512 rows or more.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
 Halfspaces that round to the same 9 decimals are merged, the first kept,
@@ -102,28 +108,60 @@ def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
     return _pair_set(fw, *ends, np.array([shift]))
 
 
-def _pair_incidence(
-    orbits, d: int, radius: int, shell: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tail index, head index, integer shift) arrays of the canonical pairs:
-    each a < b (sorted orbits) over the lexicographic shift box, then each
-    (a, a) over its first half, the shifts w < -w.  With `shell`, only the
-    shifts of max-norm exactly `radius`: the box is filtered before it is
-    tiled, and the filter keeps w and -w together, so the first half of the
-    filtered box is still the w < -w half."""
+# Pairs per chunk of the pair stream; the last chunk also takes the rest, so
+# every chunk holds _PAIR_CHUNK to 2 * _PAIR_CHUNK - 1 pairs unless the whole
+# set is smaller.
+_PAIR_CHUNK = 1024
+
+
+def _pair_incidence(orbits, d: int, radius: int, shell: bool = False):
+    """(tail index, head index, integer shift) arrays of the canonical pairs,
+    one triple per chunk of `_PAIR_CHUNK` pairs, the last chunk with the
+    rest: each a < b (sorted orbits) over the lexicographic shift box, then
+    each (a, a) over the shifts before the box's centre, the w < -w half.
+    With `shell`, only the shifts of max-norm exactly `radius`; the filter
+    keeps w and -w together, so the shell's shifts before the centre are its
+    w < -w half.  The box is walked a window at a time, its last k
+    coordinates running through a sub-box of _PAIR_CHUNK to
+    (2 radius + 1) _PAIR_CHUNK shifts (the whole box if it is smaller) while
+    the first d - k are fixed, so no array spans the whole set; the chunks
+    are cut from the pair order, not from the box."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    n, width = len(orbits), 2 * radius + 1
-    box = np.indices((width,) * d).reshape(d, -1).T - radius
-    if shell:
-        box = box[np.abs(box).max(axis=1) == radius]
-    half = len(box) // 2
-    order = np.array(sorted(range(n), key=lambda i: orbits[i]), dtype=int)
-    first, second = np.triu_indices(n, 1)
-    tails = np.concatenate([np.repeat(order[first], len(box)), np.repeat(order, half)])
-    heads = np.concatenate([np.repeat(order[second], len(box)), np.repeat(order, half)])
-    shifts = np.concatenate([np.tile(box, (len(first), 1)), np.tile(box[:half], (n, 1))])
-    return tails, heads, shifts
+    width, k = 2 * radius + 1, 1
+    while k < d and width**k < _PAIR_CHUNK:
+        k += 1
+    tail = np.indices((width,) * k).reshape(k, -1).T - radius
+    tail_on_shell = np.abs(tail).max(axis=1) == radius
+    leads = list(itertools.product(range(-radius, radius + 1), repeat=d - k))
+    order = sorted(range(len(orbits)), key=lambda i: orbits[i])
+    blocks = [(a, b, width**d) for i, a in enumerate(order) for b in order[i + 1 :]]
+    blocks += [(a, a, width**d // 2) for a in order]
+    held, count = [], 0
+    for a, b, stop in blocks:
+        for lo, lead in zip(range(0, stop, len(tail)), leads):
+            rows = tail[: stop - lo]
+            if shell and max(map(abs, lead), default=0) < radius:
+                rows = rows[tail_on_shell[: len(rows)]]
+            w = np.empty((len(rows), d), dtype=int)
+            w[:, : d - k], w[:, d - k :] = lead, rows
+            held.append((np.full(len(w), a), np.full(len(w), b), w))
+            count += len(w)
+            if count >= 2 * _PAIR_CHUNK:
+                # Hold back _PAIR_CHUNK to 2 * _PAIR_CHUNK - 1 pairs: the last chunk takes the rest.
+                merged = [np.concatenate(x) for x in zip(*held)]
+                cut = (count // _PAIR_CHUNK - 1) * _PAIR_CHUNK
+                for i in range(0, cut, _PAIR_CHUNK):
+                    yield tuple(x[i : i + _PAIR_CHUNK] for x in merged)
+                held, count = [tuple(x[cut:] for x in merged)], count - cut
+    yield tuple(np.concatenate(x) for x in zip(*held))
+
+
+def _pair_chunks(fw: PeriodicFramework, radius: int, shell: bool = False):
+    """The canonical pairs as consecutive PairSets, one per chunk of
+    `_pair_incidence`; every per-pair value is the whole set's, bit for bit."""
+    for incidence in _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius, shell):
+        yield _pair_set(fw, *incidence)
 
 
 def _pair_keys(orbits, tails, heads, shifts) -> list[tuple[str, str, tuple[int, ...]]]:
@@ -136,7 +174,8 @@ def enumerate_pairs(fw: PeriodicFramework, radius: int) -> PairSet:
 
     Count is C(n,2)*(2R+1)^d + n*((2R+1)^d - 1)/2.
     """
-    return _pair_set(fw, *_pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius))
+    chunks = _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius)
+    return _pair_set(fw, *map(np.concatenate, zip(*chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +476,10 @@ def expansive_cone(
     Pair rows are composed with the flex basis; rows of norm below CONE_TOL
     are dropped (bars project to zero because flexes preserve them exactly),
     unit rows equal to 9 decimals are merged, and rays come from the double
-    description pass.  Unless `pairs_csv` is None, the pair audit of the
-    pairs the cone is built from (`write_pair_audit_csv`) is written there:
-    one enumeration serves both.
+    description pass.  The pairs come a chunk at a time (`_pair_chunks`);
+    only their unit rows are kept and, unless `pairs_csv` is None, each
+    pair's audit value, which is written there after the double description
+    (`_write_pair_audit`).
     """
     if radius < 1:
         raise ValueError("radius must be at least 1")
@@ -448,35 +488,37 @@ def expansive_cone(
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    pairs = enumerate_pairs(fw, radius) if f or pairs_csv is not None else None
+    units, values = [], []
+    for pairs in _pair_chunks(fw, radius) if f or pairs_csv is not None else ():
+        if f:
+            units.append(_unit_halfspaces(pairs.rows, report.flex_basis))
+        if pairs_csv is not None:
+            # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
+            projected = (pairs.rows[:, None, :] @ report.flex_basis.T)[:, 0, :]
+            values.append(np.sqrt(_row_dots(projected, projected)))
     uniq = rays = np.zeros((0, 0))
     if f:
-        projected = _unit_halfspaces(pairs.rows, report.flex_basis)
-        if pairs_csv is None:
-            pairs = None  # without an audit the pairs live only until their rows are projected
+        projected = np.concatenate(units)
+        del units  # the merge copies the rows twice more
         if len(projected) == 0:
             # No pair restricts the flexes at this radius; the cone is all of R^f.
             raise NonPointedConeError("no active pair constraints; cone has full lineality")
         uniq = projected[_first_unique(projected)]
+        del projected  # only the merged rows live through the double description
         rays = extremal_rays(uniq)
     cone = ExpansiveCone(report.flex_basis, uniq, radius, rays)
     if pairs_csv is not None:
-        write_pair_audit_csv(pairs, cone, pairs_csv)
+        _write_pair_audit(fw, radius, np.concatenate(values), pairs_csv)
     return cone
 
 
 def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
     """Pair rows in flex coordinates, normalized; rows of norm below
-    CONE_TOL (relative to the row, at least 1) are dropped.  The row norms
-    are taken a chunk of rows at a time, each row's the one of its own
-    reduction, so no temporary as large as the rows is made."""
+    CONE_TOL (relative to the row, at least 1) are dropped.  Callers pass one
+    chunk of the pair stream at a time; each row's norms are the ones of its
+    own reductions, whatever the chunk."""
     projected = rows @ flex_basis.T
-    scale = np.empty(len(rows))
-    step = max(1, _CHUNK // max(1, rows.shape[1]))
-    for i in range(0, len(rows), step):
-        scale[i : i + step] = np.linalg.norm(rows[i : i + step], axis=1)
-    np.maximum(scale, 1.0, out=scale)
-    # Each row's norm depends on that row alone, so one pass serves both.
+    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
     norms = np.linalg.norm(projected, axis=1)
     keep = norms > CONE_TOL * scale
     return projected[keep] / norms[keep, None]
@@ -511,19 +553,21 @@ def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     The effective orbits are those touched by a strict pair.
     """
     flex = _checked_flex(rigidity_matrix(fw), flex, CONE_TOL)
-    pairs = enumerate_pairs(fw, radius)
-    values = _row_dots(pairs.rows, flex)
-    scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * np.linalg.norm(flex)
-    thresholds = CONE_TOL * scales
-    strict = values > thresholds
-    if np.any(values < -thresholds):
+    flex_norm, violated, touched = np.linalg.norm(flex), False, set()
+    for pairs in _pair_chunks(fw, radius):
+        values = _row_dots(pairs.rows, flex)
+        scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * flex_norm
+        thresholds = CONE_TOL * scales
+        strict = values > thresholds
+        violated = violated or bool(np.any(values < -thresholds))
+        touched.update(pairs.tails[strict].tolist(), pairs.heads[strict].tolist())
+    if violated:
         cls = FlexClass.NOT_EXPANSIVE
-    elif np.any(strict):
+    elif touched:
         cls = FlexClass.EFFECTIVELY_EXPANSIVE
     else:
         cls = FlexClass.WEAKLY_EXPANSIVE
-    touched = np.union1d(pairs.tails[strict], pairs.heads[strict])
-    return cls, {pairs.orbits[i] for i in touched}
+    return cls, {fw.graph.vertex_orbits[i] for i in touched}
 
 
 def classify_flex(fw: PeriodicFramework, flex, radius: int = DEFAULT_RADIUS) -> FlexClass:
@@ -568,9 +612,10 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     pairs, those whose shift has max-norm R + 1.  So R is stable exactly when
     no ray at R violates a merged shell halfspace by more than CONE_TOL;
     otherwise the merged shell is inserted into the rays at R and the next
-    radius is probed.  The merged rows are some of the shell rows with the
-    same values, so the shell is merged only once some row of it is violated,
-    and the merged rows are tested by their columns of the shell's one product.
+    radius is probed.  The shell is streamed a chunk at a time and each chunk
+    is tested and dropped; only when some row cuts a ray is the whole shell
+    assembled and merged, and the merged rows, some of the shell rows with
+    the same values, are tested by their columns of the shell's one test.
     """
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
@@ -578,10 +623,11 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     for radius in range(cone.radius, max_radius + 1):
         if not len(rays):
             return radius
-        shell = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
-        cuts = _row_dots(rays[:, None, :], shell) < -CONE_TOL
-        if not cuts.any():
+        chunks = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
+        if not any((_row_dots(rays[:, None, :], rows) < -CONE_TOL).any() for rows in chunks):
             return radius
+        shell = np.concatenate(list(_shell_halfspaces(fw, cone.flex_basis, radius + 1)))
+        cuts = _row_dots(rays[:, None, :], shell) < -CONE_TOL
         # The merged shell: the first row of each 9-decimal key new to `a`.
         first = _first_unique(np.concatenate([a, shell])) - len(a)
         first = first[first >= 0]
@@ -594,11 +640,11 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     )
 
 
-def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int) -> np.ndarray:
-    """Unit halfspaces of the pairs whose shift has max-norm exactly `radius`."""
-    orbits, d = fw.graph.vertex_orbits, fw.dimension
-    rows = _pair_set(fw, *_pair_incidence(orbits, d, radius, shell=True)).rows
-    return _unit_halfspaces(rows, flex_basis)
+def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int):
+    """Unit halfspaces of the pairs whose shift has max-norm exactly
+    `radius`, one array per chunk of `_pair_chunks`."""
+    for pairs in _pair_chunks(fw, radius, shell=True):
+        yield _unit_halfspaces(pairs.rows, flex_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -612,20 +658,24 @@ def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
     )
 
 
-def write_pair_audit_csv(pairs: PairSet, cone: ExpansiveCone, path) -> None:
-    """Per-pair audit of the pairs the cone was built from, those of
-    ``enumerate_pairs`` at its radius: the norm of each pair row projected
-    to the cone's flex coordinates.
+def _write_pair_audit(fw: PeriodicFramework, radius: int, values: np.ndarray, path) -> None:
+    """Per-pair audit CSV of the cone's pairs, those of ``enumerate_pairs``
+    at `radius`: each pair's key and its `values` entry, the norm of its row
+    projected to the flex coordinates.  The keys come from a second pass of
+    `_pair_incidence`, which builds no rows.
 
     Zero means the pair does not restrict the flex space (bars in particular).
     """
-    # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
-    projected = (pairs.rows[:, None, :] @ cone.flex_basis.T)[:, 0, :]
-    values = np.sqrt(_row_dots(projected, projected)).tolist()
+    orbits, d = fw.graph.vertex_orbits, fw.dimension
     # Each orbit is quoted once, not once per row.
-    names = np.array([_csv_field(o) for o in pairs.orbits], dtype=object)
-    d = pairs.shifts.shape[1]
-    columns = [names[pairs.tails].tolist(), names[pairs.heads].tolist()]
-    columns += [map(str, pairs.shifts[:, c].tolist()) for c in range(d)]
-    columns.append(map(format, values, itertools.repeat(".12g")))
-    _write_pair_table(path, d, ["value"], zip(*columns))
+    names = np.array([_csv_field(o) for o in orbits], dtype=object)
+    text = map(format, values.tolist(), itertools.repeat(".12g"))
+
+    def chunks():
+        for tails, heads, shifts in _pair_incidence(orbits, d, radius):
+            columns = [names[tails].tolist(), names[heads].tolist()]
+            columns += [map(str, shifts[:, c].tolist()) for c in range(d)]
+            columns.append(itertools.islice(text, len(tails)))
+            yield zip(*columns)
+
+    _write_pair_table(path, d, ["value"], itertools.chain.from_iterable(chunks()))

@@ -235,7 +235,7 @@ def audit_expansiveness(
     if len(path.placements) < 2:
         raise ValueError("path needs at least two steps")
     orbits = path.graph.vertex_orbits
-    tails, heads, shifts = _pair_incidence(orbits, path.graph.dimension, radius)
+    tails, heads, shifts = map(np.concatenate, zip(*_pair_incidence(orbits, path.graph.dimension, radius)))
     w = shifts.astype(float)
     dist = np.empty((len(path.placements), len(w)))
     for step, (positions, lattice) in enumerate(zip(*path._stacks)):  # flat memory

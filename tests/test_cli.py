@@ -105,23 +105,56 @@ def test_cone_pairs_csv_comes_from_one_enumeration(kind, radius, tmp_path, capsy
     fw = stressed_framework() if kind == "stressed" else simplex_framework(3, SimplexVariant(kind))
     target, pairs, expected = tmp_path / "fw.json", tmp_path / "pairs.csv", tmp_path / "expected.csv"
     save_framework(fw, target)
-    calls = {"expansive_cone": 0, "enumerate_pairs": 0}
+    calls = {"expansive_cone": 0, "_pair_chunks": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(expansive, name), **kwargs):
-            calls[_name] += 1
+            # The probe's passes over the shell are not the cone's pairs.
+            calls[_name] += not kwargs.get("shell", False)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(expansive, name, counted)
     code, _ = run_cli(["cone", str(target), "--radius", str(radius), "--pairs", str(pairs)], capsys)
     assert code == 0
-    # The flex dimension 0 cone has no rays but its pairs are still audited.
-    assert calls == {"expansive_cone": 1, "enumerate_pairs": 1}
+    # One pass of the pair stream builds the rows of both the cone and the
+    # audit; the flex dimension 0 cone has no rays but its pairs are still audited.
+    assert calls == {"expansive_cone": 1, "_pair_chunks": 1}
     assert hashlib.sha256(pairs.read_bytes()).hexdigest() == PAIRS_CSV_DIGESTS[kind, radius]
     monkeypatch.undo()
-    cone = expansive.expansive_cone(fw, analyze(fw), radius)
-    expansive.write_pair_audit_csv(expansive.enumerate_pairs(fw, radius), cone, expected)
+    expansive.expansive_cone(fw, analyze(fw), radius, pairs_csv=expected)
     assert pairs.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("failing, written", [("extremal_rays", False), ("find_stable_radius", True)])
+def test_cone_pairs_csv_is_written_after_the_rays_and_before_the_probe(
+    failing, written, tmp_path, capsys, monkeypatch
+):
+    # A double description that fails leaves no audit; a probe that fails
+    # comes after the audit is written.
+    from perigid import expansive
+    from perigid.errors import NumericalFailureError
+
+    target, pairs = gen_file(tmp_path, capsys, "stressed"), tmp_path / "p.csv"
+
+    def fail(*args, **kwargs):
+        raise NumericalFailureError("planted")
+
+    monkeypatch.setattr(expansive, failing, fail)
+    code = main(["cone", str(target), "--radius", "2", "--pairs", str(pairs)])
+    assert code == 3
+    assert "planted" in capsys.readouterr().err
+    assert pairs.exists() is written
+
+
+def test_cone_with_a_shell_that_cuts(tmp_path, capsys):
+    # The R = 1 rays of the d = 2 base are cut by the R = 2 shell, so the
+    # probe inserts that shell and reads radius 2.
+    target = gen_file(tmp_path, capsys, "simplex", "--dim", "2")
+    pairs = tmp_path / "pairs.csv"
+    code, out = run_cli(["cone", str(target), "--radius", "1", "--pairs", str(pairs)], capsys)
+    assert code == 0
+    assert json.loads(out)["stable_radius"] == 2
+    assert len(pairs.read_text().splitlines()) == 1 + 9 + 2 * 4
 
 
 def test_cone_out_file_gets_the_stdout_bytes(tmp_path, capsys):

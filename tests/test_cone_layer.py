@@ -37,10 +37,11 @@ from _oracles import (
     frozen_cone,
     frozen_extremal_rays,
     frozen_finish_kept,
+    loop_pairs,
     rays_match,
     simplicial_cone_is_complete,
 )
-from conftest import rotated
+from conftest import make_framework, rotated
 
 
 def framework(kind, d, seed):
@@ -186,7 +187,7 @@ def test_probe_tests_the_merged_shell_rows(base3, monkeypatch):
     )
     twin = np.array([[-1.1e-9, 1.0]])
     assert twin[0] @ cone.rays[1] < -expansive.CONE_TOL
-    monkeypatch.setattr(expansive, "_shell_halfspaces", lambda fw, basis, radius: twin)
+    monkeypatch.setattr(expansive, "_shell_halfspaces", lambda fw, basis, radius: [twin])
     assert find_stable_radius(base3, cone, max_radius=4) == 2
 
 
@@ -254,6 +255,96 @@ def test_probe_rejects_a_start_beyond_max_radius(base3):
     cone = expansive_cone(base3, analyze(base3), 3)
     with pytest.raises(ValueError, match="max_radius"):
         find_stable_radius(base3, cone, max_radius=2)
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_probe_inserts_a_shell_that_cuts(chunk, monkeypatch):
+    # The R = 2 shell of the d = 2 base cuts a ray of the R = 1 cone, so the
+    # probe assembles and merges that shell, whole even when it streams in
+    # many chunks, and reads radius 2.
+    fw = simplex_framework(2)
+    cone = expansive_cone(fw, analyze(fw), 1)
+    if chunk is not None:
+        monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
+    shell = np.concatenate(list(expansive._shell_halfspaces(fw, cone.flex_basis, 2)))
+    assert (cone.rays @ shell.T < -expansive.CONE_TOL).any()
+    assert find_stable_radius(fw, cone, max_radius=4) == 2
+
+
+# -- the pair stream ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1024, 2047, 2048, 4687])
+def test_pair_stream_folds_the_last_chunk_into_the_one_before(count):
+    # One orbit in d = 1 has one pair per shift -R .. -1 within radius R.
+    chunks = list(expansive._pair_incidence(("a",), 1, count))
+    sizes = [len(tails) for tails, _, _ in chunks]
+    step = expansive._PAIR_CHUNK
+    assert sizes[:-1] == [step] * (len(sizes) - 1)
+    assert sizes == [count] if count < step else step <= sizes[-1] < 2 * step
+    assert np.concatenate([shifts for _, _, shifts in chunks]).tolist() == [[w] for w in range(-count, 0)]
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize(
+    "kind, d, radius",
+    [("stressed", 3, 2), ("base", 2, 3), ("removed:1", 3, 2), ("base", 4, 3), ("regular", 5, 2)],
+)
+def test_pair_stream_is_the_whole_pair_set_in_order(kind, d, radius, chunk, monkeypatch):
+    fw = framework(kind, d, seed=d + radius)
+    whole = enumerate_pairs(fw, radius)
+    if chunk is not None:
+        monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
+    step = expansive._PAIR_CHUNK
+    on_shell = np.abs(whole.shifts).max(axis=1) == radius
+    for shell, keep in ((False, np.ones(len(whole), dtype=bool)), (True, on_shell)):
+        chunks = list(expansive._pair_chunks(fw, radius, shell=shell))
+        sizes = [len(c) for c in chunks]
+        assert sizes == [keep.sum()] if keep.sum() < step else all(step <= s < 2 * step for s in sizes)
+        assert [k for c in chunks for k in c.keys()] == [k for k, kept in zip(whole.keys(), keep) if kept]
+        assert np.concatenate([c.rows for c in chunks]).tobytes() == whole.rows[keep].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_pair_stream_of_three_orbits_is_the_loop_order(chunk, monkeypatch):
+    # Orbits stored out of name order, so the a < b blocks are not in index
+    # order; the per-pair loop in `_oracles` shares no code with the stream.
+    positions = {"c": np.array([0.1, 0.2]), "a": np.array([0.5, 0.1]), "b": np.array([0.3, 0.7])}
+    lattice = np.array([[1.0, 0.2], [0.1, 1.1]])
+    edges = [("c", "a", (0, 0)), ("a", "b", (1, 0)), ("b", "c", (0, 1))]
+    fw = make_framework(2, positions, lattice, edges)
+    if chunk is not None:
+        monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
+    keys, _, rows = loop_pairs(positions, lattice, 3)
+    chunks = list(expansive._pair_chunks(fw, 3))
+    assert [k for c in chunks for k in c.keys()] == keys
+    assert np.concatenate([c.rows for c in chunks]).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("kind, d, radius", CONES)
+def test_streamed_projection_is_the_one_product(kind, d, radius, monkeypatch):
+    # Each chunk of pairs is projected by its own matrix product.  That a
+    # row's bits do not depend on the chunk is observed of this BLAS for
+    # chunks of 512 rows or more, not proved, so a BLAS that rounds
+    # differently fails here.
+    fw = framework(kind, d, seed=31 * d + radius)
+    report = analyze(fw)
+    unit = expansive._unit_halfspaces
+    cone_rows = enumerate_pairs(fw, radius).rows
+    beyond = enumerate_pairs(fw, radius + 1)
+    shell_rows = beyond.rows[np.abs(beyond.shifts).max(axis=1) == radius + 1]
+    seen = []
+
+    def kept(rows, basis):
+        seen.append(unit(rows, basis))
+        return seen[-1]
+
+    monkeypatch.setattr(expansive, "_PAIR_CHUNK", 512)
+    monkeypatch.setattr(expansive, "_unit_halfspaces", kept)
+    expansive_cone(fw, report, radius)
+    assert np.concatenate(seen).tobytes() == unit(cone_rows, report.flex_basis).tobytes()
+    shell = np.concatenate(list(expansive._shell_halfspaces(fw, report.flex_basis, radius + 1)))
+    assert shell.tobytes() == unit(shell_rows, report.flex_basis).tobytes()
 
 
 # -- guarded products ---------------------------------------------------------

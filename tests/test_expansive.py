@@ -29,7 +29,7 @@ from perigid import (
     with_edge_orbit,
 )
 from perigid import expansive, feasibility, motion, rigidity_matrix
-from perigid.expansive import cone_report_json, write_pair_audit_csv
+from perigid.expansive import cone_report_json
 
 from _oracles import rays_match, sweep_rays_2d
 from conftest import make_framework
@@ -382,10 +382,11 @@ def test_pointedness_checks_and_enumerates_once(stressed, monkeypatch):
         monkeypatch.setattr(expansive, name, counted)
 
     count("rigidity_matrix")
-    count("enumerate_pairs")
+    count("_pair_chunks")
     result = verify_pointedness(stressed, flex)
     assert set(result.analyses) == {"red", "green"}
-    assert calls == ["rigidity_matrix", "enumerate_pairs"]
+    # One flex check, then one pass of the pair stream.
+    assert calls == ["rigidity_matrix", "_pair_chunks"]
 
 
 # -- serialization -------------------------------------------------------------
@@ -411,7 +412,7 @@ def test_cone_report_json(stressed):
 def test_pair_audit_csv(tmp_path, stressed):
     report = analyze(stressed)
     target = tmp_path / "pairs.csv"
-    write_pair_audit_csv(enumerate_pairs(stressed, 1), expansive_cone(stressed, report, 1), target)
+    expansive_cone(stressed, report, 1, pairs_csv=target)
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "orbit_a,orbit_b,shift_1,shift_2,shift_3,value"
     assert len(lines) == 1 + 53
