@@ -6,9 +6,10 @@ Prints the SHA-256 of its halfspace matrix and of its rays, the stable radius
 from `find_stable_radius` and the process's peak resident memory
 (`ru_maxrss`).  Exits 1 if either digest differs from the one recorded at
 commit d9a694d with numpy 2.4.6 and OpenBLAS on x86-64, if the radius is not
-3, or if the peak exceeds 300 MB (the cone and the probe stream their pairs;
-holding them whole took ~730 MB).  The cone takes a few seconds, too long for
-the tier-1 suite, which pins the smaller sizes (tests/test_cone_layer.py).
+3, or if the peak exceeds 150 MB (the cone and the probe stream their pairs
+and merge them as they come; holding them whole took ~730 MB).  The cone
+takes a few seconds, too long for the tier-1 suite, which pins the smaller
+sizes (tests/test_cone_layer.py).
 
     python scripts/north_star_digests.py
 """
@@ -26,7 +27,7 @@ EXPECTED = (
     "c0dd73f56f24d03bae697d08efd905608aedd932eaf86b2532b3200351ffe13e",
     "f446f735923010c63c09c5fd7807045df4b5f311002ebb30819da6762ed175f0",
 )
-MAX_RSS_MB = 300
+MAX_RSS_MB = 150
 
 fw = simplex_framework(6)
 cone = expansive_cone(fw, analyze(fw), 3)

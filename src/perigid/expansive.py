@@ -15,23 +15,24 @@ matrix product, whose rows are observed, not proved, to be the one
 product's for chunks of 512 rows or more.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
-Halfspaces that round to the same 9 decimals are merged, the first kept,
-by a stable sort on those keys.  Extremal rays come from a double
+A row is kept, as the pairs stream, when its 9-decimal key is not yet in
+the set of keys seen before it (`_merge_new`), so halfspaces that round
+alike are merged, the first kept.  Extremal rays come from a double
 description pass over the merged halfspaces, each ray's active set a bool
 row over the processed halfspaces that some ray is tight at or may become
 tight at, which one rule decides when the buffer is rebuilt (`_ActiveSets`).
-The merge and the double description are array code that makes the decisions
-of the one-row, one-ray loop they replaced, in the same order, and builds
-every ray with the same floating-point operations, so the halfspaces and
-rays are bit for bit that loop's.  A tight-or-violated decision may be read
-from a faster product (a GEMM) only when every value it reads lies outside
-a band of twice gamma_(f+1) around its threshold, wider than any difference
-in rounding between the two products (Higham, section 3.1); the values
-inside the band are recomputed by the loop's product.  The
-stability probe makes truncation bias observable: the cone at R + 1 is the
-cone at R cut by the halfspaces of the new shell of pairs, so R is stable
-when no ray at R violates one of them.  Every float decision of this layer
-uses the one module tolerance ``CONE_TOL``.
+The double description is array code that makes the decisions of the
+one-row, one-ray loop it replaced, in the same order, and builds every ray
+with the same floating-point operations, so the rays are bit for bit that
+loop's.  A tight-or-violated decision may be read from a faster product (a
+GEMM) only when every value it reads lies outside a band of twice
+gamma_(f+1) around its threshold, wider than any difference in rounding
+between the two products (Higham, section 3.1); the values inside the band
+are recomputed by the loop's product.  The stability probe makes truncation
+bias observable: the cone at R + 1 is the cone at R cut by the halfspaces of
+the new shell of pairs, so R is stable when no ray at R violates one of
+them.  Every float decision of this layer uses the one module tolerance
+``CONE_TOL``.
 """
 
 from __future__ import annotations
@@ -477,7 +478,7 @@ def expansive_cone(
     are dropped (bars project to zero because flexes preserve them exactly),
     unit rows equal to 9 decimals are merged, and rays come from the double
     description pass.  The pairs come a chunk at a time (`_pair_chunks`);
-    only their unit rows are kept and, unless `pairs_csv` is None, each
+    only their merged unit rows are kept and, unless `pairs_csv` is None, each
     pair's audit value, which is written there after the double description
     (`_write_pair_audit`).
     """
@@ -488,24 +489,21 @@ def expansive_cone(
         raise FlexDimensionTooLargeError(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
-    units, values = [], []
+    seen, kept, values = set(), [], []
     for pairs in _pair_chunks(fw, radius) if f or pairs_csv is not None else ():
         if f:
-            units.append(_unit_halfspaces(pairs.rows, report.flex_basis))
+            kept.append(_merge_new(seen, _unit_halfspaces(pairs.rows, report.flex_basis)))
         if pairs_csv is not None:
             # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
             projected = (pairs.rows[:, None, :] @ report.flex_basis.T)[:, 0, :]
             values.append(np.sqrt(_row_dots(projected, projected)))
-    uniq = rays = np.zeros((0, 0))
-    if f:
-        projected = np.concatenate(units)
-        del units  # the merge copies the rows twice more
-        if len(projected) == 0:
-            # No pair restricts the flexes at this radius; the cone is all of R^f.
-            raise NonPointedConeError("no active pair constraints; cone has full lineality")
-        uniq = projected[_first_unique(projected)]
-        del projected  # only the merged rows live through the double description
-        rays = extremal_rays(uniq)
+    del seen  # only the merged rows live through the double description
+    uniq = np.concatenate(kept) if f else np.zeros((0, 0))
+    del kept
+    if f and len(uniq) == 0:
+        # No pair restricts the flexes at this radius; the cone is all of R^f.
+        raise NonPointedConeError("no active pair constraints; cone has full lineality")
+    rays = extremal_rays(uniq) if f else uniq
     cone = ExpansiveCone(report.flex_basis, uniq, radius, rays)
     if pairs_csv is not None:
         _write_pair_audit(fw, radius, np.concatenate(values), pairs_csv)
@@ -524,16 +522,17 @@ def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
     return projected[keep] / norms[keep, None]
 
 
-def _first_unique(rows: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first row of each distinct 9-decimal
-    rounding: a stable lexsort puts equal keys (compared as floats, so -0.0
-    is 0.0) next to each other in row order, each run led by its first row."""
-    keys = np.round(rows, 9)
-    order = np.lexsort(keys.T)
-    keys = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return np.sort(order[first])
+def _merge_new(seen: set, rows: np.ndarray) -> np.ndarray:
+    """The rows whose key, the bytes of np.round(row, 9) + 0.0 (-0.0 is 0.0),
+    is not in `seen`, the first of each; their keys join `seen`, so chunks
+    merged in turn keep the first row of each key of the whole stream."""
+    keys = np.round(rows, 9) + 0.0
+    new = []
+    for i, key in enumerate(keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()):
+        if key not in seen:
+            seen.add(key)
+            new.append(i)
+    return rows[new]
 
 
 # ---------------------------------------------------------------------------
@@ -613,9 +612,9 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     no ray at R violates a merged shell halfspace by more than CONE_TOL;
     otherwise the merged shell is inserted into the rays at R and the next
     radius is probed.  The shell is streamed a chunk at a time and each chunk
-    is tested and dropped; only when some row cuts a ray is the whole shell
-    assembled and merged, and the merged rows, some of the shell rows with
-    the same values, are tested by their columns of the shell's one test.
+    is tested and dropped; only when some row cuts a ray is the shell streamed
+    again and merged chunk by chunk against the cone's halfspaces
+    (`_merge_new`), and the merged rows tested.
     """
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
@@ -626,14 +625,14 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
         chunks = _shell_halfspaces(fw, cone.flex_basis, radius + 1)
         if not any((_row_dots(rays[:, None, :], rows) < -CONE_TOL).any() for rows in chunks):
             return radius
-        shell = np.concatenate(list(_shell_halfspaces(fw, cone.flex_basis, radius + 1)))
-        cuts = _row_dots(rays[:, None, :], shell) < -CONE_TOL
         # The merged shell: the first row of each 9-decimal key new to `a`.
-        first = _first_unique(np.concatenate([a, shell])) - len(a)
-        first = first[first >= 0]
-        if not cuts[:, first].any():
+        seen = set()
+        _merge_new(seen, a)
+        shell = [_merge_new(seen, rows) for rows in _shell_halfspaces(fw, cone.flex_basis, radius + 1)]
+        del seen
+        if not any((_row_dots(rays[:, None, :], rows) < -CONE_TOL).any() for rows in shell):
             return radius
-        n, a = len(a), np.concatenate([a, shell[first]])
+        n, a = len(a), np.concatenate([a, *shell])
         rays = _finish(_clip(a, n, rays), a)
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"

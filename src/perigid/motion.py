@@ -99,7 +99,7 @@ def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
     motion that is 1 on the first orbit and the strictly lower lattice entries."""
     pin = np.zeros((graph.n, graph.dimension))
     pin[0] = 1.0
-    return np.flatnonzero(pack_motion(graph, pin, np.tri(graph.dimension, k=-1)) == 0)
+    return np.flatnonzero(pack_motion(pin, np.tri(graph.dimension, k=-1)) == 0)
 
 
 def _edge_sq_lengths(graph: QuotientGraph, state: np.ndarray) -> np.ndarray:
@@ -162,7 +162,7 @@ def continue_motion(
     direction = _checked_flex(rows, direction, _SEED_FLEX_TOL)
 
     report0 = analyze(fw, rank_tol)
-    state = pack_motion(graph, pos0, fw.placement.lattice)
+    state = pack_motion(pos0, fw.placement.lattice)
     tangent = report0.flex_basis.T @ (report0.flex_basis @ direction) if report0.dof else np.zeros_like(direction)
     norm0 = float(np.linalg.norm(tangent))
     if norm0 <= 1e-12 * max(1.0, float(np.linalg.norm(direction))):

@@ -46,7 +46,7 @@ def unpack_motion(graph: QuotientGraph, vec: np.ndarray) -> tuple[np.ndarray, np
     return pdot, ldot
 
 
-def pack_motion(graph: QuotientGraph, pdot: np.ndarray, ldot: np.ndarray) -> np.ndarray:
+def pack_motion(pdot: np.ndarray, ldot: np.ndarray) -> np.ndarray:
     """The motion vector of vertex velocities (n, d) and lattice velocity
     (d, d); stacks of them, (k, n, d) and (k, d, d), give k vectors."""
     pdot, ldot = np.asarray(pdot, float), np.asarray(ldot, float)
@@ -62,12 +62,11 @@ def _incidence_rows(n: int, tails, heads, shifts, separations) -> np.ndarray:
     Accumulated into zeros as a per-row loop would be, so every zero keeps
     its sign (0 - 0 is +0, where -s would give -0)."""
     k, d = separations.shape
-    rows = np.zeros((k, d * n + d * d))
-    rows_k, cols = np.arange(k)[:, None], np.arange(d)
-    rows[rows_k, tails[:, None] * d + cols] -= separations
-    rows[rows_k, heads[:, None] * d + cols] += separations
-    rows[:, n * d :] += (shifts[:, :, None] * separations[:, None, :]).reshape(k, d * d)
-    return rows
+    rows, at = np.zeros((k, n + d, d)), np.arange(k)
+    rows[at, tails] -= separations
+    rows[at, heads] += separations
+    rows[:, n:] += shifts[:, :, None] * separations[:, None, :]
+    return rows.reshape(k, (n + d) * d)
 
 
 def rigidity_rows(graph: QuotientGraph, positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
     for r, (a, b) in enumerate(planes, d):
         pdot[r, :, a], pdot[r, :, b] = -positions[:, b], positions[:, a]
         ldot[r, a], ldot[r, b] = -lattice[b], lattice[a]
-    return pack_motion(fw.graph, pdot, ldot)
+    return pack_motion(pdot, ldot)
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,9 +174,14 @@ def near_duplicate_rows(draw):
 
 @given(near_duplicate_rows())
 @settings(max_examples=300, deadline=None)
-def test_first_unique_matches_np_unique(rows):
-    got = expansive._first_unique(rows)
-    assert got.tolist() == first_rounded_rows(rows).tolist()
+def test_streamed_merge_matches_np_unique(rows):
+    # Every split of the rows into two consecutive chunks keeps np.unique's
+    # first row of each key, in row order.
+    want = rows[first_rounded_rows(rows)].tobytes()
+    for cut in range(len(rows) + 1):
+        seen = set()
+        got = [expansive._merge_new(seen, chunk) for chunk in (rows[:cut], rows[cut:])]
+        assert np.concatenate(got).tobytes() == want
 
 
 def test_probe_tests_the_merged_shell_rows(base3, monkeypatch):
@@ -188,6 +193,18 @@ def test_probe_tests_the_merged_shell_rows(base3, monkeypatch):
     twin = np.array([[-1.1e-9, 1.0]])
     assert twin[0] @ cone.rays[1] < -expansive.CONE_TOL
     monkeypatch.setattr(expansive, "_shell_halfspaces", lambda fw, basis, radius: [twin])
+    assert find_stable_radius(base3, cone, max_radius=4) == 2
+
+
+def test_probe_merges_a_twin_across_shell_chunks(base3, monkeypatch):
+    # The first chunk's row does not cut the rays; its 9-decimal twin in the
+    # second chunk cuts the ray (1, 0), but the merge keeps the first of the
+    # key, so the radius must not move.
+    cone = ExpansiveCone(np.eye(2), np.eye(2), 2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    first, twin = np.array([[-0.9e-9, 1.0]]), np.array([[-1.1e-9, 1.0]])
+    assert not (cone.rays @ first.T < -expansive.CONE_TOL).any()
+    assert twin[0] @ cone.rays[1] < -expansive.CONE_TOL
+    monkeypatch.setattr(expansive, "_shell_halfspaces", lambda fw, basis, radius: [first, twin])
     assert find_stable_radius(base3, cone, max_radius=4) == 2
 
 
@@ -260,8 +277,8 @@ def test_probe_rejects_a_start_beyond_max_radius(base3):
 @pytest.mark.parametrize("chunk", [None, 4])
 def test_probe_inserts_a_shell_that_cuts(chunk, monkeypatch):
     # The R = 2 shell of the d = 2 base cuts a ray of the R = 1 cone, so the
-    # probe assembles and merges that shell, whole even when it streams in
-    # many chunks, and reads radius 2.
+    # probe merges that shell chunk by chunk, one key set across however
+    # many chunks it streams in, inserts it and reads radius 2.
     fw = simplex_framework(2)
     cone = expansive_cone(fw, analyze(fw), 1)
     if chunk is not None:

@@ -331,7 +331,7 @@ def broken_state(fw, kind):
         )
     else:
         positions[-1, 0] = np.nan
-    return pack_motion(fw.graph, positions, lattice)
+    return pack_motion(positions, lattice)
 
 
 @pytest.mark.parametrize("kind", [SingularLatticeError, ZeroLengthEdgeError, FrameworkError])
