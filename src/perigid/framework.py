@@ -9,6 +9,7 @@ p[head] + lattice @ shift.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -241,6 +242,7 @@ def _with_placement(graph: QuotientGraph, placement: Placement) -> PeriodicFrame
 # the other modules share these float formatters.
 
 _TOP_KEYS = ("dimension", "vertex_orbits", "lattice", "edge_orbits")
+_TABLE_LINES = 1024  # lines per write of _write_pair_table
 
 
 def _f17(x: float) -> str:
@@ -257,10 +259,17 @@ def _csv_field(text: str) -> str:
 
 def _write_pair_table(path, d: int, value_names: list[str], rows) -> None:
     """The CSV table orbit_a,orbit_b,shift_1..shift_d,*value_names with one
-    line per row of `rows`, each a sequence of fields already quoted."""
+    line per row of `rows`, each a sequence of fields already quoted.
+
+    `rows` may be a generator: it is read and written `_TABLE_LINES` lines
+    at a time, so the table is never held whole."""
     header = ["orbit_a", "orbit_b", *(f"shift_{i + 1}" for i in range(d)), *value_names]
+    lines = map("\n".__add__, map(",".join, rows))
     with open(path, "w") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+        fh.write(",".join(header))
+        for block in iter(lambda: "".join(itertools.islice(lines, _TABLE_LINES)), ""):
+            fh.write(block)
+        fh.write("\n")
 
 
 def _json_vec(v) -> str:

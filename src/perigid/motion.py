@@ -23,7 +23,8 @@ step is one Newton correction (two after a stall), one placement-only check
 
 The pair audit, facet gaps and frame export read one stack of per-step
 positions and lattices and get every pair separation and realized vertex
-from the same incidence core as the rigidity rows, across all steps at once.
+from the same incidence core as the rigidity rows.  The audit reads one step
+at a time and the export one block of steps, so neither holds a whole run.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     NumericalFailureError,
     SingularJacobianError,
 )
-from .expansive import DEFAULT_RADIUS, _pair_incidence, _pair_keys
+from .expansive import _CHUNK, DEFAULT_RADIUS, _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph
 from .framework import _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
@@ -237,17 +238,25 @@ def audit_expansiveness(
     orbits = path.graph.vertex_orbits
     tails, heads, shifts = map(np.concatenate, zip(*_pair_incidence(orbits, path.graph.dimension, radius)))
     w = shifts.astype(float)
-    dist = np.empty((len(path.placements), len(w)))
-    for step, (positions, lattice) in enumerate(zip(*path._stacks)):  # flat memory
-        sep = _separations(positions, lattice, tails, heads, w)
-        dist[step] = np.sqrt(_row_dots(sep, sep))
-    inc = np.diff(dist, axis=0)  # (steps, pairs)
+    seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(*path._stacks))
+    dists = (np.sqrt(_row_dots(sep, sep)) for sep in seps)
+    prev, low = next(dists), np.full(len(w), np.inf)
+    found = []  # per violating step: (pair indices, step, drops)
+    for step, dist in enumerate(dists, 1):
+        inc = dist - prev
+        np.minimum(low, inc, out=low)
+        bad = np.flatnonzero(inc < -audit_tol)
+        if len(bad):
+            found.append((bad, np.full(len(bad), step), -inc[bad]))
+        prev = dist
     keys = _pair_keys(orbits, tails, heads, shifts)
-    pair_results = dict(zip(keys, inc.min(axis=0).tolist()))
-    violations = [
-        (keys[k], int(step) + 1, float(-inc[step, k]))
-        for k, step in zip(*np.nonzero(inc.T < -audit_tol))
-    ]
+    pair_results = dict(zip(keys, low.tolist()))
+    violations = []
+    if found:
+        bad, steps, drops = map(np.concatenate, zip(*found))
+        order = np.argsort(bad, kind="stable")  # pair-major, steps ascending
+        pair_of = [keys[k] for k in bad[order].tolist()]
+        violations = list(zip(pair_of, steps[order].tolist(), drops[order].tolist()))
     return ExpansionAudit(pair_results, violations)
 
 
@@ -290,7 +299,10 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
 
     OBJ files contain only ``v`` and ``l`` records and require d <= 3 (third
     coordinate padded with zero for d = 2); the CSV lists every realized
-    vertex as step,orbit,shift_1..shift_d,x_1..x_d.
+    vertex as step,orbit,shift_1..shift_d,x_1..x_d.  Vertices are realized
+    a block of steps at a time, at most `_CHUNK` coordinates per block (the
+    stacked product is one product per item, so a block's bits are the whole
+    stack's), and written one step at a time.
     """
     d = path.graph.dimension
     if fmt not in ("obj", "csv"):
@@ -304,7 +316,13 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
     vertices = list(itertools.product(orbits, shifts))  # orbit-major
     heads = np.repeat(np.arange(len(orbits)), len(shifts))
     offsets = np.array(shifts * len(orbits), dtype=float).reshape(-1, d)
-    coords = _separations(*path._stacks, None, heads, offsets)  # (steps + 1, vertices, d)
+    positions, lattices = path._stacks
+    block = max(1, _CHUNK // offsets.size)
+    coords = (
+        xs
+        for k in range(0, len(lattices), block)
+        for xs in _separations(positions[k : k + block], lattices[k : k + block], None, heads, offsets)
+    )
     if fmt == "csv":
         header = (
             ["step", "orbit"]
@@ -316,13 +334,13 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
             ",".join([_csv_field(orbit).replace("%", "%%"), *map(str, w), *["%.12g"] * d])
             for orbit, w in vertices
         ]
-        parts = [",".join(header)]
-        for step, xs in enumerate(coords):
-            prefix = f"\n{step},"
-            parts.append(prefix + (prefix.join(rows) % tuple(xs.ravel().tolist())))
         target = os.path.join(outdir, "frames.csv")
         with open(target, "w") as fh:
-            fh.write("".join(parts) + "\n")
+            fh.write(",".join(header))
+            for step, xs in enumerate(coords):
+                prefix = f"\n{step},"
+                fh.write(prefix + (prefix.join(rows) % tuple(xs.ravel().tolist())))
+            fh.write("\n")
         return [target]
 
     vertex_index = {v: k + 1 for k, v in enumerate(vertices)}
@@ -341,7 +359,8 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
     for step, xs in enumerate(coords):
         target = os.path.join(outdir, f"frame_{step:04d}.obj")
         with open(target, "w") as fh:
-            fh.write(vertex_block % tuple(xs.ravel().tolist()) + tail)
+            fh.write(vertex_block % tuple(xs.ravel().tolist()))
+            fh.write(tail)
         written.append(target)
     return written
 
@@ -353,12 +372,11 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
     first_violation: dict = {}
     for key, step, _ in sorted(audit.violations, key=lambda v: v[1]):
         first_violation.setdefault(key, step)
-    rows = []
-    for key in keys:
-        a, b, shift = key
-        step = first_violation.get(key)
-        rows.append(
-            [_csv_field(a), _csv_field(b), *map(str, shift)]
-            + [format(audit.pair_results[key], ".12g"), "" if step is None else str(step)]
-        )
+    # Each orbit is quoted once, not once per row.
+    names = {o: _csv_field(o) for o in {o for key in keys for o in key[:2]}}
+    rows = (
+        [names[key[0]], names[key[1]], *map(str, key[2])]
+        + [format(audit.pair_results[key], ".12g"), str(first_violation.get(key, ""))]
+        for key in keys
+    )
     _write_pair_table(path, d, ["min_increment", "first_violation_step"], rows)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from perigid import (
     validate_framework,
 )
 from perigid.cli import main
-from perigid.framework import dumps_framework, loads_framework
+from perigid.framework import _csv_field, _write_pair_table, dumps_framework, loads_framework
 
 from conftest import make_framework
 
@@ -308,3 +309,42 @@ def test_round_trip_random_frameworks(spec):
     for o in fw.graph.vertex_orbits:
         assert np.array_equal(fw2.placement.positions[o], fw.placement.positions[o])
     assert dumps_framework(fw2) == text
+
+
+# -- the pair table writer -------------------------------------------------------
+
+def one_string_table(path, d, value_names, rows):
+    """The table writer as it was before it streamed: the whole table joined
+    into one string and written at once."""
+    header = ["orbit_a", "orbit_b", *(f"shift_{i + 1}" for i in range(d)), *value_names]
+    with open(path, "w") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
+
+
+def table_rows(count, d=2):
+    """`count` rows whose orbit names include one that needs quoting."""
+    names = [_csv_field(o) for o in ("a", 'b,"x"', "c")]
+    return (
+        [names[k % 3], names[(k + 1) % 3], *(str(k % 5 - 2) for _ in range(d)), format(k / 7, ".12g")]
+        for k in range(count)
+    )
+
+
+@pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
+def test_pair_table_writes_the_one_string_bytes(tmp_path, count):
+    _write_pair_table(tmp_path / "streamed.csv", 2, ["value"], table_rows(count))
+    one_string_table(tmp_path / "whole.csv", 2, ["value"], list(table_rows(count)))
+    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert (b'"b,""x"""' in (tmp_path / "streamed.csv").read_bytes()) == (count > 0)
+
+
+def test_pair_table_holds_a_chunk_of_lines_not_the_table(tmp_path):
+    # 50,000 rows make a ~1.5 MB table; joined whole it peaked at ~5.5 MB.
+    tracemalloc.start()
+    try:
+        _write_pair_table(tmp_path / "big.csv", 2, ["value"], table_rows(50_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.csv").read_text().count("\n") == 50_001
+    assert peak < 1_000_000

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from perigid import (
     audit_expansiveness,
     classify_flex,
     continue_motion,
+    enumerate_pairs,
     expansive_cone,
     export_frames,
     facet_separation,
@@ -456,3 +458,71 @@ def test_export_matches_frozen_writers(tmp_path, fmt, d, supercell):
     for f in files:
         with open(f, "rb") as fh:
             assert fh.read() == expected[os.path.basename(f)].encode()
+
+
+# -- long paths: the audit and the export hold a step or a block, not the run ----
+
+def scaled_path(n_steps, contract_every=None):
+    """A path built without continuation: the d = 3 removed:1 regular
+    mechanism scaled by 1 + 1e-4 k at step k.  With `contract_every`, the
+    lattice at every step k = 3 mod `contract_every` is scaled as at step
+    k - 2 instead, so the pairs that cross cells contract at those steps only."""
+    fw = simplex_framework(3, SimplexVariant("removed", 1), regular=True)
+    pl = fw.placement
+    placements = []
+    for k in range(n_steps + 1):
+        scale = 1 + 1e-4 * k
+        back = contract_every and k % contract_every == 3
+        lattice = (1 + 1e-4 * (k - 2) if back else scale) * pl.lattice
+        placements.append(Placement({o: scale * p for o, p in pl.positions.items()}, lattice))
+    path = MotionPath(fw.graph, placements, 0.0, np.zeros((n_steps + 1, 1)), np.zeros(n_steps + 1))
+    return fw, path
+
+
+@pytest.mark.parametrize("audit_tol", [motion.DEFAULT_AUDIT_TOL, 0.0])
+def test_audit_matches_the_whole_table(audit_tol):
+    fw, path = scaled_path(60, contract_every=7)
+    keys = enumerate_pairs(fw, 2).keys()
+    dist = np.array([
+        [np.linalg.norm(pl.positions[b] + pl.lattice @ np.array(w, float) - pl.positions[a]) for a, b, w in keys]
+        for pl in path.placements
+    ])
+    inc = np.diff(dist, axis=0)  # (steps, pairs), the table the audit no longer builds
+    expected = [(keys[k], int(s) + 1, float(-inc[s, k])) for k, s in zip(*np.nonzero(inc.T < -audit_tol))]
+
+    audit = audit_expansiveness(path, radius=2, audit_tol=audit_tol)
+    low = np.array(list(audit.pair_results.values()))
+    assert list(audit.pair_results) == keys
+    assert np.array_equal(low, inc.min(axis=0)) and np.array_equal(np.signbit(low), np.signbit(inc.min(axis=0)))
+    assert audit.violations == expected
+    # Some pairs, at some steps: the order tells pair-major from step-major.
+    steps = {step for _, step, _ in expected}
+    assert steps == set(range(3, 61, 7)) and len({key for key, _, _ in expected}) < len(keys)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt, bound", [("csv", 1_000_000), ("obj", 600_000)])
+def test_export_holds_a_block_of_steps(tmp_path, monkeypatch, fmt, bound):
+    # A block of 4,096 coordinates is 5 steps of 250 vertices here, so the
+    # 51-step run is written from 11 blocks.  Holding the run whole peaked
+    # at ~2.2 MB (CSV) and ~1 MB (OBJ).
+    monkeypatch.setattr(motion, "_CHUNK", 4096)
+    _, path = scaled_path(50)
+    path._stacks  # the path's own arrays, built once
+    assert traced_peak(export_frames, path, supercell=2, fmt=fmt, outdir=tmp_path) < bound
+
+
+def test_audit_holds_a_step_of_distances():
+    # 401 steps of 249 pairs; the (steps + 1) x pairs table and its
+    # increments peaked at ~1.8 MB.
+    _, path = scaled_path(400)
+    path._stacks
+    assert traced_peak(audit_expansiveness, path, radius=2) < 300_000
