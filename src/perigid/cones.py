@@ -10,6 +10,8 @@ the local condition every vertex star must satisfy where an expansive
 deformation is effective.  The oracle picks each system's mode from the
 star's entries: exact when every entry is an integer or a Fraction, float
 otherwise.  Float decisions use the oracle's tolerance, ``feasibility.LP_TOL``.
+An exact star with a positive dependence fails the strict-expansion probe
+without the probe's larger system being solved.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .feasibility import LP_TOL, solve_linear_feasibility
+from .feasibility import LP_TOL, _is_exact, solve_linear_feasibility
 from .framework import PeriodicFramework, _json_vec
 
 
@@ -172,11 +174,17 @@ def strict_expansion_probe(star: VectorStar):
     <v_i - v_j, vdot_i - vdot_j> >= 0, and a probe row asks for total opening
     >= 1.  Because solutions scale, feasibility is equivalent to the
     existence of a strictly expansive assignment.  The mode comes from the
-    star's entries, as for :func:`positive_dependence`.
+    star's entries, as for :func:`positive_dependence`.  On an exact star a
+    positive dependence sum a_i v_i = 0 (every a_i >= 1) answers None before
+    the probe system is built: with <v_i, vdot_i> = 0, sum_{i<j} a_i a_j
+    <v_i - v_j, vdot_i - vdot_j> = -<sum a_i v_i, sum a_j vdot_j> = 0, so
+    every pair term, >= 0 with weight >= 1, is 0, and so is the probe row.
     """
     if len(star) == 0:
         raise ValueError("empty star")
     vs = star.vectors
+    if all(_is_exact(x) for v in vs for x in v) and positive_dependence(star) is not None:
+        return None
     k = len(vs)
     d = len(vs[0])
     nvars = k * d

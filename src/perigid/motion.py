@@ -370,7 +370,7 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
     keys = sorted(audit.pair_results)
     d = len(keys[0][2]) if keys else 0
     first_violation: dict = {}
-    for key, step, _ in sorted(audit.violations, key=lambda v: v[1]):
+    for key, step, _ in audit.violations:  # pair-major, steps ascending
         first_violation.setdefault(key, step)
     # Each orbit is quoted once, not once per row.
     names = {o: _csv_field(o) for o in {o for key in keys for o in key[:2]}}

@@ -47,55 +47,79 @@ def exact_rank(rows) -> int:
     return rank
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction of Python ints: Fraction(np.int64(3)) would keep the
+    numpy integer as its numerator, which overflows and does not hash."""
+    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+
+
 def fourier_motzkin_feasible(ineqs, eqs=(), eq_rhs=(), ineq_rhs=None) -> bool:
     """Feasibility of {A x >= b, C x = d} by exact variable elimination.
 
-    `ineqs` rows with right-hand sides `ineq_rhs` (default 0), equalities are
-    rewritten as two opposite inequalities.  Exponential in general; fine for
-    the tiny systems used in tests.
+    `ineqs` rows with right-hand sides `ineq_rhs` (default 0).  Each equality
+    is solved for its first variable, which is substituted into every other
+    row.  Then the variable with the fewest positive x negative pairs is
+    eliminated, repeatedly.  After s eliminations a combined row that derives
+    from more than s + 1 of the substituted inequalities is implied by the
+    other rows (Chernikov's rule), so it is dropped, and so is a row equal to
+    one whose sources are a subset of its own, since each row it would make
+    is then made with those fewer sources too.  Exponential in general; fine
+    for the small systems used in tests.
     """
-    rows = []
     if ineq_rhs is None:
         ineq_rhs = [0] * len(ineqs)
-    for r, b in zip(ineqs, ineq_rhs):
-        rows.append([Fraction(x) for x in r] + [Fraction(b)])
-    for r, b in zip(eqs, eq_rhs):
-        rows.append([Fraction(x) for x in r] + [Fraction(b)])
-        rows.append([-Fraction(x) for x in r] + [-Fraction(b)])
-    if not rows:
-        return True
+    rows = [[_rational(x) for x in r] + [_rational(b)] for r, b in zip(ineqs, ineq_rhs)]
+    pending = [[_rational(x) for x in r] + [_rational(b)] for r, b in zip(eqs, eq_rhs)]
+    while pending:
+        eq = pending.pop()
+        col = next((j for j, x in enumerate(eq[:-1]) if x != 0), None)
+        if col is None:
+            if eq[-1] != 0:
+                return False
+            continue
+
+        def substituted(row, eq=eq, col=col):
+            f = row[col] / eq[col]
+            return [a - f * b for a, b in zip(row, eq)]
+
+        pending = [substituted(r) for r in pending]
+        rows = [substituted(r) for r in rows]
 
     def normalized(row):
-        lead = next((abs(x) for x in row[:-1] if x != 0), None)
-        if lead is None:
-            return tuple(row)
+        lead = next(abs(x) for x in row[:-1] if x != 0)
         return tuple(x / lead for x in row)
 
-    nvars = len(rows[0]) - 1
-    for _ in range(nvars):
-        pos = [r for r in rows if r[0] > 0]
-        neg = [r for r in rows if r[0] < 0]
-        zero = [r[1:] for r in rows if r[0] == 0]
-        combined = []
-        for p in pos:
-            for q in neg:
-                scale_p, scale_q = -q[0], p[0]
-                combined.append(
-                    [scale_p * a + scale_q * b for a, b in zip(p[1:], q[1:])]
-                )
-        # Dedup and drop trivially satisfied rows to keep growth in check.
-        rows = []
-        seen = set()
-        for r in zero + combined:
-            if all(x == 0 for x in r[:-1]) and r[-1] <= 0:
+    n_vars = len(rows[0]) - 1 if rows else 0
+    live = [(row, frozenset([i])) for i, row in enumerate(rows)]
+    eliminated = 0
+    while True:
+        kept = {}
+        for row, sources in live:
+            if all(x == 0 for x in row[:-1]):
+                if row[-1] > 0:
+                    return False
                 continue
-            key = normalized(r)
-            if key not in seen:
-                seen.add(key)
-                rows.append(r)
-        if not rows:
+            equal = kept.setdefault(normalized(row), [])
+            if not any(other <= sources for _, other in equal):
+                equal[:] = [(r, other) for r, other in equal if not sources <= other] + [(row, sources)]
+        live = [entry for equal in kept.values() for entry in equal]
+        present = [j for j in range(n_vars) if any(row[j] != 0 for row, _ in live)]
+        if not present:
             return True
-    return all(r[0] <= 0 for r in rows)
+
+        def pairs(j):
+            return sum(row[j] > 0 for row, _ in live) * sum(row[j] < 0 for row, _ in live)
+
+        col = min(present, key=pairs)
+        eliminated += 1
+        pos = [(row, sources) for row, sources in live if row[col] > 0]
+        neg = [(row, sources) for row, sources in live if row[col] < 0]
+        live = [(row, sources) for row, sources in live if row[col] == 0]
+        for p, p_sources in pos:
+            for q, q_sources in neg:
+                sources = p_sources | q_sources
+                if len(sources) <= eliminated + 1:
+                    live.append(([-q[col] * a + p[col] * b for a, b in zip(p, q)], sources))
 
 
 def bland_phase_one_point(eqs, eq_rhs, lower_bounds, ineqs=(), ineq_rhs=()):
@@ -116,13 +140,13 @@ def bland_phase_one_point(eqs, eq_rhs, lower_bounds, ineqs=(), ineq_rhs=()):
     """
     n = len(lower_bounds)
     k = len(ineqs)
-    bounds = [None if lb is None else Fraction(lb) for lb in lower_bounds] + [Fraction(0)] * k
-    constraints = [([Fraction(c) for c in row] + [Fraction(0)] * k, Fraction(rhs))
+    bounds = [None if lb is None else _rational(lb) for lb in lower_bounds] + [Fraction(0)] * k
+    constraints = [([_rational(c) for c in row] + [Fraction(0)] * k, _rational(rhs))
                    for row, rhs in zip(eqs, eq_rhs)]
     for i, (row, rhs) in enumerate(zip(ineqs, ineq_rhs)):
-        coeffs = [Fraction(c) for c in row] + [Fraction(0)] * k
+        coeffs = [_rational(c) for c in row] + [Fraction(0)] * k
         coeffs[n + i] = Fraction(-1)
-        constraints.append((coeffs, Fraction(rhs)))
+        constraints.append((coeffs, _rational(rhs)))
 
     # columns[j] is the j-th standard-form column as a list over rows.
     m = len(constraints)

@@ -195,12 +195,14 @@ def test_exact_mode_matches_phase_one_oracle(system):
     assert_same_point(got, bland_phase_one_point(eqs, eq_rhs, lbs, ineqs, ineq_rhs))
 
 
+FRACTION_ENTRIES = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
 @st.composite
-def star_vectors(draw, d, k):
-    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+def star_vectors(draw, d, k, entry=FRACTION_ENTRIES, plant_from=3):
     nonzero = st.lists(entry, min_size=d, max_size=d).filter(any)
     vectors = draw(st.lists(nonzero, min_size=k, max_size=k))
-    if k >= 3 and draw(st.booleans()):
+    if k >= plant_from and draw(st.booleans()):
         # Plant a positive dependence through the last vector.
         weights = draw(st.lists(st.integers(1, 3), min_size=k - 1, max_size=k - 1))
         planted = [-sum(w * v[c] for w, v in zip(weights, vectors)) for c in range(d)]
@@ -209,13 +211,53 @@ def star_vectors(draw, d, k):
     return vectors
 
 
+def dependence_system(vectors):
+    """(eqs, eq_rhs, lbs, ineqs, ineq_rhs) of a positive dependence, from its
+    definition: sum_i a_i v_i = 0 with every a_i >= 1."""
+    d = len(vectors[0])
+    return [[v[c] for v in vectors] for c in range(d)], [0] * d, [1] * len(vectors), [], []
+
+
+def probe_system(vectors):
+    """(eqs, eq_rhs, lbs, ineqs, ineq_rhs) of the strict-expansion probe, from
+    its definition: free velocities vdot_i in k blocks of d, <v_i, vdot_i> = 0,
+    <v_i - v_j, vdot_i - vdot_j> >= 0 for i < j, and the sum of those pair
+    rows >= 1."""
+    k, d = len(vectors), len(vectors[0])
+
+    def row(*blocks):  # (block index, d values) pairs, zeros elsewhere
+        out = [0] * (k * d)
+        for i, values in blocks:
+            out[i * d : (i + 1) * d] = values
+        return out
+
+    eqs = [row((i, list(v))) for i, v in enumerate(vectors)]
+    pairs = []
+    for i, j in itertools.combinations(range(k), 2):
+        diff = [a - b for a, b in zip(vectors[i], vectors[j])]
+        pairs.append(row((i, diff), (j, [-x for x in diff])))
+    probe = [sum(column) for column in zip(*pairs)]
+    return eqs, [0] * k, [None] * (k * d), pairs + [probe], [0] * len(pairs) + [1]
+
+
+def flat(velocities):
+    """A probe's answer as one point over the k * d unknowns."""
+    if velocities is None:
+        return None
+    if isinstance(velocities, np.ndarray):
+        return velocities.reshape(-1)
+    return [c for v in velocities for c in v]
+
+
 def recorded_systems(*calls):
-    """(args, kwargs, result) of every oracle call the cone functions make."""
+    """(system, result) of every oracle call the cone functions make, the
+    system as (eqs, eq_rhs, lbs, ineqs, ineq_rhs)."""
     systems = []
 
     def recording(*args, **kwargs):
         result = solve_linear_feasibility(*args, **kwargs)
-        systems.append((args, kwargs, result))
+        ineqs, ineq_rhs = kwargs.get("inequalities") or [], kwargs.get("ineq_rhs") or []
+        systems.append(((*args, ineqs, ineq_rhs), result))
         return result
 
     with mock.patch.object(cones, "solve_linear_feasibility", recording):
@@ -224,21 +266,69 @@ def recorded_systems(*calls):
     return systems
 
 
+def dependence_and_probe(star):
+    """The answers of positive_dependence and strict_expansion_probe on
+    `star` (the probe's flattened), and the (system, result) of each oracle
+    call they make."""
+    answers = []
+    seen = recorded_systems(
+        lambda: answers.append(positive_dependence(star)),
+        lambda: answers.append(flat(strict_expansion_probe(star))),
+    )
+    return answers, seen
+
+
+def expected_calls(star, has_dependence):
+    """The systems positive_dependence and strict_expansion_probe must send
+    for `star`, a star of Fractions or of floats, in order: the dependence's,
+    then the probe's, which an exact star sends only after its own
+    dependence system comes back infeasible."""
+    exact = all(isinstance(x, Fraction) for x in star.vectors.flat)
+    return ["dependence"] * (1 + exact) + ["probe"] * (not exact or not has_dependence)
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 @pytest.mark.parametrize("d", [2, 3])
 @settings(max_examples=3, deadline=None)
 @given(data=st.data())
 def test_star_systems_match_phase_one_oracle(d, k, data):
     star = VectorStar("s", np.array(data.draw(star_vectors(d, k)), dtype=object))
-    systems = recorded_systems(
-        functools.partial(positive_dependence, star), functools.partial(strict_expansion_probe, star)
-    )
-    assert len(systems) == 2
-    for (eqs, eq_rhs, lbs), kwargs, result in systems:
-        expected = bland_phase_one_point(
-            eqs, eq_rhs, lbs, kwargs.get("inequalities") or [], kwargs.get("ineq_rhs") or []
-        )
-        assert_same_point(result, expected)
+    systems = {"dependence": dependence_system(star.vectors), "probe": probe_system(star.vectors)}
+    expected = {name: bland_phase_one_point(*system) for name, system in systems.items()}
+    answers, seen = dependence_and_probe(star)
+    for got, name in zip(answers, ["dependence", "probe"]):
+        assert_same_point(got, expected[name])
+    # Systems by repr, which tells the types and -0.0 from 0.0.
+    calls = expected_calls(star, expected["dependence"] is not None)
+    assert [repr(system) for system, _ in seen] == [repr(systems[name]) for name in calls]
+    for (_, result), name in zip(seen, calls):
+        assert_same_point(result, expected[name])
+
+
+EXACT_ENTRIES = st.one_of(st.integers(-6, 6), FRACTION_ENTRIES, st.integers(-6, 6).map(np.int64))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_dependence_refutes_the_exact_probe(d, k, data):
+    # int, Fraction and np.int64 entries, mixed; half the stars planted.
+    vectors = data.draw(star_vectors(d, k, entry=EXACT_ENTRIES, plant_from=2))
+    star = VectorStar("s", np.array(vectors, dtype=object))
+    probe = probe_system(star.vectors)
+    assert_same_point(flat(strict_expansion_probe(star)), bland_phase_one_point(*probe))
+    if bland_phase_one_point(*dependence_system(star.vectors)) is not None:
+        eqs, eq_rhs, _, ineqs, ineq_rhs = probe
+        assert not fourier_motzkin_feasible(ineqs, eqs, eq_rhs, ineq_rhs)
+    # A float star, and one float among exact entries (first or last), send
+    # the probe system to the oracle and nothing else.
+    mixed = [np.array(vectors, dtype=object) for _ in range(2)]
+    for vs, at in zip(mixed, [(0, 0), (-1, -1)]):
+        vs[at] = float(vs[at])
+    for vs in (star.as_float(), *mixed):
+        seen = recorded_systems(functools.partial(strict_expansion_probe, VectorStar("s", vs)))
+        assert [repr(system) for system, _ in seen] == [repr(probe_system(vs))]
 
 
 # -- exact-mode edge cases (expected values are the plain Fraction tableau's) ---
@@ -346,22 +436,23 @@ def assert_matches_frozen(eqs, eq_rhs, lbs, ineqs, ineq_rhs, *, exact=None):
             return
 
 
-def four_star_calls(star):
-    """Float and exact dependence and probe of a star with Fraction vectors."""
-    floats = VectorStar(star.vertex_orbit, star.as_float())
-    return [functools.partial(f, s) for f in (positive_dependence, strict_expansion_probe)
-            for s in (floats, star)]
-
-
-def assert_calls_match_frozen(calls):
-    """Each oracle call the calls make returns the frozen tableau's bytes;
-    the number of calls seen."""
-    systems = recorded_systems(*calls)
-    for args, kwargs, result in systems:
-        ineqs, ineq_rhs = kwargs.get("inequalities") or [], kwargs.get("ineq_rhs") or []
-        frozen = frozen_feasibility(*args, ineqs, ineq_rhs, exact=kwargs.get("exact"))
-        assert result_bytes(result) == result_bytes(frozen)
-    return len(systems)
+def assert_star_calls_match_frozen(star):
+    """The float and exact dependence and probe of `star`, a star of
+    Fractions, give the frozen tableau's bytes on their own systems, built
+    here, and the oracle sees just the systems `expected_calls` names; the
+    number of systems it saw."""
+    n_seen = 0
+    for s in (VectorStar(star.vertex_orbit, star.as_float()), star):
+        systems = {"dependence": dependence_system(s.vectors), "probe": probe_system(s.vectors)}
+        frozen = {name: frozen_feasibility(*system) for name, system in systems.items()}
+        answers, seen = dependence_and_probe(s)
+        assert [result_bytes(x) for x in answers] == [result_bytes(frozen[name]) for name in systems]
+        # Systems by repr, which tells the types and -0.0 from 0.0.
+        calls = expected_calls(s, frozen["dependence"] is not None)
+        assert [repr(system) for system, _ in seen] == [repr(systems[name]) for name in calls]
+        assert [result_bytes(x) for _, x in seen] == [result_bytes(frozen[name]) for name in calls]
+        n_seen += len(seen)
+    return n_seen
 
 
 # Small quotients round like real data and tie often in the ratio test.
@@ -547,7 +638,9 @@ def test_breakdown_star_systems_match_frozen_tableau():
         (F(1, 3), F(6), F(5, 3)),
         (F(0), F(1, 2), F(1, 2)),
     ]
-    assert assert_calls_match_frozen(four_star_calls(VectorStar("s", np.array(vs, dtype=object)))) == 4
+    # Float and exact dependence, float probe, and the exact probe's
+    # dependence and own system, since the star has no dependence.
+    assert assert_star_calls_match_frozen(VectorStar("s", np.array(vs, dtype=object))) == 5
 
 
 @pytest.mark.skipif(
@@ -557,8 +650,8 @@ def test_breakdown_star_systems_match_frozen_tableau():
 def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
     # The stars of `perfbench/run.py --workload stars --seed 1`: the workload
     # draws the stressed framework's 3 x 3 rotation, then its star mix.  Each
-    # star's four oracle calls (float and exact dependence and probe) must
-    # give the frozen tableau's bytes, which keeps the stars digests fixed.
+    # star's float and exact dependence and probe must give the frozen
+    # tableau's bytes, which keeps the stars digests fixed.
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py")
     )
@@ -567,11 +660,15 @@ def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
     spec.loader.exec_module(workloads)
     rng = np.random.default_rng(1)
     workloads.random_rotation(rng, 3)
-    calls = []
-    for d, k, plant in workloads.star_plan(workloads.STARS_PER_STRATUM):
-        vectors = workloads._star_vectors(rng, d, k, plant)
-        calls += four_star_calls(VectorStar("s", np.array(vectors, dtype=object)))
-    assert assert_calls_match_frozen(calls) == len(calls) == 440
+    stars = [
+        VectorStar("s", np.array(workloads._star_vectors(rng, d, k, plant), dtype=object))
+        for d, k, plant in workloads.star_plan(workloads.STARS_PER_STRATUM)
+    ]
+    dependent = sum(frozen_feasibility(*dependence_system(s.vectors)) is not None for s in stars)
+    assert (len(stars), dependent) == (110, 63)
+    # Per star: float and exact dependence, float probe and the exact probe's
+    # dependence; the exact probe's own system only for the 47 stars without one.
+    assert sum(map(assert_star_calls_match_frozen, stars)) == 4 * 110 + 47 == 487
 
 
 # -- non-finite input ---------------------------------------------------------

@@ -36,7 +36,7 @@ from perigid import (
     with_edge_orbit,
 )
 from perigid import motion
-from perigid.motion import MotionPath, write_audit_csv
+from perigid.motion import ExpansionAudit, MotionPath, write_audit_csv
 from perigid.rigidity import pack_motion
 
 from _oracles import frozen_frames, frozen_gauge_free_indices
@@ -499,6 +499,23 @@ def test_audit_matches_the_whole_table(audit_tol):
     steps = {step for _, step, _ in expected}
     assert steps == set(range(3, 61, 7)) and len({key for key, _, _ in expected}) < len(keys)
 
+
+
+def test_audit_csv_first_violations_match_the_step_sorted_list(tmp_path):
+    # The table reads each pair's first violating step off the pair-major
+    # list; the same audit with its violations sorted by step must give the
+    # same bytes.  Pairs here violate at several steps, so the order matters.
+    _, path = scaled_path(60, contract_every=7)
+    audit = audit_expansiveness(path, radius=2)
+    by_step = ExpansionAudit(audit.pair_results, sorted(audit.violations, key=lambda v: v[1]))
+    write_audit_csv(audit, tmp_path / "pair_major.csv")
+    write_audit_csv(by_step, tmp_path / "by_step.csv")
+    table = (tmp_path / "pair_major.csv").read_bytes()
+    assert table == (tmp_path / "by_step.csv").read_bytes()
+    keys = [key for key, _, _ in audit.violations]
+    assert len(set(keys)) < len(keys)
+    firsts = {line.rsplit(b",", 1)[1] for line in table.splitlines()[1:]}
+    assert firsts == {b"", b"3"}
 
 def traced_peak(fn, *args, **kwargs) -> int:
     tracemalloc.start()
