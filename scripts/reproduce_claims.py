@@ -4,7 +4,8 @@
 Walks the built-in framework families end to end: degree-of-freedom ladder,
 minimal rigidity, the stress vector of the stressed example, expansive cone
 rays with their radius-stability probe, pointedness checks at effective
-vertices, and a finite expansive motion with its pairwise audit.  Artifacts
+vertices, and a finite expansive motion with its pairwise audit (and its
+first violations, should it fail).  Artifacts
 (framework JSON, cone reports, OBJ frames, audit CSV) land in --outdir.
 """
 
@@ -104,6 +105,8 @@ def finite_motion(out, d=2, steps=50, h=0.01):
         f"{path.residuals.max():.2e}, audit passed={audit.passed}, "
         f"facet separation {sep[0]:.4f} -> {sep[-1]:.4f}, {len(frames)} OBJ frames"
     )
+    if not audit.passed:
+        print(f"  first violations (pair, step, drop): {audit.violations[:3]}")
 
 
 def main():

@@ -38,20 +38,20 @@ def settable_values(module) -> int:
     return count
 
 
-def public_names(module) -> int:
-    count = 0
+def public_names(module):
+    """Yield each public name of the module: "f" for a function or class,
+    "C.m" for a method, property or classmethod of class C."""
     for name, obj in vars(module).items():
         if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
             continue
-        if inspect.isfunction(obj):
-            count += 1
-        elif inspect.isclass(obj):
-            count += 1 + sum(
-                not attr.startswith("_")
-                and (inspect.isfunction(value) or isinstance(value, (property, classmethod)))
-                for attr, value in vars(obj).items()
-            )
-    return count
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            yield name
+        if inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if not attr.startswith("_") and (
+                    inspect.isfunction(value) or isinstance(value, (property, classmethod))
+                ):
+                    yield f"{name}.{attr}"
 
 
 def main() -> None:
@@ -61,7 +61,7 @@ def main() -> None:
         count = settable_values(module)
         print(f"{name}: {count}")
         total += count
-        names += public_names(module)
+        names += sum(1 for _ in public_names(module))
     print(f"total: {total}")
     print(f"public names: {names}")
     lines = sum(path.read_bytes().count(b"\n") for path in (SRC / "perigid").glob("*.py"))

@@ -22,7 +22,6 @@ from .expansive import (
     FlexClass,
     PairSet,
     classify_flex,
-    enumerate_pairs,
     expansive_cone,
     extremal_rays,
     find_stable_radius,

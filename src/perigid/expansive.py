@@ -4,15 +4,15 @@ A motion is expansive when the distance between every pair of joints is
 nondecreasing.  For a quotient description that quantifies over all pairs of
 vertex-orbit translates; here the pair set is truncated to lattice shifts
 with max-norm at most a radius R.  The truncated pairs are held as arrays
-(:class:`PairSet`): tail and head orbit indices plus an integer shift
-matrix, with separations and constraint rows built by the same incidence
-core as the bars of the rigidity matrix.  The cone, the radius probe and the
-flex verdict read the pairs as one stream of such arrays in the canonical
-order (`_pair_chunks`, chunks of 1,024 to 2,047 pairs) and keep only what
-each needs of a chunk, so no array spans the pair set.  Each step is per
-pair, so its bits do not depend on the chunk, except the projection's
-matrix product, whose rows are observed, not proved, to be the one
-product's for chunks of 512 rows or more.  The halfspace rows are
+(:class:`PairSet`): tail and head orbit indices, an integer shift matrix
+and constraint rows built by the same incidence core as the bars of the
+rigidity matrix.  They come only as one stream of such arrays in the
+canonical order (`_pair_chunks`, chunks of 1,024 to 2,047 pairs), of which
+the cone, the radius probe and the flex verdict keep only what each needs of
+a chunk, so no array spans the pair set; `pair_constraint` gives one pair.
+Each step is per pair, so its bits do not depend on the chunk, except the
+projection's matrix product, whose rows are observed, not proved, to be the
+one product's for chunks of 512 rows or more.  The halfspace rows are
 expressed in the coordinates of the nontrivial flex basis (trivial motions
 satisfy every pair row with equality and would only add spurious lineality).
 A row is kept, as the pairs stream, when its 9-decimal key is not yet in
@@ -61,8 +61,8 @@ MAX_FLEX_DIM = 6
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
-    """Canonical pairs, one array row per pair: pair k joins a = orbits[tails[k]]
-    to b = orbits[heads[k]] translated by w = shifts[k].
+    """Canonical pairs, one array row per pair: pair k joins the vertex orbit
+    of index a = tails[k] to that of b = heads[k] translated by w = shifts[k].
 
     Its separation is s = p_b + lattice w - p_a, and its row evaluates a
     motion u to <s, pdot_b + ldot w - pdot_a>, so the truncated pair
@@ -72,35 +72,28 @@ class PairSet:
     period length constraints.
     """
 
-    orbits: tuple[str, ...]
     tails: np.ndarray  # (k,) vertex orbit indices
     heads: np.ndarray  # (k,)
     shifts: np.ndarray  # (k, d) integers
-    separations: np.ndarray  # (k, d)
     rows: np.ndarray  # (k, dn + d^2)
 
     def __len__(self) -> int:
         return len(self.tails)
-
-    def keys(self) -> list[tuple[str, str, tuple[int, ...]]]:
-        """Canonical (orbit_a, orbit_b, shift) keys in pair order."""
-        return _pair_keys(self.orbits, self.tails, self.heads, self.shifts)
 
 
 def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
     w = shifts.astype(float)
     s = _separations(positions, fw.placement.lattice, tails, heads, w)
-    rows = _incidence_rows(fw.n, tails, heads, w, s)
-    return PairSet(fw.graph.vertex_orbits, tails, heads, shifts, s, rows)
+    return PairSet(tails, heads, shifts, _incidence_rows(fw.n, tails, heads, w, s))
 
 
 def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
-    """The one-pair :class:`PairSet` of (a, b, shift) in the orientation of
-    ``EdgeOrbit.canonical``, so ``keys()[0]`` is the key ``enumerate_pairs``
-    gives that pair.  The shift is checked as a bar's: one that is not
-    integral is a FrameworkError, a wrong length a DimensionMismatchError; a
-    vertex paired with itself at shift zero is a FrameworkError."""
+    """The one-pair :class:`PairSet` of (a, b, shift), row ``rows[0]``, in
+    the stream's orientation, its key ``EdgeOrbit(a, b, shift).canonical()``.
+    The shift is checked as a bar's: one that is not integral is a
+    FrameworkError, a wrong length a DimensionMismatchError; a vertex paired
+    with itself at shift zero is a FrameworkError."""
     shift = _integer_shift(shift, fw.dimension, f"pair ({a}, {b})")
     if a == b and all(c == 0 for c in shift):
         raise FrameworkError(f"({a}, {b}, {shift}) pairs a vertex with itself")
@@ -168,15 +161,6 @@ def _pair_chunks(fw: PeriodicFramework, radius: int, shell: bool = False):
 def _pair_keys(orbits, tails, heads, shifts) -> list[tuple[str, str, tuple[int, ...]]]:
     names = np.array(orbits, dtype=object)
     return list(zip(names[tails].tolist(), names[heads].tolist(), map(tuple, shifts.tolist())))
-
-
-def enumerate_pairs(fw: PeriodicFramework, radius: int) -> PairSet:
-    """All canonical pair constraints within the truncation radius.
-
-    Count is C(n,2)*(2R+1)^d + n*((2R+1)^d - 1)/2.
-    """
-    chunks = _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius)
-    return _pair_set(fw, *map(np.concatenate, zip(*chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +386,7 @@ def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
     return rays
 
 
+@np.errstate(invalid="ignore")  # the counts are checked instead
 def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     """Ray pairs (p in pos, q in neg), p-major, that pass the combinatorial
     adjacency test: no third ray's active set contains their common one.
@@ -411,17 +396,25 @@ def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     only the pairs with at least f - 2 common members get the subset test.
     Common sets lie in the columns some negative ray is tight at, so all
     rays are read at only those, and counted as 0/1 float32 products (exact
-    below 2^24).
+    below 2^24).  An sgemm has raised the invalid flag on these finite
+    operands, so a count above the column count (or NaN) raises instead.
     """
     act = inc[:, np.logical_or.reduce(inc[neg], axis=0).nonzero()[0]].astype(np.float32)
     act_pos, act_neg = act[pos], act[neg]
-    i, j = np.nonzero(act_pos @ act_neg.T >= f - 2)
+    common = act_pos @ act_neg.T
+    if not common.max(initial=0) <= act.shape[1]:
+        raise NumericalFailureError(f"a common-set count exceeds the {act.shape[1]} columns")
+    i, j = np.nonzero(common >= f - 2)
+    del common  # the pos x neg counts are not needed by the subset tests
     adjacent = np.empty(len(i), dtype=bool)
     step = max(1, _CHUNK // max(1, *act.shape))
     for lo in range(0, len(i), step):
         both = act_pos[i[lo : lo + step]] * act_neg[j[lo : lo + step]]
+        counts = both @ act.T
+        if not counts.max(initial=0) <= act.shape[1]:
+            raise NumericalFailureError(f"a containment count exceeds the {act.shape[1]} columns")
         # Rays containing the common set: p and q themselves, and no other.
-        contain = (both @ act.T) == both.sum(axis=1, keepdims=True)
+        contain = counts == both.sum(axis=1, keepdims=True)
         adjacent[lo : lo + step] = contain.sum(axis=1) == 2
     return pos[i[adjacent]], neg[j[adjacent]]
 
@@ -658,9 +651,9 @@ def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
 
 
 def _write_pair_audit(fw: PeriodicFramework, radius: int, values: np.ndarray, path) -> None:
-    """Per-pair audit CSV of the cone's pairs, those of ``enumerate_pairs``
-    at `radius`: each pair's key and its `values` entry, the norm of its row
-    projected to the flex coordinates.  The keys come from a second pass of
+    """Per-pair audit CSV of the cone's pairs, the pair stream at `radius`:
+    each pair's key and its `values` entry, the norm of its row projected to
+    the flex coordinates.  The keys come from a second pass of
     `_pair_incidence`, which builds no rows.
 
     Zero means the pair does not restrict the flex space (bars in particular).

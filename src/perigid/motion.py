@@ -80,12 +80,21 @@ class MotionPath:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionAudit:
+    """Each pair's smallest step increment, and in `_found` the pair keys and
+    the violations as pair-major arrays of pair index, step and drop."""
+
     pair_results: dict[tuple[str, str, tuple[int, ...]], float]  # min step increment
-    violations: list[tuple[tuple[str, str, tuple[int, ...]], int, float]]
+    _found: tuple[list, np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not len(self._found[1])
+
+    @property
+    def violations(self) -> list[tuple[tuple[str, str, tuple[int, ...]], int, float]]:
+        """(key, step, drop) per violation, pair-major, built on each read."""
+        keys, pairs, steps, drops = self._found
+        return list(zip([keys[k] for k in pairs.tolist()], steps.tolist(), drops.tolist()))
 
 
 def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
@@ -241,23 +250,21 @@ def audit_expansiveness(
     seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(*path._stacks))
     dists = (np.sqrt(_row_dots(sep, sep)) for sep in seps)
     prev, low = next(dists), np.full(len(w), np.inf)
-    found = []  # per violating step: (pair indices, step, drops)
+    found = [(0, np.zeros(0, dtype=np.intp), np.zeros(0))]  # per violating step: step, pairs, drops
     for step, dist in enumerate(dists, 1):
         inc = dist - prev
         np.minimum(low, inc, out=low)
         bad = np.flatnonzero(inc < -audit_tol)
         if len(bad):
-            found.append((bad, np.full(len(bad), step), -inc[bad]))
+            found.append((step, bad, -inc[bad]))
         prev = dist
     keys = _pair_keys(orbits, tails, heads, shifts)
-    pair_results = dict(zip(keys, low.tolist()))
-    violations = []
-    if found:
-        bad, steps, drops = map(np.concatenate, zip(*found))
-        order = np.argsort(bad, kind="stable")  # pair-major, steps ascending
-        pair_of = [keys[k] for k in bad[order].tolist()]
-        violations = list(zip(pair_of, steps[order].tolist(), drops[order].tolist()))
-    return ExpansionAudit(pair_results, violations)
+    at, bad, drops = zip(*found)
+    del found  # the per-step arrays go as they are joined
+    steps = np.repeat(at, list(map(len, bad)))
+    bad, drops = np.concatenate(bad), np.concatenate(drops)
+    order = np.argsort(bad, kind="stable")  # pair-major, steps ascending
+    return ExpansionAudit(dict(zip(keys, low.tolist())), (keys, bad[order], steps[order], drops[order]))
 
 
 def _simplex_family_offsets(graph: QuotientGraph):
@@ -369,9 +376,9 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
     """Audit table: orbit_a,orbit_b,shift...,min_increment,first_violation_step."""
     keys = sorted(audit.pair_results)
     d = len(keys[0][2]) if keys else 0
-    first_violation: dict = {}
-    for key, step, _ in audit.violations:  # pair-major, steps ascending
-        first_violation.setdefault(key, step)
+    pair_keys, pairs, steps, _ = audit._found
+    first, at = np.unique(pairs, return_index=True)  # pair-major: each pair's first step
+    first_violation = dict(zip([pair_keys[k] for k in first.tolist()], steps[at].tolist()))
     # Each orbit is quoted once, not once per row.
     names = {o: _csv_field(o) for o in {o for key in keys for o in key[:2]}}
     rows = (

@@ -3,13 +3,16 @@ import pytest
 
 from perigid import (
     EdgeOrbit,
+    PairSet,
     Placement,
     QuotientGraph,
     SimplexVariant,
+    expansive,
     simplex_framework,
     stressed_framework,
     validate_framework,
 )
+from perigid.framework import _separations
 
 
 def rotated(fw, seed):
@@ -30,6 +33,25 @@ def make_framework(dimension, positions, lattice, edges):
         tuple(EdgeOrbit(t, h, tuple(s)) for t, h, s in edges),
     )
     return validate_framework(graph, Placement(dict(positions), np.asarray(lattice, float)))
+
+
+def whole_pairs(fw, radius):
+    """The whole canonical pair set at `radius`: the chunks of the pair
+    stream concatenated, each row the stream's, bit for bit."""
+    chunks = [(c.tails, c.heads, c.shifts, c.rows) for c in expansive._pair_chunks(fw, radius)]
+    return PairSet(*map(np.concatenate, zip(*chunks)))
+
+
+def pair_keys(fw, pairs):
+    """Canonical (orbit_a, orbit_b, shift) keys of `pairs`, in pair order."""
+    return expansive._pair_keys(fw.graph.vertex_orbits, pairs.tails, pairs.heads, pairs.shifts)
+
+
+def pair_separations(fw, pairs):
+    """Separations p_b + lattice w - p_a of `pairs`, from the incidence core
+    their rows are built by."""
+    positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
+    return _separations(positions, fw.placement.lattice, pairs.tails, pairs.heads, pairs.shifts.astype(float))
 
 
 @pytest.fixture(scope="session")

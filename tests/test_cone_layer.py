@@ -22,7 +22,6 @@ from perigid import (
     NumericalFailureError,
     SimplexVariant,
     analyze,
-    enumerate_pairs,
     expansive,
     expansive_cone,
     extremal_rays,
@@ -41,7 +40,7 @@ from _oracles import (
     rays_match,
     simplicial_cone_is_complete,
 )
-from conftest import make_framework, rotated
+from conftest import make_framework, pair_keys, rotated, whole_pairs
 
 
 def framework(kind, d, seed):
@@ -68,7 +67,7 @@ def test_cone_matches_frozen_pipeline_bit_for_bit(kind, d, radius):
     fw = framework(kind, d, seed=31 * d + radius)
     report = analyze(fw)
     cone = expansive_cone(fw, report, radius)
-    halfspaces, rays = frozen_cone(enumerate_pairs(fw, radius).rows, report.flex_basis)
+    halfspaces, rays = frozen_cone(whole_pairs(fw, radius).rows, report.flex_basis)
     assert cone.halfspace_matrix.shape == halfspaces.shape
     assert cone.halfspace_matrix.tobytes() == halfspaces.tobytes()
     assert cone.rays.shape == rays.shape
@@ -81,7 +80,7 @@ def test_cone_matches_frozen_pipeline_bit_for_bit(kind, d, radius):
 @pytest.mark.parametrize("kind, d", [("stressed", 3), ("base", 4), ("regular", 5)])
 def test_row_norms_by_chunks_are_the_one_pass_norms(kind, d, rows_per_chunk, monkeypatch):
     fw = framework(kind, d, seed=d)
-    rows, basis = enumerate_pairs(fw, 2).rows, analyze(fw).flex_basis
+    rows, basis = whole_pairs(fw, 2).rows, analyze(fw).flex_basis
     projected = rows @ basis.T
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
     norms = np.linalg.norm(projected, axis=1)
@@ -309,7 +308,11 @@ def test_pair_stream_folds_the_last_chunk_into_the_one_before(count):
 )
 def test_pair_stream_is_the_whole_pair_set_in_order(kind, d, radius, chunk, monkeypatch):
     fw = framework(kind, d, seed=d + radius)
-    whole = enumerate_pairs(fw, radius)
+    with monkeypatch.context() as one_chunk:
+        # One chunk: the rows of one product over the whole pair set.
+        one_chunk.setattr(expansive, "_PAIR_CHUNK", 1 << 30)
+        whole = whole_pairs(fw, radius)
+    keys = pair_keys(fw, whole)
     if chunk is not None:
         monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
     step = expansive._PAIR_CHUNK
@@ -318,7 +321,7 @@ def test_pair_stream_is_the_whole_pair_set_in_order(kind, d, radius, chunk, monk
         chunks = list(expansive._pair_chunks(fw, radius, shell=shell))
         sizes = [len(c) for c in chunks]
         assert sizes == [keep.sum()] if keep.sum() < step else all(step <= s < 2 * step for s in sizes)
-        assert [k for c in chunks for k in c.keys()] == [k for k, kept in zip(whole.keys(), keep) if kept]
+        assert [k for c in chunks for k in pair_keys(fw, c)] == [k for k, kept in zip(keys, keep) if kept]
         assert np.concatenate([c.rows for c in chunks]).tobytes() == whole.rows[keep].tobytes()
 
 
@@ -334,7 +337,7 @@ def test_pair_stream_of_three_orbits_is_the_loop_order(chunk, monkeypatch):
         monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
     keys, _, rows = loop_pairs(positions, lattice, 3)
     chunks = list(expansive._pair_chunks(fw, 3))
-    assert [k for c in chunks for k in c.keys()] == keys
+    assert [k for c in chunks for k in pair_keys(fw, c)] == keys
     assert np.concatenate([c.rows for c in chunks]).tobytes() == rows.tobytes()
 
 
@@ -347,8 +350,8 @@ def test_streamed_projection_is_the_one_product(kind, d, radius, monkeypatch):
     fw = framework(kind, d, seed=31 * d + radius)
     report = analyze(fw)
     unit = expansive._unit_halfspaces
-    cone_rows = enumerate_pairs(fw, radius).rows
-    beyond = enumerate_pairs(fw, radius + 1)
+    cone_rows = whole_pairs(fw, radius).rows
+    beyond = whole_pairs(fw, radius + 1)
     shell_rows = beyond.rows[np.abs(beyond.shifts).max(axis=1) == radius + 1]
     seen = []
 
@@ -409,7 +412,7 @@ def test_the_reference_products_alone_give_the_frozen_cone(kind, d, radius, monk
     fw = framework(kind, d, seed=31 * d + radius)
     report = analyze(fw)
     cone = expansive_cone(fw, report, radius)
-    halfspaces, rays = frozen_cone(enumerate_pairs(fw, radius).rows, report.flex_basis)
+    halfspaces, rays = frozen_cone(whole_pairs(fw, radius).rows, report.flex_basis)
     assert cone.halfspace_matrix.tobytes() == halfspaces.tobytes()
     assert cone.rays.shape == rays.shape and cone.rays.tobytes() == rays.tobytes()
     assert sent and all(sent)
@@ -473,6 +476,29 @@ def test_adjacent_pairs_are_the_frozen_subset_test(case):
         if bin(masks[i] & masks[j]).count("1") >= f - 2 and _frozen_adjacent(masks, i, j)
     ]
     assert list(zip(p.tolist(), q.tolist())) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, 5.0])
+@pytest.mark.parametrize("spoiled", [1, 2])
+def test_adjacency_counts_outside_the_columns_raise(spoiled, value):
+    # Each count of a 0/1 product lies in [0, columns]; the common-set
+    # (1st) or containment (2nd) product with one that does not, or with a
+    # NaN, raises instead of deciding adjacency.
+    calls = []
+
+    class Spoiled(np.ndarray):
+        def __matmul__(self, other):
+            out = np.asarray(self) @ np.asarray(other)
+            calls.append(len(calls) + 1)
+            if calls[-1] == spoiled:
+                out.flat[0] = value
+            return out
+
+    inc = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1]], dtype=bool)  # 4 columns read
+    assert len(expansive._adjacent_pairs(inc, np.array([0]), np.array([1, 2]), 3)[0]) == 2
+    with pytest.raises(NumericalFailureError):
+        expansive._adjacent_pairs(inc.view(Spoiled), np.array([0]), np.array([1, 2]), 3)
+    assert len(calls) == spoiled
 
 
 def test_a_small_buffer_drops_and_refreshes_columns_bit_for_bit(monkeypatch):

@@ -17,14 +17,13 @@ from perigid import (
     SchemaError,
     SingularLatticeError,
     ZeroLengthEdgeError,
-    enumerate_pairs,
     simplex_framework,
     validate_framework,
 )
 from perigid.cli import main
 from perigid.framework import _csv_field, _write_pair_table, dumps_framework, loads_framework
 
-from conftest import make_framework
+from conftest import make_framework, pair_separations, whole_pairs
 
 
 def test_stressed_inputs_validate(stressed):
@@ -174,7 +173,7 @@ def test_regular_lattice_same_bits_in_memory_and_from_json(d):
     fw = simplex_framework(d, regular=True)
     again = loads_framework(dumps_framework(fw))
     assert fw.placement.lattice.flags.c_contiguous
-    assert np.array_equal(enumerate_pairs(fw, 2).separations, enumerate_pairs(again, 2).separations)
+    assert np.array_equal(pair_separations(fw, whole_pairs(fw, 2)), pair_separations(again, whole_pairs(again, 2)))
 
 
 def test_writer_key_order(stressed):

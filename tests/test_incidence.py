@@ -16,7 +16,6 @@ from perigid import (
     analyze,
     audit_expansiveness,
     continue_motion,
-    enumerate_pairs,
     export_frames,
     pair_constraint,
     rigidity_matrix,
@@ -26,7 +25,7 @@ from perigid import (
 )
 
 from _oracles import loop_pairs, loop_row
-from conftest import rotated
+from conftest import pair_keys, pair_separations, rotated, whole_pairs
 
 FAMILIES = [("stressed", 3)] + [(v, d) for d in (2, 3, 4, 5) for v in ("base", "removed:1")]
 
@@ -51,15 +50,15 @@ def test_pairs_match_loop(kind, d, radius):
     fw = rotated_framework(kind, d, seed=10 * d + radius)
     orbits = fw.graph.vertex_orbits
     keys, seps, rows = loop_pairs(positions_of(fw, orbits), fw.placement.lattice, radius)
-    pairs = enumerate_pairs(fw, radius)
+    pairs = whole_pairs(fw, radius)
     assert len(pairs) == len(keys)
-    assert pairs.keys() == keys
-    assert same_bits(pairs.separations, seps)
+    assert pair_keys(fw, pairs) == keys
+    assert same_bits(pair_separations(fw, pairs), seps)
     assert same_bits(pairs.rows, rows)
     for k in range(0, len(keys), max(1, len(keys) // 7)):
         p = pair_constraint(fw, *keys[k])
-        assert p.keys() == [keys[k]]
-        assert same_bits(p.separations[0], seps[k]) and same_bits(p.rows[0], rows[k])
+        assert pair_keys(fw, p) == [keys[k]]
+        assert same_bits(pair_separations(fw, p)[0], seps[k]) and same_bits(p.rows[0], rows[k])
 
 
 @pytest.mark.parametrize("kind, d", FAMILIES)

@@ -24,7 +24,6 @@ from perigid import (
     audit_expansiveness,
     classify_flex,
     continue_motion,
-    enumerate_pairs,
     expansive_cone,
     export_frames,
     facet_separation,
@@ -36,11 +35,11 @@ from perigid import (
     with_edge_orbit,
 )
 from perigid import motion
-from perigid.motion import ExpansionAudit, MotionPath, write_audit_csv
+from perigid.motion import MotionPath, write_audit_csv
 from perigid.rigidity import pack_motion
 
 from _oracles import frozen_frames, frozen_gauge_free_indices
-from conftest import make_framework
+from conftest import make_framework, pair_keys, whole_pairs
 
 
 def expanding_flex(fw):
@@ -482,7 +481,7 @@ def scaled_path(n_steps, contract_every=None):
 @pytest.mark.parametrize("audit_tol", [motion.DEFAULT_AUDIT_TOL, 0.0])
 def test_audit_matches_the_whole_table(audit_tol):
     fw, path = scaled_path(60, contract_every=7)
-    keys = enumerate_pairs(fw, 2).keys()
+    keys = pair_keys(fw, whole_pairs(fw, 2))
     dist = np.array([
         [np.linalg.norm(pl.positions[b] + pl.lattice @ np.array(w, float) - pl.positions[a]) for a, b, w in keys]
         for pl in path.placements
@@ -503,19 +502,22 @@ def test_audit_matches_the_whole_table(audit_tol):
 
 def test_audit_csv_first_violations_match_the_step_sorted_list(tmp_path):
     # The table reads each pair's first violating step off the pair-major
-    # list; the same audit with its violations sorted by step must give the
-    # same bytes.  Pairs here violate at several steps, so the order matters.
+    # arrays; it must be the pair's first step in the violation list sorted
+    # by step.  Pairs here violate at several steps, so the order matters.
     _, path = scaled_path(60, contract_every=7)
     audit = audit_expansiveness(path, radius=2)
-    by_step = ExpansionAudit(audit.pair_results, sorted(audit.violations, key=lambda v: v[1]))
-    write_audit_csv(audit, tmp_path / "pair_major.csv")
-    write_audit_csv(by_step, tmp_path / "by_step.csv")
-    table = (tmp_path / "pair_major.csv").read_bytes()
-    assert table == (tmp_path / "by_step.csv").read_bytes()
+    first = {}
+    for key, step, _ in sorted(audit.violations, key=lambda v: v[1]):
+        first.setdefault(key, step)
     keys = [key for key, _, _ in audit.violations]
     assert len(set(keys)) < len(keys)
-    firsts = {line.rsplit(b",", 1)[1] for line in table.splitlines()[1:]}
-    assert firsts == {b"", b"3"}
+    write_audit_csv(audit, tmp_path / "audit.csv")
+    column = {}
+    for line in (tmp_path / "audit.csv").read_text().splitlines()[1:]:
+        fields = line.split(",")
+        column[(fields[0], fields[1], tuple(map(int, fields[2:5])))] = fields[-1]
+    assert column == {key: str(first.get(key, "")) for key in audit.pair_results}
+    assert set(column.values()) == {"", "3"}
 
 def traced_peak(fn, *args, **kwargs) -> int:
     tracemalloc.start()
@@ -543,3 +545,18 @@ def test_audit_holds_a_step_of_distances():
     _, path = scaled_path(400)
     path._stacks
     assert traced_peak(audit_expansiveness, path, radius=2) < 300_000
+
+
+def test_audit_holds_its_violations_as_arrays():
+    # Contractions at every 4th of 400 steps: 24,800 violations.  Three
+    # 8-byte arrays take 24 bytes a violation; one tuple each took ~110.
+    _, path = scaled_path(400, contract_every=4)
+    path._stacks
+    tracemalloc.start()
+    try:
+        audit = audit_expansiveness(path, radius=2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    violations = len(audit.violations)
+    assert violations == 24_800 and held <= 40 * violations

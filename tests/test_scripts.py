@@ -5,7 +5,9 @@ API end to end; an API change that breaks it makes it exit nonzero, and a
 change to its stdout or to any artifact it writes changes a digest.
 """
 
+import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -75,3 +77,44 @@ def test_settable_values_counts_every_module():
             with open(os.path.join(package, name), "rb") as fh:
                 newlines += fh.read().count(b"\n")
     assert lines == ["lines", str(newlines)]
+
+
+def referenced_names(*dirs, skip=()):
+    """Every name an AST `Name`, `Attribute` or import alias uses in the .py
+    files of `dirs`; a name inside a string is not a reference."""
+    names = set()
+    for folder in dirs:
+        for file in os.listdir(folder):
+            if file.endswith(".py") and file not in skip:
+                with open(os.path.join(folder, file)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Name):
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        names.add(node.attr)
+                    elif isinstance(node, ast.alias):
+                        names.update([node.name.rsplit(".", 1)[-1], node.asname])
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # The caller rule: each public name `scripts/settable_values.py` counts is
+    # used by the package outside `__init__.py`, by a script or by perfbench;
+    # tests and the README do not count.
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        settable_values = importlib.import_module("settable_values")
+    finally:
+        sys.path.remove(os.path.join(ROOT, "scripts"))
+    used = referenced_names(
+        os.path.join(ROOT, "src", "perigid"), os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench"),
+        skip=("__init__.py",),
+    )
+    unused = [
+        f"{module}.{name}"
+        for module in settable_values.MODULES
+        for name in settable_values.public_names(importlib.import_module(f"perigid.{module}"))
+        if name.rsplit(".", 1)[-1] not in used
+    ]
+    assert unused == []
