@@ -6,7 +6,7 @@ and OBJ artifacts.  Numeric output is full precision in JSON and 12
 significant digits in CSV; identical configurations produce byte-identical
 files.  Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 I/O
 error.  PERIGID_TOL_RANK and PERIGID_TOL_NEWTON override the default
-tolerances with positive numbers.
+tolerances with positive finite numbers.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def _env_tol(name: str, default: float) -> float:
         value = float(raw)
     except ValueError:
         raise UsageError(f"{name} must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise UsageError(f"{name} must be positive, got {raw!r}")
+    if not 0 < value < float("inf"):
+        raise UsageError(f"{name} must be positive and finite, got {raw!r}")
     return value
 
 

@@ -18,9 +18,9 @@ satisfy every pair row with equality and would only add spurious lineality).
 A row is kept, as the pairs stream, when its 9-decimal key is not yet in
 the set of keys seen before it (`_merge_new`), so halfspaces that round
 alike are merged, the first kept.  Extremal rays come from a double
-description pass over the merged halfspaces, each ray's active set a bool
-row over the processed halfspaces that some ray is tight at or may become
-tight at, which one rule decides when the buffer is rebuilt (`_ActiveSets`).
+description pass over the merged halfspaces (`_DoubleDescription`), each
+ray's active set a bool row over the processed halfspaces that some ray is
+tight at or may become tight at, which one rule decides at each rebuild.
 The double description is array code that makes the decisions of the
 one-row, one-ray loop it replaced, in the same order, and builds every ray
 with the same floating-point operations, so the rays are bit for bit that
@@ -202,7 +202,7 @@ def extremal_rays(halfspaces) -> np.ndarray:
             f"ray enumeration disabled for dimension {f} > {MAX_FLEX_DIM}"
         )
     a = a[np.linalg.norm(a, axis=1) > CONE_TOL]
-    a = a / np.linalg.norm(a, axis=1, keepdims=True) if len(a) else a
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
     k = len(a)
     if k < f:
         raise NonPointedConeError(f"{k} halfspaces cannot point a {f}-dimensional cone")
@@ -217,16 +217,16 @@ def extremal_rays(halfspaces) -> np.ndarray:
     rays = np.array([m_inv[:, j] / np.linalg.norm(m_inv[:, j]) for j in range(f)])
     # Rows in insertion order: the basis, then the others by index.
     ordered = a[base + sorted(set(range(k)) - set(base))]
-    return _finish(_clip(ordered, f, rays), a)
+    return _finish(_DoubleDescription(ordered, f, rays).insert(), a)
 
 
 # Entries per chunk of the ray x row and pair x ray blocks: a few MB at most.
 _CHUNK = 1 << 17
-# Starting column count of `_clip`'s incidence buffer.
+# Starting column count of the double description's incidence buffer.
 _WIDTH = 256
 # A rebuild keeps the column of a processed halfspace no ray is tight at
 # while the rays' smallest value at it is at most this; the margin over
-# CONE_TOL is argued in `_ActiveSets`.
+# CONE_TOL is argued in `_DoubleDescription`.
 _NEAR = CONE_TOL + 1e-10
 
 
@@ -254,11 +254,13 @@ def _below(mag: np.ndarray, band: float):
     return None if np.count_nonzero(tight) != np.count_nonzero(mag <= CONE_TOL - band) else tight
 
 
-class _ActiveSets:
-    """The active sets of `_clip`'s rays: row i of the bool buffer `inc`,
-    over its first `c` columns, is the set of ray i, column j standing for
-    halfspace `hs[j]`, whose row is `ha[j]`; the columns from `c` on are
-    clear.  A new ray's set is computed at the columns only.
+class _DoubleDescription:
+    """The rays of {c : a[:n] c >= 0} and each ray's active set, the
+    processed halfspaces tight at it, both changed here only and together.
+    Row i of the bool buffer `inc`, over its first `c` columns, is the set
+    of ray i, column j standing for halfspace `hs[j]`, whose row is `ha[j]`;
+    the columns from `c` on are clear.  A new ray's set is computed at the
+    columns only.
 
     `_rebuild` alone decides which processed halfspaces have a column: h
     keeps its column while some ray is tight at it or the smallest value of
@@ -275,50 +277,101 @@ class _ActiveSets:
     """
 
     def __init__(self, a: np.ndarray, n: int, rays: np.ndarray):
-        self.a, self.band = a, _band(a, rays)
+        self.a, self.n, self.rays, self.band = a, n, rays, _band(a, rays)
         # No ray's set yet: the first rebuild keeps halfspaces by their minima.
         self.inc, self.hs, self.ha, self.c = np.zeros((0, n), dtype=bool), np.arange(n), a[:n], n
-        self._rebuild(rays, 0, len(rays), 0)
-        self.write(0, n, rays)
+        self._rebuild(0, len(rays), 0)
+        self.write(0)
 
-    def append(self, rays: np.ndarray, n: int, tight: np.ndarray) -> None:
+    def insert(self) -> np.ndarray:
+        """Insert the halfspaces a[n:], in order, and return the rays.
+
+        A run of halfspaces that no ray violates only marks tight rays, so
+        runs are evaluated a block at a time and written with one slice.  A
+        violated halfspace keeps the rays on its nonnegative side, positive
+        then zero, and appends, for every adjacent pair of a ray p on its
+        positive and q on its negative side, the unit ray along
+        vals[p] * q - vals[q] * p.  Only the rows after the first ray that
+        moves are copied, and only the new rays' rows are written.
+
+        Tight and violated come from one GEMM per block; a block with a value
+        within `_band` of CONE_TOL is decided by the 1-d dots `a[t] @ ray`,
+        which also give the values that build new rays, so every decision is
+        the one those dots make.  A halfspace is violated when the smallest
+        value of its column is below -CONE_TOL.
+        """
+        a, f, block, rays = self.a, self.a.shape[1], 8, self.rays
+        while self.n < len(a) and len(rays):
+            vals = rays @ a[self.n : self.n + block].T
+            tight = _below(np.abs(vals), self.band)
+            if tight is None:
+                vals = _row_dots(rays[:, None, :], a[self.n : self.n + block])
+                tight = np.abs(vals) <= CONE_TOL
+            cut = (vals.min(axis=0) < -CONE_TOL).nonzero()[0]
+            run = cut[0] if len(cut) else vals.shape[1]
+            # The run's columns and the cut's, which is tight at the zero rays only.
+            self.append(tight[:, : run + 1])
+            self.n += run
+            if not len(cut):
+                block = min(2 * block, max(8, _CHUNK // len(rays)))
+                continue
+            block = 8
+            v = _row_dots(rays, a[self.n])  # each the 1-d `a[n] @ ray`
+            positive = v > CONE_TOL
+            pos, neg = positive.nonzero()[0], (v < -CONE_TOL).nonzero()[0]
+            keep = np.concatenate([pos, tight[:, run].nonzero()[0]])
+            p, q = _adjacent_pairs(self.inc[: len(rays), : self.c], pos, neg, f)
+            new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
+            nrm = np.sqrt(_row_dots(new, new))
+            long = nrm > CONE_TOL
+            new = new[long] / nrm[long][:, None]
+            self.n += 1
+            rays = self.rays = np.concatenate([rays[keep], new])
+            # The rays before the first one off the positive side keep their rows.
+            first = positive.argmin()
+            self.inc[first : len(keep), : self.c] = self.inc[keep[first:], : self.c]
+            if len(new):
+                self.write(len(keep))
+        return self.rays
+
+    def append(self, tight: np.ndarray) -> None:
         """Give halfspaces n, n + 1, ... the next columns, set where `tight`."""
         w = tight.shape[1]
         if self.c + w > self.inc.shape[1]:
-            self._rebuild(rays, len(rays), len(self.inc), w)
-        self.inc[: len(rays), self.c : self.c + w] = tight
-        self.hs[self.c : self.c + w] = np.arange(n, n + w)
-        self.ha[self.c : self.c + w] = self.a[n : n + w]
+            self._rebuild(len(self.rays), len(self.inc), w)
+        self.inc[: len(self.rays), self.c : self.c + w] = tight
+        self.hs[self.c : self.c + w] = np.arange(self.n, self.n + w)
+        self.ha[self.c : self.c + w] = self.a[self.n : self.n + w]
         self.c += w
 
-    def write(self, lo: int, n: int, rays: np.ndarray) -> None:
+    def write(self, lo: int) -> None:
         """Set rows lo, lo + 1, ... to the active sets |a[:n] @ ray| <=
         CONE_TOL of rays[lo:], each decision the one of the matrix-vector
         product per ray: from one GEMM per chunk at the columns, unless a
         value of the chunk lies in the band, which sends the chunk's rays to
         their products."""
-        hi = len(rays)
+        hi = len(self.rays)
         if not hi <= len(self.inc) <= 2 * hi:
-            self._rebuild(rays, lo, hi + hi // 4, 0)
+            self._rebuild(lo, hi + hi // 4, 0)
         step = max(1, _CHUNK // max(1, self.c))
         for i in range(lo, hi, step):
-            chunk = rays[i : i + step]
+            chunk = self.rays[i : i + step]
             tight = _below(np.abs(chunk @ self.ha[: self.c].T), self.band)
             if tight is None:
-                dots = (self.a[None, :n] @ chunk[:, :, None])[:, self.hs[: self.c], 0]
+                dots = (self.a[None, : self.n] @ chunk[:, :, None])[:, self.hs[: self.c], 0]
                 tight = np.abs(dots) <= CONE_TOL
             self.inc[i : i + len(chunk), : self.c] = tight
 
-    def _rebuild(self, rays: np.ndarray, r: int, rows: int, extra: int) -> None:
+    def _rebuild(self, r: int, rows: int, extra: int) -> None:
         """A new buffer of `rows` rows over the columns some ray of the first
-        r is tight at or whose minimum over `rays` is at most `_NEAR`, with
+        r is tight at or whose minimum over the rays is at most `_NEAR`, with
         half as many columns again as those and `extra`."""
         keep = np.logical_or.reduce(self.inc[:r, : self.c], axis=0)
         loose = (~keep).nonzero()[0]
-        step = max(1, _CHUNK // max(1, len(rays)))
+        step = max(1, _CHUNK // max(1, len(self.rays)))
         for i in range(0, len(loose), step):
             cols = loose[i : i + step]
-            keep[cols] = (rays @ self.ha[cols].T).min(axis=0, initial=np.inf) <= _NEAR
+            keep[cols] = (self.rays @ self.ha[cols].T).min(axis=0, initial=np.inf) <= _NEAR
         live = keep.nonzero()[0]
         c = len(live)
         width = max(_WIDTH, 3 * (c + extra) // 2)
@@ -327,63 +380,6 @@ class _ActiveSets:
         hs, ha = np.empty(width, dtype=int), np.empty((width, self.a.shape[1]))
         hs[:c], ha[:c] = self.hs[live], self.ha[live]
         self.inc, self.hs, self.ha, self.c = inc, hs, ha, c
-
-
-def _clip(a: np.ndarray, n: int, rays: np.ndarray) -> np.ndarray:
-    """Insert the halfspaces a[n:], in order, into the rays of {c : a[:n] c >= 0}.
-
-    Each ray's active set, the processed halfspaces tight at it, is a bool
-    row over the columns of a reusable buffer (`_ActiveSets`).  A run
-    of halfspaces that no ray violates only marks tight rays, so runs are
-    evaluated a block at a time and written with one slice.  A violated
-    halfspace keeps the rays on its nonnegative side, positive then zero,
-    and appends, for every adjacent pair of a ray p on its positive and q on
-    its negative side, the unit ray along vals[p] * q - vals[q] * p.  Only
-    the rows after the first ray that moves are copied, and only the new
-    rays' rows are written.  Columns that no ray is tight at or can become
-    tight at are dropped when the buffer is rebuilt.
-
-    Tight and violated come from one GEMM per block; a block with a value
-    within `_band` of CONE_TOL is decided by the 1-d dots `a[t] @ ray`, which
-    also give the values that build new rays, so every decision is the one
-    those dots make.  A halfspace is violated when the smallest value of its
-    column is below -CONE_TOL.
-    """
-    f = a.shape[1]
-    sets = _ActiveSets(a, n, rays)
-    block = 8
-    while n < len(a) and len(rays):
-        vals = rays @ a[n : n + block].T
-        tight = _below(np.abs(vals), sets.band)
-        if tight is None:
-            vals = _row_dots(rays[:, None, :], a[n : n + block])
-            tight = np.abs(vals) <= CONE_TOL
-        cut = (vals.min(axis=0) < -CONE_TOL).nonzero()[0]
-        run = cut[0] if len(cut) else vals.shape[1]
-        # The run's columns and the cut's, which is tight at the zero rays only.
-        sets.append(rays, n, tight[:, : run + 1])
-        n += run
-        if not len(cut):
-            block = min(2 * block, max(8, _CHUNK // len(rays)))
-            continue
-        block = 8
-        v = _row_dots(rays, a[n])  # each the 1-d `a[n] @ ray`
-        positive = v > CONE_TOL
-        pos, neg = positive.nonzero()[0], (v < -CONE_TOL).nonzero()[0]
-        keep = np.concatenate([pos, tight[:, run].nonzero()[0]])
-        p, q = _adjacent_pairs(sets.inc[: len(rays), : sets.c], pos, neg, f)
-        new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
-        nrm = np.sqrt(_row_dots(new, new))
-        long = nrm > CONE_TOL
-        new = new[long] / nrm[long][:, None]
-        n += 1
-        rays = np.concatenate([rays[keep], new])
-        # The rays before the first one off the positive side keep their rows.
-        first = positive.argmin()
-        sets.inc[first : len(keep), : sets.c] = sets.inc[keep[first:], : sets.c]
-        if len(new):
-            sets.write(len(keep), n, rays)
-    return rays
 
 
 @np.errstate(invalid="ignore")  # the counts are checked instead
@@ -459,7 +455,7 @@ class ExpansiveCone:
         return self.rays[i] @ self.flex_basis
 
     def ray_motions(self) -> np.ndarray:
-        return self.rays @ self.flex_basis if len(self.rays) else np.zeros((0, self.flex_basis.shape[1]))
+        return self.rays @ self.flex_basis
 
 
 def expansive_cone(
@@ -626,7 +622,7 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
         if not any((_row_dots(rays[:, None, :], rows) < -CONE_TOL).any() for rows in shell):
             return radius
         n, a = len(a), np.concatenate([a, *shell])
-        rays = _finish(_clip(a, n, rays), a)
+        rays = _finish(_DoubleDescription(a, n, rays).insert(), a)
     raise NumericalFailureError(
         f"ray set still changing between radius {max_radius} and {max_radius + 1}"
     )

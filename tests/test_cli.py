@@ -408,12 +408,23 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("name, raw", [("PERIGID_TOL_RANK", "nan"), ("PERIGID_TOL_NEWTON", "0")])
+@pytest.mark.parametrize(
+    "name, raw",
+    [
+        ("PERIGID_TOL_RANK", "nan"),
+        ("PERIGID_TOL_NEWTON", "0"),
+        ("PERIGID_TOL_RANK", "inf"),
+        ("PERIGID_TOL_RANK", "1e309"),
+        ("PERIGID_TOL_NEWTON", "inf"),
+    ],
+)
 def test_env_tolerance_must_be_positive(tmp_path, capsys, monkeypatch, name, raw):
+    # An infinite rank tolerance would be printed as `"tolerance": inf`, which
+    # is not JSON; an infinite corrector tolerance would skip the corrector.
     target = gen_file(tmp_path, capsys, "stressed")
     monkeypatch.setenv(name, raw)
     assert main(["analyze", str(target)]) == 2
-    assert capsys.readouterr().err == f"error: {name} must be positive, got {raw!r}\n"
+    assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {raw!r}\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -98,8 +98,8 @@ def test_row_norms_by_chunks_are_the_one_pass_norms(kind, d, rows_per_chunk, mon
 # with numpy 2.4.6 and OpenBLAS on x86-64 (other BLAS builds may round
 # differently): d = 5, R = 3 and d = 6, R = 2 at commit f3c979d, d = 5, R = 4
 # at commit d9a694d.  The frozen oracle needs ~40 s at d = 5, R = 3, so the
-# simplicial oracle checks these cones instead.  The d = 6, R = 3 digests
-# are checked outside this suite, by scripts/north_star_digests.py.
+# simplicial oracle checks these cones instead.  The d = 6, R = 3 and R = 4
+# digests are checked outside this suite, by scripts/north_star_digests.py.
 BASE_DIGESTS = {
     (5, 3): (
         "0b1b8769ad0388b4fe89a72d13734a8fdf2db97ae0303d38dfc293bb759a3b85",
@@ -377,8 +377,8 @@ def reference_tight(a, rays):
 
 
 def guarded_tight(a, rays):
-    """The active sets `_ActiveSets` writes for `rays` over every row of `a`."""
-    sets = expansive._ActiveSets(a, len(a), rays)
+    """The active sets `_DoubleDescription` writes for `rays` over every row of `a`."""
+    sets = expansive._DoubleDescription(a, len(a), rays)
     tight = np.zeros((len(rays), len(a)), dtype=bool)
     tight[:, sets.hs[: sets.c]] = sets.inc[: len(rays), : sets.c]
     return tight
@@ -506,19 +506,19 @@ def test_a_small_buffer_drops_and_refreshes_columns_bit_for_bit(monkeypatch):
     # and every rebuild computes afresh the minima of the columns no ray's set
     # holds.
     monkeypatch.setattr(expansive, "_WIDTH", 2)
-    rebuild, kept = expansive._ActiveSets._rebuild, []
+    rebuild, kept = expansive._DoubleDescription._rebuild, []
 
-    def recorded(self, rays, r, rows, extra):
+    def recorded(self, r, rows, extra):
         before = self.hs[: self.c].copy()
         loose = ~np.logical_or.reduce(self.inc[:r, : self.c], axis=0)
-        rebuild(self, rays, r, rows, extra)
+        rebuild(self, r, rows, extra)
         after = np.isin(before, self.hs[: self.c])
         # A dropped column is one no current ray is tight at.
-        assert not reference_tight(self.a[before[~after]], rays).any()
+        assert not reference_tight(self.a[before[~after]], self.rays).any()
         if r:
             kept.append(after[loose])
 
-    monkeypatch.setattr(expansive._ActiveSets, "_rebuild", recorded)
+    monkeypatch.setattr(expansive._DoubleDescription, "_rebuild", recorded)
     rng = np.random.default_rng(7)
     cones = [random_pointed_cone(rng, f, True) for f in (3, 4, 5, 6) for _ in range(4)]
     cones = [rows for rows in cones if np.linalg.matrix_rank(rows) == rows.shape[1]]
@@ -545,12 +545,12 @@ def test_a_column_no_ray_is_tight_at_stays_while_its_bound_is_within_the_margin(
     inside = offset < 0
     # The first buffer is a rebuild's, and so is a later one: a column
     # appended by the run scan stays until the next rebuild decides.
-    sets = expansive._ActiveSets(a, 4, rays)
+    sets = expansive._DoubleDescription(a, 4, rays)
     assert (3 in sets.hs[: sets.c]) == inside
-    sets = expansive._ActiveSets(a, 3, rays)
-    sets.append(rays, 3, np.zeros((3, 1), dtype=bool))
+    sets = expansive._DoubleDescription(a, 3, rays)
+    sets.append(np.zeros((3, 1), dtype=bool))
     assert 3 in sets.hs[: sets.c]
-    sets._rebuild(rays, 3, 3, 0)
+    sets._rebuild(3, 3, 0)
     assert (3 in sets.hs[: sets.c]) == inside
     assert guarded_tight(a, rays).tolist() == reference_tight(a, rays).tolist()
     # The rays a pass makes from here are still not tight at the row.
@@ -562,11 +562,24 @@ def test_a_column_no_ray_is_tight_at_stays_while_its_bound_is_within_the_margin(
 def cut_sequences(draw):
     """A pointed cone of up to 40 rows in random order, so a random sequence
     of cuts, and a starting buffer width small enough to force rebuilds or
-    not."""
-    f = draw(st.integers(2, 6))
+    not.
+
+    Or a degenerate one: R_+ e_1 + D for a random pointed cone D in the
+    other f - 1 coordinates, then cut by a last row on which only e_1 is
+    positive.  Every ray but e_1 is tight at the row e_1, which comes last
+    in the starting basis, so ray 0 is never e_1, and the last cut drops
+    every ray but e_1, ray 0 included."""
+    degenerate = draw(st.booleans())
+    f = draw(st.integers(3 if degenerate else 2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = random_pointed_cone(rng, f, draw(st.booleans()), draw(st.integers(f, 40)))
-    return rows, draw(st.sampled_from([2, 8, 256]))
+    integer, width = draw(st.booleans()), draw(st.sampled_from([2, 8, 256]))
+    if not degenerate:
+        return random_pointed_cone(rng, f, integer, draw(st.integers(f, 40))), width
+    d = random_pointed_cone(rng, f - 1, integer, draw(st.integers(f, 40)))
+    d = np.hstack([np.zeros((len(d), 1)), d])
+    e1 = np.eye(f)[:1]
+    last = e1 - (d / np.linalg.norm(d, axis=1, keepdims=True)).sum(axis=0)
+    return np.vstack([d[: f - 1], e1, d[f - 1 :], last]), width
 
 
 @given(cut_sequences())
@@ -574,17 +587,17 @@ def cut_sequences(draw):
 def test_pruned_tight_sets_are_the_per_ray_products_over_every_processed_halfspace(case):
     rows, width = case
     assume(np.linalg.matrix_rank(rows) == rows.shape[1])
-    write = expansive._ActiveSets.write
+    write = expansive._DoubleDescription.write
 
-    def checked(self, lo, n, rays):
-        write(self, lo, n, rays)
-        got = np.zeros((len(rays), n), dtype=bool)
-        got[:, self.hs[: self.c]] = self.inc[: len(rays), : self.c]
-        assert got.tolist() == reference_tight(self.a[:n], rays).tolist()
+    def checked(self, lo):
+        write(self, lo)
+        got = np.zeros((len(self.rays), self.n), dtype=bool)
+        got[:, self.hs[: self.c]] = self.inc[: len(self.rays), : self.c]
+        assert got.tolist() == reference_tight(self.a[: self.n], self.rays).tolist()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expansive, "_WIDTH", width)
-        patch.setattr(expansive._ActiveSets, "write", checked)
+        patch.setattr(expansive._DoubleDescription, "write", checked)
         rays = extremal_rays(rows)
     assert rays.tobytes() == frozen_extremal_rays(rows, rows.shape[1]).tobytes()
 
