@@ -174,7 +174,7 @@ def _cmd_simulate(args) -> int:
         "step_size": path.step_size,
         "max_residual": float(path.residuals.max()),
         "passed": audit.passed,
-        "num_violations": len(audit._found[1]),
+        "num_violations": len(audit._found[0]),
         "frames": [os.path.basename(p) for p in frames],
         "audit": os.path.basename(audit_path),
     }

@@ -50,7 +50,7 @@ from .errors import (
     NonPointedConeError,
     NumericalFailureError,
 )
-from .framework import EdgeOrbit, PeriodicFramework, _csv_field, _integer_shift, _json_matrix
+from .framework import EdgeOrbit, PeriodicFramework, _integer_shift, _json_matrix
 from .framework import _row_dots, _separations, _write_pair_table
 from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
@@ -655,15 +655,6 @@ def _write_pair_audit(fw: PeriodicFramework, radius: int, values: np.ndarray, pa
     Zero means the pair does not restrict the flex space (bars in particular).
     """
     orbits, d = fw.graph.vertex_orbits, fw.dimension
-    # Each orbit is quoted once, not once per row.
-    names = np.array([_csv_field(o) for o in orbits], dtype=object)
     text = map(format, values.tolist(), itertools.repeat(".12g"))
-
-    def chunks():
-        for tails, heads, shifts in _pair_incidence(orbits, d, radius):
-            columns = [names[tails].tolist(), names[heads].tolist()]
-            columns += [map(str, shifts[:, c].tolist()) for c in range(d)]
-            columns.append(itertools.islice(text, len(tails)))
-            yield zip(*columns)
-
-    _write_pair_table(path, d, ["value"], itertools.chain.from_iterable(chunks()))
+    chunks = ((*pairs, itertools.islice(text, len(pairs[0]))) for pairs in _pair_incidence(orbits, d, radius))
+    _write_pair_table(path, orbits, d, ["value"], chunks)

@@ -9,7 +9,6 @@ p[head] + lattice @ shift.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -242,7 +241,6 @@ def _with_placement(graph: QuotientGraph, placement: Placement) -> PeriodicFrame
 # the other modules share these float formatters.
 
 _TOP_KEYS = ("dimension", "vertex_orbits", "lattice", "edge_orbits")
-_TABLE_LINES = 1024  # lines per write of _write_pair_table
 
 
 def _f17(x: float) -> str:
@@ -257,18 +255,19 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_pair_table(path, d: int, value_names: list[str], rows) -> None:
-    """The CSV table orbit_a,orbit_b,shift_1..shift_d,*value_names with one
-    line per row of `rows`, each a sequence of fields already quoted.
-
-    `rows` may be a generator: it is read and written `_TABLE_LINES` lines
-    at a time, so the table is never held whole."""
+def _write_pair_table(path, orbits, d: int, value_names: list[str], chunks) -> None:
+    """The one pair-table writer: orbit_a,orbit_b,shift_1..shift_d,*value_names,
+    a line per pair of `chunks`, each (tails, heads, shifts, *values) with indices
+    into `orbits`, integer shifts and a text sequence per value name.  Each orbit
+    is quoted once and each chunk written as one block, never the whole table."""
+    names = np.array([_csv_field(o) for o in orbits], dtype=object)
     header = ["orbit_a", "orbit_b", *(f"shift_{i + 1}" for i in range(d)), *value_names]
-    lines = map("\n".__add__, map(",".join, rows))
     with open(path, "w") as fh:
         fh.write(",".join(header))
-        for block in iter(lambda: "".join(itertools.islice(lines, _TABLE_LINES)), ""):
-            fh.write(block)
+        for tails, heads, shifts, *values in chunks:
+            columns = [names[tails].tolist(), names[heads].tolist()]
+            columns += [map(str, shifts[:, c].tolist()) for c in range(d)]
+            fh.write("".join(map("\n".__add__, map(",".join, zip(*columns, *values)))))
         fh.write("\n")
 
 

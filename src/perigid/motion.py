@@ -43,7 +43,7 @@ from .errors import (
     NumericalFailureError,
     SingularJacobianError,
 )
-from .expansive import _CHUNK, DEFAULT_RADIUS, _pair_incidence, _pair_keys
+from .expansive import _CHUNK, _PAIR_CHUNK, DEFAULT_RADIUS, _pair_incidence, _pair_keys
 from .framework import PeriodicFramework, Placement, QuotientGraph
 from .framework import _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
@@ -80,21 +80,30 @@ class MotionPath:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionAudit:
-    """Each pair's smallest step increment, and in `_found` the pair keys and
-    the violations as pair-major arrays of pair index, step and drop."""
+    """The pair stream's arrays (orbit names, tails, heads, shifts) with each
+    pair's smallest step increment, and the violations as pair-major arrays of
+    pair index, step and drop; no key is built until one is read."""
 
-    pair_results: dict[tuple[str, str, tuple[int, ...]], float]  # min step increment
-    _found: tuple[list, np.ndarray, np.ndarray, np.ndarray]
+    _pairs: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    _found: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def passed(self) -> bool:
-        return not len(self._found[1])
+        return not len(self._found[0])
+
+    @property
+    def pair_results(self) -> dict[tuple[str, str, tuple[int, ...]], float]:
+        """Each pair's smallest step increment by key, in stream order, built on each read."""
+        *pairs, low = self._pairs
+        return dict(zip(_pair_keys(*pairs), low.tolist()))
 
     @property
     def violations(self) -> list[tuple[tuple[str, str, tuple[int, ...]], int, float]]:
         """(key, step, drop) per violation, pair-major, built on each read."""
-        keys, pairs, steps, drops = self._found
-        return list(zip([keys[k] for k in pairs.tolist()], steps.tolist(), drops.tolist()))
+        orbits, tails, heads, shifts, _ = self._pairs
+        pairs, steps, drops = self._found
+        keys = _pair_keys(orbits, tails[pairs], heads[pairs], shifts[pairs])
+        return list(zip(keys, steps.tolist(), drops.tolist()))
 
 
 def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
@@ -244,6 +253,8 @@ def audit_expansiveness(
     """
     if len(path.placements) < 2:
         raise ValueError("path needs at least two steps")
+    if np.isnan(audit_tol):
+        raise ValueError("audit_tol is NaN, which no drop exceeds")
     orbits = path.graph.vertex_orbits
     tails, heads, shifts = map(np.concatenate, zip(*_pair_incidence(orbits, path.graph.dimension, radius)))
     w = shifts.astype(float)
@@ -258,13 +269,12 @@ def audit_expansiveness(
         if len(bad):
             found.append((step, bad, -inc[bad]))
         prev = dist
-    keys = _pair_keys(orbits, tails, heads, shifts)
     at, bad, drops = zip(*found)
     del found  # the per-step arrays go as they are joined
     steps = np.repeat(at, list(map(len, bad)))
     bad, drops = np.concatenate(bad), np.concatenate(drops)
     order = np.argsort(bad, kind="stable")  # pair-major, steps ascending
-    return ExpansionAudit(dict(zip(keys, low.tolist())), (keys, bad[order], steps[order], drops[order]))
+    return ExpansionAudit((orbits, tails, heads, shifts, low), (bad[order], steps[order], drops[order]))
 
 
 def _simplex_family_offsets(graph: QuotientGraph):
@@ -373,17 +383,18 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
 
 
 def write_audit_csv(audit: ExpansionAudit, path) -> None:
-    """Audit table: orbit_a,orbit_b,shift...,min_increment,first_violation_step."""
-    keys = sorted(audit.pair_results)
-    d = len(keys[0][2]) if keys else 0
-    pair_keys, pairs, steps, _ = audit._found
-    first, at = np.unique(pairs, return_index=True)  # pair-major: each pair's first step
-    first_violation = dict(zip([pair_keys[k] for k in first.tolist()], steps[at].tolist()))
-    # Each orbit is quoted once, not once per row.
-    names = {o: _csv_field(o) for o in {o for key in keys for o in key[:2]}}
-    rows = (
-        [names[key[0]], names[key[1]], *map(str, key[2])]
-        + [format(audit.pair_results[key], ".12g"), str(first_violation.get(key, ""))]
-        for key in keys
+    """Audit table: orbit_a,orbit_b,shift...,min_increment,first_violation_step
+    in key order, `sorted(audit.pair_results)`: the stream holds each (tail, head)
+    in one run of ascending shifts, so a stable sort on its name rank suffices."""
+    orbits, tails, heads, shifts, low = audit._pairs
+    pairs, steps, _ = audit._found
+    first = np.full(len(low), "", dtype=object)  # each pair's first violating step
+    violating, at = np.unique(pairs, return_index=True)  # pair-major
+    first[violating] = steps[at].astype(str)
+    rank = np.argsort(sorted(range(len(orbits)), key=orbits.__getitem__))  # Python's string order
+    order = np.argsort(rank[tails] * len(orbits) + rank[heads], kind="stable")
+    chunks = (
+        (tails[k], heads[k], shifts[k], map(format, low[k].tolist(), itertools.repeat(".12g")), first[k])
+        for k in np.split(order, range(_PAIR_CHUNK, len(order), _PAIR_CHUNK))
     )
-    _write_pair_table(path, d, ["min_increment", "first_violation_step"], rows)
+    _write_pair_table(path, orbits, shifts.shape[1], ["min_increment", "first_violation_step"], chunks)

@@ -11,7 +11,8 @@ must reproduce bit for bit, the first rows of each 9-decimal key by
 ``np.unique``, a brute-force (f-1)-subset ray enumeration, a completeness
 check of a simplicial cone by its facet normals,
 a comparison of ray sets up to an angular tolerance, a frozen copy of the
-frame writers that format one value at a time, and the motion gauge's free
+frame writers that format one value at a time, a frozen copy of the pair
+audit and its table keyed and sorted one pair at a time, and the motion gauge's free
 coordinates by the index formula of the (dn + d^2) layout.
 """
 
@@ -500,6 +501,15 @@ def loop_row(orbits, lattice, a, b, w, s):
     return row
 
 
+def canonical_pair_keys(orbits, d: int, radius: int):
+    """Keys (a, b, w) with a < b over the whole shift box, both in sorted
+    order, followed by every (a, a, w) with w < -w."""
+    names = sorted(orbits)
+    box = list(itertools.product(range(-radius, radius + 1), repeat=d))
+    keys = [(a, b, w) for i, a in enumerate(names) for b in names[i + 1 :] for w in box]
+    return keys + [(a, a, w) for a in names for w in box if w < tuple(-c for c in w)]
+
+
 def loop_pairs(positions: dict, lattice, radius: int):
     """Canonical pair keys, separations and rows, one pair at a time.
 
@@ -508,10 +518,7 @@ def loop_pairs(positions: dict, lattice, radius: int):
     positions[b] + lattice @ w - positions[a].
     """
     orbits = list(positions)
-    names = sorted(orbits)
-    box = list(itertools.product(range(-radius, radius + 1), repeat=lattice.shape[0]))
-    keys = [(a, b, w) for i, a in enumerate(names) for b in names[i + 1 :] for w in box]
-    keys += [(a, a, w) for a in names for w in box if w < tuple(-c for c in w)]
+    keys = canonical_pair_keys(orbits, lattice.shape[0], radius)
     seps, rows = [], []
     for a, b, w in keys:
         wv = np.array(w, dtype=float)
@@ -737,6 +744,46 @@ def frozen_frames(orbits, edges, placements, supercell, fmt):
         lines = ["v " + " ".join([format(float(v), ".17g") for v in x] + ["0"] * (3 - d)) for x in xs]
         files[f"frame_{step:04d}.obj"] = "\n".join(lines + segments) + "\n"
     return files
+
+
+# ---------------------------------------------------------------------------
+# Frozen motion audit: the pair audit and its table as first written, one
+# Python key per pair, each distance by the plain formula |p_b + L w - p_a|,
+# and the table's lines in the order of the sorted keys.
+
+def frozen_audit(orbits, placements, radius, audit_tol):
+    """(pair_results, violations): each canonical pair's smallest step
+    increment by key, in canonical order, and (key, step, drop) per drop
+    larger than `audit_tol`, pair-major; `placements` are (positions dict,
+    lattice) per step."""
+    keys = canonical_pair_keys(orbits, len(placements[0][1]), radius)
+    dist = np.array([
+        [np.linalg.norm(p[b] + lattice @ np.array(w, dtype=float) - p[a]) for a, b, w in keys]
+        for p, lattice in placements
+    ])
+    inc = np.diff(dist, axis=0)
+    violations = [(keys[k], int(s) + 1, float(-inc[s, k])) for k, s in zip(*np.nonzero(inc.T < -audit_tol))]
+    return dict(zip(keys, inc.min(axis=0).tolist())), violations
+
+
+def frozen_audit_csv(pair_results, violations) -> str:
+    """Text of the audit table: orbit_a,orbit_b,shift...,min_increment,
+    first_violation_step, one line per key of `pair_results` in sorted
+    order, an orbit with a comma, quote, CR or LF quoted as RFC 4180 does."""
+
+    def field(text):
+        return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+    keys = sorted(pair_results)
+    first = {}
+    for key, step, _ in violations:
+        first[key] = min(first.get(key, step), step)
+    d = len(keys[0][2]) if keys else 0
+    lines = [",".join(["orbit_a", "orbit_b", *(f"shift_{i + 1}" for i in range(d)), "min_increment", "first_violation_step"])]
+    for key in keys:
+        a, b, w = key
+        lines.append(",".join([field(a), field(b), *map(str, w), format(pair_results[key], ".12g"), str(first.get(key, ""))]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -320,18 +320,31 @@ def one_string_table(path, d, value_names, rows):
         fh.write("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
 
 
+ORBITS = ("a", 'b,"x"', "c")
+
+
 def table_rows(count, d=2):
-    """`count` rows whose orbit names include one that needs quoting."""
-    names = [_csv_field(o) for o in ("a", 'b,"x"', "c")]
+    """`count` rows, quoted one field at a time, whose orbit names include
+    one that needs quoting."""
+    names = [_csv_field(o) for o in ORBITS]
     return (
         [names[k % 3], names[(k + 1) % 3], *(str(k % 5 - 2) for _ in range(d)), format(k / 7, ".12g")]
         for k in range(count)
     )
 
 
+def table_chunks(count, d=2, size=1024):
+    """The pairs of `table_rows` as the writer reads them: chunks of `size`
+    pairs, each orbit index arrays, a shift matrix and the value text."""
+    for lo in range(0, count, size):
+        k = np.arange(lo, min(lo + size, count))
+        shifts = np.repeat(k[:, None] % 5 - 2, d, axis=1)
+        yield k % 3, (k + 1) % 3, shifts, [format(x / 7, ".12g") for x in k.tolist()]
+
+
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_pair_table_writes_the_one_string_bytes(tmp_path, count):
-    _write_pair_table(tmp_path / "streamed.csv", 2, ["value"], table_rows(count))
+    _write_pair_table(tmp_path / "streamed.csv", ORBITS, 2, ["value"], table_chunks(count))
     one_string_table(tmp_path / "whole.csv", 2, ["value"], list(table_rows(count)))
     assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
     assert (b'"b,""x"""' in (tmp_path / "streamed.csv").read_bytes()) == (count > 0)
@@ -341,7 +354,7 @@ def test_pair_table_holds_a_chunk_of_lines_not_the_table(tmp_path):
     # 50,000 rows make a ~1.5 MB table; joined whole it peaked at ~5.5 MB.
     tracemalloc.start()
     try:
-        _write_pair_table(tmp_path / "big.csv", 2, ["value"], table_rows(50_000))
+        _write_pair_table(tmp_path / "big.csv", ORBITS, 2, ["value"], table_chunks(50_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

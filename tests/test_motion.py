@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perigid import (
     EdgeOrbit,
@@ -38,7 +40,7 @@ from perigid import motion
 from perigid.motion import MotionPath, write_audit_csv
 from perigid.rigidity import pack_motion
 
-from _oracles import frozen_frames, frozen_gauge_free_indices
+from _oracles import frozen_audit, frozen_audit_csv, frozen_frames, frozen_gauge_free_indices
 from conftest import make_framework, pair_keys, whole_pairs
 
 
@@ -461,12 +463,12 @@ def test_export_matches_frozen_writers(tmp_path, fmt, d, supercell):
 
 # -- long paths: the audit and the export hold a step or a block, not the run ----
 
-def scaled_path(n_steps, contract_every=None):
-    """A path built without continuation: the d = 3 removed:1 regular
+def scaled_path(n_steps, contract_every=None, d=3):
+    """A path built without continuation: the dimension-d removed:1 regular
     mechanism scaled by 1 + 1e-4 k at step k.  With `contract_every`, the
     lattice at every step k = 3 mod `contract_every` is scaled as at step
     k - 2 instead, so the pairs that cross cells contract at those steps only."""
-    fw = simplex_framework(3, SimplexVariant("removed", 1), regular=True)
+    fw = simplex_framework(d, SimplexVariant("removed", 1), regular=True)
     pl = fw.placement
     placements = []
     for k in range(n_steps + 1):
@@ -518,6 +520,74 @@ def test_audit_csv_first_violations_match_the_step_sorted_list(tmp_path):
         column[(fields[0], fields[1], tuple(map(int, fields[2:5])))] = fields[-1]
     assert column == {key: str(first.get(key, "")) for key in audit.pair_results}
     assert set(column.values()) == {"", "3"}
+
+def test_a_nan_audit_tolerance_is_rejected():
+    # No drop compares greater than NaN, so the path below, which fails at
+    # the default tolerance, would pass.
+    _, path = scaled_path(20, contract_every=4)
+    assert not audit_expansiveness(path, radius=2).passed
+    with pytest.raises(ValueError, match="NaN"):
+        audit_expansiveness(path, radius=2, audit_tol=float("nan"))
+
+
+# Orbit names whose sorted order differs from every graph order drawn below:
+# one needs CSV quoting for its comma, one for its quote, one is not ASCII.
+AUDIT_NAMES = ("\u00e9t\u00e9", "b,c", 'a"q', "B")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.permutations(AUDIT_NAMES),
+    n=st.sampled_from([3, 4]),
+    d=st.sampled_from([1, 2, 3]),
+    radius=st.sampled_from([1, 2]),
+    moves=st.lists(st.sampled_from([1.0, -0.5, 0.25]), min_size=1, max_size=5),
+    audit_tol=st.sampled_from([motion.DEFAULT_AUDIT_TOL, 0.0, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_audit_and_its_table_match_the_frozen_keyed_audit(tmp_path_factory, order, n, d, radius, moves, audit_tol, seed):
+    # Each step moves every position and the lattice along one random
+    # velocity, forward or back, so some pairs contract at some steps.
+    orbits = order[:n]
+    assume(list(orbits) != sorted(orbits))
+    rng = np.random.default_rng(seed)
+    p0, v = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    l0, lv = 3 * np.eye(d) + 0.3 * rng.standard_normal((d, d)), 0.3 * rng.standard_normal((d, d))
+    placements = [
+        ({o: p0[i] + t * v[i] for i, o in enumerate(orbits)}, l0 + t * lv)
+        for t in 0.05 * np.cumsum([0.0, *moves])
+    ]
+    graph = QuotientGraph(d, orbits, ())
+    path = MotionPath(
+        graph, [Placement(*pl) for pl in placements], 0.0, np.zeros((len(placements), 1)), np.zeros(len(placements))
+    )
+    results, violations = frozen_audit(orbits, placements, radius, audit_tol)
+
+    audit = audit_expansiveness(path, radius=radius, audit_tol=audit_tol)
+    assert list(audit.pair_results) == list(results)
+    assert np.array(list(audit.pair_results.values())).tobytes() == np.array(list(results.values())).tobytes()
+    assert repr(audit.violations) == repr(violations)
+    target = tmp_path_factory.mktemp("audit") / "audit.csv"
+    write_audit_csv(audit, target)
+    assert target.read_bytes() == frozen_audit_csv(results, violations).encode()
+
+
+def test_audit_holds_a_few_arrays_per_pair():
+    # d = 4, R = 3: 4,801 pairs.  Orbit indices, shifts and the smallest
+    # increment are 8 (d + 3) bytes a pair; one key, dict entry and list entry
+    # each took ~220.
+    d = 4
+    _, path = scaled_path(2, d=d)
+    path._stacks
+    tracemalloc.start()
+    try:
+        audit = audit_expansiveness(path, radius=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs = len(audit.pair_results)
+    assert pairs == 4801 and held <= 8 * (d + 4) * pairs + 16_384
+
 
 def traced_peak(fn, *args, **kwargs) -> int:
     tracemalloc.start()
