@@ -16,14 +16,13 @@ without the probe's larger system being solved.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalFailureError
 from .feasibility import LP_TOL, _is_exact, solve_linear_feasibility
-from .framework import PeriodicFramework, _json_vec
+from .framework import PeriodicFramework, _json
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,12 +223,6 @@ def strict_expansion_probe(star: VectorStar):
 # Report serialization.
 
 def star_report_json(analysis: ConeAnalysis) -> str:
-    return (
-        "{"
-        + f'"orbit": {json.dumps(analysis.orbit)}, '
-        + f'"lineality_dim": {analysis.lineality_dim}, '
-        + f'"pointed_codim2": {"true" if analysis.pointed_codim2 else "false"}, '
-        + f'"separating_normal": {_json_vec(analysis.separating_normal)}, '
-        + f'"positive_dependence": {_json_vec(analysis.positive_dependence)}'
-        + "}"
-    )
+    return _json({"orbit": analysis.orbit, "lineality_dim": analysis.lineality_dim,
+                  "pointed_codim2": bool(analysis.pointed_codim2), "separating_normal": analysis.separating_normal,
+                  "positive_dependence": analysis.positive_dependence})

@@ -50,7 +50,7 @@ from .errors import (
     NonPointedConeError,
     NumericalFailureError,
 )
-from .framework import EdgeOrbit, PeriodicFramework, _integer_shift, _json_matrix
+from .framework import EdgeOrbit, PeriodicFramework, _integer_shift, _json
 from .framework import _row_dots, _separations, _write_pair_table
 from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
@@ -194,6 +194,8 @@ def extremal_rays(halfspaces) -> np.ndarray:
     a = np.asarray(halfspaces, dtype=float)
     if a.ndim != 2:
         raise ValueError("halfspaces must be a matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("halfspaces must be finite")
     f = a.shape[1]
     if f < 1:
         raise ValueError("cone dimension must be positive")
@@ -639,11 +641,8 @@ def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int
 # Serialization.
 
 def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
-    return (
-        f'{{"flex_dim": {cone.flex_dim}, "radius": {cone.radius}, '
-        f'"stable_radius": {stable_radius}, "num_halfspaces": {len(cone.halfspace_matrix)}, '
-        f'"rays": {_json_matrix(cone.rays)}, "ray_motions": {_json_matrix(cone.ray_motions())}}}'
-    )
+    return _json({"flex_dim": cone.flex_dim, "radius": cone.radius, "stable_radius": stable_radius,
+                  "num_halfspaces": len(cone.halfspace_matrix), "rays": cone.rays, "ray_motions": cone.ray_motions()})
 
 
 def _write_pair_audit(fw: PeriodicFramework, radius: int, values: np.ndarray, path) -> None:

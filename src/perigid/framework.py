@@ -9,10 +9,12 @@ p[head] + lattice @ shift.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -236,15 +238,39 @@ def _with_placement(graph: QuotientGraph, placement: Placement) -> PeriodicFrame
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization.  Fixed schema, fixed key order, 17-significant-digit
-# floats so that save/load round-trips bit for bit.  The report writers of
-# the other modules share these float formatters.
+# Serialization.  Fixed schema, fixed key order, 17-significant-digit floats
+# so that save/load round-trips bit for bit.  `_json` writes the framework
+# file and the report of every other module.
 
 _TOP_KEYS = ("dimension", "vertex_orbits", "lattice", "edge_orbits")
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
+def _json(value) -> str:
+    """`value` as JSON text with ", " and ": " separators: strings, None and
+    bools as `json.dumps` writes them, Python ints in decimal, numpy values as
+    their `tolist()`, and other numbers (float, Fraction) as 17-significant-digit
+    floats.  Float types are checked first (the bulk of every report), and a
+    float array's rows are formatted with no call per entry."""
+    t = type(value)
+    if t is float:
+        return format(value, ".17g")
+    if t is int:
+        return str(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if t is list or t is tuple:
+        return "[" + ", ".join(map(_json, value)) + "]"
+    if t is dict:
+        return "{" + ", ".join([encode_basestring_ascii(k) + ": " + _json(v) for k, v in value.items()]) + "}"
+    if t is np.ndarray and value.ndim and value.dtype.kind == "f":
+        if value.ndim > 1:
+            return "[" + ", ".join(map(_json, value)) + "]"
+        return "[" + ", ".join(map(format, value.tolist(), itertools.repeat(".17g"))) + "]"
+    if value is None or t is bool:
+        return json.dumps(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _json(value.tolist())
+    return format(float(value), ".17g")
 
 
 def _csv_field(text: str) -> str:
@@ -271,39 +297,15 @@ def _write_pair_table(path, orbits, d: int, value_names: list[str], chunks) -> N
         fh.write("\n")
 
 
-def _json_vec(v) -> str:
-    if v is None:
-        return "null"
-    return "[" + ", ".join(_f17(x) for x in v) + "]"
-
-
-def _json_matrix(rows) -> str:
-    return "[" + ", ".join(_json_vec(row) for row in rows) + "]"
-
-
 def dumps_framework(fw: PeriodicFramework) -> str:
+    """The framework file, one line per vertex orbit and per edge orbit."""
     g, pl = fw.graph, fw.placement
-    lines = ["{", f'  "dimension": {g.dimension},']
-    vo = []
-    for orbit in g.vertex_orbits:
-        pos = _json_vec(pl.positions[orbit])
-        vo.append(f'    {{"id": {json.dumps(orbit)}, "position": {pos}}}')
-    lines.append('  "vertex_orbits": [')
-    lines.append(",\n".join(vo))
-    lines.append("  ],")
-    lines.append(f'  "lattice": {_json_matrix(pl.lattice)},')
-    eo = []
-    for e in g.edge_orbits:
-        shift = ", ".join(str(c) for c in e.shift)
-        eo.append(
-            f'    {{"tail": {json.dumps(e.tail)}, "head": {json.dumps(e.head)}, '
-            f'"shift": [{shift}]}}'
-        )
-    lines.append('  "edge_orbits": [')
-    lines.append(",\n".join(eo))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vo = ",\n".join(["    " + _json({"id": o, "position": pl.positions[o]}) for o in g.vertex_orbits])
+    eo = ",\n".join(["    " + _json({"tail": e.tail, "head": e.head, "shift": e.shift}) for e in g.edge_orbits])
+    return (
+        f'{{\n  "dimension": {_json(g.dimension)},\n  "vertex_orbits": [\n{vo}\n  ],\n'
+        f'  "lattice": {_json(pl.lattice)},\n  "edge_orbits": [\n{eo}\n  ]\n}}\n'
+    )
 
 
 def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:

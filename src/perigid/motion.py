@@ -30,6 +30,7 @@ at a time and the export one block of steps, so neither holds a whole run.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,7 +165,8 @@ def continue_motion(
     """Follow the flex `direction` for `n_steps` steps of size h.
 
     h is measured in units of the shortest edge length and must be
-    positive and finite; n_steps must be a nonnegative integer.  The seed must
+    positive and finite; n_steps must be a nonnegative integer, and newton_tol
+    and rank_tol finite.  The seed must
     annihilate the edge rows; its trivial (isometry) component is projected
     out before stepping.  A purely trivial seed, or a rigid framework, yields
     a zero-displacement path.
@@ -173,6 +175,8 @@ def continue_motion(
         raise ValueError(f"step size must be positive and finite, got {h!r}")
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    if not math.isfinite(newton_tol):
+        raise ValueError(f"newton_tol must be finite, got {newton_tol!r}")
     graph = fw.graph
     pos0 = np.array([fw.placement.positions[o] for o in graph.vertex_orbits])
     # The seed's rows come from rigidity_rows, as each Newton Jacobian's do:
@@ -369,7 +373,7 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
             if other in box:
                 segments.append(f"l {vertex_index[(e.tail, z)]} {vertex_index[(e.head, other)]}")
 
-    # One %-format per frame; '%.17g' is framework._f17 bit for bit.
+    # One %-format per frame; '%.17g' is framework._json's float bit for bit.
     vertex_block = "\n".join(["v " + " ".join(["%.17g"] * d + ["0"] * (3 - d))] * len(vertices))
     tail = "".join("\n" + seg for seg in segments) + "\n"
     written = []

@@ -20,6 +20,7 @@ at the caller's tolerance; anything else raises ``NotAFlexError``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     NumericalFailureError,
     ZeroPivotError,
 )
-from .framework import PeriodicFramework, QuotientGraph, _f17, _json_matrix, _separations
+from .framework import PeriodicFramework, QuotientGraph, _json, _separations
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -153,7 +154,10 @@ def analyze(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> RigidityRep
     Rank comes from an SVD with threshold tol * (largest singular value).
     The flex basis spans nullspace intersected with the orthogonal complement
     of the trivial motions; the stress basis spans the left nullspace.
+    A NaN or infinite tol is a ValueError.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"rank tolerance must be finite, got {tol!r}")
     matrix = rigidity_matrix(fw)
     m, size = matrix.shape
     trivial = trivial_motion_basis(fw)
@@ -203,7 +207,9 @@ def stress_coefficients(
     normalize_edge: int,
     value: float = 1.0,
 ) -> np.ndarray:
-    """The unique stress, rescaled so entry `normalize_edge` equals `value`."""
+    """The unique stress, rescaled so entry `normalize_edge` equals the finite `value`."""
+    if not math.isfinite(value):
+        raise ValueError(f"stress value must be finite, got {value!r}")
     s = report.stress_dim
     if s == 0:
         raise NoStressError("framework carries no stress")
@@ -239,12 +245,6 @@ def is_minimally_rigid(fw: PeriodicFramework) -> bool:
 # Report serialization.
 
 def report_to_json(report: RigidityReport) -> str:
-    return (
-        "{"
-        + f'"rank": {report.rank}, "dof": {report.dof}, '
-        + f'"stress_dim": {report.stress_dim}, '
-        + f'"flex_basis": {_json_matrix(report.flex_basis)}, '
-        + f'"stress_basis": {_json_matrix(report.stress_basis)}, '
-        + f'"tolerance": {_f17(report.tolerance_used)}'
-        + "}"
-    )
+    return _json({"rank": report.rank, "dof": report.dof, "stress_dim": report.stress_dim,
+                  "flex_basis": report.flex_basis, "stress_basis": report.stress_basis,
+                  "tolerance": float(report.tolerance_used)})

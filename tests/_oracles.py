@@ -12,11 +12,14 @@ must reproduce bit for bit, the first rows of each 9-decimal key by
 check of a simplicial cone by its facet normals,
 a comparison of ray sets up to an angular tolerance, a frozen copy of the
 frame writers that format one value at a time, a frozen copy of the pair
-audit and its table keyed and sorted one pair at a time, and the motion gauge's free
-coordinates by the index formula of the (dn + d^2) layout.
+audit and its table keyed and sorted one pair at a time, the motion gauge's free
+coordinates by the index formula of the (dn + d^2) layout, and a frozen copy
+of the f-string JSON writers of the framework file and the rigidity, star and
+cone reports.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -798,3 +801,77 @@ def frozen_gauge_free_indices(d, n):
         for r in range(c + 1, d):
             fixed.add(d * n + c * d + r)
     return np.array([i for i in range(d * n + d * d) if i not in fixed])
+
+
+# -- frozen f-string JSON writers ---------------------------------------------
+
+
+def _frozen_f17(x):
+    return format(float(x), ".17g")
+
+
+def _frozen_json_vec(v):
+    if v is None:
+        return "null"
+    return "[" + ", ".join(_frozen_f17(x) for x in v) + "]"
+
+
+def _frozen_json_matrix(rows):
+    return "[" + ", ".join(_frozen_json_vec(row) for row in rows) + "]"
+
+
+def frozen_dumps_framework(fw) -> str:
+    g, pl = fw.graph, fw.placement
+    lines = ["{", f'  "dimension": {g.dimension},']
+    vo = []
+    for orbit in g.vertex_orbits:
+        pos = _frozen_json_vec(pl.positions[orbit])
+        vo.append(f'    {{"id": {json.dumps(orbit)}, "position": {pos}}}')
+    lines.append('  "vertex_orbits": [')
+    lines.append(",\n".join(vo))
+    lines.append("  ],")
+    lines.append(f'  "lattice": {_frozen_json_matrix(pl.lattice)},')
+    eo = []
+    for e in g.edge_orbits:
+        shift = ", ".join(str(c) for c in e.shift)
+        eo.append(
+            f'    {{"tail": {json.dumps(e.tail)}, "head": {json.dumps(e.head)}, '
+            f'"shift": [{shift}]}}'
+        )
+    lines.append('  "edge_orbits": [')
+    lines.append(",\n".join(eo))
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def frozen_report_json(report) -> str:
+    return (
+        "{"
+        + f'"rank": {report.rank}, "dof": {report.dof}, '
+        + f'"stress_dim": {report.stress_dim}, '
+        + f'"flex_basis": {_frozen_json_matrix(report.flex_basis)}, '
+        + f'"stress_basis": {_frozen_json_matrix(report.stress_basis)}, '
+        + f'"tolerance": {_frozen_f17(report.tolerance_used)}'
+        + "}"
+    )
+
+
+def frozen_star_report_json(analysis) -> str:
+    return (
+        "{"
+        + f'"orbit": {json.dumps(analysis.orbit)}, '
+        + f'"lineality_dim": {analysis.lineality_dim}, '
+        + f'"pointed_codim2": {"true" if analysis.pointed_codim2 else "false"}, '
+        + f'"separating_normal": {_frozen_json_vec(analysis.separating_normal)}, '
+        + f'"positive_dependence": {_frozen_json_vec(analysis.positive_dependence)}'
+        + "}"
+    )
+
+
+def frozen_cone_report_json(cone, stable_radius) -> str:
+    return (
+        f'{{"flex_dim": {cone.flex_dim}, "radius": {cone.radius}, '
+        f'"stable_radius": {stable_radius}, "num_halfspaces": {len(cone.halfspace_matrix)}, '
+        f'"rays": {_frozen_json_matrix(cone.rays)}, "ray_motions": {_frozen_json_matrix(cone.ray_motions())}}}'
+    )

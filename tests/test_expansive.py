@@ -158,6 +158,14 @@ def test_halfspaces_must_be_a_matrix_of_positive_width():
         extremal_rays(np.zeros((3, 0)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_halfspaces_must_be_finite(bad):
+    # Unchecked, a NaN row is dropped by the norm filter and an infinite one
+    # fails inside the SVD.
+    with pytest.raises(ValueError, match="halfspaces must be finite"):
+        extremal_rays([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+
+
 def test_simplicial_3d_cone():
     rays = extremal_rays(np.eye(3))
     assert rays_match(rays, np.eye(3), 1e-9)

@@ -288,6 +288,16 @@ def test_an_overflowing_step_is_a_newton_divergence(mech2, capfd):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("newton_tol", [float("nan"), float("inf")])
+def test_continue_motion_rejects_a_newton_tolerance_that_is_not_finite(mech2, newton_tol):
+    # Unchecked, an infinite tolerance skips the corrector and a NaN one runs
+    # it to the iteration cap; the rank tolerance is checked by analyze.
+    with pytest.raises(ValueError, match="newton_tol must be finite"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=2, newton_tol=newton_tol)
+    with pytest.raises(ValueError, match="rank tolerance must be finite"):
+        continue_motion(mech2, expanding_flex(mech2), n_steps=2, rank_tol=newton_tol)
+
+
 @pytest.mark.parametrize("n_steps", [-3, 2.5, "2", None])
 def test_continue_motion_rejects_a_step_count_that_is_not_a_nonnegative_int(mech2, n_steps):
     with pytest.raises(ValueError, match="n_steps"):

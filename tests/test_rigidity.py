@@ -169,12 +169,28 @@ def test_zero_pivot(stressed):
     assert abs(w[-1]) < 1e-9
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_stress_value_must_be_finite(stressed, value):
+    with pytest.raises(ValueError, match="stress value must be finite"):
+        stress_coefficients(stressed, analyze(stressed), 0, value=value)
+
+
 def test_stress_normalized_at_a_missing_edge_is_an_index_error(stressed):
     with pytest.raises(IndexError, match=f"edge orbit index {stressed.m} out of range"):
         stress_coefficients(stressed, analyze(stressed), stressed.m)
 
 
 # -- rank estimation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_rank_tolerance_must_be_finite(tol):
+    # Unchecked, either tolerance reads rank 0 and dof 9 on this rank-8, dof-1 framework.
+    fw = simplex_framework(3, SimplexVariant("removed", 1))
+    report = analyze(fw)
+    assert (report.rank, report.dof) == (8, 1)
+    with pytest.raises(ValueError, match="rank tolerance must be finite"):
+        analyze(fw, tol)
 
 
 def test_rank_gap_guard():
