@@ -111,15 +111,15 @@ _PAIR_CHUNK = 1024
 def _pair_incidence(orbits, d: int, radius: int, shell: bool = False):
     """(tail index, head index, integer shift) arrays of the canonical pairs,
     one triple per chunk of `_PAIR_CHUNK` pairs, the last chunk with the
-    rest: each a < b (sorted orbits) over the lexicographic shift box, then
-    each (a, a) over the shifts before the box's centre, the w < -w half.
-    With `shell`, only the shifts of max-norm exactly `radius`; the filter
-    keeps w and -w together, so the shell's shifts before the centre are its
-    w < -w half.  The box is walked a window at a time, its last k
-    coordinates running through a sub-box of _PAIR_CHUNK to
-    (2 radius + 1) _PAIR_CHUNK shifts (the whole box if it is smaller) while
-    the first d - k are fixed, so no array spans the whole set; the chunks
-    are cut from the pair order, not from the box."""
+    rest, in the blocks of `_pair_blocks`: each a < b (sorted orbits) over
+    the lexicographic shift box, then each (a, a) over the shifts before the
+    box's centre, the w < -w half.  With `shell`, only the shifts of max-norm
+    exactly `radius`; the filter keeps w and -w together, so the shell's
+    shifts before the centre are its w < -w half.  The box is walked a
+    window at a time, its last k coordinates running through a sub-box of
+    _PAIR_CHUNK to (2 radius + 1) _PAIR_CHUNK shifts (the whole box if it is
+    smaller) while the first d - k are fixed, so no array spans the whole
+    set; the chunks are cut from the pair order, not from the box."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
     width, k = 2 * radius + 1, 1
@@ -128,11 +128,8 @@ def _pair_incidence(orbits, d: int, radius: int, shell: bool = False):
     tail = np.indices((width,) * k).reshape(k, -1).T - radius
     tail_on_shell = np.abs(tail).max(axis=1) == radius
     leads = list(itertools.product(range(-radius, radius + 1), repeat=d - k))
-    order = sorted(range(len(orbits)), key=lambda i: orbits[i])
-    blocks = [(a, b, width**d) for i, a in enumerate(order) for b in order[i + 1 :]]
-    blocks += [(a, a, width**d // 2) for a in order]
     held, count = [], 0
-    for a, b, stop in blocks:
+    for a, b, stop in _pair_blocks(orbits, d, radius):
         for lo, lead in zip(range(0, stop, len(tail)), leads):
             rows = tail[: stop - lo]
             if shell and max(map(abs, lead), default=0) < radius:
@@ -149,6 +146,24 @@ def _pair_incidence(orbits, d: int, radius: int, shell: bool = False):
                     yield tuple(x[i : i + _PAIR_CHUNK] for x in merged)
                 held, count = [tuple(x[cut:] for x in merged)], count - cut
     yield tuple(np.concatenate(x) for x in zip(*held))
+
+
+def _pair_blocks(orbits, d: int, radius: int) -> list[tuple[int, int, int]]:
+    """(tail, head, pair count) of the stream's blocks in stream order: every
+    a < b (sorted orbits) over the (2 radius + 1)^d shifts of the box, then
+    every (a, a) over its first half, each in the box's lexicographic order."""
+    order, box = sorted(range(len(orbits)), key=lambda i: orbits[i]), (2 * radius + 1) ** d
+    return [(a, b, box) for a, b in itertools.combinations(order, 2)] + [(a, a, box // 2) for a in order]
+
+
+def _pairs_at(orbits, d: int, radius: int, index: np.ndarray):
+    """(tail index, head index, integer shift) arrays of the pairs of
+    `_pair_incidence(orbits, d, radius)` at the stream positions `index`."""
+    tails, heads, counts = np.array(_pair_blocks(orbits, d, radius)).T
+    ends = np.cumsum(counts)
+    block = np.searchsorted(ends, index, side="right")
+    box = np.unravel_index(index - ends[block] + counts[block], (2 * radius + 1,) * d)
+    return tails[block], heads[block], np.stack(box, axis=1) - radius
 
 
 def _pair_chunks(fw: PeriodicFramework, radius: int, shell: bool = False):

@@ -317,9 +317,17 @@ def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
         )
 
 
+class _MinusZero(int):
+    """JSON `-0`, as the writer prints -0.0: the int 0 to a shift or the
+    dimension, and -0.0 as a coordinate, which numpy reads by `__float__`."""
+
+    def __float__(self) -> float:
+        return -0.0
+
+
 def loads_framework(text: str) -> PeriodicFramework:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=lambda digits: _MinusZero() if digits == "-0" else int(digits))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     _require_keys(data, _TOP_KEYS, "framework")
@@ -364,7 +372,7 @@ def loads_framework(text: str) -> PeriodicFramework:
 def _number_list(values) -> bool:
     # Floats, and ints a float can hold: 10**400 would overflow in numpy.
     return isinstance(values, list) and all(
-        isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max) for x in values
+        isinstance(x, float) or (type(x) in (int, _MinusZero) and abs(x) <= sys.float_info.max) for x in values
     )
 
 

@@ -23,8 +23,9 @@ step is one Newton correction (two after a stall), one placement-only check
 
 The pair audit, facet gaps and frame export read one stack of per-step
 positions and lattices and get every pair separation and realized vertex
-from the same incidence core as the rigidity rows.  The audit reads one step
-at a time and the export one block of steps, so neither holds a whole run.
+from the same incidence core as the rigidity rows.  The audit runs one chunk
+of the pair stream through every step, and the export reads one block of
+steps, so neither holds a whole run or the audit the whole pair set.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     NumericalFailureError,
     SingularJacobianError,
 )
-from .expansive import _CHUNK, _PAIR_CHUNK, DEFAULT_RADIUS, _pair_incidence, _pair_keys
+from .expansive import _CHUNK, _PAIR_CHUNK, DEFAULT_RADIUS, _pair_blocks, _pair_incidence, _pair_keys, _pairs_at
 from .framework import PeriodicFramework, Placement, QuotientGraph
 from .framework import _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
 from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
@@ -81,11 +82,12 @@ class MotionPath:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionAudit:
-    """The pair stream's arrays (orbit names, tails, heads, shifts) with each
-    pair's smallest step increment, and the violations as pair-major arrays of
-    pair index, step and drop; no key is built until one is read."""
+    """Each pair's smallest step increment in the pair stream's order, and the
+    violations as pair-major arrays of stream index, step and drop.  The pairs
+    are a function of (orbit names, d, radius), so no key is held: each read
+    builds them from the stream's layout (`_pairs_at`)."""
 
-    _pairs: tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    _stream: tuple[tuple[str, ...], int, int, np.ndarray]  # orbits, d, radius, low
     _found: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
@@ -95,16 +97,15 @@ class ExpansionAudit:
     @property
     def pair_results(self) -> dict[tuple[str, str, tuple[int, ...]], float]:
         """Each pair's smallest step increment by key, in stream order, built on each read."""
-        *pairs, low = self._pairs
-        return dict(zip(_pair_keys(*pairs), low.tolist()))
+        orbits, d, radius, low = self._stream
+        return dict(zip(_pair_keys(orbits, *_pairs_at(orbits, d, radius, np.arange(len(low)))), low.tolist()))
 
     @property
     def violations(self) -> list[tuple[tuple[str, str, tuple[int, ...]], int, float]]:
         """(key, step, drop) per violation, pair-major, built on each read."""
-        orbits, tails, heads, shifts, _ = self._pairs
+        orbits, d, radius, _ = self._stream
         pairs, steps, drops = self._found
-        keys = _pair_keys(orbits, tails[pairs], heads[pairs], shifts[pairs])
-        return list(zip(keys, steps.tolist(), drops.tolist()))
+        return list(zip(_pair_keys(orbits, *_pairs_at(orbits, d, radius, pairs)), steps.tolist(), drops.tolist()))
 
 
 def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
@@ -259,8 +260,22 @@ def audit_expansiveness(
         raise ValueError("path needs at least two steps")
     if np.isnan(audit_tol):
         raise ValueError("audit_tol is NaN, which no drop exceeds")
-    orbits = path.graph.vertex_orbits
-    tails, heads, shifts = map(np.concatenate, zip(*_pair_incidence(orbits, path.graph.dimension, radius)))
+    orbits, d = path.graph.vertex_orbits, path.graph.dimension
+    chunks, start = [], 0
+    for tails, heads, shifts in _pair_incidence(orbits, d, radius):
+        chunks.append(_audit_chunk(path, start, tails, heads, shifts, audit_tol))
+        start += len(tails)
+    low, pairs, steps, drops = zip(*chunks)
+    del chunks  # each chunk's arrays go as they are joined
+    pairs = np.concatenate(pairs)
+    steps = np.concatenate(steps)
+    drops = np.concatenate(drops)
+    return ExpansionAudit((orbits, d, radius, np.concatenate(low)), (pairs, steps, drops))
+
+
+def _audit_chunk(path: MotionPath, start: int, tails, heads, shifts, audit_tol: float):
+    """One chunk's smallest step increments and its violations as pair-major
+    arrays of stream index (the chunk starts at `start`), step and drop."""
     w = shifts.astype(float)
     seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(*path._stacks))
     dists = (np.sqrt(_row_dots(sep, sep)) for sep in seps)
@@ -271,14 +286,17 @@ def audit_expansiveness(
         np.minimum(low, inc, out=low)
         bad = np.flatnonzero(inc < -audit_tol)
         if len(bad):
-            found.append((step, bad, -inc[bad]))
+            found.append((step, start + bad, -inc[bad]))
         prev = dist
     at, bad, drops = zip(*found)
     del found  # the per-step arrays go as they are joined
     steps = np.repeat(at, list(map(len, bad)))
     bad, drops = np.concatenate(bad), np.concatenate(drops)
     order = np.argsort(bad, kind="stable")  # pair-major, steps ascending
-    return ExpansionAudit((orbits, tails, heads, shifts, low), (bad[order], steps[order], drops[order]))
+    # One reordered copy at a time: a chunk can hold ~250,000 violations.
+    bad = bad[order]
+    steps = steps[order]
+    return low, bad, steps, drops[order]
 
 
 def _simplex_family_offsets(graph: QuotientGraph):
@@ -388,17 +406,22 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
 
 def write_audit_csv(audit: ExpansionAudit, path) -> None:
     """Audit table: orbit_a,orbit_b,shift...,min_increment,first_violation_step
-    in key order, `sorted(audit.pair_results)`: the stream holds each (tail, head)
-    in one run of ascending shifts, so a stable sort on its name rank suffices."""
-    orbits, tails, heads, shifts, low = audit._pairs
+    in key order, `sorted(audit.pair_results)`: the stream's (tail, head)
+    blocks (`_pair_blocks`), each a run of ascending shifts, in key order."""
+    orbits, d, radius, low = audit._stream
     pairs, steps, _ = audit._found
-    first = np.full(len(low), "", dtype=object)  # each pair's first violating step
-    violating, at = np.unique(pairs, return_index=True)  # pair-major
-    first[violating] = steps[at].astype(str)
-    rank = np.argsort(sorted(range(len(orbits)), key=orbits.__getitem__))  # Python's string order
-    order = np.argsort(rank[tails] * len(orbits) + rank[heads], kind="stable")
-    chunks = (
-        (tails[k], heads[k], shifts[k], map(format, low[k].tolist(), itertools.repeat(".12g")), first[k])
-        for k in np.split(order, range(_PAIR_CHUNK, len(order), _PAIR_CHUNK))
-    )
-    _write_pair_table(path, orbits, shifts.shape[1], ["min_increment", "first_violation_step"], chunks)
+    blocks = _pair_blocks(orbits, d, radius)
+    starts = itertools.accumulate([count for *_, count in blocks], initial=0)
+    spans = sorted(((orbits[a], orbits[b]), start, start + count) for (a, b, count), start in zip(blocks, starts))
+
+    def chunks():
+        for _, start, stop in spans:  # key order
+            for lo in range(start, stop, _PAIR_CHUNK):
+                k = np.arange(lo, min(lo + _PAIR_CHUNK, stop))
+                i, j = np.searchsorted(pairs, [lo, lo + len(k)])
+                hit, first = np.unique(pairs[i:j], return_index=True)  # pair-major: each one's first step
+                column = np.full(len(k), "", dtype=object)
+                column[hit - lo] = steps[i + first].astype(str)
+                yield *_pairs_at(orbits, d, radius, k), map(format, low[k].tolist(), itertools.repeat(".12g")), column
+
+    _write_pair_table(path, orbits, d, ["min_increment", "first_violation_step"], chunks())

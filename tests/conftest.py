@@ -13,6 +13,7 @@ from perigid import (
     validate_framework,
 )
 from perigid.framework import _separations
+from perigid.rigidity import pack_motion, unpack_motion
 
 
 def rotated(fw, seed):
@@ -33,6 +34,24 @@ def make_framework(dimension, positions, lattice, edges):
         tuple(EdgeOrbit(t, h, tuple(s)) for t, h, s in edges),
     )
     return validate_framework(graph, Placement(dict(positions), np.asarray(lattice, float)))
+
+
+def change_basis(fw, U):
+    """The same infinite framework in the lattice basis L' = L U (U an
+    integer matrix with an integer inverse): each shift w becomes U^-1 w.
+    Returns it and the map taking its motion vectors (rows) back to fw's
+    layout, where the lattice velocity is L'dot U^-1."""
+    U = np.array(U, dtype=float)
+    inverse = np.linalg.inv(U).round()
+    assert np.array_equal(inverse @ U, np.eye(len(U))), "U must be unimodular"
+    edges = [(e.tail, e.head, (inverse @ e.shift).astype(int).tolist()) for e in fw.graph.edge_orbits]
+    changed = make_framework(fw.dimension, fw.placement.positions, fw.placement.lattice @ U, edges)
+
+    def back(motions):
+        unpacked = (unpack_motion(changed.graph, m) for m in motions)
+        return np.array([pack_motion(pdot, ldot @ inverse) for pdot, ldot in unpacked])
+
+    return changed, back
 
 
 def whole_pairs(fw, radius):

@@ -325,6 +325,18 @@ def test_pair_stream_is_the_whole_pair_set_in_order(kind, d, radius, chunk, monk
         assert np.concatenate([c.rows for c in chunks]).tobytes() == whole.rows[keep].tobytes()
 
 
+@pytest.mark.parametrize("orbits, d, radius", [(("a",), 1, 3), (("c", "a", "b"), 2, 2), (("b", "a"), 3, 1), (("x", "y"), 4, 2)])
+def test_pairs_at_a_stream_position_are_the_streams(orbits, d, radius):
+    # The audit table and keys read pairs by stream position from the block
+    # layout alone; it must be the stream's, block sizes included.
+    tails, heads, shifts = map(np.concatenate, zip(*expansive._pair_incidence(orbits, d, radius)))
+    assert sum(count for _, _, count in expansive._pair_blocks(orbits, d, radius)) == len(tails)
+    for index in (np.arange(len(tails)), np.array([0, 0, len(tails) // 2, len(tails) - 1])):
+        at = expansive._pairs_at(orbits, d, radius, index)
+        for got, expected in zip(at, (tails, heads, shifts)):
+            assert got.tolist() == expected[index].tolist()
+
+
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_pair_stream_of_three_orbits_is_the_loop_order(chunk, monkeypatch):
     # Orbits stored out of name order, so the a < b blocks are not in index

@@ -24,6 +24,7 @@ from perigid import (
 )
 from perigid.cones import ConeAnalysis, VectorStar, analyze_star, star_report_json, vertex_star
 from perigid.expansive import cone_report_json
+from perigid.errors import DimensionMismatchError, SchemaError
 from perigid.framework import _json, dumps_framework, loads_framework
 from perigid.rigidity import report_to_json
 
@@ -72,8 +73,7 @@ def test_framework_file_and_rigidity_report_bytes(name):
     fw = FRAMEWORKS[name]()
     text = dumps_framework(fw)
     assert text == frozen_dumps_framework(fw)
-    if name != "negative_zero":  # "-0" reads back as the int 0, so as +0.0
-        assert dumps_framework(loads_framework(text)) == text
+    assert dumps_framework(loads_framework(text)) == text
     report = analyze(fw)
     assert report_to_json(report) == frozen_report_json(report)
 
@@ -87,6 +87,19 @@ def test_the_corner_cases_are_reached():
     assert "[-0, 0.25]" in dumps_framework(negative_zero_framework())
     text = dumps_framework(escaped_framework())
     assert '"a\\"b"' in text and '"c\\\\d"' in text and "\\u00e9t\\u00e9 \\u2192 \\ud835\\udcb3" in text
+
+
+def test_minus_zero_reads_as_a_negative_coordinate_and_an_integer_shift():
+    # The writer prints -0.0 as "-0", which json.loads alone reads as the int 0.
+    text = dumps_framework(negative_zero_framework()).replace('"shift": [0, 0]', '"shift": [-0, 0]')
+    fw = loads_framework(text)
+    assert np.signbit(fw.placement.positions["a"][0]) and np.signbit(fw.placement.lattice[1, 0])
+    assert not np.signbit(fw.placement.positions["a"][1]) and fw.placement.lattice[0, 0] == 1
+    assert [type(c) for c in fw.graph.edge_orbits[0].shift] == [int, int] and fw.graph.edge_orbits[0].shift == (0, 0)
+    with pytest.raises(DimensionMismatchError, match="got 0$"):
+        loads_framework(text.replace('"dimension": 2', '"dimension": -0'))
+    with pytest.raises(SchemaError, match="shift"):
+        loads_framework(text.replace('"shift": [-0, 0]', '"shift": [-0.0, 0]'))
 
 
 @pytest.mark.parametrize("name", ["stressed", "rotated_stressed", "removed3", "escaped", "negative_zero"])

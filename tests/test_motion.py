@@ -36,7 +36,7 @@ from perigid import (
     validate_framework,
     with_edge_orbit,
 )
-from perigid import motion
+from perigid import expansive, motion
 from perigid.motion import MotionPath, write_audit_csv
 from perigid.rigidity import pack_motion
 
@@ -583,9 +583,8 @@ def test_audit_and_its_table_match_the_frozen_keyed_audit(tmp_path_factory, orde
 
 
 def test_audit_holds_a_few_arrays_per_pair():
-    # d = 4, R = 3: 4,801 pairs.  Orbit indices, shifts and the smallest
-    # increment are 8 (d + 3) bytes a pair; one key, dict entry and list entry
-    # each took ~220.
+    # d = 4, R = 3: 4,801 pairs, 8 bytes each (the smallest increment); one
+    # key, dict entry and list entry each took ~220.
     d = 4
     _, path = scaled_path(2, d=d)
     path._stacks
@@ -596,7 +595,47 @@ def test_audit_holds_a_few_arrays_per_pair():
     finally:
         tracemalloc.stop()
     pairs = len(audit.pair_results)
-    assert pairs == 4801 and held <= 8 * (d + 4) * pairs + 16_384
+    assert pairs == 4801 and held <= 8 * pairs + 16_384
+
+
+def test_audit_holds_a_float_a_pair_and_its_violations():
+    # d = 5, R = 3: 33,613 pairs, 67,224 violations.  The smallest increment
+    # is 8 bytes a pair and the violations' pair, step and drop 24 a
+    # violation; the pairs' orbit indices and shifts (8 (d + 3) bytes a pair)
+    # are not held.
+    _, path = scaled_path(8, contract_every=4, d=5)
+    path._stacks
+    tracemalloc.start()
+    try:
+        audit = audit_expansiveness(path, radius=3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs, violations = len(audit.pair_results), len(audit.violations)
+    assert (pairs, violations) == (33_613, 67_224)
+    assert held <= 8 * pairs + 24 * violations + 16_384
+
+
+@pytest.mark.parametrize("chunk", [1, 130, None])
+def test_audit_is_the_same_for_every_chunk_of_the_pair_stream(tmp_path, monkeypatch, chunk):
+    # Each chunk runs through every step on its own, and the table reads its
+    # keys from the stream layout; chunks of one pair, of a size that splits
+    # blocks, and the default must give the same values, order and types.
+    # d = 3, R = 3: 685 pairs in blocks of 343, 171 and 171.
+    _, path = scaled_path(30, contract_every=7)
+    reference = audit_expansiveness(path, radius=3)
+    write_audit_csv(reference, tmp_path / "reference.csv")
+    if chunk is not None:
+        monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(motion, "_PAIR_CHUNK", chunk)
+    audit = audit_expansiveness(path, radius=3)
+    write_audit_csv(audit, tmp_path / "audit.csv")
+    assert (tmp_path / "audit.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert repr(audit.pair_results) == repr(reference.pair_results)  # repr tells -0.0 and np.int64 apart
+    assert repr(audit.violations) == repr(reference.violations) and audit.violations
+    assert {type(x) for key, step, drop in audit.violations for x in (*key[2], step)} == {int}
+    assert {type(key[0]) for key in audit.pair_results} == {str}
+    assert {type(drop) for _, _, drop in audit.violations} | {type(v) for v in audit.pair_results.values()} == {float}
 
 
 def traced_peak(fn, *args, **kwargs) -> int:

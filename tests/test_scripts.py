@@ -118,3 +118,15 @@ def test_every_public_name_has_a_caller():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert unused == []
+
+
+def test_peak_rss_bounds_the_command_and_keeps_its_failure():
+    # CI bounds the largest `simulate` runs with it: exit 0 within the bound,
+    # 1 beyond it, and the command's own code when the command fails.
+    script = os.path.join(ROOT, "scripts", "peak_rss.py")
+    runs = {(1000, 0): 0, (0.001, 0): 1, (1000, 3): 3}
+    for (bound, code), expected in runs.items():
+        command = [sys.executable, script, str(bound), sys.executable, "-c", f"raise SystemExit({code})"]
+        done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+        assert done.returncode == expected, done.stdout + done.stderr
+        assert done.stdout.startswith("peak RSS ")
