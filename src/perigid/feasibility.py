@@ -43,9 +43,12 @@ those of plain Fraction pivoting (the entering artificial is the lowest-indexed
 one, not the first stored); a system is infeasible when zrow's rhs entry is
 negative.
 
-Floating mode pivots on one numpy tableau with the IEEE operations of a
-row-by-row tableau in the same order: the pivot row is divided by the pivot,
-and only rows whose factor is nonzero are updated, so signed zeros are kept.
+Floating mode pivots on a row-by-row tableau: the pivot row is divided by the
+pivot, and only rows whose factor is nonzero are updated, so signed zeros are
+kept.  It runs on Python lists up to ``_LIST_ROWS`` rows, where numpy's ~10
+calls a pivot cost more, and on a numpy array above (about even at 5-6
+rows), in the same IEEE operations and order.  The mode pass tells floats,
+numpy float64s, ints and Fractions by type, others by ``_is_exact``.
 A tableau that drifts into a state exact arithmetic cannot reach (a phase-1
 objective that looks unbounded below), or that overflows (a bound shift that
 makes a finite rhs infinite, a non-finite value in the final rhs column or
@@ -67,6 +70,8 @@ LP_TOL = 1e-9
 _MAX_PIVOTS = 50_000
 _UNBOUNDED = "phase-1 objective unbounded; inconsistent tableau"
 _OVERFLOW = "float tableau overflowed"
+_LIST_ROWS = 6  # the most rows a float system pivots on lists (module docstring)
+_FLOATS, _RATIONALS = (float, np.float64), (int, Fraction)
 
 
 class _PhaseOneUnbounded(NumericalFailureError):
@@ -121,10 +126,12 @@ def solve_linear_feasibility(
 
     rational = True
     for x in itertools.chain(*eq_rows, eq_b, *in_rows, in_b, (lb for lb in lbs if lb is not None)):
-        if not _is_exact(x):
-            rational = False
-            if not math.isfinite(float(x)):
-                raise ValueError("non-finite coefficient, right-hand side or bound")
+        kind = type(x)
+        if kind in _RATIONALS or (kind not in _FLOATS and _is_exact(x)):
+            continue
+        rational = False
+        if not math.isfinite(x if kind in _FLOATS else float(x)):
+            raise ValueError("non-finite coefficient, right-hand side or bound")
     system = (eq_rows, eq_b, lbs, in_rows, in_b)
     if exact or (exact is None and rational):
         return _solve_exact(_standard_form(*system, _fraction))
@@ -184,74 +191,102 @@ def _original_point(y, col_map):
     return [y[s[1]] - y[s[2]] if s[0] == "free" else y[s[1]] + s[2] for s in col_map]
 
 
-@np.errstate(all="ignore")  # overflow gives inf and NaN silently, as Python floats do
 def _solve_float(form):
     rows, col_map, width = form
     m = len(rows)
     feas_tol = LP_TOL * (1.0 + float(max([abs(b) for _, b in rows], default=0.0)))
 
     # Phase I: artificial columns between the real ones and the rhs, and
-    # below the rows the objective "sum of artificials": its reduced costs
-    # are minus the column sums (added in row order from 0, as sum() does).
+    # below the rows the objective "sum of artificials": its reduced costs are
+    # minus the column sums, added in row order from 0.0 over the nonzeros.
     total = width + m
-    tableau = np.zeros((m + 1, total + 1))
-    sums = np.zeros(total + 1)
+    tableau = [[0.0] * (total + 1) for _ in range(m)]
+    sums, rhs_sum = [0.0] * width, 0.0
     for r, (pairs, b) in enumerate(rows):
-        tableau[r, [c for c, _ in pairs]] = [v for _, v in pairs]
-        tableau[r, width + r], tableau[r, -1] = 1.0, b
-        sums += tableau[r]
-    zrow = tableau[-1]
-    zrow[:width], zrow[-1] = -sums[:width], -sums[-1]
+        for c, v in pairs:
+            tableau[r][c] = v
+            sums[c] += v
+        tableau[r][width + r], tableau[r][-1] = 1.0, b
+        rhs_sum += b
+    tableau.append([-s for s in sums] + [0.0] * m + [-rhs_sum])
     basis = list(range(width, total))
-
-    pivots = 0
-    while True:
-        # The first negative reduced cost; the rhs entry is not a column.
-        negative = zrow < -LP_TOL
-        enter = negative.argmax()
-        if enter == total or not negative[enter]:
-            break
-        col = tableau[:, enter]
-        factors = col.tolist()
-        best_r, best_ratio = None, None
-        for r, b in enumerate(tableau[:m, -1].tolist()):
-            a = factors[r]
-            if a > LP_TOL:
-                ratio = b / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[best_r])
-                ):
-                    best_r, best_ratio = r, ratio
-        if best_r is None:
-            raise _PhaseOneUnbounded(_UNBOUNDED)
-        prow = tableau[best_r] / factors[best_r]
-        # Only rows with a nonzero factor change, so signed zeros survive.
-        hit = col != 0.0
-        hit[best_r] = False
-        np.subtract(tableau, col[:, None] * prow, out=tableau, where=hit[:, None])
-        tableau[best_r] = prow
-        basis[best_r] = int(enter)
-        pivots += 1
-        if pivots > _MAX_PIVOTS:
-            raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+    rhs = (_pivot_lists if m <= _LIST_ROWS else _pivot_array)(tableau, basis)
 
     # An infinite shifted rhs or an overflowing pivot: row operations keep a
     # non-finite rhs entry non-finite, so it is still there at the end.
-    rhs = tableau[:, -1].tolist()
     if not all(map(math.isfinite, rhs)):
         raise _PhaseOneUnbounded(_OVERFLOW)
-    if -zrow[-1] > feas_tol:
+    if -rhs[-1] > feas_tol:
         return None
     y = [0.0] * width
     for var, value in zip(basis, rhs):
         if var < width:
             y[var] = value
-    x = [float(v) for v in _original_point(y, col_map)]
+    x = _original_point(y, col_map)
     if not all(map(math.isfinite, x)):  # a value plus its bound overflowed
         raise _PhaseOneUnbounded(_OVERFLOW)
     return np.array(x)
+
+
+def _leaving_row(factors, rhs, basis):
+    """Bland's ratio test over the factors above LP_TOL: the row of the least
+    rhs / factor, a tie to the lower basic variable, or _PhaseOneUnbounded."""
+    best_r, best = None, None
+    for r, b in enumerate(rhs):
+        if factors[r] > LP_TOL:
+            key = (b / factors[r], basis[r])
+            if best is None or key < best:
+                best_r, best = r, key
+    if best_r is None:
+        raise _PhaseOneUnbounded(_UNBOUNDED)
+    return best_r
+
+
+def _pivot_lists(tableau, basis):
+    """Phase I pivots on ``tableau``, its rows and then its objective row as
+    lists of floats, and on ``basis``, in place; the final rhs column."""
+    m = len(basis)
+    for _ in range(_MAX_PIVOTS + 1):
+        # The first negative reduced cost; the rhs entry is not a column.
+        for enter, z in enumerate(tableau[m][:-1]):
+            if z < -LP_TOL:
+                break
+        else:
+            return [row[-1] for row in tableau]
+        factors = [row[enter] for row in tableau]
+        best_r = _leaving_row(factors, [row[-1] for row in tableau[:m]], basis)
+        piv = factors[best_r]
+        prow = [x / piv for x in tableau[best_r]]
+        # Only rows with a nonzero factor change, so signed zeros survive.
+        for r, f in enumerate(factors):
+            if f != 0.0 and r != best_r:
+                tableau[r] = [x - f * p for x, p in zip(tableau[r], prow)]
+        tableau[best_r] = prow
+        basis[best_r] = enter
+    raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+
+
+@np.errstate(all="ignore")  # overflow gives inf and NaN silently, as Python floats do
+def _pivot_array(tableau, basis):
+    """_pivot_lists on one numpy array: the same IEEE operations in the same
+    order, at about ten numpy calls a pivot whatever the row count."""
+    tableau = np.array(tableau)
+    m, total = len(basis), tableau.shape[1] - 1
+    for _ in range(_MAX_PIVOTS + 1):
+        negative = tableau[-1] < -LP_TOL
+        enter = negative.argmax()
+        if enter == total or not negative[enter]:
+            return tableau[:, -1].tolist()
+        col = tableau[:, enter]
+        factors = col.tolist()
+        best_r = _leaving_row(factors, tableau[:m, -1].tolist(), basis)
+        prow = tableau[best_r] / factors[best_r]
+        hit = col != 0.0
+        hit[best_r] = False
+        np.subtract(tableau, col[:, None] * prow, out=tableau, where=hit[:, None])
+        tableau[best_r] = prow
+        basis[best_r] = int(enter)
+    raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
 
 def _solve_exact(form):

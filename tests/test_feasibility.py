@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigid import (
@@ -590,10 +590,13 @@ def test_stale_rows_match_frozen_tableau_at_every_pivot_cap():
     assert set(stale) == set(kinds) and min(stale.values()) >= 20, stale
 
 
+ZERO_FACTOR_SYSTEM = ([[0.5, 3.0], [0.0, -0.5]], [-0.0, -0.0], [None, None], [[2.0, -0.0]], [-0.0])
+
+
 def test_rows_with_a_zero_factor_keep_their_signed_zeros():
     # x - 0.0 * p turns x = -0.0 into 0.0 when p < 0 (or -0.0 * p, p > 0),
     # so a pivot must leave rows whose factor is zero untouched.
-    system = ([[0.5, 3.0], [0.0, -0.5]], [-0.0, -0.0], [None, None], [[2.0, -0.0]], [-0.0])
+    system = ZERO_FACTOR_SYSTEM
     x = solve_linear_feasibility(*system[:3], inequalities=system[3], ineq_rhs=system[4])
     assert x.tobytes() == np.array([-0.0, 0.0]).tobytes()
     assert_matches_frozen(*system)
@@ -624,6 +627,20 @@ def test_fraction_subclass_entries_and_bounds_give_plain_fractions():
         x = solve_linear_feasibility(*system[:3], inequalities=system[3], ineq_rhs=system[4])
         assert all(type(v) is Fraction for v in x)
         assert_matches_frozen(*system)  # result_bytes compares the types too
+
+
+@pytest.mark.parametrize(
+    "one, exact",
+    [
+        (1, True), (Fraction(1), True), (np.int64(1), True), (_Rational(1), True),
+        (1.0, False), (np.float64(1), False), (np.float32(1), False), (True, False),
+    ],
+)
+def test_the_mode_pass_reads_each_entry_type(one, exact):
+    # ints and Fractions by their type, numpy ints and Fraction subclasses
+    # by the general test, are exact; a bool, like any float, is not.
+    x = solve_linear_feasibility([[one, one]], [one], [0, 0])
+    assert isinstance(x, list) == exact and x[0] + x[1] == 1
 
 
 def test_breakdown_star_systems_match_frozen_tableau():
@@ -668,7 +685,73 @@ def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
     assert (len(stars), dependent) == (110, 63)
     # Per star: float and exact dependence, float probe and the exact probe's
     # dependence; the exact probe's own system only for the 47 stars without one.
-    assert sum(map(assert_star_calls_match_frozen, stars)) == 4 * 110 + 47 == 487
+    with counted_loops() as rows:
+        assert sum(map(assert_star_calls_match_frozen, stars)) == 4 * 110 + 47 == 487
+    # The float systems take both pivot loops: dependences and k = 2 probes
+    # the list loop, probes of k >= 3 stars (7 rows and up) the array loop.
+    assert (len(rows["lists"]), len(rows["array"])) == (110 + 22, 88)
+
+
+# -- the two float pivot loops ------------------------------------------------
+
+
+@contextlib.contextmanager
+def counted_loops():
+    """The row counts of the systems each float pivot loop sees in the block,
+    under "lists" and "array"."""
+    rows = {"lists": [], "array": []}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in rows:
+            loop = getattr(feasibility, f"_pivot_{name}")
+
+            def counting(tableau, basis, loop=loop, seen=rows[name]):
+                seen.append(len(basis))
+                return loop(tableau, basis)
+
+            patch.setattr(feasibility, f"_pivot_{name}", counting)
+        yield rows
+
+
+def test_six_rows_pivot_on_lists_and_seven_on_the_array():
+    for n_rows, expected in ((6, {"lists": [6], "array": []}), (7, {"lists": [], "array": [7]})):
+        ineqs = [[1.0, float(i)] for i in range(n_rows)]
+        with counted_loops() as rows:
+            assert solve_linear_feasibility([], [], [0.0, None], ineqs, [1.0] * n_rows) is not None
+        assert rows == expected
+
+
+# Entries near 1e300 overflow in a pivot or in the bound shift; -0.0 and
+# small quotients give signed zeros and ratio ties.
+HUGE_FLOATS = st.one_of(FLOATS, st.sampled_from([1e300, -1e300, 3e299, -7e299, 1e-300]))
+
+
+@st.composite
+def tall_float_systems(draw):
+    n_vars, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    n_eq = draw(st.integers(0, n_rows))
+    rows = [draw(st.lists(HUGE_FLOATS, min_size=n_vars, max_size=n_vars)) for _ in range(n_rows)]
+    rhs = draw(st.lists(HUGE_FLOATS, min_size=n_rows, max_size=n_rows))
+    bound = st.sampled_from([None, 0.0, -0.0, 1.0, -2.0, 1e300])
+    lbs = draw(st.lists(bound, min_size=n_vars, max_size=n_vars))
+    return rows[:n_eq], rhs[:n_eq], lbs, rows[n_eq:], rhs[n_eq:]
+
+
+@given(tall_float_systems(), st.sampled_from([None, 3]))
+@example(ZERO_FACTOR_SYSTEM, None)  # a row with a zero factor keeps its -0.0
+@settings(max_examples=300, deadline=None)
+def test_list_and_array_loops_give_the_same_bytes(system, cap):
+    # Each standard form of 1-12 rows solved with every system routed to one
+    # loop, then to the other: the same bytes, or the same exception type and
+    # message (overflow, an unbounded phase 1, or the pivot cap of 3).
+    form = feasibility._standard_form(*system, float)
+    outcomes = []
+    for list_rows in (12, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(feasibility, "_LIST_ROWS", list_rows)
+            if cap is not None:
+                patch.setattr(feasibility, "_MAX_PIVOTS", cap)
+            outcomes.append(outcome(feasibility._solve_float, form))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- non-finite input ---------------------------------------------------------

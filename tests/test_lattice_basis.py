@@ -6,6 +6,10 @@ framework, so its true expansive cone is the same once lattice velocities
 are mapped back (`conftest.change_basis`) and trivial motions are factored
 out.  The max-norm box of shifts is not basis invariant, so these tests
 check the truncation and the radius probe without reading their code.
+Renaming the vertex orbits and scaling positions and lattice alike change
+the framework's description too, not the framework: the pair stream's order
+and orientation follow the orbits' sorted names, so a renaming that flips
+that order feeds the double description another halfspace order.
 """
 
 import numpy as np
@@ -14,9 +18,14 @@ import pytest
 from perigid import analyze, expansive_cone, find_stable_radius, simplex_framework, stressed_framework
 from perigid import trivial_motion_basis
 
-from conftest import change_basis
+from conftest import change_basis, make_framework, pair_keys, whole_pairs
 
-FAMILIES = {"base2": lambda: simplex_framework(2), "base3": lambda: simplex_framework(3), "stressed": stressed_framework}
+FAMILIES = {
+    "base2": lambda: simplex_framework(2),
+    "base3": lambda: simplex_framework(3),
+    "base4": lambda: simplex_framework(4),
+    "stressed": stressed_framework,
+}
 SKEWED = {"base2": [[1, 1], [1, 2]], "base3": [[1, 2, 0], [0, 1, 3], [0, 0, 1]], "stressed": [[1, 4, -2], [0, 1, 0], [0, 0, 1]]}
 
 
@@ -67,3 +76,43 @@ def test_the_radius_called_stable_gives_the_standard_basis_cone(name, radius):
     fw = FAMILIES[name]()
     stable, _ = skewed_rays(fw, SKEWED[name], radius)
     assert_same_rays(skewed_rays(fw, SKEWED[name], stable)[1], standard_rays(fw))
+
+
+def described(fw, names=None, scale=1.0):
+    """fw with each vertex orbit o called names[o] and positions and lattice
+    multiplied by scale."""
+    names, pl = names or {o: o for o in fw.graph.vertex_orbits}, fw.placement
+    positions = {names[o]: scale * pl.positions[o] for o in fw.graph.vertex_orbits}
+    edges = [(names[e.tail], names[e.head], e.shift) for e in fw.graph.edge_orbits]
+    return make_framework(fw.dimension, positions, scale * pl.lattice, edges)
+
+
+def tight_sets(fw, radius, names=None):
+    """Each ray's tight pairs at `radius`, sorted: the pairs whose row is
+    orthogonal to the ray's motion (cosine at most 1e-9; the cases below
+    have at most 6e-15 against at least 0.019 otherwise), each an unordered
+    pair key with its orbits called names[o]."""
+    names = names or {o: o for o in fw.graph.vertex_orbits}
+    pairs = whole_pairs(fw, radius)
+    motions = expansive_cone(fw, analyze(fw), radius).ray_motions()
+    cosine = np.abs(pairs.rows @ motions.T) / np.outer(
+        np.linalg.norm(pairs.rows, axis=1), np.linalg.norm(motions, axis=1)
+    )
+    keys = []
+    for a, b, w in pair_keys(fw, pairs):
+        key = (names[a], names[b], w)
+        keys.append(min(key, (key[1], key[0], tuple(-c for c in w))))
+    return sorted(tuple(sorted(k for k, t in zip(keys, tight) if t)) for tight in (cosine <= 1e-9).T)
+
+
+@pytest.mark.parametrize("name, n_rays", [("stressed", 2), ("base2", 2), ("base3", 3), ("base4", 4)])
+def test_relabelling_and_scaling_keep_the_rays_and_their_tight_pairs(name, n_rays):
+    fw = FAMILIES[name]()
+    expected = tight_sets(fw, 2)
+    assert len(expected) == n_rays
+    # The last orbit in sorted order becomes the first, and so on.
+    orbits = sorted(fw.graph.vertex_orbits)
+    flipped = {o: f"v{i}" for i, o in enumerate(reversed(orbits))}
+    assert sorted(orbits, key=flipped.get) == orbits[::-1]
+    assert tight_sets(described(fw, flipped), 2) == tight_sets(fw, 2, flipped)
+    assert tight_sets(described(fw, scale=2.0), 2) == expected
