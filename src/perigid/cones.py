@@ -62,6 +62,15 @@ def vertex_star(fw: PeriodicFramework, orbit: str) -> VectorStar:
     return VectorStar(orbit, both[np.stack([tails == i, heads == i], axis=1)])
 
 
+def _vectors(star: VectorStar):
+    """The star's vectors, which must be some and of one length."""
+    if len(star) == 0:
+        raise ValueError("empty star")
+    if len(set(map(len, star.vectors))) > 1:
+        raise ValueError("star vectors differ in length")
+    return star.vectors
+
+
 def _star_matrix(vectors) -> list[list]:
     """Equality rows (one per coordinate) of sum_i a_i v_i."""
     return [list(column) for column in zip(*vectors)]
@@ -79,9 +88,7 @@ def positive_dependence(star: VectorStar):
     The mode comes from the star's entries: Fractions when every entry is an
     integer or a Fraction, a float array otherwise.
     """
-    if len(star) == 0:
-        raise ValueError("empty star")
-    rows = _star_matrix(star.vectors)
+    rows = _star_matrix(_vectors(star))
     return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star))
 
 
@@ -92,8 +99,7 @@ def lineality_space(star: VectorStar) -> np.ndarray:
     nonnegative combination of the generators; the members span the whole
     linear part, so an SVD of that subset gives the basis.
     """
-    if len(star) == 0:
-        raise ValueError("empty star")
+    _vectors(star)
     vs = star.as_float()
     rows, bounds = _star_matrix(vs), [0] * len(vs)
     members = [v for v in vs if solve_linear_feasibility(rows, list(-v), bounds) is not None]
@@ -113,8 +119,7 @@ def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
     on every star vector outside it.  A star with a zero vector (no edge
     direction) is a ValueError.
     """
-    if len(star) == 0:
-        raise ValueError("empty star")
+    _vectors(star)
     vs = star.as_float()
     if not np.all(np.any(vs != 0, axis=1)):
         raise ValueError("zero vector in star")
@@ -179,9 +184,7 @@ def strict_expansion_probe(star: VectorStar):
     <v_i - v_j, vdot_i - vdot_j> = -<sum a_i v_i, sum a_j vdot_j> = 0, so
     every pair term, >= 0 with weight >= 1, is 0, and so is the probe row.
     """
-    if len(star) == 0:
-        raise ValueError("empty star")
-    vs = star.vectors
+    vs = _vectors(star)
     if all(_is_exact(x) for v in vs for x in v) and positive_dependence(star) is not None:
         return None
     k = len(vs)

@@ -245,6 +245,8 @@ _WIDTH = 256
 # while the rays' smallest value at it is at most this; the margin over
 # CONE_TOL is argued in `_DoubleDescription`.
 _NEAR = CONE_TOL + 1e-10
+# The cuts that margin covers; from this many on, a rebuild keeps every column.
+_NEAR_CUTS = 90_000
 
 
 def _band(rows: np.ndarray, rays: np.ndarray) -> float:
@@ -290,11 +292,14 @@ class _DoubleDescription:
     within gamma_f of the dot, and a pass makes at most one generation per
     cut, so the 1e-10 margin covers some 9 x 10^4 cuts (d = 6, R = 4 makes
     12,633): a product not taken is one the reference calls not tight, and
-    the bits do not change.
+    the bits do not change.  `cuts` counts them from n - f, at least the
+    cuts that made the starting rays (the probe continues the cone's pass),
+    and from `_NEAR_CUTS` on no column is dropped, which changes no decision.
     """
 
     def __init__(self, a: np.ndarray, n: int, rays: np.ndarray):
         self.a, self.n, self.rays, self.band = a, n, rays, _band(a, rays)
+        self.cuts = n - a.shape[1]
         # No ray's set yet: the first rebuild keeps halfspaces by their minima.
         self.inc, self.hs, self.ha, self.c = np.zeros((0, n), dtype=bool), np.arange(n), a[:n], n
         self._rebuild(0, len(rays), 0)
@@ -332,7 +337,7 @@ class _DoubleDescription:
             if not len(cut):
                 block = min(2 * block, max(8, _CHUNK // len(rays)))
                 continue
-            block = 8
+            block, self.cuts = 8, self.cuts + 1
             v = _row_dots(rays, a[self.n])  # each the 1-d `a[n] @ ray`
             positive = v > CONE_TOL
             pos, neg = positive.nonzero()[0], (v < -CONE_TOL).nonzero()[0]
@@ -381,9 +386,10 @@ class _DoubleDescription:
 
     def _rebuild(self, r: int, rows: int, extra: int) -> None:
         """A new buffer of `rows` rows over the columns some ray of the first
-        r is tight at or whose minimum over the rays is at most `_NEAR`, with
-        half as many columns again as those and `extra`."""
-        keep = np.logical_or.reduce(self.inc[:r, : self.c], axis=0)
+        r is tight at or whose minimum over the rays is at most `_NEAR` (all
+        of them past `_NEAR_CUTS` cuts), with half as many columns again as
+        those and `extra`."""
+        keep = np.logical_or.reduce(self.inc[:r, : self.c], axis=0) | (self.cuts >= _NEAR_CUTS)
         loose = (~keep).nonzero()[0]
         step = max(1, _CHUNK // max(1, len(self.rays)))
         for i in range(0, len(loose), step):

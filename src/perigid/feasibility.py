@@ -3,20 +3,30 @@
 Finds x with A_eq x = b_eq, A_ineq x >= b_ineq, and per-variable lower bounds
 (None marks a free variable), or certifies that no such x exists.  The solver
 is a Phase-I simplex with Bland's rule, so it terminates and is deterministic
-for a fixed input ordering.  One pass over the input picks the mode and
-rejects a non-finite coefficient, right-hand side or bound with ValueError
-in either mode; float mode raises the same for an int beyond the float
-range.  Arithmetic runs in floating point with the module tolerance
-``LP_TOL`` by default, and exactly (every comparison exact) when every input
-is an int or Fraction or when ``exact=True``; there a float is taken at its
-exact value, and any other non-rational real (np.float32) at its float's.
-Both modes read one standard form over y >= 0, built once per row in sparse
-form: the row's nonzero (y-column, value) pairs and its rhs, the row negated
-if that made the rhs nonnegative.
+for a fixed input ordering.  Arithmetic runs in floating point with the
+module tolerance ``LP_TOL`` by default, and exactly (every comparison exact)
+when every input is an int or Fraction or when ``exact=True``; there a float
+is taken at its exact value, and any other non-rational real (np.float32) at
+its float's.  The mode comes from the set of the input's value types: plain
+ints and Fractions alone are exact with no further look; with plain floats
+too, one ``math.isfinite`` pass checks every value; any other type (bools,
+numpy scalars, subclasses), or an int or Fraction beyond the float range,
+sends every value through ``_is_exact`` and the finiteness test.  A
+non-finite coefficient, right-hand side or bound is a ValueError in either
+mode; float mode raises the same for an int beyond the float range.
+
+Both modes read one standard form over y >= 0, built row by row in sparse
+form: inequality rows get a slack, bounded variables are shifted by their
+bound, free ones split into y+ - y-, and a row is negated if that makes its
+rhs nonnegative.  Float mode holds each row's nonzero (y-column, value)
+pairs and its rhs.  Exact mode does no Fraction arithmetic: it reads each
+value's reduced numerator and denominator, keeps a row's shifted rhs over
+the lcm of its terms' denominators, scales every row by the lcm of all rhs
+and nonzero denominators and hands the integers over as (row, integer)
+columns.
 
 Exact mode is a revised, fraction-free simplex (integer-preserving elimination
-after Edmonds 1967 and Bareiss 1968).  The rows [A | b] are scaled by the lcm
-of the denominators of their nonzeros, so A and b are integer.  The Bareiss
+after Edmonds 1967 and Bareiss 1968) on those integer rows [A | b].  The Bareiss
 tableau of Phase I, [A | I | b] under the artificial basis, shares one positive
 denominator D, the determinant of the current basis B, and by Cramer's rule
 each of its integers is D B^-1 times an integer column: the artificial block is
@@ -47,13 +57,12 @@ Floating mode pivots on a row-by-row tableau: the pivot row is divided by the
 pivot, and only rows whose factor is nonzero are updated, so signed zeros are
 kept.  It runs on Python lists up to ``_LIST_ROWS`` rows, where numpy's ~10
 calls a pivot cost more, and on a numpy array above (about even at 5-6
-rows), in the same IEEE operations and order.  The mode pass tells floats,
-numpy float64s, ints and Fractions by type, others by ``_is_exact``.
-A tableau that drifts into a state exact arithmetic cannot reach (a phase-1
-objective that looks unbounded below), or that overflows (a bound shift that
-makes a finite rhs infinite, a non-finite value in the final rhs column or
-point), is not an answer: the system is solved again exactly on the rational
-images of the same floats, and that solution is returned as floats.
+rows), in the same IEEE operations and order.  A tableau that drifts into a
+state exact arithmetic cannot reach (a phase-1 objective that looks
+unbounded below), or that overflows (a bound shift that makes a finite rhs
+infinite, a non-finite value in the final rhs column or point), is not an
+answer: the system is solved again exactly on the float images of its
+values, each at its exact value, and that solution is returned as floats.
 """
 
 from __future__ import annotations
@@ -71,7 +80,8 @@ _MAX_PIVOTS = 50_000
 _UNBOUNDED = "phase-1 objective unbounded; inconsistent tableau"
 _OVERFLOW = "float tableau overflowed"
 _LIST_ROWS = 6  # the most rows a float system pivots on lists (module docstring)
-_FLOATS, _RATIONALS = (float, np.float64), (int, Fraction)
+_FLOATS, _RATIONALS = frozenset((float, np.float64)), frozenset((int, Fraction))
+_PLAIN = _FLOATS | _RATIONALS
 
 
 class _PhaseOneUnbounded(NumericalFailureError):
@@ -82,16 +92,29 @@ def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction, np.integer)) and not isinstance(value, bool)
 
 
-def _fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    # numpy integers would otherwise survive as Fraction numerators.
+def _ratio(x) -> tuple[int, int]:
+    """x's exact value as a reduced (numerator, denominator > 0): ints (bools,
+    numpy ints), Fractions and floats as they are, any other value as
+    Fraction() reads it or, where it cannot (np.float32), at its float's."""
+    if isinstance(x, (int, float, Fraction)):
+        return x.as_integer_ratio()
     if isinstance(x, np.integer):
-        return Fraction(int(x))
+        return int(x), 1
     try:
-        return Fraction(x)
+        return Fraction(x).as_integer_ratio()
     except TypeError:  # a real that is neither a float nor rational (np.float32)
-        return Fraction(float(x))
+        return float(x).as_integer_ratio()
+
+
+def _all_finite(values) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int or Fraction beyond the float range
+        return False
+
+
+def _floats(values) -> list:
+    return [None if v is None else float(v) for v in values]
 
 
 def solve_linear_feasibility(
@@ -124,53 +147,65 @@ def solve_linear_feasibility(
     if any(len(r) != len(lbs) for r in eq_rows + in_rows):
         raise ValueError("constraint row length does not match variable count")
 
-    rational = True
-    for x in itertools.chain(*eq_rows, eq_b, *in_rows, in_b, (lb for lb in lbs if lb is not None)):
-        kind = type(x)
-        if kind in _RATIONALS or (kind not in _FLOATS and _is_exact(x)):
-            continue
-        rational = False
-        if not math.isfinite(x if kind in _FLOATS else float(x)):
-            raise ValueError("non-finite coefficient, right-hand side or bound")
+    # One type pass; the finiteness of plain ints, Fractions and floats in one
+    # more, and any other type (bools, numpy scalars, subclasses) or an int
+    # or Fraction beyond the float range by the general test, entry by entry.
+    values = [*itertools.chain(*eq_rows, eq_b, *in_rows, in_b), *(lb for lb in lbs if lb is not None)]
+    kinds = set(map(type, values))
+    rational = kinds <= _RATIONALS
+    if not rational and not (kinds <= _PLAIN and _all_finite(values)):
+        rational = True
+        for x in values:
+            kind = type(x)
+            if kind in _RATIONALS or (kind not in _FLOATS and _is_exact(x)):
+                continue
+            rational = False
+            if not math.isfinite(x if kind in _FLOATS else float(x)):
+                raise ValueError("non-finite coefficient, right-hand side or bound")
     system = (eq_rows, eq_b, lbs, in_rows, in_b)
     if exact or (exact is None and rational):
-        return _solve_exact(_standard_form(*system, _fraction))
+        return _solve_exact(*_integer_form(*system))
     try:
-        return _solve_float(_standard_form(*system, float))
+        return _solve_float(_standard_form(*system))
     except _PhaseOneUnbounded:
         pass
     except OverflowError:  # float() of an int or Fraction beyond the float range
         raise ValueError("non-finite coefficient, right-hand side or bound") from None
-    # The exact standard form takes each float at its exact rational value.
-    x = _solve_exact(_standard_form(*system, lambda v: Fraction(float(v))))
+    # Solved again on the values' float images, each at its exact value.
+    eq_f, in_f = ([_floats(r) for r in rows] for rows in (eq_rows, in_rows))
+    x = _solve_exact(*_integer_form(eq_f, _floats(eq_b), _floats(lbs), in_f, _floats(in_b)))
     try:
         return None if x is None else np.array([float(v) for v in x])
     except OverflowError:  # the exact point lies beyond the float range
         raise ValueError("feasible point beyond the float range") from None
 
 
-def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
-    """Sparse rows over y >= 0, the column map back to x, and the y width.
+def _column_map(lbs, num):
+    """Per variable ("shift", y column, num(lb)) or ("free", y+, y-), and the y width."""
+    col_map, width = [], 0
+    for lb in lbs:
+        col_map.append(("free", width, width + 1) if lb is None else ("shift", width, num(lb)))
+        width += 2 if lb is None else 1
+    return col_map, width
+
+
+def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b):
+    """Sparse float rows over y >= 0, the column map back to x, and the y width.
 
     Each row is (its nonzero (y-column, value) pairs in column order, its
     rhs).  Inequality row r >= b becomes r - slack = b with slack >= 0;
     bounded variables are shifted by their bound, free ones split into
     y+ - y-; a row whose rhs is then negative is negated.
     """
-    one, zero = num(1), num(0)
-    col_map = []  # per variable: ("shift", y_col, lb) or ("free", y+, y-)
-    width = 0
-    for lb in lbs:
-        col_map.append(("free", width, width + 1) if lb is None else ("shift", width, num(lb)))
-        width += 2 if lb is None else 1
+    col_map, width = _column_map(lbs, float)
     slacks = [None] * len(eq_rows) + list(range(width, width + len(in_rows)))
 
     rows = []
     for src, b, slack in zip(eq_rows + in_rows, eq_b + in_b, slacks):
-        pairs, acc = [], num(b)
-        for spec, x in zip(col_map, src):
-            # A nonzero Fraction below the float range converts to 0.0.
-            if x == 0 or (coeff := num(x)) == zero:
+        pairs, acc = [], float(b)
+        # A nonzero Fraction below the float range converts to 0.0.
+        for spec, coeff in zip(col_map, map(float, src)):
+            if coeff == 0.0:
                 continue
             pairs.append((spec[1], coeff))
             if spec[0] == "free":
@@ -178,13 +213,55 @@ def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b, num):
             else:
                 acc -= coeff * spec[2]
         if slack is not None:
-            # The slack is shifted by 0; a float -0.0 rhs becomes 0.0 here.
-            pairs.append((slack, -one))
-            acc += zero
-        if acc < zero:
+            # The slack is shifted by 0; a -0.0 rhs becomes 0.0 here.
+            pairs.append((slack, -1.0))
+            acc += 0.0
+        if acc < 0.0:
             pairs, acc = [(c, -v) for c, v in pairs], -acc
         rows.append((pairs, acc))
     return rows, col_map, width + len(in_rows)
+
+
+def _integer_form(eq_rows, eq_b, lbs, in_rows, in_b):
+    """_standard_form in exact values, scaled to integers (module docstring):
+    the y columns as (row, integer) pairs in row order, the integer rhs, and
+    the column map.  Each row, its rhs reduced, is the Fraction row it
+    stands for, so the common scale and the integers are that row's."""
+    bounds = [None if lb is None else _ratio(lb) for lb in lbs]
+    col_map, width = _column_map(bounds, lambda pq: pq[0] if pq[1] == 1 else Fraction(*pq))
+    slacks = [None] * len(eq_rows) + list(range(width, width + len(in_rows)))
+
+    rows, dens = [], set()
+    for src, b, slack in zip(eq_rows + in_rows, eq_b + in_b, slacks):
+        entries = []
+        num, den = _ratio(b)
+        for spec, bound, x in zip(col_map, bounds, src):
+            p, q = (x, 1) if type(x) is int else _ratio(x)
+            if not p:
+                continue
+            entries.append((spec[1], p, q))
+            dens.add(q)
+            if bound is None:
+                entries.append((spec[2], -p, q))
+            elif bound[0]:  # num / den -= (p / q) * bound, over the lcm of the denominators
+                tq = q * bound[1]
+                g = math.gcd(den, tq)
+                num, den = num * (tq // g) - p * bound[0] * (den // g), den // g * tq
+        if slack is not None:
+            entries.append((slack, -1, 1))
+        g = math.gcd(num, den)
+        rows.append((entries, num // g, den // g))
+        dens.add(den // g)
+
+    scale = math.lcm(*dens)
+    columns = [[] for _ in range(width + len(in_rows))]
+    rhs = []
+    for r, (entries, num, den) in enumerate(rows):
+        s = -scale if num < 0 else scale
+        for c, p, q in entries:
+            columns[c].append((r, p * (s // q)))
+        rhs.append(num * (s // den))
+    return columns, rhs, col_map
 
 
 def _original_point(y, col_map):
@@ -289,19 +366,12 @@ def _pivot_array(tableau, basis):
     raise NumericalFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
 
-def _solve_exact(form):
+def _solve_exact(columns, rhs, col_map):
     """Revised fraction-free Phase I with Bland's rule over beta and the
     stored artificial columns of adj(B), with the objective row over the
     same columns, each row at its own stamp (see the module docstring); a
     list of Fractions or None."""
-    rows, col_map, width = form
-    m = len(rows)
-    scale = math.lcm(*(b.denominator for _, b in rows))
-    scale = math.lcm(scale, *(v.denominator for pairs, _ in rows for _, v in pairs))
-    columns = [[] for _ in range(width)]
-    for r, (pairs, _) in enumerate(rows):
-        for c, v in pairs:
-            columns[c].append((r, v.numerator * (scale // v.denominator)))
+    m, width = len(rhs), len(columns)
     # A free pair's y- column is minus its y+ column, which is priced just before it.
     twins = {spec[2] for spec in col_map if spec[0] == "free"}
 
@@ -310,7 +380,7 @@ def _solve_exact(form):
     # artificial's column is D e_q at its row q, with objective entry 0.  Row r
     # holds its true integers times at[r] / D.
     basis = list(range(width, width + m))
-    adj = [[b.numerator * (scale // b.denominator)] for _, b in rows]
+    adj = [[b] for b in rhs]
     at = [1] * m
     zrow = [-sum(row[0] for row in adj)]
     slot = {}

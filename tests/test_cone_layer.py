@@ -545,6 +545,49 @@ def test_a_small_buffer_drops_and_refreshes_columns_bit_for_bit(monkeypatch):
     assert kept.any() and not kept.all()
 
 
+def test_past_the_cut_budget_a_rebuild_keeps_every_column(monkeypatch):
+    # The frozen-pipeline inputs and their radius probes with the budget at 0
+    # cuts: the same bytes and radii, and no rebuild drops a column, where
+    # with the budget some rebuild does.  Each pass counts its cuts (one
+    # `_adjacent_pairs` call a cut) from n - f, so a probe from the cone's.
+    dd, adjacent = expansive._DoubleDescription, expansive._adjacent_pairs
+    rebuild, insert = dd._rebuild, dd.insert
+    dropped, calls, starts = [], [], []
+
+    def recorded(self, r, rows, extra):
+        before = self.hs[: self.c].copy()
+        rebuild(self, r, rows, extra)
+        dropped.append(not np.isin(before, self.hs[: self.c]).all())
+
+    def counted(*args):
+        calls.append(1)
+        return adjacent(*args)
+
+    def counted_insert(self):
+        starts.append(self.cuts)
+        assert self.cuts == self.n - self.a.shape[1]
+        n_calls = len(calls)
+        rays = insert(self)
+        assert self.cuts - starts[-1] == len(calls) - n_calls
+        return rays
+
+    monkeypatch.setattr(dd, "_rebuild", recorded)
+    monkeypatch.setattr(dd, "insert", counted_insert)
+    monkeypatch.setattr(expansive, "_adjacent_pairs", counted)
+
+    def cone_and_probe(kind, d, radius):
+        fw = framework(kind, d, seed=31 * d + radius)
+        cone = expansive_cone(fw, analyze(fw), radius)
+        return cone.halfspace_matrix.tobytes(), cone.rays.tobytes(), find_stable_radius(fw, cone)
+
+    expected = {case: cone_and_probe(*case) for case in CONES}
+    assert any(dropped) and calls and max(starts) > 0
+    dropped.clear()
+    monkeypatch.setattr(expansive, "_NEAR_CUTS", 0)
+    assert {case: cone_and_probe(*case) for case in CONES} == expected
+    assert dropped and not any(dropped)
+
+
 @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
 def test_a_column_no_ray_is_tight_at_stays_while_its_bound_is_within_the_margin(offset):
     # The coordinate rays; the planted row's smallest value over them is its

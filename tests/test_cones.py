@@ -316,6 +316,21 @@ def test_star_of_an_orbit_without_bars_is_a_value_error():
             call(empty)
 
 
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [[1, 0], [-1]],  # zip(*vectors) would read the star {e1, -e1}
+        [[Fraction(1), 0], [-1, 0, 0]],
+        [[1.0, 0.0, 0.0], [-1.0, 0.0], [0.0, 1.0, 0.0]],
+    ],
+)
+def test_star_vectors_of_different_lengths_are_a_value_error(vectors):
+    ragged = VectorStar("s", np.array(vectors, dtype=object))
+    for call in (positive_dependence, strict_expansion_probe, lineality_space, analyze_star):
+        with pytest.raises(ValueError, match="^star vectors differ in length$"):
+            call(ragged)
+
+
 def test_star_report_json_fields():
     text = star_report_json(analyze_star(star(E1, -E1, E2, E3)))
     import json

@@ -518,6 +518,64 @@ def test_mixed_type_systems_match_frozen_tableau(system, exact):
     assert_matches_frozen(*system, exact=exact)
 
 
+# Every exact-mode input type; the bools and floats only under exact=True.
+EXACT_INPUTS = st.one_of(MIXED, st.booleans())
+
+
+def fraction_columns(eqs, eq_rhs, lbs, ineqs, ineq_rhs):
+    """The exact standard form, built here in Fractions on dense rows: a slack
+    per inequality, bounded variables shifted, free ones split, a row with a
+    negative rhs negated, then every row scaled by the lcm of all
+    denominators.  Its integer columns, each (row, integer) at the nonzeros,
+    and its integer rhs."""
+    def value(x):
+        return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+
+    n_y = sum(2 if lb is None else 1 for lb in lbs)
+    rows = []
+    for r, (row, b) in enumerate(zip(eqs + ineqs, eq_rhs + ineq_rhs)):
+        dense, rhs, col = [Fraction(0)] * (n_y + len(ineqs)), value(b), 0
+        for x, lb in zip(row, lbs):
+            dense[col] = value(x)
+            if lb is None:
+                dense[col + 1] = -dense[col]
+            else:
+                rhs -= dense[col] * value(lb)
+            col += 2 if lb is None else 1
+        if r >= len(eqs):
+            dense[n_y + r - len(eqs)] = Fraction(-1)
+        rows.append([-v for v in dense + [rhs]] if rhs < 0 else dense + [rhs])
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    ints = [[int(v * scale) for v in row] for row in rows]
+    columns = [[(r, row[c]) for r, row in enumerate(ints) if row[c]] for c in range(n_y + len(ineqs))]
+    return columns, [row[-1] for row in ints]
+
+
+@st.composite
+def exact_input_systems(draw):
+    n_vars = draw(st.integers(1, 4))
+    row = st.lists(EXACT_INPUTS, min_size=n_vars, max_size=n_vars)
+    eqs, ineqs = draw(st.lists(row, max_size=3)), draw(st.lists(row, max_size=3))
+    eq_rhs = draw(st.lists(EXACT_INPUTS, min_size=len(eqs), max_size=len(eqs)))
+    ineq_rhs = draw(st.lists(EXACT_INPUTS, min_size=len(ineqs), max_size=len(ineqs)))
+    lbs = draw(st.lists(st.one_of(st.none(), EXACT_INPUTS), min_size=n_vars, max_size=n_vars))
+    return eqs, eq_rhs, lbs, ineqs, ineq_rhs
+
+
+@given(exact_input_systems())
+@example(([[1, Fraction(1, 2)]], [-3], [2, None], [[np.int64(1), True]], [-0.5]))  # both rows negated
+@settings(max_examples=200, deadline=None)
+def test_integer_rows_are_the_scaled_fraction_rows(system):
+    # ints, Fractions, numpy ints, bools and floats, free and bounded
+    # variables and negated rows: the exact form holds the integers of the
+    # Fraction standard form, and the solve gives the frozen tableau's point.
+    columns, rhs, _ = feasibility._integer_form(*system)
+    assert (columns, rhs) == fraction_columns(*system)
+    assert all(type(v) is int for column in columns for _, v in column)
+    assert all(type(v) is int for v in rhs)
+    assert_matches_frozen(*system, exact=True)
+
+
 def test_entering_artificial_is_the_lowest_indexed():
     # Bland's rule among the nonbasic artificials picks the lowest index, not
     # the one whose column left the basis first: the frozen tableau ends
@@ -743,7 +801,7 @@ def test_list_and_array_loops_give_the_same_bytes(system, cap):
     # Each standard form of 1-12 rows solved with every system routed to one
     # loop, then to the other: the same bytes, or the same exception type and
     # message (overflow, an unbounded phase 1, or the pivot cap of 3).
-    form = feasibility._standard_form(*system, float)
+    form = feasibility._standard_form(*system)
     outcomes = []
     for list_rows in (12, 0):
         with pytest.MonkeyPatch.context() as patch:

@@ -5,15 +5,21 @@ unimodular, and each shift w replaced by U^-1 w, describe the same infinite
 framework, so its true expansive cone is the same once lattice velocities
 are mapped back (`conftest.change_basis`) and trivial motions are factored
 out.  The max-norm box of shifts is not basis invariant, so these tests
-check the truncation and the radius probe without reading their code.
+check the truncation and the radius probe without reading their code; for
+random U the box in the new basis is made large enough to hold the
+standard one.
 Renaming the vertex orbits and scaling positions and lattice alike change
 the framework's description too, not the framework: the pair stream's order
 and orientation follow the orbits' sorted names, so a renaming that flips
 that order feeds the double description another halfspace order.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigid import analyze, expansive_cone, find_stable_radius, simplex_framework, stressed_framework
 from perigid import trivial_motion_basis
@@ -76,6 +82,44 @@ def test_the_radius_called_stable_gives_the_standard_basis_cone(name, radius):
     fw = FAMILIES[name]()
     stable, _ = skewed_rays(fw, SKEWED[name], radius)
     assert_same_rays(skewed_rays(fw, SKEWED[name], stable)[1], standard_rays(fw))
+
+
+# The radius at which each framework's standard box already gives its cone.
+STANDARD_RADIUS = {"base2": 4, "stressed": 3, "base3": 3}
+
+
+@functools.lru_cache(maxsize=None)
+def standard_cone_rays(name):
+    fw = FAMILIES[name]()
+    return directions(fw, expansive_cone(fw, analyze(fw), STANDARD_RADIUS[name]).ray_motions())
+
+
+@st.composite
+def unimodular(draw, d):
+    """A product of one or two elementary shears, entry -2, -1, 1 or 2, each
+    followed by a permutation of the axes."""
+    U = np.eye(d, dtype=int)
+    for _ in range(draw(st.integers(1, 2))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        shear = np.eye(d, dtype=int)
+        shear[i, j] = draw(st.sampled_from([-2, -1, 1, 2]))
+        U = U @ shear[:, draw(st.permutations(range(d)))]
+    return U
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_RADIUS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_box_holding_the_standard_box_gives_the_standard_cone(name, data):
+    # A shift w is U^-1 w in the basis L U, so there the box of radius
+    # ||U^-1||_inf R holds every pair of the standard box of radius R: its
+    # cone lies inside the standard one, and both are the true cone.
+    fw = FAMILIES[name]()
+    U = data.draw(unimodular(fw.dimension), label="U")
+    radius = int(np.abs(np.linalg.inv(U)).sum(axis=1).max().round()) * STANDARD_RADIUS[name]
+    changed, back = change_basis(fw, U)
+    cone = expansive_cone(changed, analyze(changed), radius)
+    assert_same_rays(directions(fw, back(cone.ray_motions())), standard_cone_rays(name))
 
 
 def described(fw, names=None, scale=1.0):
