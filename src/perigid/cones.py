@@ -10,8 +10,9 @@ the local condition every vertex star must satisfy where an expansive
 deformation is effective.  The oracle picks each system's mode from the
 star's entries: exact when every entry is an integer or a Fraction, float
 otherwise.  Float decisions use the oracle's tolerance, ``feasibility.LP_TOL``.
-An exact star with a positive dependence fails the strict-expansion probe
-without the probe's larger system being solved.
+A positive dependence, in either mode, fails the strict-expansion probe and
+puts every star vector in the lineality space, so neither the probe nor a
+membership system is solved; strict_expansion_probe says how to read a float one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailureError
-from .feasibility import LP_TOL, _is_exact, solve_linear_feasibility
+from .feasibility import LP_TOL, solve_linear_feasibility
 from .framework import PeriodicFramework, _json
 
 
@@ -105,10 +106,13 @@ def lineality_space(star: VectorStar) -> np.ndarray:
     members = [v for v in vs if solve_linear_feasibility(rows, list(-v), bounds) is not None]
     if not members:
         return np.zeros((0, vs.shape[1]))
-    stack = np.array(members)
+    return _span(np.array(members))
+
+
+def _span(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of `stack`, by SVD."""
     _, s, vt = np.linalg.svd(stack)
-    dim = int(np.sum(s > LP_TOL * s[0]))
-    return vt[:dim]
+    return vt[: int(np.sum(s > LP_TOL * s[0]))]
 
 
 def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
@@ -116,8 +120,11 @@ def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
 
     A separating normal is produced whenever the lineality dimension is at
     most d - 1: it vanishes on the lineality space and is strictly positive
-    on every star vector outside it.  A star with a zero vector (no edge
-    direction) is a ValueError.
+    on every star vector outside it.  With a positive dependence a,
+    -v_i = sum_{j != i} (a_j / a_i) v_j puts every vector in the lineality
+    space, the SVD span of them all (as :func:`lineality_space` finds it when
+    every membership system is feasible); without one, that function decides.
+    A star with a zero vector (no edge direction) is a ValueError.
     """
     _vectors(star)
     vs = star.as_float()
@@ -125,7 +132,8 @@ def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
         raise ValueError("zero vector in star")
     if d is None:
         d = vs.shape[1]
-    lin = lineality_space(star)
+    dep = positive_dependence(VectorStar(star.vertex_orbit, vs))
+    lin = lineality_space(star) if dep is None else _span(np.array(vs))
     ldim = lin.shape[0]
     pointed2 = ldim <= d - 2
 
@@ -133,7 +141,6 @@ def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
     if ldim <= d - 1:
         normal = _separating_normal(vs, lin)
 
-    dep = positive_dependence(VectorStar(star.vertex_orbit, vs))
     return ConeAnalysis(
         orbit=star.vertex_orbit,
         lineality_basis=lin,
@@ -178,14 +185,17 @@ def strict_expansion_probe(star: VectorStar):
     <v_i - v_j, vdot_i - vdot_j> >= 0, and a probe row asks for total opening
     >= 1.  Because solutions scale, feasibility is equivalent to the
     existence of a strictly expansive assignment.  The mode comes from the
-    star's entries, as for :func:`positive_dependence`.  On an exact star a
-    positive dependence sum a_i v_i = 0 (every a_i >= 1) answers None before
-    the probe system is built: with <v_i, vdot_i> = 0, sum_{i<j} a_i a_j
-    <v_i - v_j, vdot_i - vdot_j> = -<sum a_i v_i, sum a_j vdot_j> = 0, so
-    every pair term, >= 0 with weight >= 1, is 0, and so is the probe row.
+    star's entries, as for :func:`positive_dependence`.  In both modes a
+    positive dependence a (every a_i >= 1) answers None before the probe
+    system is built: with <v_i, vdot_i> = 0, sum_{i<j} a_i a_j
+    <v_i - v_j, vdot_i - vdot_j> = -<eps, sum a_j vdot_j> with eps =
+    sum a_i v_i.  Exactly, eps = 0, so every pair term, >= 0 with weight
+    >= 1, is 0, and so is the probe row.  In float mode eps is at the
+    oracle's tolerance scale, so a total opening >= 1 needs
+    |sum a_j vdot_j| >= 1 / |eps|, velocities far beyond that scale.
     """
     vs = _vectors(star)
-    if all(_is_exact(x) for v in vs for x in v) and positive_dependence(star) is not None:
+    if positive_dependence(star) is not None:
         return None
     k = len(vs)
     d = len(vs[0])

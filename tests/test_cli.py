@@ -182,6 +182,40 @@ def test_star_report(tmp_path, capsys):
     assert "lineality_dim" in data and "separating_normal" in data
 
 
+LATTICE3 = [[1, 0.2, 0.1], [0, 1.1, 0.3], [0, 0, 0.9]]
+A_LOOPS = [("a", "a", (1, 0, 0)), ("a", "a", (0, 1, 0)), ("a", "a", (0, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "positions, edges, lineality, digest",
+    [
+        (
+            {"a": [0.0, 0.0, 0.0], "b": [0.3, 0.4, 0.2]},
+            A_LOOPS + [("a", "b", (0, 0, 0)), ("a", "b", (1, 1, 0))],
+            3,
+            "59e306d1540a95009127f4a3b20f5a4215b282fbd46fec19fbbe5757e0049e1e",
+        ),
+        (
+            {"a": [0.0, 0.0, 0.0]},
+            A_LOOPS[:2],
+            2,
+            "dab5d192c19545ba37fc34ffae236225ee0bff6c924668a56fed3f1e3e0269a6",
+        ),
+    ],
+    ids=["spanning", "planar"],
+)
+def test_star_report_with_a_positive_dependence(tmp_path, positions, edges, lineality, digest):
+    # Bars along lattice vectors put +-L e_i in orbit a's star, so it has a
+    # positive dependence (no built-in star has one) and every vector in its
+    # lineality space; the planar star's normal comes from that basis.
+    target, report = tmp_path / "fw.json", tmp_path / "star.json"
+    save_framework(make_framework(3, positions, LATTICE3, edges), target)
+    assert main(["star", str(target), "--orbit", "a", "-o", str(report)]) == 0
+    data = json.loads(report.read_bytes())
+    assert data["lineality_dim"] == lineality and data["positive_dependence"] is not None
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "edges, orbit",
     [([], "a"), ([("a", "b", (0, 0)), ("b", "a", (0, 1))], "c")],

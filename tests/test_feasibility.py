@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perigid import (
@@ -28,7 +28,7 @@ from perigid import (
     vertex_star,
 )
 
-from _oracles import bland_phase_one_point, fourier_motzkin_feasible, frozen_feasibility
+from _oracles import bland_phase_one_point, exact_rank, fourier_motzkin_feasible, frozen_feasibility
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -280,11 +280,10 @@ def dependence_and_probe(star):
 
 def expected_calls(star, has_dependence):
     """The systems positive_dependence and strict_expansion_probe must send
-    for `star`, a star of Fractions or of floats, in order: the dependence's,
-    then the probe's, which an exact star sends only after its own
-    dependence system comes back infeasible."""
-    exact = all(isinstance(x, Fraction) for x in star.vectors.flat)
-    return ["dependence"] * (1 + exact) + ["probe"] * (not exact or not has_dependence)
+    for `star`, a star of Fractions or of floats, in order: the dependence's
+    twice, then the probe's, which the probe sends in either mode only after
+    its own dependence system comes back infeasible."""
+    return ["dependence"] * 2 + ["probe"] * (not has_dependence)
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -305,6 +304,26 @@ def test_star_systems_match_phase_one_oracle(d, k, data):
         assert_same_point(result, expected[name])
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_float_dependence_skips_the_lineality_and_probe_systems(d, k, data):
+    # The fast path against the path it skips: with a float dependence,
+    # analyze_star's basis is lineality_space's bit for bit, of the star's
+    # exact rank, and the exact values have a dependence too.
+    vectors = data.draw(star_vectors(d, k, plant_from=2))
+    float_star = VectorStar("s", np.array(vectors, dtype=float))
+    assume(positive_dependence(float_star) is not None)
+    basis = cones.analyze_star(float_star).lineality_basis
+    expected = cones.lineality_space(float_star)
+    assert basis.dtype == expected.dtype and basis.shape == expected.shape
+    assert basis.tobytes() == expected.tobytes()
+    assert basis.shape[0] == exact_rank(vectors)
+    assert strict_expansion_probe(float_star) is None
+    assert bland_phase_one_point(*dependence_system(vectors)) is not None
+
+
 EXACT_ENTRIES = st.one_of(st.integers(-6, 6), FRACTION_ENTRIES, st.integers(-6, 6).map(np.int64))
 
 
@@ -322,13 +341,16 @@ def test_dependence_refutes_the_exact_probe(d, k, data):
         eqs, eq_rhs, _, ineqs, ineq_rhs = probe
         assert not fourier_motzkin_feasible(ineqs, eqs, eq_rhs, ineq_rhs)
     # A float star, and one float among exact entries (first or last), send
-    # the probe system to the oracle and nothing else.
+    # the dependence system to the oracle, then the probe system only when
+    # the float dependence comes back infeasible.
     mixed = [np.array(vectors, dtype=object) for _ in range(2)]
     for vs, at in zip(mixed, [(0, 0), (-1, -1)]):
         vs[at] = float(vs[at])
     for vs in (star.as_float(), *mixed):
         seen = recorded_systems(functools.partial(strict_expansion_probe, VectorStar("s", vs)))
-        assert [repr(system) for system, _ in seen] == [repr(probe_system(vs))]
+        dependence = dependence_system(vs)
+        expected = [dependence] + [probe_system(vs)] * (frozen_feasibility(*dependence) is None)
+        assert [repr(system) for system, _ in seen] == [repr(system) for system in expected]
 
 
 # -- exact-mode edge cases (expected values are the plain Fraction tableau's) ---
@@ -713,41 +735,67 @@ def test_breakdown_star_systems_match_frozen_tableau():
         (F(1, 3), F(6), F(5, 3)),
         (F(0), F(1, 2), F(1, 2)),
     ]
-    # Float and exact dependence, float probe, and the exact probe's
-    # dependence and own system, since the star has no dependence.
-    assert assert_star_calls_match_frozen(VectorStar("s", np.array(vs, dtype=object))) == 5
+    # Float and exact dependence, then each probe's dependence and own
+    # system, since the star has no dependence.
+    assert assert_star_calls_match_frozen(VectorStar("s", np.array(vs, dtype=object))) == 6
 
 
-@pytest.mark.skipif(
+needs_perfbench = pytest.mark.skipif(
     not os.path.isfile(os.path.join(ROOT, "perfbench", "workloads.py")),
     reason="no perfbench/ in this checkout",
 )
-def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
-    # The stars of `perfbench/run.py --workload stars --seed 1`: the workload
-    # draws the stressed framework's 3 x 3 rotation, then its star mix.  Each
-    # star's float and exact dependence and probe must give the frozen
-    # tableau's bytes, which keeps the stars digests fixed.
+
+
+def workload_stars(monkeypatch, seed):
+    """The stars of `perfbench/run.py --workload stars --seed <seed>`, in
+    `star_plan` order: the workload draws the stressed framework's 3 x 3
+    rotation, then its star mix."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py")
     )
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    rng = np.random.default_rng(1)
+    rng = np.random.default_rng(seed)
     workloads.random_rotation(rng, 3)
-    stars = [
+    return [
         VectorStar("s", np.array(workloads._star_vectors(rng, d, k, plant), dtype=object))
         for d, k, plant in workloads.star_plan(workloads.STARS_PER_STRATUM)
     ]
+
+
+@needs_perfbench
+def test_stars_workload_oracle_calls_match_frozen_tableau(monkeypatch):
+    # Each seed-1 star's float and exact dependence and probe must give the
+    # frozen tableau's bytes, which keeps the stars digests fixed.
+    stars = workload_stars(monkeypatch, 1)
     dependent = sum(frozen_feasibility(*dependence_system(s.vectors)) is not None for s in stars)
     assert (len(stars), dependent) == (110, 63)
-    # Per star: float and exact dependence, float probe and the exact probe's
-    # dependence; the exact probe's own system only for the 47 stars without one.
+    # Per star: float and exact dependence and each probe's dependence; each
+    # probe's own system only for the 47 stars without one.
     with counted_loops() as rows:
-        assert sum(map(assert_star_calls_match_frozen, stars)) == 4 * 110 + 47 == 487
-    # The float systems take both pivot loops: dependences and k = 2 probes
-    # the list loop, probes of k >= 3 stars (7 rows and up) the array loop.
-    assert (len(rows["lists"]), len(rows["array"])) == (110 + 22, 88)
+        assert sum(map(assert_star_calls_match_frozen, stars)) == 4 * 110 + 2 * 47 == 534
+    # The float systems take both pivot loops: dependences and the 22 k = 2
+    # probes the list loop, the 25 probes of k >= 3 stars without a
+    # dependence (7 rows and up) the array loop.
+    assert (len(rows["lists"]), len(rows["array"])) == (2 * 110 + 22, 25)
+
+
+@needs_perfbench
+@pytest.mark.parametrize("seed, index", [(3804, 103), (3809, 100), (3887, 104), (3927, 109)])
+def test_float_dependence_settles_the_float_probe(monkeypatch, seed, index):
+    # d = 3, k = 6 workload stars whose float probe system, solved alone,
+    # accepts a point, although the exact values of those floats have a
+    # dependence and an infeasible probe system.
+    star = workload_stars(monkeypatch, seed)[index]
+    float_star = VectorStar("s", star.as_float())
+    images = VectorStar("s", np.array([[Fraction(x) for x in v] for v in star.as_float()], dtype=object))
+    assert positive_dependence(float_star) is not None
+    assert positive_dependence(star) is not None
+    assert strict_expansion_probe(float_star) is None
+    for s in (star, images):
+        assert strict_expansion_probe(s) is None
+        assert solve_linear_feasibility(*probe_system(s.vectors)) is None
 
 
 # -- the two float pivot loops ------------------------------------------------
