@@ -24,8 +24,9 @@ step is one Newton correction (two after a stall), one placement-only check
 The pair audit, facet gaps and frame export read one stack of per-step
 positions and lattices and get every pair separation and realized vertex
 from the same incidence core as the rigidity rows.  The audit runs one chunk
-of the pair stream through every step, and the export reads one block of
-steps, so neither holds a whole run or the audit the whole pair set.
+of the pair stream through every step and keeps violations in the order found
+(chunk, then step), which readers sort into pair order; the export reads one
+block of steps, so neither holds a whole run or the audit the whole pair set.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ class MotionPath:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionAudit:
-    """Each pair's smallest step increment in the pair stream's order, and the
-    violations as pair-major arrays of stream index, step and drop.  The pairs
-    are a function of (orbit names, d, radius), so no key is held: each read
-    builds them from the stream's layout (`_pairs_at`)."""
+    """Each pair's smallest step increment in stream order, and the violations
+    as arrays of stream index, step and drop in the order found (chunk, then
+    step), which readers sort into pair order.  No key is held: each read
+    builds the pairs from the stream's layout (`_pairs_at`)."""
 
     _stream: tuple[tuple[str, ...], int, int, np.ndarray]  # orbits, d, radius, low
     _found: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -104,7 +105,8 @@ class ExpansionAudit:
     def violations(self) -> list[tuple[tuple[str, str, tuple[int, ...]], int, float]]:
         """(key, step, drop) per violation, pair-major, built on each read."""
         orbits, d, radius, _ = self._stream
-        pairs, steps, drops = self._found
+        order = np.argsort(self._found[0], kind="stable")  # a pair's steps stay ascending
+        pairs, steps, drops = (a[order] for a in self._found)
         return list(zip(_pair_keys(orbits, *_pairs_at(orbits, d, radius, pairs)), steps.tolist(), drops.tolist()))
 
 
@@ -261,42 +263,27 @@ def audit_expansiveness(
     if np.isnan(audit_tol):
         raise ValueError("audit_tol is NaN, which no drop exceeds")
     orbits, d = path.graph.vertex_orbits, path.graph.dimension
-    chunks, start = [], 0
+    low, start = [], 0
+    found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]  # pairs, steps, drops
     for tails, heads, shifts in _pair_incidence(orbits, d, radius):
-        chunks.append(_audit_chunk(path, start, tails, heads, shifts, audit_tol))
-        start += len(tails)
-    low, pairs, steps, drops = zip(*chunks)
-    del chunks  # each chunk's arrays go as they are joined
+        w = shifts.astype(float)
+        seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(*path._stacks))
+        dists = (np.sqrt(_row_dots(sep, sep)) for sep in seps)
+        least = np.full(len(w), np.inf)
+        for step, (prev, dist) in enumerate(itertools.pairwise(dists), 1):
+            inc = dist - prev
+            np.minimum(least, inc, out=least)
+            bad = np.flatnonzero(inc < -audit_tol)
+            if len(bad):
+                found.append((start + bad, np.full(len(bad), step), -inc[bad]))
+        low.append(least)
+        start += len(w)
+    pairs, steps, drops = zip(*found)
+    del found  # each step's arrays go as they are joined
     pairs = np.concatenate(pairs)
     steps = np.concatenate(steps)
     drops = np.concatenate(drops)
     return ExpansionAudit((orbits, d, radius, np.concatenate(low)), (pairs, steps, drops))
-
-
-def _audit_chunk(path: MotionPath, start: int, tails, heads, shifts, audit_tol: float):
-    """One chunk's smallest step increments and its violations as pair-major
-    arrays of stream index (the chunk starts at `start`), step and drop."""
-    w = shifts.astype(float)
-    seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(*path._stacks))
-    dists = (np.sqrt(_row_dots(sep, sep)) for sep in seps)
-    prev, low = next(dists), np.full(len(w), np.inf)
-    found = [(0, np.zeros(0, dtype=np.intp), np.zeros(0))]  # per violating step: step, pairs, drops
-    for step, dist in enumerate(dists, 1):
-        inc = dist - prev
-        np.minimum(low, inc, out=low)
-        bad = np.flatnonzero(inc < -audit_tol)
-        if len(bad):
-            found.append((step, start + bad, -inc[bad]))
-        prev = dist
-    at, bad, drops = zip(*found)
-    del found  # the per-step arrays go as they are joined
-    steps = np.repeat(at, list(map(len, bad)))
-    bad, drops = np.concatenate(bad), np.concatenate(drops)
-    order = np.argsort(bad, kind="stable")  # pair-major, steps ascending
-    # One reordered copy at a time: a chunk can hold ~250,000 violations.
-    bad = bad[order]
-    steps = steps[order]
-    return low, bad, steps, drops[order]
 
 
 def _simplex_family_offsets(graph: QuotientGraph):
@@ -407,9 +394,11 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
 def write_audit_csv(audit: ExpansionAudit, path) -> None:
     """Audit table: orbit_a,orbit_b,shift...,min_increment,first_violation_step
     in key order, `sorted(audit.pair_results)`: the stream's (tail, head)
-    blocks (`_pair_blocks`), each a run of ascending shifts, in key order."""
+    blocks (`_pair_blocks`), each a run of ascending shifts, in key order.  A
+    pair's violations are found in step order, so its first is its first step."""
     orbits, d, radius, low = audit._stream
     pairs, steps, _ = audit._found
+    hit, first = np.unique(pairs, return_index=True)  # ascending stream index
     blocks = _pair_blocks(orbits, d, radius)
     starts = itertools.accumulate([count for *_, count in blocks], initial=0)
     spans = sorted(((orbits[a], orbits[b]), start, start + count) for (a, b, count), start in zip(blocks, starts))
@@ -418,10 +407,9 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
         for _, start, stop in spans:  # key order
             for lo in range(start, stop, _PAIR_CHUNK):
                 k = np.arange(lo, min(lo + _PAIR_CHUNK, stop))
-                i, j = np.searchsorted(pairs, [lo, lo + len(k)])
-                hit, first = np.unique(pairs[i:j], return_index=True)  # pair-major: each one's first step
+                i, j = np.searchsorted(hit, [lo, lo + len(k)])
                 column = np.full(len(k), "", dtype=object)
-                column[hit - lo] = steps[i + first].astype(str)
+                column[hit[i:j] - lo] = steps[first[i:j]].astype(str)
                 yield *_pairs_at(orbits, d, radius, k), map(format, low[k].tolist(), itertools.repeat(".12g")), column
 
     _write_pair_table(path, orbits, d, ["min_increment", "first_violation_step"], chunks())

@@ -324,6 +324,26 @@ def test_float_dependence_skips_the_lineality_and_probe_systems(d, k, data):
     assert bland_phase_one_point(*dependence_system(vectors)) is not None
 
 
+def assert_dependence_refutes_probe(vectors, dependence):
+    """Farkas' lemma: weights y >= 0 on the rows of A x >= b and any weights z
+    on the rows of C x = 0 with y A + z C = 0 and y b = 1 prove the probe
+    system empty, since a point x would give 0 = y A x >= y b = 1.  From a
+    positive dependence a (every a_i >= 1): a_i a_j - 1 on pair row (i, j), 1
+    on the probe row and -a_i sum(a) on the equality row of v_i.  The
+    inequality rows then sum to sum_j a_i a_j (v_i - v_j) in block i, which is
+    a_i sum(a) v_i since sum_j a_j v_j = 0; a wrong dependence leaves a
+    nonzero row."""
+    eqs, eq_rhs, _, ineqs, ineq_rhs = probe_system(vectors)
+    a = [Fraction(x) for x in dependence]
+    assert min(a) >= 1
+    ineq_weights = [a[i] * a[j] - 1 for i, j in itertools.combinations(range(len(a)), 2)] + [1]
+    eq_weights = [-x * sum(a) for x in a]
+    assert min(ineq_weights) >= 0
+    weighted = list(zip(ineq_weights + eq_weights, ineqs + eqs, ineq_rhs + eq_rhs))
+    assert [sum(w * Fraction(row[c]) for w, row, _ in weighted) for c in range(len(eqs[0]))] == [0] * len(eqs[0])
+    assert sum(w * Fraction(b) for w, _, b in weighted) == 1
+
+
 EXACT_ENTRIES = st.one_of(st.integers(-6, 6), FRACTION_ENTRIES, st.integers(-6, 6).map(np.int64))
 
 
@@ -337,9 +357,9 @@ def test_dependence_refutes_the_exact_probe(d, k, data):
     star = VectorStar("s", np.array(vectors, dtype=object))
     probe = probe_system(star.vectors)
     assert_same_point(flat(strict_expansion_probe(star)), bland_phase_one_point(*probe))
-    if bland_phase_one_point(*dependence_system(star.vectors)) is not None:
-        eqs, eq_rhs, _, ineqs, ineq_rhs = probe
-        assert not fourier_motzkin_feasible(ineqs, eqs, eq_rhs, ineq_rhs)
+    dependence = bland_phase_one_point(*dependence_system(star.vectors))
+    if dependence is not None:
+        assert_dependence_refutes_probe(star.vectors, dependence)
     # A float star, and one float among exact entries (first or last), send
     # the dependence system to the oracle, then the probe system only when
     # the float dependence comes back infeasible.
@@ -351,6 +371,19 @@ def test_dependence_refutes_the_exact_probe(d, k, data):
         dependence = dependence_system(vs)
         expected = [dependence] + [probe_system(vs)] * (frozen_feasibility(*dependence) is None)
         assert [repr(system) for system, _ in seen] == [repr(system) for system in expected]
+
+
+def test_dependence_refutes_the_probe_of_a_planted_star():
+    # A planted d = 3, k = 6 star on which Fourier-Motzkin elimination of the
+    # probe system took ~10 s and ~170 MB; the certificate is exact and
+    # instant, and a dependence off by one in one weight fails it.
+    vectors = [[4, 0, -6], [4, -4, 6], [-3, -5, 3], [0, -1, 6], [3, 3, -4], [-22, 9, -9]]
+    dependence = bland_phase_one_point(*dependence_system(vectors))
+    assert dependence is not None and bland_phase_one_point(*probe_system(vectors)) is None
+    assert strict_expansion_probe(VectorStar("s", np.array(vectors, dtype=object))) is None
+    assert_dependence_refutes_probe(vectors, dependence)
+    with pytest.raises(AssertionError):
+        assert_dependence_refutes_probe(vectors, [dependence[0] + 1, *dependence[1:]])
 
 
 # -- exact-mode edge cases (expected values are the plain Fraction tableau's) ---

@@ -679,3 +679,13 @@ def test_audit_holds_its_violations_as_arrays():
         tracemalloc.stop()
     violations = len(audit.violations)
     assert violations == 24_800 and held <= 40 * violations
+
+
+def test_audit_table_writer_peaks_under_a_megabyte(tmp_path):
+    # 24,800 violations of 249 pairs, kept in the order found: the writer
+    # takes each pair's first step from one np.unique of their stream
+    # indices (~0.65 MB) and writes the rows a chunk at a time.
+    _, path = scaled_path(400, contract_every=4)
+    audit = audit_expansiveness(path, radius=2)
+    assert len(audit.violations) == 24_800
+    assert traced_peak(write_audit_csv, audit, tmp_path / "audit.csv") < 1_000_000
