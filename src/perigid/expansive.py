@@ -4,9 +4,9 @@ A motion is expansive when the distance between every pair of joints is
 nondecreasing.  For a quotient description that quantifies over all pairs of
 vertex-orbit translates; here the pair set is truncated to lattice shifts
 with max-norm at most a radius R.  The truncated pairs are held as arrays
-(:class:`PairSet`): tail and head orbit indices, an integer shift matrix
-and constraint rows built by the same incidence core as the bars of the
-rigidity matrix.  They come only as one stream of such arrays in the
+(:class:`PairSet`): tail and head orbit indices and constraint rows, built
+from the integer shifts of `_pair_incidence` by the incidence core of the
+rigidity matrix's bars.  They come only as one stream of such arrays in the
 canonical order (`_pair_chunks`, chunks of 1,024 to 2,047 pairs), of which
 the cone, the radius probe and the flex verdict keep only what each needs of
 a chunk, so no array spans the pair set; `pair_constraint` gives one pair.
@@ -51,7 +51,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .framework import EdgeOrbit, PeriodicFramework, _integer_shift, _json
-from .framework import _row_dots, _separations, _write_pair_table
+from .framework import _check_count, _row_dots, _separations, _write_pair_table
 from .rigidity import RigidityReport, _checked_flex, _incidence_rows, rigidity_matrix
 
 DEFAULT_RADIUS = 2
@@ -62,7 +62,7 @@ MAX_FLEX_DIM = 6
 @dataclass(frozen=True, eq=False)
 class PairSet:
     """Canonical pairs, one array row per pair: pair k joins the vertex orbit
-    of index a = tails[k] to that of b = heads[k] translated by w = shifts[k].
+    of index a = tails[k] to that of b = heads[k] translated by its shift w.
 
     Its separation is s = p_b + lattice w - p_a, and its row evaluates a
     motion u to <s, pdot_b + ldot w - pdot_a>, so the truncated pair
@@ -74,7 +74,6 @@ class PairSet:
 
     tails: np.ndarray  # (k,) vertex orbit indices
     heads: np.ndarray  # (k,)
-    shifts: np.ndarray  # (k, d) integers
     rows: np.ndarray  # (k, dn + d^2)
 
     def __len__(self) -> int:
@@ -85,7 +84,7 @@ def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
     w = shifts.astype(float)
     s = _separations(positions, fw.placement.lattice, tails, heads, w)
-    return PairSet(tails, heads, shifts, _incidence_rows(fw.n, tails, heads, w, s))
+    return PairSet(tails, heads, _incidence_rows(fw.n, tails, heads, w, s))
 
 
 def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
@@ -120,8 +119,7 @@ def _pair_incidence(orbits, d: int, radius: int, shell: bool = False):
     _PAIR_CHUNK to (2 radius + 1) _PAIR_CHUNK shifts (the whole box if it is
     smaller) while the first d - k are fixed, so no array spans the whole
     set; the chunks are cut from the pair order, not from the box."""
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    _check_count(radius, "radius", 1)
     width, k = 2 * radius + 1, 1
     while k < d and width**k < _PAIR_CHUNK:
         k += 1
@@ -494,8 +492,7 @@ def expansive_cone(
     pair's audit value, which is written there after the double description
     (`_write_pair_audit`).
     """
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
+    _check_count(radius, "radius", 1)
     f = report.dof
     if f > MAX_FLEX_DIM:
         raise FlexDimensionTooLargeError(
@@ -563,6 +560,7 @@ def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     exceeds CONE_TOL * |row| * |flex|, as violated when below the negative of it.
     The effective orbits are those touched by a strict pair.
     """
+    _check_count(radius, "radius", 1)
     flex = _checked_flex(rigidity_matrix(fw), flex, CONE_TOL)
     flex_norm, violated, touched = np.linalg.norm(flex), False, set()
     for pairs in _pair_chunks(fw, radius):
@@ -628,6 +626,7 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
     again and merged chunk by chunk against the cone's halfspaces
     (`_merge_new`), and the merged rows tested.
     """
+    _check_count(max_radius, "max_radius", 1)
     if cone.radius > max_radius:
         raise ValueError(f"cone radius {cone.radius} exceeds max_radius {max_radius}")
     a, rays = cone.halfspace_matrix, cone.rays

@@ -154,6 +154,15 @@ def _integer_shift(shift, d: int, what: str) -> tuple[int, ...]:
     return ints
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """The one check of a count (radius, step count, supercell) before any
+    work: a Python or numpy integer, not a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFramework:
     """Check all framework invariants and return the validated value.
 

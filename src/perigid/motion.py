@@ -21,12 +21,13 @@ at ``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.  Each
 step is one Newton correction (two after a stall), one placement-only check
 (``framework._with_placement`` on ``fw.graph``) and one rigidity analysis.
 
-The pair audit, facet gaps and frame export read one stack of per-step
-positions and lattices and get every pair separation and realized vertex
-from the same incidence core as the rigidity rows.  The audit runs one chunk
-of the pair stream through every step and keeps violations in the order found
-(chunk, then step), which readers sort into pair order; the export reads one
-block of steps, so neither holds a whole run or the audit the whole pair set.
+The path is each step's unpacked state, stacked: positions and C-ordered
+lattices, which the pair audit, facet gaps and frame export read, getting
+every pair separation and realized vertex from the same incidence core as
+the rigidity rows.  The audit runs one chunk of the pair stream through
+every step and keeps violations in the order found (chunk, then step), which
+readers sort into pair order; the export reads one block of steps, so
+neither holds a whole run or the audit the whole pair set.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +48,8 @@ from .errors import (
 )
 from .expansive import _CHUNK, _PAIR_CHUNK, DEFAULT_RADIUS, _pair_blocks, _pair_incidence, _pair_keys, _pairs_at
 from .framework import PeriodicFramework, Placement, QuotientGraph
-from .framework import _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
-from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows
-from .rigidity import unpack_motion
+from .framework import _check_count, _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
+from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows, unpack_motion
 
 DEFAULT_STEP = 0.01
 DEFAULT_STEPS = 50
@@ -63,22 +62,14 @@ _SEED_FLEX_TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class MotionPath:
     graph: QuotientGraph
-    placements: list[Placement]  # step 0 is the input placement
+    positions: np.ndarray  # (steps + 1, n, d) in vertex-orbit order; step 0 is the input placement
+    lattices: np.ndarray  # (steps + 1, d, d), C-ordered (np.array of a list) as `lattice @ w` bits need
     step_size: float  # arc step actually taken (h * min edge length)
-    tangents: np.ndarray  # (steps + 1, dn + d^2) unit tangents
     residuals: np.ndarray  # per step, max |len^2 - len0^2| after correction
 
     @property
     def n_steps(self) -> int:
-        return len(self.placements) - 1
-
-    @cached_property
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step positions (steps + 1, n, d) and C-ordered lattices
-        (steps + 1, d, d), as the audit, facet gaps and frame export read them."""
-        positions = [[pl.positions[o] for o in self.graph.vertex_orbits] for pl in self.placements]
-        lattices = [pl.lattice for pl in self.placements]
-        return np.array(positions, dtype=float), np.array(lattices, dtype=float)
+        return len(self.positions) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +99,6 @@ class ExpansionAudit:
         order = np.argsort(self._found[0], kind="stable")  # a pair's steps stay ascending
         pairs, steps, drops = (a[order] for a in self._found)
         return list(zip(_pair_keys(orbits, *_pairs_at(orbits, d, radius, pairs)), steps.tolist(), drops.tolist()))
-
-
-def _placement_of(graph: QuotientGraph, state: np.ndarray) -> Placement:
-    pos, lattice = unpack_motion(graph, state)
-    return Placement(
-        {o: pos[i].copy() for i, o in enumerate(graph.vertex_orbits)}, lattice.copy()
-    )
 
 
 def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
@@ -168,16 +152,15 @@ def continue_motion(
     """Follow the flex `direction` for `n_steps` steps of size h.
 
     h is measured in units of the shortest edge length and must be
-    positive and finite; n_steps must be a nonnegative integer, and newton_tol
-    and rank_tol finite.  The seed must
-    annihilate the edge rows; its trivial (isometry) component is projected
-    out before stepping.  A purely trivial seed, or a rigid framework, yields
-    a zero-displacement path.
+    positive and finite; n_steps must be a nonnegative integer (not a bool),
+    and newton_tol and rank_tol finite.  The seed must annihilate the edge
+    rows; its trivial (isometry) component is projected out before stepping.
+    A purely trivial seed, or a rigid framework, yields a zero-displacement
+    path.
     """
     if not 0 < h < np.inf:
         raise ValueError(f"step size must be positive and finite, got {h!r}")
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    _check_count(n_steps, "n_steps", 0)
     if not math.isfinite(newton_tol):
         raise ValueError(f"newton_tol must be finite, got {newton_tol!r}")
     graph = fw.graph
@@ -192,22 +175,14 @@ def continue_motion(
     tangent = report0.flex_basis.T @ (report0.flex_basis @ direction) if report0.dof else np.zeros_like(direction)
     norm0 = float(np.linalg.norm(tangent))
     if norm0 <= 1e-12 * max(1.0, float(np.linalg.norm(direction))):
-        same = _placement_of(graph, state)
-        return MotionPath(
-            graph,
-            [same] * (n_steps + 1),
-            0.0,
-            np.zeros((n_steps + 1, state.size)),
-            np.zeros(n_steps + 1),
-        )
+        k = n_steps + 1
+        return MotionPath(graph, np.array([pos0] * k), np.array([fw.placement.lattice] * k), 0.0, np.zeros(k))
     tangent = tangent / norm0
 
     step_len = h * fw.min_edge_length
     target_sq = fw.edge_lengths**2
     free = _gauge_free_indices(graph)
-    placements = [_placement_of(graph, state)]
-    tangents = [tangent]
-    residuals = [0.0]
+    positions, lattices, residuals = [pos0], [fw.placement.lattice], [0.0]
 
     for _ in range(n_steps):
         predicted = state + step_len * tangent
@@ -218,8 +193,8 @@ def continue_motion(
             # docstring); a second stall propagates.
             every = np.arange(predicted.size)
             state, residual = _newton_correct(graph, target_sq, predicted, every, newton_tol)
-        placement = _placement_of(graph, state)
-        step_fw = _with_placement(graph, placement)
+        pos, lattice = unpack_motion(graph, state)
+        step_fw = _with_placement(graph, Placement(dict(zip(graph.vertex_orbits, pos)), lattice))
         report = analyze(step_fw, rank_tol)
         if report.rank < report0.rank or report.dof != report0.dof:
             raise SingularJacobianError(
@@ -232,17 +207,11 @@ def continue_motion(
                 f"tangent projection shrank to {nrm:.3f}; lost the smooth branch"
             )
         tangent = projected / nrm
-        placements.append(placement)
-        tangents.append(tangent)
+        positions.append(pos)
+        lattices.append(lattice)
         residuals.append(residual)
 
-    return MotionPath(
-        graph,
-        placements,
-        step_len,
-        np.array(tangents),
-        np.array(residuals),
-    )
+    return MotionPath(graph, np.array(positions), np.array(lattices), step_len, np.array(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +227,7 @@ def audit_expansiveness(
     A violation at step k means the distance dropped by more than audit_tol
     between steps k-1 and k.
     """
-    if len(path.placements) < 2:
+    if len(path.positions) < 2:
         raise ValueError("path needs at least two steps")
     if np.isnan(audit_tol):
         raise ValueError("audit_tol is NaN, which no drop exceeds")
@@ -267,7 +236,7 @@ def audit_expansiveness(
     found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]  # pairs, steps, drops
     for tails, heads, shifts in _pair_incidence(orbits, d, radius):
         w = shifts.astype(float)
-        seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(*path._stacks))
+        seps = (_separations(p, lattice, tails, heads, w) for p, lattice in zip(path.positions, path.lattices))
         dists = (np.sqrt(_row_dots(sep, sep)) for sep in seps)
         least = np.full(len(w), np.inf)
         for step, (prev, dist) in enumerate(itertools.pairwise(dists), 1):
@@ -310,7 +279,7 @@ def facet_separation(path: MotionPath) -> np.ndarray:
     _, far, singles, doubles = _simplex_family_offsets(path.graph)
     d = path.graph.dimension
     heads = np.full(2 * d, path.graph.vertex_orbits.index(far))
-    pts = _separations(*path._stacks, None, heads, np.array(singles + doubles, dtype=float))
+    pts = _separations(path.positions, path.lattices, None, heads, np.array(singles + doubles, dtype=float))
     near_pts, far_pts = pts[:, :d], pts[:, d:]
     # At d = 1 the difference set is empty and the SVD returns the normal [1].
     normal = np.linalg.svd(far_pts[:, 1:] - far_pts[:, :1])[2][:, -1]
@@ -335,14 +304,13 @@ def export_frames(path: MotionPath, supercell: int = 1, fmt: str = "obj", outdir
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "obj" and d > 3:
         raise ValueError("obj export supports d <= 3; use csv")
-    if supercell < 0:
-        raise ValueError("supercell must be nonnegative")
+    _check_count(supercell, "supercell", 0)
     orbits = path.graph.vertex_orbits
     shifts = list(itertools.product(range(-supercell, supercell + 1), repeat=d))
     vertices = list(itertools.product(orbits, shifts))  # orbit-major
     heads = np.repeat(np.arange(len(orbits)), len(shifts))
     offsets = np.array(shifts * len(orbits), dtype=float).reshape(-1, d)
-    positions, lattices = path._stacks
+    positions, lattices = path.positions, path.lattices
     block = max(1, _CHUNK // offsets.size)
     coords = (
         xs

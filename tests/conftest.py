@@ -13,6 +13,7 @@ from perigid import (
     validate_framework,
 )
 from perigid.framework import _separations
+from perigid.motion import MotionPath
 from perigid.rigidity import pack_motion, unpack_motion
 
 
@@ -57,20 +58,54 @@ def change_basis(fw, U):
 def whole_pairs(fw, radius):
     """The whole canonical pair set at `radius`: the chunks of the pair
     stream concatenated, each row the stream's, bit for bit."""
-    chunks = [(c.tails, c.heads, c.shifts, c.rows) for c in expansive._pair_chunks(fw, radius)]
+    chunks = [(c.tails, c.heads, c.rows) for c in expansive._pair_chunks(fw, radius)]
     return PairSet(*map(np.concatenate, zip(*chunks)))
 
 
-def pair_keys(fw, pairs):
-    """Canonical (orbit_a, orbit_b, shift) keys of `pairs`, in pair order."""
-    return expansive._pair_keys(fw.graph.vertex_orbits, pairs.tails, pairs.heads, pairs.shifts)
+def stream_shifts(fw, radius, shell=False):
+    """The integer shifts the pair stream's rows are built from, one array per
+    chunk of `_pair_chunks(fw, radius, shell)`, as `_pair_incidence` gives them."""
+    return [w for *_, w in expansive._pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius, shell)]
 
 
-def pair_separations(fw, pairs):
-    """Separations p_b + lattice w - p_a of `pairs`, from the incidence core
-    their rows are built by."""
+def whole_shifts(fw, radius):
+    """The integer shifts of `whole_pairs(fw, radius)`, one row per pair."""
+    return np.concatenate(stream_shifts(fw, radius))
+
+
+def canonical_shift(a, b, shift):
+    """The (1, d) shift of `pair_constraint(fw, a, b, shift)`: that of its key,
+    `EdgeOrbit(a, b, shift).canonical()`."""
+    return np.array([EdgeOrbit(a, b, tuple(shift)).canonical().shift])
+
+
+def pair_keys(fw, pairs, shifts):
+    """Canonical (orbit_a, orbit_b, shift) keys of `pairs` and their
+    `shifts`, in pair order."""
+    return expansive._pair_keys(fw.graph.vertex_orbits, pairs.tails, pairs.heads, shifts)
+
+
+def pair_separations(fw, pairs, shifts):
+    """Separations p_b + lattice w - p_a of `pairs` and their `shifts`, from
+    the incidence core their rows are built by."""
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
-    return _separations(positions, fw.placement.lattice, pairs.tails, pairs.heads, pairs.shifts.astype(float))
+    return _separations(positions, fw.placement.lattice, pairs.tails, pairs.heads, shifts.astype(float))
+
+
+def path_through(graph, placements):
+    """A MotionPath through `placements`, step 0 first, its positions in
+    vertex-orbit order and its lattices C-ordered as `continue_motion` stacks
+    them; its step size and residuals are zero."""
+    positions = [[pl.positions[o] for o in graph.vertex_orbits] for pl in placements]
+    lattices = [pl.lattice for pl in placements]
+    stacks = np.array(positions, dtype=float), np.array(lattices, dtype=float)
+    return MotionPath(graph, *stacks, 0.0, np.zeros(len(placements)))
+
+
+def step_placements(path):
+    """The Placement of each step of `path`, step 0 first."""
+    orbits = path.graph.vertex_orbits
+    return [Placement(dict(zip(orbits, p)), lattice) for p, lattice in zip(path.positions, path.lattices)]
 
 
 @pytest.fixture(scope="session")

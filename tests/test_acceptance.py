@@ -33,6 +33,7 @@ from perigid import (
     with_edge_orbit,
 )
 from _oracles import fourier_motzkin_feasible, rays_match
+from conftest import step_placements
 
 RANK_TOL = 1e-9
 AUDIT_TOL = 1e-8
@@ -250,19 +251,21 @@ def test_criterion_9_numerical_hygiene():
     worst_fd = 0.0
     worst_drift = 0.0
     for fw, path in criterion_3_paths():
-        t0 = path.tangents[0]
+        basis = analyze(fw, RANK_TOL).flex_basis
+        t0 = basis.T @ (basis @ expanding_flex(fw))  # the seed's unit projection, the first tangent
+        t0 /= np.linalg.norm(t0)
+        p0, p1 = step_placements(path)[:2]
         for key in audit_expansiveness(path, radius=2).pair_results:
             a, b, shift = key
             w = np.asarray(shift, float)
-            p0, p1 = path.placements[0], path.placements[1]
             d0 = np.linalg.norm(p0.positions[b] + p0.lattice @ w - p0.positions[a])
             d1 = np.linalg.norm(p1.positions[b] + p1.lattice @ w - p1.positions[a])
             fd = (d1**2 - d0**2) / (2 * path.step_size)
             analytic = pair_constraint(fw, a, b, shift).rows[0] @ t0
             worst_fd = max(worst_fd, abs(fd - analytic))
         base_sq = fw.edge_lengths**2
-        for step in range(len(path.placements)):
-            lengths = validate_framework(path.graph, path.placements[step]).edge_lengths
+        for placement in step_placements(path):
+            lengths = validate_framework(path.graph, placement).edge_lengths
             worst_drift = max(worst_drift, float(np.abs(lengths - fw.edge_lengths).max()))
             assert np.abs(lengths**2 - base_sq).max() < 10 * 1e-10
     assert worst_fd < 10 * 0.01

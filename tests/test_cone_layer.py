@@ -40,7 +40,7 @@ from _oracles import (
     rays_match,
     simplicial_cone_is_complete,
 )
-from conftest import make_framework, pair_keys, rotated, whole_pairs
+from conftest import make_framework, pair_keys, rotated, stream_shifts, whole_pairs, whole_shifts
 
 
 def framework(kind, d, seed):
@@ -312,16 +312,18 @@ def test_pair_stream_is_the_whole_pair_set_in_order(kind, d, radius, chunk, monk
         # One chunk: the rows of one product over the whole pair set.
         one_chunk.setattr(expansive, "_PAIR_CHUNK", 1 << 30)
         whole = whole_pairs(fw, radius)
-    keys = pair_keys(fw, whole)
+    shifts = whole_shifts(fw, radius)
+    keys = pair_keys(fw, whole, shifts)
     if chunk is not None:
         monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
     step = expansive._PAIR_CHUNK
-    on_shell = np.abs(whole.shifts).max(axis=1) == radius
+    on_shell = np.abs(shifts).max(axis=1) == radius
     for shell, keep in ((False, np.ones(len(whole), dtype=bool)), (True, on_shell)):
         chunks = list(expansive._pair_chunks(fw, radius, shell=shell))
         sizes = [len(c) for c in chunks]
         assert sizes == [keep.sum()] if keep.sum() < step else all(step <= s < 2 * step for s in sizes)
-        assert [k for c in chunks for k in pair_keys(fw, c)] == [k for k, kept in zip(keys, keep) if kept]
+        chunk_keys = [k for c, w in zip(chunks, stream_shifts(fw, radius, shell)) for k in pair_keys(fw, c, w)]
+        assert chunk_keys == [k for k, kept in zip(keys, keep) if kept]
         assert np.concatenate([c.rows for c in chunks]).tobytes() == whole.rows[keep].tobytes()
 
 
@@ -349,7 +351,7 @@ def test_pair_stream_of_three_orbits_is_the_loop_order(chunk, monkeypatch):
         monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
     keys, _, rows = loop_pairs(positions, lattice, 3)
     chunks = list(expansive._pair_chunks(fw, 3))
-    assert [k for c in chunks for k in pair_keys(fw, c)] == keys
+    assert [k for c, w in zip(chunks, stream_shifts(fw, 3)) for k in pair_keys(fw, c, w)] == keys
     assert np.concatenate([c.rows for c in chunks]).tobytes() == rows.tobytes()
 
 
@@ -364,7 +366,7 @@ def test_streamed_projection_is_the_one_product(kind, d, radius, monkeypatch):
     unit = expansive._unit_halfspaces
     cone_rows = whole_pairs(fw, radius).rows
     beyond = whole_pairs(fw, radius + 1)
-    shell_rows = beyond.rows[np.abs(beyond.shifts).max(axis=1) == radius + 1]
+    shell_rows = beyond.rows[np.abs(whole_shifts(fw, radius + 1)).max(axis=1) == radius + 1]
     seen = []
 
     def kept(rows, basis):

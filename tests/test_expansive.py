@@ -32,7 +32,7 @@ from perigid import expansive, feasibility, motion, rigidity_matrix
 from perigid.expansive import cone_report_json
 
 from _oracles import rays_match, sweep_rays_2d
-from conftest import make_framework, pair_keys, pair_separations, whole_pairs
+from conftest import canonical_shift, make_framework, pair_keys, pair_separations, whole_pairs, whole_shifts
 
 
 def pair_count(n, d, radius):
@@ -57,17 +57,18 @@ def test_pair_count_single_orbit():
 
 
 def test_contains_period_pair(stressed):
-    keys = set(pair_keys(stressed, whole_pairs(stressed, 1)))
-    key = pair_keys(stressed, pair_constraint(stressed, "red", "red", (1, 0, 0)))[0]
+    keys = set(pair_keys(stressed, whole_pairs(stressed, 1), whole_shifts(stressed, 1)))
+    shift = canonical_shift("red", "red", (1, 0, 0))
+    key = pair_keys(stressed, pair_constraint(stressed, "red", "red", (1, 0, 0)), shift)[0]
     assert key in keys and key == EdgeOrbit("red", "red", (1, 0, 0)).canonical()
     p = pair_constraint(stressed, "red", "red", (1, 0, 0))
-    assert np.allclose(np.abs(pair_separations(stressed, p)[0]), [1, 0, 0])
+    assert np.allclose(np.abs(pair_separations(stressed, p, shift)[0]), [1, 0, 0])
 
 
 def test_pair_row_orientation_invariant(stressed):
     a = pair_constraint(stressed, "green", "red", (1, 1, 0))
     b = pair_constraint(stressed, "red", "green", (-1, -1, 0))
-    assert pair_keys(stressed, a) == pair_keys(stressed, b)
+    assert (a.tails[0], a.heads[0]) == (b.tails[0], b.heads[0])
     assert np.array_equal(a.rows[0], b.rows[0])
 
 
@@ -96,9 +97,8 @@ def test_pair_integral_shift_types_accepted(stressed):
     ref = pair_constraint(stressed, "green", "red", (1, 1, 0))
     for shift in [(1.0, 1.0, 0.0), tuple(np.array([1, 1, 0], dtype=np.int64))]:
         p = pair_constraint(stressed, "green", "red", shift)
-        assert pair_keys(stressed, p) == pair_keys(stressed, ref) and p.shifts.dtype == ref.shifts.dtype
+        assert (p.tails[0], p.heads[0]) == (ref.tails[0], ref.heads[0])
         assert np.array_equal(p.rows, ref.rows)
-        assert np.array_equal(pair_separations(stressed, p), pair_separations(stressed, ref))
 
 
 def test_edge_rows_project_to_zero(stressed):
@@ -239,6 +239,44 @@ def test_rigid_framework_rejects_radius_below_one(enhanced3, radius):
     # The same error as a framework with flexes, before the rigid shortcut.
     with pytest.raises(ValueError, match="radius must be at least 1"):
         expansive_cone(enhanced3, analyze(enhanced3), radius)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("a count was not checked before the work it sizes")
+
+
+NOT_COUNTS = [True, np.bool_(True), 2.0, 1.5, "2"]
+
+
+@pytest.mark.parametrize("value", NOT_COUNTS)
+@pytest.mark.parametrize("entry", ["expansive_cone", "classify_flex", "verify_pointedness", "find_stable_radius"])
+def test_cone_layer_counts_are_integers_checked_first(stressed, monkeypatch, entry, value):
+    # Unchecked, True runs as radius 1 and is written as "radius": true into
+    # the cone report, and a float radius fails in the pair stream with a
+    # TypeError; the check comes before any pair or rigidity row is built.
+    report = analyze(stressed)
+    flex = report.flex_basis[0]
+    cone = expansive_cone(stressed, report, 1)
+    monkeypatch.setattr(expansive, "_pair_chunks", no_work)
+    monkeypatch.setattr(expansive, "rigidity_matrix", no_work)
+    calls = {
+        "expansive_cone": lambda: expansive_cone(stressed, report, value),
+        "classify_flex": lambda: classify_flex(stressed, flex, value),
+        "verify_pointedness": lambda: verify_pointedness(stressed, flex, value),
+        "find_stable_radius": lambda: find_stable_radius(stressed, cone, value),
+    }
+    name = "max_radius" if entry == "find_stable_radius" else "radius"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        calls[entry]()
+
+
+def test_cone_layer_takes_numpy_integer_counts(stressed):
+    report = analyze(stressed)
+    cone = expansive_cone(stressed, report, np.int64(2))
+    assert cone_report_json(cone, 2) == cone_report_json(expansive_cone(stressed, report, 2), 2)
+    assert find_stable_radius(stressed, cone, np.int64(4)) == find_stable_radius(stressed, cone, 4)
+    flex = cone.ray_motion(0) + cone.ray_motion(1)
+    assert classify_flex(stressed, flex, np.int64(2)) is classify_flex(stressed, flex, 2)
 
 
 def test_flex_dimension_cap_enforced():
@@ -431,8 +469,8 @@ def test_pair_audit_csv(tmp_path, stressed):
         values[(fields[0], fields[1], tuple(int(c) for c in fields[2:5]))] = float(fields[5])
     # Edge pairs are inert; the e1 period pair is active.
     first_edge = stressed.graph.edge_orbits[0]
-    assert values[pair_keys(stressed, pair_constraint(stressed, *first_edge))[0]] < 1e-9
-    assert values[pair_keys(stressed, pair_constraint(stressed, "red", "red", (1, 0, 0)))[0]] > 1e-3
+    assert values[first_edge.canonical()] < 1e-9
+    assert values[EdgeOrbit("red", "red", (1, 0, 0)).canonical()] > 1e-3
 
 
 # -- tolerances ----------------------------------------------------------------

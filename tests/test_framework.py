@@ -23,7 +23,7 @@ from perigid import (
 from perigid.cli import main
 from perigid.framework import _csv_field, _write_pair_table, dumps_framework, loads_framework
 
-from conftest import make_framework, pair_separations, whole_pairs
+from conftest import make_framework, pair_separations, whole_pairs, whole_shifts
 
 
 def test_stressed_inputs_validate(stressed):
@@ -173,7 +173,9 @@ def test_regular_lattice_same_bits_in_memory_and_from_json(d):
     fw = simplex_framework(d, regular=True)
     again = loads_framework(dumps_framework(fw))
     assert fw.placement.lattice.flags.c_contiguous
-    assert np.array_equal(pair_separations(fw, whole_pairs(fw, 2)), pair_separations(again, whole_pairs(again, 2)))
+    shifts = whole_shifts(fw, 2)
+    separations = [pair_separations(f, whole_pairs(f, 2), shifts) for f in (fw, again)]
+    assert np.array_equal(*separations)
 
 
 def test_writer_key_order(stressed):

@@ -25,7 +25,7 @@ from perigid import (
 )
 
 from _oracles import loop_pairs, loop_row
-from conftest import pair_keys, pair_separations, rotated, whole_pairs
+from conftest import canonical_shift, pair_keys, pair_separations, rotated, step_placements, whole_pairs, whole_shifts
 
 FAMILIES = [("stressed", 3)] + [(v, d) for d in (2, 3, 4, 5) for v in ("base", "removed:1")]
 
@@ -50,15 +50,15 @@ def test_pairs_match_loop(kind, d, radius):
     fw = rotated_framework(kind, d, seed=10 * d + radius)
     orbits = fw.graph.vertex_orbits
     keys, seps, rows = loop_pairs(positions_of(fw, orbits), fw.placement.lattice, radius)
-    pairs = whole_pairs(fw, radius)
+    pairs, shifts = whole_pairs(fw, radius), whole_shifts(fw, radius)
     assert len(pairs) == len(keys)
-    assert pair_keys(fw, pairs) == keys
-    assert same_bits(pair_separations(fw, pairs), seps)
+    assert pair_keys(fw, pairs, shifts) == keys
+    assert same_bits(pair_separations(fw, pairs, shifts), seps)
     assert same_bits(pairs.rows, rows)
     for k in range(0, len(keys), max(1, len(keys) // 7)):
-        p = pair_constraint(fw, *keys[k])
-        assert pair_keys(fw, p) == [keys[k]]
-        assert same_bits(pair_separations(fw, p)[0], seps[k]) and same_bits(p.rows[0], rows[k])
+        p, shift = pair_constraint(fw, *keys[k]), canonical_shift(*keys[k])
+        assert pair_keys(fw, p, shift) == [keys[k]]
+        assert same_bits(pair_separations(fw, p, shift)[0], seps[k]) and same_bits(p.rows[0], rows[k])
 
 
 @pytest.mark.parametrize("kind, d", FAMILIES)
@@ -89,7 +89,7 @@ def test_motion_audit_and_export_match_loop(tmp_path, kind, d):
     keys, _, _ = loop_pairs(positions_of(fw, orbits), fw.placement.lattice, 2)
     dist = [
         [np.linalg.norm(pl.positions[b] + pl.lattice @ np.array(w, float) - pl.positions[a]) for a, b, w in keys]
-        for pl in path.placements
+        for pl in step_placements(path)
     ]
     inc = np.diff(np.array(dist), axis=0)
 
@@ -105,7 +105,7 @@ def test_motion_audit_and_export_match_loop(tmp_path, kind, d):
     shifts = list(itertools.product((-1, 0, 1), repeat=d))
     coords = [
         [pl.positions[o] + pl.lattice @ np.array(w, float) for o in orbits for w in shifts]
-        for pl in path.placements
+        for pl in step_placements(path)
     ]
     csv = export_frames(path, supercell=1, fmt="csv", outdir=tmp_path)
     with open(csv[0]) as fh:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from perigid import analyze, expansive_cone, find_stable_radius, simplex_framework, stressed_framework
 from perigid import trivial_motion_basis
 
-from conftest import change_basis, make_framework, pair_keys, whole_pairs
+from conftest import change_basis, make_framework, pair_keys, whole_pairs, whole_shifts
 
 FAMILIES = {
     "base2": lambda: simplex_framework(2),
@@ -143,7 +143,7 @@ def tight_sets(fw, radius, names=None):
         np.linalg.norm(pairs.rows, axis=1), np.linalg.norm(motions, axis=1)
     )
     keys = []
-    for a, b, w in pair_keys(fw, pairs):
+    for a, b, w in pair_keys(fw, pairs, whole_shifts(fw, radius)):
         key = (names[a], names[b], w)
         keys.append(min(key, (key[1], key[0], tuple(-c for c in w))))
     return sorted(tuple(sorted(k for k, t in zip(keys, tight) if t)) for tight in (cosine <= 1e-9).T)

@@ -38,10 +38,10 @@ from perigid import (
 )
 from perigid import expansive, motion
 from perigid.motion import MotionPath, write_audit_csv
-from perigid.rigidity import pack_motion
+from perigid.rigidity import pack_motion, unpack_motion
 
 from _oracles import frozen_audit, frozen_audit_csv, frozen_frames, frozen_gauge_free_indices
-from conftest import make_framework, pair_keys, whole_pairs
+from conftest import make_framework, pair_keys, path_through, step_placements, whole_pairs, whole_shifts
 
 
 def expanding_flex(fw):
@@ -72,8 +72,8 @@ def test_trivial_direction_gives_zero_path(enhanced3):
     v = trivial_motion_basis(enhanced3)[0]
     path = continue_motion(enhanced3, v, n_steps=5, h=0.01)
     assert path.n_steps == 5
-    p0 = path.placements[0]
-    for pl in path.placements[1:]:
+    p0, *rest = step_placements(path)
+    for pl in rest:
         assert np.array_equal(pl.lattice, p0.lattice)
         for o in path.graph.vertex_orbits:
             assert np.array_equal(pl.positions[o], p0.positions[o])
@@ -88,18 +88,32 @@ def test_edge_lengths_preserved(mech2, path2):
     base = mech2.edge_lengths
     for k in range(mech2.m):
         for step in range(0, 51, 10):
-            fw_k = validate_framework(path2.graph, path2.placements[step])
+            fw_k = validate_framework(path2.graph, step_placements(path2)[step])
             assert abs(fw_k.edge_lengths[k] ** 2 - base[k] ** 2) < 10 * 1e-10
 
 
+def test_path_holds_its_steps_as_c_ordered_stacks(mech2, path2):
+    # One array per quantity, no per-step objects; C order gives the
+    # `lattice @ w` bits of a framework read back from JSON.
+    fields = [f.name for f in dataclasses.fields(MotionPath)]
+    assert fields == ["graph", "positions", "lattices", "step_size", "residuals"]
+    assert path2.positions.shape == (51, mech2.n, 2) and path2.lattices.shape == (51, 2, 2)
+    assert path2.positions.flags.c_contiguous and path2.lattices.flags.c_contiguous
+
+
 def test_step_zero_is_input(mech2, path2):
+    p0 = step_placements(path2)[0]
     for o in mech2.graph.vertex_orbits:
-        assert np.array_equal(path2.placements[0].positions[o], mech2.placement.positions[o])
-    assert np.array_equal(path2.placements[0].lattice, mech2.placement.lattice)
+        assert np.array_equal(p0.positions[o], mech2.placement.positions[o])
+    assert np.array_equal(p0.lattice, mech2.placement.lattice)
 
 
 def test_tangent_continuity(path2):
-    for a, b in zip(path2.tangents, path2.tangents[1:]):
+    # The tangent is not kept; each step's secant, the unit step from one
+    # corrected state to the next, turns smoothly as the tangent did.
+    secants = np.diff(pack_motion(path2.positions, path2.lattices), axis=0)
+    secants /= np.linalg.norm(secants, axis=1)[:, None]
+    for a, b in zip(secants, secants[1:]):
         angle = np.arccos(np.clip(a @ b, -1.0, 1.0))
         assert angle < 0.1
 
@@ -114,21 +128,25 @@ def test_audit_passes_forward_fails_reversed(mech2, path2):
 
 
 def test_first_order_agreement(mech2, path2):
-    # Finite difference of squared pair distances against the pair rows.
-    t0 = path2.tangents[0]
+    # Finite difference of squared pair distances against the pair rows on
+    # the first tangent: the seed's unit projection onto the flex space.
+    basis = analyze(mech2).flex_basis
+    t0 = basis.T @ (basis @ expanding_flex(mech2))
+    t0 /= np.linalg.norm(t0)
     h_eff = path2.step_size
+    p0, p1 = step_placements(path2)[:2]
     for key in list(audit_expansiveness(path2, radius=2).pair_results)[:40]:
         a, b, shift = key
         p = pair_constraint(mech2, a, b, shift)
         d0 = np.linalg.norm(
-            path2.placements[0].positions[b]
-            + path2.placements[0].lattice @ np.asarray(shift, float)
-            - path2.placements[0].positions[a]
+            p0.positions[b]
+            + p0.lattice @ np.asarray(shift, float)
+            - p0.positions[a]
         )
         d1 = np.linalg.norm(
-            path2.placements[1].positions[b]
-            + path2.placements[1].lattice @ np.asarray(shift, float)
-            - path2.placements[1].positions[a]
+            p1.positions[b]
+            + p1.lattice @ np.asarray(shift, float)
+            - p1.positions[a]
         )
         fd = (d1**2 - d0**2) / (2 * h_eff)
         assert abs(fd - p.rows[0] @ t0) < 10 * 0.01  # ten times the path's h
@@ -161,7 +179,7 @@ def test_boundary_ray_via_period_edge_mechanism(stressed):
     audit = audit_expansiveness(path, radius=2)
     assert audit.passed
     dists = [
-        np.linalg.norm(pl.lattice @ np.array([1.0, 0, 0])) for pl in path.placements
+        np.linalg.norm(lattice @ np.array([1.0, 0, 0])) for lattice in path.lattices
     ]
     assert max(abs(d - dists[0]) for d in dists) < 1e-8
 
@@ -182,31 +200,19 @@ def test_facet_separation_increases_3d():
 
 
 def test_facet_separation_constant_on_rigid(enhanced3):
-    path = MotionPath(
-        graph=enhanced3.graph,
-        placements=[enhanced3.placement] * 4,
-        step_size=0.0,
-        tangents=np.zeros((4, 15)),
-        residuals=np.zeros(4),
-    )
+    path = path_through(enhanced3.graph, [enhanced3.placement] * 4)
     sep = facet_separation(path)
     assert np.allclose(sep, sep[0])
 
 
 def test_facet_separation_requires_family(stressed):
-    path = MotionPath(
-        graph=stressed.graph,
-        placements=[stressed.placement] * 2,
-        step_size=0.0,
-        tangents=np.zeros((2, 15)),
-        residuals=np.zeros(2),
-    )
+    path = path_through(stressed.graph, [stressed.placement] * 2)
     with pytest.raises(NotSimplexFamilyError, match="edge offsets"):
         facet_separation(path)
     positions = {"a": [0.0, 0.0], "b": [0.5, 0.0], "c": [0.0, 0.5]}
     edges = [("a", "b", (0, 0)), ("b", "c", (0, 0)), ("c", "a", (1, 1))]
     fw = make_framework(2, positions, np.eye(2), edges)
-    path = MotionPath(fw.graph, [fw.placement] * 2, 0.0, np.zeros((2, 10)), np.zeros(2))
+    path = path_through(fw.graph, [fw.placement] * 2)
     with pytest.raises(NotSimplexFamilyError, match="exactly two vertex orbits"):
         facet_separation(path)
 
@@ -231,13 +237,7 @@ def test_export_obj(tmp_path, path2):
 
 
 def test_export_obj_vertex_positions_match(tmp_path, stressed):
-    path = MotionPath(
-        graph=stressed.graph,
-        placements=[stressed.placement],
-        step_size=0.0,
-        tangents=np.zeros((1, 15)),
-        residuals=np.zeros(1),
-    )
+    path = path_through(stressed.graph, [stressed.placement])
     files = export_frames(path, supercell=1, fmt="obj", outdir=tmp_path)
     text = (tmp_path / "frame_0000.obj").read_text().strip().split("\n")
     verts = [line.split()[1:] for line in text if line.startswith("v ")]
@@ -310,6 +310,39 @@ def test_continue_motion_accepts_zero_and_numpy_step_counts(mech2, n_steps):
     assert path.n_steps == n_steps and len(path.residuals) == n_steps + 1
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, 1.5, "2"])
+@pytest.mark.parametrize("entry", ["continue_motion", "audit_expansiveness", "export_frames"])
+def test_motion_counts_are_integers_checked_first(tmp_path, mech2, path2, monkeypatch, entry, value):
+    # Unchecked, n_steps=True runs one step and a float radius fails in the
+    # pair stream with a TypeError; nothing is computed or written first.
+    flex = expanding_flex(mech2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a count was not checked before the work it sizes")
+
+    monkeypatch.setattr(motion, "rigidity_rows", no_work)
+    monkeypatch.setattr(motion, "_separations", no_work)
+    calls = {
+        "continue_motion": (lambda: continue_motion(mech2, flex, n_steps=value), "n_steps"),
+        "audit_expansiveness": (lambda: audit_expansiveness(path2, radius=value), "radius"),
+        "export_frames": (lambda: export_frames(path2, supercell=value, fmt="csv", outdir=tmp_path), "supercell"),
+    }
+    call, name = calls[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_audit_and_export_take_numpy_integer_counts(tmp_path, path2):
+    audit = audit_expansiveness(path2, radius=np.int64(2))
+    assert repr(audit.pair_results) == repr(audit_expansiveness(path2, radius=2).pair_results)
+    for supercell in (1, np.int64(1)):
+        outdir = tmp_path / type(supercell).__name__
+        outdir.mkdir()
+        export_frames(path2, supercell=supercell, fmt="csv", outdir=outdir)
+    assert (tmp_path / "int64" / "frames.csv").read_bytes() == (tmp_path / "int" / "frames.csv").read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["obj", "csv"])
 def test_export_rejects_negative_supercell(tmp_path, path2, fmt):
     with pytest.raises(ValueError, match="supercell"):
@@ -321,7 +354,7 @@ def test_export_rejects_an_unknown_format_and_obj_beyond_three_dimensions(tmp_pa
     with pytest.raises(ValueError, match="unknown format 'ply'"):
         export_frames(path2, fmt="ply", outdir=tmp_path)
     fw = simplex_framework(4)
-    path4 = MotionPath(fw.graph, [fw.placement] * 2, 0.0, np.zeros((2, 24)), np.zeros(2))
+    path4 = path_through(fw.graph, [fw.placement] * 2)
     with pytest.raises(ValueError, match="obj export supports d <= 3"):
         export_frames(path4, fmt="obj", outdir=tmp_path)
     assert list(tmp_path.iterdir()) == []
@@ -352,8 +385,9 @@ def test_step_errors_match_validate_framework(mech2, monkeypatch, kind):
     # A corrector that lands on a broken state: the step raises what
     # validate_framework raises on that state, class and message.
     state = broken_state(mech2, kind)
+    positions, lattice = unpack_motion(mech2.graph, state)
     with pytest.raises(FrameworkError) as expected:
-        validate_framework(mech2.graph, motion._placement_of(mech2.graph, state))
+        validate_framework(mech2.graph, Placement(dict(zip(mech2.graph.vertex_orbits, positions)), lattice))
     assert type(expected.value) is kind
     monkeypatch.setattr(motion, "_newton_correct", lambda *args: (state.copy(), 0.0))
     with pytest.raises(FrameworkError) as got:
@@ -453,7 +487,7 @@ def awkward_path(d):
         positions = {"a": scale * np.array(AWKWARD[:d]), "b%s": scale * np.array(AWKWARD[-d:])}
         lattice = scale * np.array([[AWKWARD[(i + j) % 5] for j in range(d)] for i in range(d)])
         placements.append(Placement(positions, lattice))
-    path = MotionPath(graph, placements, 0.0, np.zeros((2, 2 * d + d * d)), np.zeros(2))
+    path = path_through(graph, placements)
     return path, (orbits, edges, [(pl.positions, pl.lattice) for pl in placements])
 
 
@@ -486,17 +520,17 @@ def scaled_path(n_steps, contract_every=None, d=3):
         back = contract_every and k % contract_every == 3
         lattice = (1 + 1e-4 * (k - 2) if back else scale) * pl.lattice
         placements.append(Placement({o: scale * p for o, p in pl.positions.items()}, lattice))
-    path = MotionPath(fw.graph, placements, 0.0, np.zeros((n_steps + 1, 1)), np.zeros(n_steps + 1))
+    path = path_through(fw.graph, placements)
     return fw, path
 
 
 @pytest.mark.parametrize("audit_tol", [motion.DEFAULT_AUDIT_TOL, 0.0])
 def test_audit_matches_the_whole_table(audit_tol):
     fw, path = scaled_path(60, contract_every=7)
-    keys = pair_keys(fw, whole_pairs(fw, 2))
+    keys = pair_keys(fw, whole_pairs(fw, 2), whole_shifts(fw, 2))
     dist = np.array([
         [np.linalg.norm(pl.positions[b] + pl.lattice @ np.array(w, float) - pl.positions[a]) for a, b, w in keys]
-        for pl in path.placements
+        for pl in step_placements(path)
     ])
     inc = np.diff(dist, axis=0)  # (steps, pairs), the table the audit no longer builds
     expected = [(keys[k], int(s) + 1, float(-inc[s, k])) for k, s in zip(*np.nonzero(inc.T < -audit_tol))]
@@ -568,9 +602,7 @@ def test_audit_and_its_table_match_the_frozen_keyed_audit(tmp_path_factory, orde
         for t in 0.05 * np.cumsum([0.0, *moves])
     ]
     graph = QuotientGraph(d, orbits, ())
-    path = MotionPath(
-        graph, [Placement(*pl) for pl in placements], 0.0, np.zeros((len(placements), 1)), np.zeros(len(placements))
-    )
+    path = path_through(graph, [Placement(*pl) for pl in placements])
     results, violations = frozen_audit(orbits, placements, radius, audit_tol)
 
     audit = audit_expansiveness(path, radius=radius, audit_tol=audit_tol)
@@ -587,7 +619,6 @@ def test_audit_holds_a_few_arrays_per_pair():
     # key, dict entry and list entry each took ~220.
     d = 4
     _, path = scaled_path(2, d=d)
-    path._stacks
     tracemalloc.start()
     try:
         audit = audit_expansiveness(path, radius=3)
@@ -604,7 +635,6 @@ def test_audit_holds_a_float_a_pair_and_its_violations():
     # violation; the pairs' orbit indices and shifts (8 (d + 3) bytes a pair)
     # are not held.
     _, path = scaled_path(8, contract_every=4, d=5)
-    path._stacks
     tracemalloc.start()
     try:
         audit = audit_expansiveness(path, radius=3)
@@ -654,7 +684,6 @@ def test_export_holds_a_block_of_steps(tmp_path, monkeypatch, fmt, bound):
     # at ~2.2 MB (CSV) and ~1 MB (OBJ).
     monkeypatch.setattr(motion, "_CHUNK", 4096)
     _, path = scaled_path(50)
-    path._stacks  # the path's own arrays, built once
     assert traced_peak(export_frames, path, supercell=2, fmt=fmt, outdir=tmp_path) < bound
 
 
@@ -662,7 +691,6 @@ def test_audit_holds_a_step_of_distances():
     # 401 steps of 249 pairs; the (steps + 1) x pairs table and its
     # increments peaked at ~1.8 MB.
     _, path = scaled_path(400)
-    path._stacks
     assert traced_peak(audit_expansiveness, path, radius=2) < 300_000
 
 
@@ -670,7 +698,6 @@ def test_audit_holds_its_violations_as_arrays():
     # Contractions at every 4th of 400 steps: 24,800 violations.  Three
     # 8-byte arrays take 24 bytes a violation; one tuple each took ~110.
     _, path = scaled_path(400, contract_every=4)
-    path._stacks
     tracemalloc.start()
     try:
         audit = audit_expansiveness(path, radius=2)

@@ -6,8 +6,10 @@ change to its stdout or to any artifact it writes changes a digest.
 """
 
 import ast
+import dataclasses
 import hashlib
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -53,6 +55,13 @@ def test_reproduce_claims_runs(tmp_path):
     assert got == CLAIMS_DIGESTS
 
 
+# The ratchet: settable values and public names may fall, never rise.  A
+# change that adds a knob or a name raises its pin here, together with the
+# caller outside the tests that needs it.
+MAX_SETTABLE_VALUES = 119
+MAX_PUBLIC_NAMES = 73
+
+
 def test_settable_values_counts_every_module():
     # `scripts/settable_values.py` imports every counted module from the src/
     # beside it, with no PYTHONPATH; its total is the sum of the per-module
@@ -70,6 +79,7 @@ def test_settable_values_counts_every_module():
     assert all(int(count) > 0 for _, count in modules)
     assert total == ["total", str(sum(int(count) for _, count in modules))]
     assert names[0] == "public names" and int(names[1]) > 0
+    assert int(total[1]) <= MAX_SETTABLE_VALUES and int(names[1]) <= MAX_PUBLIC_NAMES
     package = os.path.join(ROOT, "src", "perigid")
     newlines = 0
     for name in os.listdir(package):
@@ -79,38 +89,48 @@ def test_settable_values_counts_every_module():
     assert lines == ["lines", str(newlines)]
 
 
-def referenced_names(*dirs, skip=()):
-    """Every name an AST `Name`, `Attribute` or import alias uses in the .py
-    files of `dirs`; a name inside a string is not a reference."""
-    names = set()
+def syntax_trees(*dirs, skip=()):
+    """The AST of each .py file of `dirs` but those named in `skip`."""
     for folder in dirs:
         for file in os.listdir(folder):
             if file.endswith(".py") and file not in skip:
                 with open(os.path.join(folder, file)) as fh:
-                    tree = ast.parse(fh.read())
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Name):
-                        names.add(node.id)
-                    elif isinstance(node, ast.Attribute):
-                        names.add(node.attr)
-                    elif isinstance(node, ast.alias):
-                        names.update([node.name.rsplit(".", 1)[-1], node.asname])
+                    yield ast.parse(fh.read())
+
+
+def referenced_names(*dirs, skip=()):
+    """Every name an AST `Name`, `Attribute` or import alias uses in the .py
+    files of `dirs`; a name inside a string is not a reference."""
+    names = set()
+    for tree in syntax_trees(*dirs, skip=skip):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update([node.name.rsplit(".", 1)[-1], node.asname])
     return names
+
+
+# The package outside `__init__.py`, the scripts and perfbench: the callers
+# the caller rules count; tests and the README do not.
+CALLERS = [os.path.join(ROOT, "src", "perigid"), os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")]
+
+
+def settable_values_script():
+    sys.path.insert(0, os.path.join(ROOT, "scripts"))
+    try:
+        return importlib.import_module("settable_values")
+    finally:
+        sys.path.remove(os.path.join(ROOT, "scripts"))
 
 
 def test_every_public_name_has_a_caller():
     # The caller rule: each public name `scripts/settable_values.py` counts is
-    # used by the package outside `__init__.py`, by a script or by perfbench;
-    # tests and the README do not count.
-    sys.path.insert(0, os.path.join(ROOT, "scripts"))
-    try:
-        settable_values = importlib.import_module("settable_values")
-    finally:
-        sys.path.remove(os.path.join(ROOT, "scripts"))
-    used = referenced_names(
-        os.path.join(ROOT, "src", "perigid"), os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench"),
-        skip=("__init__.py",),
-    )
+    # used by a caller.
+    settable_values = settable_values_script()
+    used = referenced_names(*CALLERS, skip=("__init__.py",))
     unused = [
         f"{module}.{name}"
         for module in settable_values.MODULES
@@ -118,6 +138,29 @@ def test_every_public_name_has_a_caller():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert unused == []
+
+
+def test_every_field_is_read_by_a_caller():
+    # The caller rule for fields: each field of a dataclass whose fields
+    # `scripts/settable_values.py` counts is read as an attribute (`x.field`)
+    # by a caller; a field only written, or read only by tests, is a settable
+    # value nothing uses.
+    settable_values = settable_values_script()
+    read = {
+        node.attr
+        for tree in syntax_trees(*CALLERS, skip=("__init__.py",))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{module}.{name}.{field.name}"
+        for module in settable_values.MODULES
+        for name, obj in vars(importlib.import_module(f"perigid.{module}")).items()
+        if inspect.isclass(obj) and dataclasses.is_dataclass(obj) and obj.__module__ == f"perigid.{module}"
+        for field in dataclasses.fields(obj)
+        if field.name not in read
+    ]
+    assert unread == []
 
 
 def test_peak_rss_bounds_the_command_and_keeps_its_failure():
