@@ -103,8 +103,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicFramework:
-    """Validated framework; build through :func:`validate_framework` only, or
-    through its placement-only check ``_with_placement`` on ``fw.graph``.
+    """Validated framework; build through :func:`validate_framework` only.
 
     Immutable after construction: all arrays are read-only and safe to share
     between threads.
@@ -195,14 +194,7 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
         seen.add(canon)
         canonical_edges.append(canon)
 
-    return _with_placement(QuotientGraph(d, orbits, tuple(canonical_edges)), placement)
-
-
-def _with_placement(graph: QuotientGraph, placement: Placement) -> PeriodicFramework:
-    """The placement checks of :func:`validate_framework` on a graph it has
-    already validated (such as ``fw.graph``), whose incidence is reused."""
-    d, orbits = graph.dimension, graph.vertex_orbits
-    orbit_set = set(orbits)
+    graph = QuotientGraph(d, orbits, tuple(canonical_edges))
     positions = dict(placement.positions)
     if set(positions) != orbit_set:
         missing = orbit_set - set(positions)
@@ -211,39 +203,48 @@ def _with_placement(graph: QuotientGraph, placement: Placement) -> PeriodicFrame
             f"positions do not cover the vertex orbits (missing={sorted(missing)}, "
             f"extra={sorted(extra)})"
         )
-    frozen_positions = {}
+    rows = []
     for orbit in orbits:
         p = np.asarray(positions[orbit], dtype=float)
         if p.shape != (d,):
-            raise DimensionMismatchError(
-                f"position of orbit {orbit!r} has shape {p.shape}, expected ({d},)"
-            )
-        if not np.all(np.isfinite(p)):
-            raise FrameworkError(f"position of orbit {orbit!r} is not finite")
-        frozen_positions[orbit] = _freeze(p)
+            if np.isfinite(rows).all():  # else an earlier orbit's non-finite position is reported
+                raise DimensionMismatchError(f"position of orbit {orbit!r} has shape {p.shape}, expected ({d},)")
+            break
+        rows.append(p)
+    lattice, vectors, lengths = _checked_placement(graph, np.array(rows), placement.lattice)
+    frozen_positions = {orbit: _freeze(p) for orbit, p in zip(orbits, rows)}
+    return PeriodicFramework(graph, Placement(frozen_positions, lattice), _freeze(lengths), _freeze(vectors))
 
-    lattice = np.asarray(placement.lattice, dtype=float)
+
+def _checked_placement(graph: QuotientGraph, positions: np.ndarray, lattice) -> tuple[np.ndarray, ...]:
+    """The placement checks of :func:`validate_framework`, in its order, on
+    positions (n, d) in orbit order: finite positions, a finite (d, d)
+    lattice of nonnegligible determinant, no zero-length bar.  Returns the
+    frozen lattice and the bar separations and lengths.  A passing check
+    reads each array once; the culprit is looked for only on failure."""
+    d = graph.dimension
+    if not np.isfinite(positions).all():
+        k = np.flatnonzero(~np.isfinite(positions).all(axis=1))[0]
+        raise FrameworkError(f"position of orbit {graph.vertex_orbits[k]!r} is not finite")
+    lattice = np.asarray(lattice, dtype=float)
     if lattice.shape != (d, d):
         raise DimensionMismatchError(
             f"lattice has shape {lattice.shape}, expected ({d}, {d})"
         )
-    if not np.all(np.isfinite(lattice)):
+    if not np.isfinite(lattice).all():
         raise FrameworkError("lattice is not finite")
     col_norm = float(np.linalg.norm(lattice, axis=0).max())
     if abs(np.linalg.det(lattice)) <= LATTICE_DET_TOL * col_norm**d:
         raise SingularLatticeError("lattice determinant below degeneracy tolerance")
     lattice = _freeze(lattice)
 
-    scale = max(1.0, col_norm, max(float(np.abs(p).max()) for p in frozen_positions.values()))
-    positions = np.array([frozen_positions[o] for o in orbits])
+    scale = max(1.0, col_norm, float(np.abs(positions).max()))
     vectors = _separations(positions, lattice, *graph._incidence)
     lengths = np.linalg.norm(vectors, axis=1)
-    short = np.flatnonzero(lengths <= 1e-12 * scale)
-    if short.size:
-        raise ZeroLengthEdgeError(f"edge orbit {graph.edge_orbits[short[0]]} realizes to a zero vector")
-
-    out_placement = Placement(frozen_positions, lattice)
-    return PeriodicFramework(graph, out_placement, _freeze(lengths), _freeze(vectors))
+    short = lengths <= 1e-12 * scale
+    if short.any():
+        raise ZeroLengthEdgeError(f"edge orbit {graph.edge_orbits[short.argmax()]} realizes to a zero vector")
+    return lattice, vectors, lengths
 
 
 # ---------------------------------------------------------------------------

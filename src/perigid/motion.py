@@ -18,8 +18,10 @@ previous tangent onto the new nontrivial flex space, so the path follows one
 smooth branch; rank drops surface as errors instead of being stepped
 through.  The seed must first pass the flex gate ``rigidity._checked_flex``
 at ``_SEED_FLEX_TOL``, or ``NotAFlexError`` is raised before any step.  Each
-step is one Newton correction (two after a stall), one placement-only check
-(``framework._with_placement`` on ``fw.graph``) and one rigidity analysis.
+step is one Newton correction (two after a stall), then the placement checks
+of ``validate_framework`` and the rigidity analysis on the corrected state's
+arrays (``framework._checked_placement``, ``rigidity._analysis``), with no
+framework built.
 
 The path is each step's unpacked state, stacked: positions and C-ordered
 lattices, which the pair audit, facet gaps and frame export read, getting
@@ -47,9 +49,10 @@ from .errors import (
     SingularJacobianError,
 )
 from .expansive import _CHUNK, _PAIR_CHUNK, DEFAULT_RADIUS, _pair_blocks, _pair_incidence, _pair_keys, _pairs_at
-from .framework import PeriodicFramework, Placement, QuotientGraph
-from .framework import _check_count, _csv_field, _row_dots, _separations, _with_placement, _write_pair_table
-from .rigidity import DEFAULT_RANK_TOL, _checked_flex, analyze, pack_motion, rigidity_rows, unpack_motion
+from .framework import PeriodicFramework, QuotientGraph
+from .framework import _check_count, _checked_placement, _csv_field, _row_dots, _separations, _write_pair_table
+from .rigidity import DEFAULT_RANK_TOL, _analysis, _checked_flex, _incidence_rows, _trivial_basis, analyze
+from .rigidity import pack_motion, rigidity_rows, unpack_motion
 
 DEFAULT_STEP = 0.01
 DEFAULT_STEPS = 50
@@ -109,8 +112,8 @@ def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
     return np.flatnonzero(pack_motion(pin, np.tri(graph.dimension, k=-1)) == 0)
 
 
-def _edge_sq_lengths(graph: QuotientGraph, state: np.ndarray) -> np.ndarray:
-    e = _separations(*unpack_motion(graph, state), *graph._incidence)
+def _edge_sq_lengths(graph: QuotientGraph, positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    e = _separations(positions, lattice, *graph._incidence)
     return _row_dots(e, e)
 
 
@@ -123,18 +126,19 @@ def _newton_correct(
 ) -> tuple[np.ndarray, float]:
     x = state.copy()
     for _ in range(_MAX_NEWTON_ITER):
+        pos, lattice = unpack_motion(graph, x)
         # An overflowing step is reported by the check below, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
-            g = _edge_sq_lengths(graph, x) - target_sq
+            g = _edge_sq_lengths(graph, pos, lattice) - target_sq
         residual = float(np.abs(g).max()) if len(g) else 0.0
         if residual < newton_tol:
             return x, residual
         if not np.isfinite(residual):
             raise NewtonDivergenceError(f"corrector residual is {residual}; the step overflowed")
-        jac = 2.0 * rigidity_rows(graph, *unpack_motion(graph, x))
+        jac = 2.0 * rigidity_rows(graph, pos, lattice)
         delta, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
         x[free] += delta
-    g = _edge_sq_lengths(graph, x) - target_sq
+    g = _edge_sq_lengths(graph, *unpack_motion(graph, x)) - target_sq
     raise NewtonDivergenceError(
         f"corrector stalled at residual {float(np.abs(g).max()):.3e} "
         f"after {_MAX_NEWTON_ITER} iterations"
@@ -165,8 +169,8 @@ def continue_motion(
         raise ValueError(f"newton_tol must be finite, got {newton_tol!r}")
     graph = fw.graph
     pos0 = np.array([fw.placement.positions[o] for o in graph.vertex_orbits])
-    # The seed's rows come from rigidity_rows, as each Newton Jacobian's do:
-    # perfbench counts its calls as one per seed plus one per iteration.
+    # The seed's rows come from rigidity_rows, as each Newton Jacobian's do and
+    # no step analysis's: perfbench counts its calls as one per seed plus one per iteration.
     rows = rigidity_rows(graph, pos0, fw.placement.lattice)
     direction = _checked_flex(rows, direction, _SEED_FLEX_TOL)
 
@@ -194,8 +198,9 @@ def continue_motion(
             every = np.arange(predicted.size)
             state, residual = _newton_correct(graph, target_sq, predicted, every, newton_tol)
         pos, lattice = unpack_motion(graph, state)
-        step_fw = _with_placement(graph, Placement(dict(zip(graph.vertex_orbits, pos)), lattice))
-        report = analyze(step_fw, rank_tol)
+        lattice, separations, _ = _checked_placement(graph, pos, lattice)
+        matrix = _incidence_rows(graph.n, *graph._incidence, separations)
+        report = _analysis(matrix, _trivial_basis(pos, lattice), rank_tol)
         if report.rank < report0.rank or report.dof != report0.dof:
             raise SingularJacobianError(
                 f"rank changed from {report0.rank} to {report.rank}; possible bifurcation"

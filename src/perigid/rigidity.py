@@ -103,9 +103,13 @@ def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
     lattice fixed; rotations apply a skew map S to positions and lattice
     alike, so each constraint row evaluates to <e, S e> = 0.
     """
-    d, n = fw.dimension, fw.n
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits], dtype=float)
-    lattice = fw.placement.lattice
+    return _trivial_basis(positions, fw.placement.lattice)
+
+
+def _trivial_basis(positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """The trivial motions of positions (n, d) in orbit order and a lattice."""
+    n, d = positions.shape
     planes = list(itertools.combinations(range(d), 2))
     pdot, ldot = np.zeros((d + len(planes), n, d)), np.zeros((d + len(planes), d, d))
     for a in range(d):
@@ -156,11 +160,15 @@ def analyze(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> RigidityRep
     of the trivial motions; the stress basis spans the left nullspace.
     A NaN or infinite tol is a ValueError.
     """
+    return _analysis(rigidity_matrix(fw), trivial_motion_basis(fw), tol)
+
+
+def _analysis(matrix: np.ndarray, trivial: np.ndarray, tol: float) -> RigidityReport:
+    """:func:`analyze` of the constraint rows `matrix` and the trivial
+    motions `trivial`, for callers that hold both as arrays."""
     if not math.isfinite(tol):
         raise ValueError(f"rank tolerance must be finite, got {tol!r}")
-    matrix = rigidity_matrix(fw)
     m, size = matrix.shape
-    trivial = trivial_motion_basis(fw)
     t = trivial.shape[0]
 
     if m == 0:

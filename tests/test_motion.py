@@ -363,30 +363,43 @@ def test_export_rejects_an_unknown_format_and_obj_beyond_three_dimensions(tmp_pa
 # -- per-step placement check ------------------------------------------------------
 
 
-def broken_state(fw, kind):
-    """The framework's motion state with a singular lattice, a zero-length
-    bar or a non-finite coordinate."""
+def broken_state(fw, broken):
+    """The framework's motion state with `broken` broken: the lattice's rank,
+    a bar's length, a position's or the lattice's finiteness, or both."""
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
     lattice = fw.placement.lattice.copy()
-    if kind is SingularLatticeError:
+    if broken == "lattice rank":
         lattice[:, 1] = lattice[:, 0]
-    elif kind is ZeroLengthEdgeError:
+    elif broken == "bar":
         tail, head, shift = fw.graph.edge_orbits[0]
         positions[fw.orbit_index(head)] = (
             positions[fw.orbit_index(tail)] - lattice @ np.asarray(shift, float)
         )
-    else:
+    if "position" in broken:
         positions[-1, 0] = np.nan
+    if broken.endswith("lattice"):
+        lattice[0, 1] = np.inf
     return pack_motion(positions, lattice)
 
 
-@pytest.mark.parametrize("kind", [SingularLatticeError, ZeroLengthEdgeError, FrameworkError])
-def test_step_errors_match_validate_framework(mech2, monkeypatch, kind):
+@pytest.mark.parametrize(
+    ("broken", "kind", "message"),
+    [
+        ("lattice rank", SingularLatticeError, "lattice determinant below"),
+        ("bar", ZeroLengthEdgeError, "realizes to a zero vector"),
+        ("position", FrameworkError, "position of orbit 'green' is not finite"),
+        ("lattice", FrameworkError, "lattice is not finite"),
+        # validate_framework checks every position before the lattice.
+        ("position and lattice", FrameworkError, "position of orbit 'green' is not finite"),
+    ],
+    ids=["SingularLatticeError", "ZeroLengthEdgeError", "FrameworkError", "lattice_not_finite", "position_first"],
+)
+def test_step_errors_match_validate_framework(mech2, monkeypatch, broken, kind, message):
     # A corrector that lands on a broken state: the step raises what
     # validate_framework raises on that state, class and message.
-    state = broken_state(mech2, kind)
+    state = broken_state(mech2, broken)
     positions, lattice = unpack_motion(mech2.graph, state)
-    with pytest.raises(FrameworkError) as expected:
+    with pytest.raises(FrameworkError, match=message) as expected:
         validate_framework(mech2.graph, Placement(dict(zip(mech2.graph.vertex_orbits, positions)), lattice))
     assert type(expected.value) is kind
     monkeypatch.setattr(motion, "_newton_correct", lambda *args: (state.copy(), 0.0))
@@ -398,12 +411,13 @@ def test_step_errors_match_validate_framework(mech2, monkeypatch, kind):
 
 def recording_corrector(monkeypatch, stall=False):
     """Patch the corrector to record the size of each call's free set, and
-    to stall on every call if `stall`; returns the recorded sizes."""
+    to stall on every call if `stall` is True, or on every gauged call if it
+    is "gauged" (so each step is the free-gauge retry); returns the sizes."""
     sizes, real = [], motion._newton_correct
 
     def corrector(graph, target_sq, state, free, newton_tol):
         sizes.append(len(free))
-        if stall:
+        if stall is True or (stall == "gauged" and len(free) < state.size):
             raise NewtonDivergenceError("corrector stalled")
         return real(graph, target_sq, state, free, newton_tol)
 
@@ -436,22 +450,18 @@ def test_a_stall_is_retried_once_with_every_coordinate_free(mech2, monkeypatch):
 
 
 def patched_step_reports(monkeypatch, change):
-    """Patch the rigidity analysis so every report after the first is
-    `change(fw, report)`."""
-    real, seen = motion.analyze, []
+    """Patch the step's array analysis so every step's report is
+    `change(trivial, report)`; the seed's `analyze` is not patched."""
+    real = motion._analysis
 
-    def analyze_step(fw, tol):
-        report = real(fw, tol)
-        if seen:
-            report = change(fw, report)
-        seen.append(report)
-        return report
+    def analyze_step(matrix, trivial, tol):
+        return change(trivial, real(matrix, trivial, tol))
 
-    monkeypatch.setattr(motion, "analyze", analyze_step)
+    monkeypatch.setattr(motion, "_analysis", analyze_step)
 
 
 def test_rank_change_along_the_path_is_a_singular_jacobian(mech2, monkeypatch):
-    patched_step_reports(monkeypatch, lambda fw, r: dataclasses.replace(r, rank=r.rank - 1))
+    patched_step_reports(monkeypatch, lambda trivial, r: dataclasses.replace(r, rank=r.rank - 1))
     with pytest.raises(SingularJacobianError, match="rank changed from 4 to 3"):
         continue_motion(mech2, expanding_flex(mech2), n_steps=3)
 
@@ -459,13 +469,71 @@ def test_rank_change_along_the_path_is_a_singular_jacobian(mech2, monkeypatch):
 def test_tangent_leaving_the_flex_space_is_a_numerical_failure(mech2, monkeypatch):
     # A flex basis of one translation: the tangent, a nontrivial flex, is
     # orthogonal to it, so its projection shrinks to 0.
-    def translation_basis(fw, report):
-        t = trivial_motion_basis(fw)[:1]
+    def translation_basis(trivial, report):
+        t = trivial[:1]
         return dataclasses.replace(report, flex_basis=t / np.linalg.norm(t))
 
     patched_step_reports(monkeypatch, translation_basis)
     with pytest.raises(NumericalFailureError, match="tangent projection shrank to 0.000"):
         continue_motion(mech2, expanding_flex(mech2), n_steps=3)
+
+
+# The perfbench motion inputs, each followed along its cone's ray 0 as
+# `simulate --ray 0` does.
+MOTION_INPUTS = {
+    "removed1_d2": lambda: simplex_framework(2, SimplexVariant("removed", 1), regular=True),
+    "removed1_d3": lambda: simplex_framework(3, SimplexVariant("removed", 1), regular=True),
+    "removed1_d4": lambda: simplex_framework(4, SimplexVariant("removed", 1), regular=True),
+    "stressed_rr100": lambda: with_edge_orbit(stressed_framework(), "red", "red", (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("stall", [False, "gauged"])
+@pytest.mark.parametrize("name", sorted(MOTION_INPUTS))
+def test_step_analysis_is_analyze_of_the_validated_state(monkeypatch, name, stall):
+    # The step analyses the arrays it holds; at every step its report must be
+    # analyze's report on the framework validate_framework builds from the
+    # same state: the same rank, and the flex and stress bases bit for bit.
+    fw = MOTION_INPUTS[name]()
+    direction = expansive_cone(fw, analyze(fw), expansive.DEFAULT_RADIUS).ray_motion(0)
+    real, reports = motion._analysis, []
+
+    def recorded(matrix, trivial, tol):
+        reports.append(real(matrix, trivial, tol))
+        return reports[-1]
+
+    monkeypatch.setattr(motion, "_analysis", recorded)
+    sizes = recording_corrector(monkeypatch, stall)
+    path = continue_motion(fw, direction, n_steps=50)
+    assert len(reports) == 50
+    assert sizes.count(len(direction)) == (50 if stall else 0)  # the free-gauge retries
+    for report, placement in zip(reports, step_placements(path)[1:], strict=True):
+        expected = analyze(validate_framework(fw.graph, placement))
+        assert report.rank == expected.rank
+        for got, want in ((report.flex_basis, expected.flex_basis), (report.stress_basis, expected.stress_basis)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stall", [False, "gauged"])
+def test_rigidity_rows_serves_the_seed_and_each_newton_jacobian(mech2, monkeypatch, stall):
+    # perfbench reads Newton iterations per step from the calls through
+    # motion.rigidity_rows: one for the seed and one per Jacobian, each
+    # solved by one lstsq.  The step's analysis must not call it.
+    direction = expanding_flex(mech2)
+    calls = {"rigidity_rows": 0, "lstsq": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(motion, "rigidity_rows", counted("rigidity_rows", motion.rigidity_rows))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    recording_corrector(monkeypatch, stall)
+    continue_motion(mech2, direction, n_steps=10)
+    assert calls["lstsq"] >= 10
+    assert calls["rigidity_rows"] == 1 + calls["lstsq"]
 
 
 # -- frame writers against the frozen per-value writers ----------------------------
