@@ -112,11 +112,6 @@ def _gauge_free_indices(graph: QuotientGraph) -> np.ndarray:
     return np.flatnonzero(pack_motion(pin, np.tri(graph.dimension, k=-1)) == 0)
 
 
-def _edge_sq_lengths(graph: QuotientGraph, positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    e = _separations(positions, lattice, *graph._incidence)
-    return _row_dots(e, e)
-
-
 def _newton_correct(
     graph: QuotientGraph,
     target_sq: np.ndarray,
@@ -125,24 +120,23 @@ def _newton_correct(
     newton_tol: float,
 ) -> tuple[np.ndarray, float]:
     x = state.copy()
-    for _ in range(_MAX_NEWTON_ITER):
-        pos, lattice = unpack_motion(graph, x)
-        # An overflowing step is reported by the check below, not by numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = _edge_sq_lengths(graph, pos, lattice) - target_sq
-        residual = float(np.abs(g).max()) if len(g) else 0.0
-        if residual < newton_tol:
-            return x, residual
-        if not np.isfinite(residual):
-            raise NewtonDivergenceError(f"corrector residual is {residual}; the step overflowed")
-        jac = 2.0 * rigidity_rows(graph, pos, lattice)
-        delta, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
-        x[free] += delta
-    g = _edge_sq_lengths(graph, *unpack_motion(graph, x)) - target_sq
-    raise NewtonDivergenceError(
-        f"corrector stalled at residual {float(np.abs(g).max()):.3e} "
-        f"after {_MAX_NEWTON_ITER} iterations"
-    )
+    pos, lattice = unpack_motion(graph, x)  # views, which follow each update of x
+    # An overflowing step is reported by the check below, not by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(_MAX_NEWTON_ITER + 1):
+            e = _separations(pos, lattice, *graph._incidence)
+            g = _row_dots(e, e) - target_sq
+            residual = float(np.abs(g).max()) if len(g) else 0.0
+            if iteration == _MAX_NEWTON_ITER:  # the last update is measured for the message only
+                break
+            if residual < newton_tol:
+                return x, residual
+            if not np.isfinite(residual):
+                raise NewtonDivergenceError(f"corrector residual is {residual}; the step overflowed")
+            jac = 2.0 * rigidity_rows(graph, e)
+            delta, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
+            x[free] += delta
+    raise NewtonDivergenceError(f"corrector stalled at residual {residual:.3e} after {_MAX_NEWTON_ITER} iterations")
 
 
 def continue_motion(
@@ -169,9 +163,10 @@ def continue_motion(
         raise ValueError(f"newton_tol must be finite, got {newton_tol!r}")
     graph = fw.graph
     pos0 = np.array([fw.placement.positions[o] for o in graph.vertex_orbits])
-    # The seed's rows come from rigidity_rows, as each Newton Jacobian's do and
-    # no step analysis's: perfbench counts its calls as one per seed plus one per iteration.
-    rows = rigidity_rows(graph, pos0, fw.placement.lattice)
+    # The seed's rows are rigidity_rows of the framework's bar separations, as
+    # each Newton Jacobian's are of its iterate's and no step analysis's are:
+    # perfbench counts its calls as one per seed plus one per iteration.
+    rows = rigidity_rows(graph, fw._edge_vectors)
     direction = _checked_flex(rows, direction, _SEED_FLEX_TOL)
 
     report0 = analyze(fw, rank_tol)

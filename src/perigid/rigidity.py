@@ -19,6 +19,7 @@ at the caller's tolerance; anything else raises ``NotAFlexError``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .errors import (
     NumericalFailureError,
     ZeroPivotError,
 )
-from .framework import PeriodicFramework, QuotientGraph, _json, _separations
+from .framework import PeriodicFramework, QuotientGraph, _freeze, _json
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -70,10 +71,9 @@ def _incidence_rows(n: int, tails, heads, shifts, separations) -> np.ndarray:
     return rows.reshape(k, (n + d) * d)
 
 
-def rigidity_rows(graph: QuotientGraph, positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    """Rigidity rows for explicit coordinates (positions indexed in orbit order)."""
-    incidence = graph._incidence
-    return _incidence_rows(graph.n, *incidence, _separations(positions, lattice, *incidence))
+def rigidity_rows(graph: QuotientGraph, separations: np.ndarray) -> np.ndarray:
+    """Rigidity rows of the bars' separations (m, d), in edge-orbit order."""
+    return _incidence_rows(graph.n, *graph._incidence, separations)
 
 
 def rigidity_matrix(fw: PeriodicFramework) -> np.ndarray:
@@ -108,16 +108,28 @@ def trivial_motion_basis(fw: PeriodicFramework) -> np.ndarray:
 
 
 def _trivial_basis(positions: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    """The trivial motions of positions (n, d) in orbit order and a lattice."""
-    n, d = positions.shape
+    """The trivial motions of positions (n, d) in orbit order and a lattice,
+    gathered: every entry is 0, 1, or a coordinate copied or negated."""
+    p, lat = positions.ravel(), lattice.ravel()
+    return np.concatenate(([0.0, 1.0], p, lat, -p, -lat))[_trivial_template(*positions.shape)]
+
+
+@functools.cache
+def _trivial_template(n: int, d: int) -> np.ndarray:
+    """Indices into [0, 1, p, L, -p, -L] (flattened) of the trivial motions:
+    translations are 1 on one coordinate of every orbit, the rotation in the
+    (a, b) plane is -x_b on coordinate a and x_a on coordinate b of every
+    orbit and lattice column."""
     planes = list(itertools.combinations(range(d), 2))
+    p, lat = 2 + np.arange(n * d).reshape(n, d), 2 + n * d + np.arange(d * d).reshape(d, d)
+    neg = n * d + d * d  # from a coordinate's index to its negation's
     pdot, ldot = np.zeros((d + len(planes), n, d)), np.zeros((d + len(planes), d, d))
     for a in range(d):
-        pdot[a, :, a] = 1.0
+        pdot[a, :, a] = 1
     for r, (a, b) in enumerate(planes, d):
-        pdot[r, :, a], pdot[r, :, b] = -positions[:, b], positions[:, a]
-        ldot[r, a], ldot[r, b] = -lattice[b], lattice[a]
-    return pack_motion(pdot, ldot)
+        pdot[r, :, a], pdot[r, :, b] = neg + p[:, b], p[:, a]
+        ldot[r, a], ldot[r, b] = neg + lat[b], lat[a]
+    return _freeze(pack_motion(pdot, ldot), np.intp)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,9 +13,9 @@ check of a simplicial cone by its facet normals,
 a comparison of ray sets up to an angular tolerance, a frozen copy of the
 frame writers that format one value at a time, a frozen copy of the pair
 audit and its table keyed and sorted one pair at a time, the motion gauge's free
-coordinates by the index formula of the (dn + d^2) layout, and a frozen copy
-of the f-string JSON writers of the framework file and the rigidity, star and
-cone reports.
+coordinates by the index formula of the (dn + d^2) layout, a frozen copy of the
+per-plane trivial-motion loop, and a frozen copy of the f-string JSON writers
+of the framework file and the rigidity, star and cone reports.
 """
 
 import itertools
@@ -801,6 +801,24 @@ def frozen_gauge_free_indices(d, n):
         for r in range(c + 1, d):
             fixed.add(d * n + c * d + r)
     return np.array([i for i in range(d * n + d * d) if i not in fixed])
+
+
+def frozen_trivial_basis(positions, lattice):
+    """The d + C(d,2) trivial motions as first written, one plane at a time:
+    translations are 1 on one coordinate of every orbit; the rotation in the
+    (a, b) plane is -x_b on coordinate a and x_a on coordinate b of every
+    orbit and of every lattice column, zeros elsewhere.  Laid out as the
+    rigidity motion vector: d entries per orbit, then the lattice velocity
+    column by column."""
+    n, d = positions.shape
+    planes = list(itertools.combinations(range(d), 2))
+    pdot, ldot = np.zeros((d + len(planes), n, d)), np.zeros((d + len(planes), d, d))
+    for a in range(d):
+        pdot[a, :, a] = 1.0
+    for r, (a, b) in enumerate(planes, d):
+        pdot[r, :, a], pdot[r, :, b] = -positions[:, b], positions[:, a]
+        ldot[r, a], ldot[r, b] = -lattice[b], lattice[a]
+    return np.concatenate([pdot.reshape(len(pdot), -1), np.swapaxes(ldot, 1, 2).reshape(len(ldot), -1)], axis=1)
 
 
 # -- frozen f-string JSON writers ---------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import tracemalloc
 import warnings
@@ -534,6 +535,96 @@ def test_rigidity_rows_serves_the_seed_and_each_newton_jacobian(mech2, monkeypat
     continue_motion(mech2, direction, n_steps=10)
     assert calls["lstsq"] >= 10
     assert calls["rigidity_rows"] == 1 + calls["lstsq"]
+
+
+@pytest.mark.parametrize("stall", [False, "gauged"])
+def test_newton_evaluates_each_iterate_once(mech2, monkeypatch, stall):
+    # One bar-separation evaluation per iterate, which the residual and the
+    # Jacobian share: one per lstsq, and one for each correction's last
+    # iterate, the converged one.  The step's checks do not go through it.
+    separations, rows, lstsq = motion._separations, motion.rigidity_rows, np.linalg.lstsq
+    evaluated, shared, solves = [], [], []  # shared: whether each Jacobian read the last evaluation
+
+    def evaluate(*args):
+        evaluated.append(separations(*args))
+        return evaluated[-1]
+
+    def jacobian(graph, e):
+        shared.append(bool(evaluated) and e is evaluated[-1])
+        return rows(graph, e)
+
+    def solve(*args, **kwargs):
+        solves.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(motion, "_separations", evaluate)
+    monkeypatch.setattr(motion, "rigidity_rows", jacobian)
+    monkeypatch.setattr(np.linalg, "lstsq", solve)
+    sizes = recording_corrector(monkeypatch, stall)
+    continue_motion(mech2, expanding_flex(mech2), n_steps=10)
+    corrections = 10  # a gauged call that the recorder stalls does no work
+    assert len(sizes) == (20 if stall else 10) and len(solves) >= 10
+    assert len(evaluated) == len(solves) + corrections
+    assert shared == [False] + [True] * len(solves)  # the seed reads the framework's own
+
+
+def test_a_real_stall_is_retried_free_then_raised_without_warnings(mech2, monkeypatch):
+    # A zero tolerance is never met: both corrections run every iteration,
+    # and the message reports the last iterate's residual.
+    sizes = recording_corrector(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NewtonDivergenceError, match=r"^corrector stalled at residual \S+ after 25 iterations$"):
+            continue_motion(mech2, expanding_flex(mech2), n_steps=1, newton_tol=0.0)
+    full = mech2.dimension * mech2.n + mech2.dimension**2
+    assert sizes == [len(motion._gauge_free_indices(mech2.graph)), full]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_stall_without_bars_reports_a_zero_residual():
+    # No bars, so no residual entries: the stall message reads 0, where a
+    # maximum over the empty residual would raise numpy's ValueError.
+    fw = make_framework(2, {"a": [0.0, 0.0]}, np.eye(2), [])
+    with pytest.raises(NewtonDivergenceError, match=r"stalled at residual 0\.000e\+00 after 25"):
+        continue_motion(fw, analyze(fw).flex_basis[0], n_steps=1, newton_tol=0.0)
+
+
+# SHA-256 of the positions, lattices and residuals of 50 steps along ray 0
+# with every step's gauged correction stalled, so each step is the free-gauge
+# retry; recorded before the corrector kept one separation per iterate, with
+# numpy 2.4.6 and OpenBLAS on x86-64 (other BLAS builds may round differently).
+RETRY_DIGESTS = {
+    "removed1_d2": (
+        "f3c81baefc54dd10a97e70841f7e78917eec32d5ab30557334882b9357deea6d",
+        "6af5c1cd7b568924611b4d6c87752db3acad1a047b3138dcf884ef013993a176",
+        "dc314f76f8326084cda04d82d75dd49bf8aca8ecf01338c13ade573a35ce19ad",
+    ),
+    "removed1_d3": (
+        "237b37f60cdbd51e3250d73cfef0ef1a066feafa2adfd71bb040ec53ec311479",
+        "c506f362d2a432f13a7bb2611aeabf95f7f4f4a99e592527edb4ccb8ba77cb04",
+        "fa1bd3ddee8674ff03c41ac70f46298cf7d3d0bdea33a68b5a2500e97c19e011",
+    ),
+    "removed1_d4": (
+        "1a13e5a8c23f79ab49660253d7dc2b3dbc7cb74b47b643b2dfdc6fc21da5e42a",
+        "800d9b22f45e7df7b063e5d06838950f75b0430b251f40113664075018b34655",
+        "2b6516e68e27d1f1713a3cb3b48ec29e7e2a57ac5d8a514e2924bd572a7cc47e",
+    ),
+    "stressed_rr100": (
+        "ac654eae813025df2e40ff4fab14a7860cf9a97da471c3b60ce5f6107e372071",
+        "9ec915f6ff59713abafba72194877d97e0bacbd6010bf8491e895ce2c2da48ba",
+        "1f76d48446e23b91545719daea56ac8ba84b3ba894259c58345bea6c3935f418",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETRY_DIGESTS))
+def test_free_gauge_retry_bytes(monkeypatch, name):
+    fw = MOTION_INPUTS[name]()
+    direction = expansive_cone(fw, analyze(fw), expansive.DEFAULT_RADIUS).ray_motion(0)
+    recording_corrector(monkeypatch, "gauged")
+    path = continue_motion(fw, direction, n_steps=50)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (path.positions, path.lattices, path.residuals))
+    assert digests == RETRY_DIGESTS[name]
 
 
 # -- frame writers against the frozen per-value writers ----------------------------

@@ -21,9 +21,9 @@ from perigid import (
     trivial_motion_basis,
     with_edge_orbit,
 )
-from perigid.rigidity import _rank_from_singular_values, report_to_json
+from perigid.rigidity import _rank_from_singular_values, _trivial_basis, report_to_json
 
-from _oracles import exact_rank
+from _oracles import exact_rank, frozen_trivial_basis
 from conftest import make_framework
 
 
@@ -75,6 +75,19 @@ def test_trivial_motions_annihilated(stressed):
     matrix = rigidity_matrix(stressed)
     for v in trivial_motion_basis(stressed):
         assert np.abs(matrix @ v).max() < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, 6), n=st.integers(1, 3), order=st.sampled_from("CF"))
+def test_trivial_basis_is_the_frozen_per_plane_loop_bit_for_bit(data, d, n, order):
+    # Every entry is 0, 1, or a copy or negation of a coordinate, so signed
+    # zeros must come out as the per-plane loop writes them.
+    values = st.sampled_from([0.0, -0.0]) | st.floats(width=64)
+    positions = np.array(data.draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    lattice = np.array(data.draw(st.lists(values, min_size=d * d, max_size=d * d))).reshape(d, d, order=order)
+    got, want = _trivial_basis(positions, lattice), frozen_trivial_basis(positions, lattice)
+    assert got.dtype == want.dtype and got.shape == want.shape == (d + d * (d - 1) // 2, d * n + d * d)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_analyze_builtin_families(base3, enhanced3, stressed):
