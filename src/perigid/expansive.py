@@ -321,37 +321,39 @@ class _DoubleDescription:
         value of its column is below -CONE_TOL.
         """
         a, f, block, rays = self.a, self.a.shape[1], 8, self.rays
-        while self.n < len(a) and len(rays):
-            vals = rays @ a[self.n : self.n + block].T
-            tight = _below(np.abs(vals), self.band)
-            if tight is None:
-                vals = _row_dots(rays[:, None, :], a[self.n : self.n + block])
-                tight = np.abs(vals) <= CONE_TOL
-            cut = (vals.min(axis=0) < -CONE_TOL).nonzero()[0]
-            run = cut[0] if len(cut) else vals.shape[1]
-            # The run's columns and the cut's, which is tight at the zero rays only.
-            self.append(tight[:, : run + 1])
-            self.n += run
-            if not len(cut):
-                block = min(2 * block, max(8, _CHUNK // len(rays)))
-                continue
-            block, self.cuts = 8, self.cuts + 1
-            v = _row_dots(rays, a[self.n])  # each the 1-d `a[n] @ ray`
-            positive = v > CONE_TOL
-            pos, neg = positive.nonzero()[0], (v < -CONE_TOL).nonzero()[0]
-            keep = np.concatenate([pos, tight[:, run].nonzero()[0]])
-            p, q = _adjacent_pairs(self.inc[: len(rays), : self.c], pos, neg, f)
-            new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
-            nrm = np.sqrt(_row_dots(new, new))
-            long = nrm > CONE_TOL
-            new = new[long] / nrm[long][:, None]
-            self.n += 1
-            rays = self.rays = np.concatenate([rays[keep], new])
-            # The rays before the first one off the positive side keep their rows.
-            first = positive.argmin()
-            self.inc[first : len(keep), : self.c] = self.inc[keep[first:], : self.c]
-            if len(new):
-                self.write(len(keep))
+        # One errstate a pass: `_adjacent_pairs` checks its counts instead.
+        with np.errstate(invalid="ignore"):
+            while self.n < len(a) and len(rays):
+                vals = rays @ a[self.n : self.n + block].T
+                tight = _below(np.abs(vals), self.band)
+                if tight is None:
+                    vals = _row_dots(rays[:, None, :], a[self.n : self.n + block])
+                    tight = np.abs(vals) <= CONE_TOL
+                cut = (vals.min(axis=0) < -CONE_TOL).nonzero()[0]
+                run = cut[0] if len(cut) else vals.shape[1]
+                # The run's columns and the cut's, which is tight at the zero rays only.
+                self.append(tight[:, : run + 1])
+                self.n += run
+                if not len(cut):
+                    block = min(2 * block, max(8, _CHUNK // len(rays)))
+                    continue
+                block, self.cuts = 8, self.cuts + 1
+                v = _row_dots(rays, a[self.n])  # each the 1-d `a[n] @ ray`
+                positive = v > CONE_TOL
+                pos, neg = positive.nonzero()[0], (v < -CONE_TOL).nonzero()[0]
+                keep = np.concatenate([pos, tight[:, run].nonzero()[0]])
+                p, q = _adjacent_pairs(self.inc[: len(rays), : self.c], pos, neg, f)
+                new = v[p][:, None] * rays[q] - v[q][:, None] * rays[p]
+                nrm = np.sqrt(_row_dots(new, new))
+                long = nrm > CONE_TOL
+                new = new[long] / nrm[long][:, None]
+                self.n += 1
+                rays = self.rays = np.concatenate([rays[keep], new])
+                # The rays before the first one off the positive side keep their rows.
+                first = positive.argmin()
+                self.inc[first : len(keep), : self.c] = self.inc[keep[first:], : self.c]
+                if len(new):
+                    self.write(len(keep))
         return self.rays
 
     def append(self, tight: np.ndarray) -> None:
@@ -403,7 +405,6 @@ class _DoubleDescription:
         self.inc, self.hs, self.ha, self.c = inc, hs, ha, c
 
 
-@np.errstate(invalid="ignore")  # the counts are checked instead
 def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     """Ray pairs (p in pos, q in neg), p-major, that pass the combinatorial
     adjacency test: no third ray's active set contains their common one.
@@ -414,7 +415,8 @@ def _adjacent_pairs(inc: np.ndarray, pos: np.ndarray, neg: np.ndarray, f: int):
     Common sets lie in the columns some negative ray is tight at, so all
     rays are read at only those, and counted as 0/1 float32 products (exact
     below 2^24).  An sgemm has raised the invalid flag on these finite
-    operands, so a count above the column count (or NaN) raises instead.
+    operands, so the flag is ignored (by the caller, once a pass) and a
+    count above the column count (or NaN) raises instead.
     """
     act = inc[:, np.logical_or.reduce(inc[neg], axis=0).nonzero()[0]].astype(np.float32)
     act_pos, act_neg = act[pos], act[neg]
@@ -515,7 +517,7 @@ def expansive_cone(
     rays = extremal_rays(uniq) if f else uniq
     cone = ExpansiveCone(report.flex_basis, uniq, radius, rays)
     if pairs_csv is not None:
-        _write_pair_audit(fw, radius, np.concatenate(values), pairs_csv)
+        _write_pair_audit(fw, radius, values, pairs_csv)
     return cone
 
 
@@ -665,15 +667,14 @@ def cone_report_json(cone: ExpansiveCone, stable_radius: int) -> str:
                   "num_halfspaces": len(cone.halfspace_matrix), "rays": cone.rays, "ray_motions": cone.ray_motions()})
 
 
-def _write_pair_audit(fw: PeriodicFramework, radius: int, values: np.ndarray, path) -> None:
+def _write_pair_audit(fw: PeriodicFramework, radius: int, values: list[np.ndarray], path) -> None:
     """Per-pair audit CSV of the cone's pairs, the pair stream at `radius`:
-    each pair's key and its `values` entry, the norm of its row projected to
-    the flex coordinates.  The keys come from a second pass of
-    `_pair_incidence`, which builds no rows.
+    each pair's key and its entry of `values`, an array per chunk of the
+    stream: the norm of its row projected to the flex coordinates.  The keys
+    come from a second pass of `_pair_incidence`, which builds no rows.
 
     Zero means the pair does not restrict the flex space (bars in particular).
     """
     orbits, d = fw.graph.vertex_orbits, fw.dimension
-    text = map(format, values.tolist(), itertools.repeat(".12g"))
-    chunks = ((*pairs, itertools.islice(text, len(pairs[0]))) for pairs in _pair_incidence(orbits, d, radius))
+    chunks = ((*pairs, chunk) for pairs, chunk in zip(_pair_incidence(orbits, d, radius), values, strict=True))
     _write_pair_table(path, orbits, d, ["value"], chunks)

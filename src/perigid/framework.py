@@ -291,19 +291,28 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_pair_table(path, orbits, d: int, value_names: list[str], chunks) -> None:
+def _write_pair_table(path, orbits, d: int, value_names: list[str], chunks, codes=None) -> None:
     """The one pair-table writer: orbit_a,orbit_b,shift_1..shift_d,*value_names,
-    a line per pair of `chunks`, each (tails, heads, shifts, *values) with indices
-    into `orbits`, integer shifts and a text sequence per value name.  Each orbit
-    is quoted once and each chunk written as one block, never the whole table."""
-    names = np.array([_csv_field(o) for o in orbits], dtype=object)
+    a line per pair of `chunks`, each (tails, heads, shifts, *values) with index
+    arrays into `orbits`, integer shifts and an array per value name, written
+    with its %-code in `codes`: '%.12g' (format(v, '.12g') bit for bit, the
+    default) or '%s'.  Each run of one (tail, head) in a chunk is one
+    %-format of a line template that holds the two quoted orbit names, so no
+    text spans more than a chunk."""
+    names = [_csv_field(o).replace("%", "%%") for o in orbits]
+    fields = ",".join(["%d"] * d + list(codes or ["%.12g"] * len(value_names)))
     header = ["orbit_a", "orbit_b", *(f"shift_{i + 1}" for i in range(d)), *value_names]
     with open(path, "w") as fh:
         fh.write(",".join(header))
         for tails, heads, shifts, *values in chunks:
-            columns = [names[tails].tolist(), names[heads].tolist()]
-            columns += [map(str, shifts[:, c].tolist()) for c in range(d)]
-            fh.write("".join(map("\n".__add__, map(",".join, zip(*columns, *values)))))
+            cells = np.empty((len(shifts), d + len(values)), dtype=object)  # Python ints and floats
+            cells[:, :d], cells[:, d:] = shifts, np.transpose(values)
+            starts = np.ones(len(shifts), dtype=bool)  # where a run of one (tail, head) starts
+            starts[1:] = (tails[1:] != tails[:-1]) | (heads[1:] != heads[:-1])
+            starts = np.flatnonzero(starts).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(shifts)]):
+                line = f"\n{names[tails[lo]]},{names[heads[lo]]},{fields}"
+                fh.write(line * (hi - lo) % tuple(cells[lo:hi].ravel()))
         fh.write("\n")
 
 

@@ -79,8 +79,8 @@ class MotionPath:
 class ExpansionAudit:
     """Each pair's smallest step increment in stream order, and the violations
     as arrays of stream index, step and drop in the order found (chunk, then
-    step), which readers sort into pair order.  No key is held: each read
-    builds the pairs from the stream's layout (`_pairs_at`)."""
+    step), which `violations` sorts into pair order.  No key is held: each
+    read builds the pairs from the stream's layout (`_pairs_at`)."""
 
     _stream: tuple[tuple[str, ...], int, int, np.ndarray]  # orbits, d, radius, low
     _found: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -363,10 +363,15 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
     """Audit table: orbit_a,orbit_b,shift...,min_increment,first_violation_step
     in key order, `sorted(audit.pair_results)`: the stream's (tail, head)
     blocks (`_pair_blocks`), each a run of ascending shifts, in key order.  A
-    pair's violations are found in step order, so its first is its first step."""
+    pair's first violating step is the least step of its violations, found
+    with one pass over them and no sort."""
     orbits, d, radius, low = audit._stream
     pairs, steps, _ = audit._found
-    hit, first = np.unique(pairs, return_index=True)  # ascending stream index
+    # Each pair's least step, in the smallest type that holds one past the
+    # last step, which marks a pair with no violation; a passing audit needs none.
+    none = int(steps.max(initial=0)) + 1
+    first = np.full(len(low) if len(steps) else 0, none, dtype=np.min_scalar_type(none))
+    np.minimum.at(first, pairs, steps.astype(first.dtype))  # one type: numpy's fast path
     blocks = _pair_blocks(orbits, d, radius)
     starts = itertools.accumulate([count for *_, count in blocks], initial=0)
     spans = sorted(((orbits[a], orbits[b]), start, start + count) for (a, b, count), start in zip(blocks, starts))
@@ -374,10 +379,10 @@ def write_audit_csv(audit: ExpansionAudit, path) -> None:
     def chunks():
         for _, start, stop in spans:  # key order
             for lo in range(start, stop, _PAIR_CHUNK):
-                k = np.arange(lo, min(lo + _PAIR_CHUNK, stop))
-                i, j = np.searchsorted(hit, [lo, lo + len(k)])
-                column = np.full(len(k), "", dtype=object)
-                column[hit[i:j] - lo] = steps[first[i:j]].astype(str)
-                yield *_pairs_at(orbits, d, radius, k), map(format, low[k].tolist(), itertools.repeat(".12g")), column
+                hi = min(lo + _PAIR_CHUNK, stop)
+                column = np.full(hi - lo, "", dtype=object)
+                hit = np.flatnonzero(first[lo:hi] != none)
+                column[hit] = first[lo + hit]
+                yield *_pairs_at(orbits, d, radius, np.arange(lo, hi)), low[lo:hi], column
 
-    _write_pair_table(path, orbits, d, ["min_increment", "first_violation_step"], chunks())
+    _write_pair_table(path, orbits, d, ["min_increment", "first_violation_step"], chunks(), ["%.12g", "%s"])

@@ -322,34 +322,74 @@ def one_string_table(path, d, value_names, rows):
         fh.write("\n".join([",".join(header), *map(",".join, rows)]) + "\n")
 
 
-ORBITS = ("a", 'b,"x"', "c")
+# One name needs CSV quoting; one holds '%', which the writer's line
+# templates must escape (unescaped, "%%s" writes "%s").
+ORBITS = ("a", 'b,"x"', "c", "%%s")
 
 
-def table_rows(count, d=2):
-    """`count` rows, quoted one field at a time, whose orbit names include
-    one that needs quoting."""
+def run_pair(r):
+    """Orbit indices (tail, head) of run r: from one run to the next the
+    tail and the head change in turn, so a run starts where only one does."""
+    return (r + 1) // 2 % 4, (r // 2 + 1) % 4
+
+
+def table_rows(count, d=2, run=1):
+    """`count` rows, quoted one field at a time, in runs of `run` rows of
+    one orbit pair."""
     names = [_csv_field(o) for o in ORBITS]
     return (
-        [names[k % 3], names[(k + 1) % 3], *(str(k % 5 - 2) for _ in range(d)), format(k / 7, ".12g")]
+        [*(names[i] for i in run_pair(k // run)), *(str(k % 5 - 2) for _ in range(d)), format(k / 7, ".12g")]
         for k in range(count)
     )
 
 
-def table_chunks(count, d=2, size=1024):
+def table_chunks(count, d=2, size=1024, run=1):
     """The pairs of `table_rows` as the writer reads them: chunks of `size`
-    pairs, each orbit index arrays, a shift matrix and the value text."""
+    pairs, each orbit index arrays, a shift matrix and the value array."""
     for lo in range(0, count, size):
         k = np.arange(lo, min(lo + size, count))
         shifts = np.repeat(k[:, None] % 5 - 2, d, axis=1)
-        yield k % 3, (k + 1) % 3, shifts, [format(x / 7, ".12g") for x in k.tolist()]
+        yield *run_pair(k // run), shifts, k / 7
 
 
 @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2049])
 def test_pair_table_writes_the_one_string_bytes(tmp_path, count):
-    _write_pair_table(tmp_path / "streamed.csv", ORBITS, 2, ["value"], table_chunks(count))
-    one_string_table(tmp_path / "whole.csv", 2, ["value"], list(table_rows(count)))
-    assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
-    assert (b'"b,""x"""' in (tmp_path / "streamed.csv").read_bytes()) == (count > 0)
+    # A run a line, runs that chunks cut (chunks start mid-run and hold
+    # several runs), and runs longer than a chunk.
+    for size, run in [(1024, 1), (1024, 7), (100, 37), (5, 12)]:
+        _write_pair_table(tmp_path / "streamed.csv", ORBITS, 2, ["value"], table_chunks(count, size=size, run=run))
+        one_string_table(tmp_path / "whole.csv", 2, ["value"], list(table_rows(count, run=run)))
+        assert (tmp_path / "streamed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (b'"b,""x"""' in (tmp_path / "streamed.csv").read_bytes()) == (count > 0)
+        assert (b"\n%%s," in (tmp_path / "streamed.csv").read_bytes()) == (count > 5 * run)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    floats=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=40),
+    size=st.integers(1, 8),
+)
+def test_pair_table_floats_are_format_12g(tmp_path_factory, floats, size):
+    # Every float (-0.0, infinities, NaN and subnormals included) is
+    # format(v, '.12g'), and a '%s' column writes each entry's str, in
+    # chunks of `size` pairs, in runs of 3 pairs.
+    values = np.array([*floats, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e-300])
+    steps = np.array([k if k % 2 else "" for k in range(len(values))], dtype=object)
+    k = np.arange(len(values))
+    (tails, heads), shifts = run_pair(k // 3), np.stack([k - 3, -k], axis=1)
+    chunks = (
+        (tails[lo : lo + size], heads[lo : lo + size], shifts[lo : lo + size], values[lo : lo + size], steps[lo : lo + size])
+        for lo in range(0, len(values), size)
+    )
+    target = tmp_path_factory.mktemp("floats") / "table.csv"
+    _write_pair_table(target, ORBITS, 2, ["value", "step"], chunks, ["%.12g", "%s"])
+    names = [_csv_field(o) for o in ORBITS]
+    rows = [
+        [names[a], names[b], *map(str, w), format(v, ".12g"), str(step)]
+        for a, b, w, v, step in zip(tails.tolist(), heads.tolist(), shifts.tolist(), values.tolist(), steps.tolist())
+    ]
+    one_string_table(target.with_suffix(".whole"), 2, ["value", "step"], rows)
+    assert target.read_bytes() == target.with_suffix(".whole").read_bytes()
 
 
 def test_pair_table_holds_a_chunk_of_lines_not_the_table(tmp_path):

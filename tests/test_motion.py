@@ -734,14 +734,15 @@ def test_a_nan_audit_tolerance_is_rejected():
 
 
 # Orbit names whose sorted order differs from every graph order drawn below:
-# one needs CSV quoting for its comma, one for its quote, one is not ASCII.
-AUDIT_NAMES = ("\u00e9t\u00e9", "b,c", 'a"q', "B")
+# one needs CSV quoting for its comma, one for its quote, one is not ASCII,
+# and one holds '%', which the table's line templates must escape.
+AUDIT_NAMES = ("\u00e9t\u00e9", "b,c", 'a"q', "B", "5%")
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     order=st.permutations(AUDIT_NAMES),
-    n=st.sampled_from([3, 4]),
+    n=st.sampled_from([3, 4, 5]),
     d=st.sampled_from([1, 2, 3]),
     radius=st.sampled_from([1, 2]),
     moves=st.lists(st.sampled_from([1.0, -0.5, 0.25]), min_size=1, max_size=5),
