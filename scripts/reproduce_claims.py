@@ -55,7 +55,7 @@ def stressed_example(out):
         fixes = [
             axis
             for axis, shift in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)), start=1)
-            if abs(pg.pair_constraint(fw, "red", "red", shift).rows[0] @ motion) < 1e-8
+            if abs(pg.pair_constraint(fw, "red", "red", shift) @ motion) < 1e-8
         ]
         print(f"    ray {i}: fixes period length(s) {fixes}, "
               f"classified {pg.classify_flex(fw, motion).value}")

@@ -20,7 +20,6 @@ from .errors import *  # noqa: F401,F403
 from .expansive import (
     ExpansiveCone,
     FlexClass,
-    PairSet,
     classify_flex,
     expansive_cone,
     extremal_rays,

@@ -165,7 +165,7 @@ def _cmd_simulate(args) -> int:
     )
     os.makedirs(args.outdir, exist_ok=True)
     frames = motion.export_frames(path, supercell=args.supercell, fmt=args.format, outdir=args.outdir)
-    audit = motion.audit_expansiveness(path, radius=args.radius, audit_tol=motion.DEFAULT_AUDIT_TOL)
+    audit = motion.audit_expansiveness(path, radius=args.radius)
     audit_path = os.path.join(args.outdir, "audit.csv")
     motion.write_audit_csv(audit, audit_path)
     summary = {

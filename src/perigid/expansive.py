@@ -3,13 +3,13 @@
 A motion is expansive when the distance between every pair of joints is
 nondecreasing.  For a quotient description that quantifies over all pairs of
 vertex-orbit translates; here the pair set is truncated to lattice shifts
-with max-norm at most a radius R.  The truncated pairs are held as arrays
-(:class:`PairSet`): tail and head orbit indices and constraint rows, built
-from the integer shifts of `_pair_incidence` by the incidence core of the
-rigidity matrix's bars.  They come only as one stream of such arrays in the
-canonical order (`_pair_chunks`, chunks of 1,024 to 2,047 pairs), of which
-the cone, the radius probe and the flex verdict keep only what each needs of
-a chunk, so no array spans the pair set; `pair_constraint` gives one pair.
+with max-norm at most a radius R.  A pair is a (tail index, head index,
+integer shift) triple of `_pair_incidence` and its constraint row, built by
+the incidence core of the rigidity matrix's bars (`_pair_rows`).  The pairs
+come only as one stream of (tails, heads, rows) arrays in the canonical
+order (`_pair_chunks`, chunks of 1,024 to 2,047 pairs), of which the cone,
+the radius probe and the flex verdict keep only what each needs of a chunk,
+so no array spans the pair set; `pair_constraint` gives one pair's row.
 Each step is per pair, so its bits do not depend on the chunk, except the
 projection's matrix product, whose rows are observed, not proved, to be the
 one product's for chunks of 512 rows or more.  The halfspace rows are
@@ -59,37 +59,26 @@ CONE_TOL = 1e-9
 MAX_FLEX_DIM = 6
 
 
-@dataclass(frozen=True, eq=False)
-class PairSet:
-    """Canonical pairs, one array row per pair: pair k joins the vertex orbit
-    of index a = tails[k] to that of b = heads[k] translated by its shift w.
+def _pair_rows(fw: PeriodicFramework, tails, heads, shifts) -> np.ndarray:
+    """Constraint rows of the pairs k: (a, b, w) = (tails[k], heads[k],
+    shifts[k]) joins vertex orbit a to orbit b translated by the shift w.
 
     Its separation is s = p_b + lattice w - p_a, and its row evaluates a
     motion u to <s, pdot_b + ldot w - pdot_a>, so the truncated pair
     inequality is row . u >= 0.  The row is invariant under orientation
-    reversal, and pairs are stored with (a, b, w) lexicographically minimal
+    reversal, and pairs are taken with (a, b, w) lexicographically minimal
     versus (b, a, -w).  Same-orbit pairs with w a generator shift encode
     period length constraints.
     """
-
-    tails: np.ndarray  # (k,) vertex orbit indices
-    heads: np.ndarray  # (k,)
-    rows: np.ndarray  # (k, dn + d^2)
-
-    def __len__(self) -> int:
-        return len(self.tails)
-
-
-def _pair_set(fw: PeriodicFramework, tails, heads, shifts) -> PairSet:
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
     w = shifts.astype(float)
     s = _separations(positions, fw.placement.lattice, tails, heads, w)
-    return PairSet(tails, heads, _incidence_rows(fw.n, tails, heads, w, s))
+    return _incidence_rows(fw.n, tails, heads, w, s)
 
 
-def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
-    """The one-pair :class:`PairSet` of (a, b, shift), row ``rows[0]``, in
-    the stream's orientation, its key ``EdgeOrbit(a, b, shift).canonical()``.
+def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> np.ndarray:
+    """The constraint row (dn + d^2,) of the pair (a, b, shift), in the
+    stream's orientation, that of its key ``EdgeOrbit(a, b, shift).canonical()``.
     The shift is checked as a bar's: one that is not integral is a
     FrameworkError, a wrong length a DimensionMismatchError; a vertex paired
     with itself at shift zero is a FrameworkError."""
@@ -98,7 +87,7 @@ def pair_constraint(fw: PeriodicFramework, a: str, b: str, shift) -> PairSet:
         raise FrameworkError(f"({a}, {b}, {shift}) pairs a vertex with itself")
     a, b, shift = EdgeOrbit(a, b, shift).canonical()
     ends = np.array([fw.orbit_index(a)]), np.array([fw.orbit_index(b)])
-    return _pair_set(fw, *ends, np.array([shift]))
+    return _pair_rows(fw, *ends, np.array([shift]))[0]
 
 
 # Pairs per chunk of the pair stream; the last chunk also takes the rest, so
@@ -165,10 +154,10 @@ def _pairs_at(orbits, d: int, radius: int, index: np.ndarray):
 
 
 def _pair_chunks(fw: PeriodicFramework, radius: int, shell: bool = False):
-    """The canonical pairs as consecutive PairSets, one per chunk of
-    `_pair_incidence`; every per-pair value is the whole set's, bit for bit."""
-    for incidence in _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius, shell):
-        yield _pair_set(fw, *incidence)
+    """The canonical pairs as (tails, heads, rows), one per chunk of
+    `_pair_incidence`; every row is the whole set's, bit for bit."""
+    for tails, heads, shifts in _pair_incidence(fw.graph.vertex_orbits, fw.dimension, radius, shell):
+        yield tails, heads, _pair_rows(fw, tails, heads, shifts)
 
 
 def _pair_keys(orbits, tails, heads, shifts) -> list[tuple[str, str, tuple[int, ...]]]:
@@ -501,12 +490,12 @@ def expansive_cone(
             f"flex dimension {f} exceeds the ray-enumeration cap {MAX_FLEX_DIM}"
         )
     seen, kept, values = set(), [], []
-    for pairs in _pair_chunks(fw, radius) if f or pairs_csv is not None else ():
+    for _, _, rows in _pair_chunks(fw, radius) if f or pairs_csv is not None else ():
         if f:
-            kept.append(_merge_new(seen, _unit_halfspaces(pairs.rows, report.flex_basis)))
+            kept.append(_merge_new(seen, _unit_halfspaces(rows, report.flex_basis)))
         if pairs_csv is not None:
             # One vector-matrix product per row, bit for bit `row @ flex_basis.T`.
-            projected = (pairs.rows[:, None, :] @ report.flex_basis.T)[:, 0, :]
+            projected = (rows[:, None, :] @ report.flex_basis.T)[:, 0, :]
             values.append(np.sqrt(_row_dots(projected, projected)))
     del seen  # only the merged rows live through the double description
     uniq = np.concatenate(kept) if f else np.zeros((0, 0))
@@ -565,13 +554,13 @@ def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     _check_count(radius, "radius", 1)
     flex = _checked_flex(rigidity_matrix(fw), flex, CONE_TOL)
     flex_norm, violated, touched = np.linalg.norm(flex), False, set()
-    for pairs in _pair_chunks(fw, radius):
-        values = _row_dots(pairs.rows, flex)
-        scales = np.sqrt(_row_dots(pairs.rows, pairs.rows)) * flex_norm
+    for tails, heads, rows in _pair_chunks(fw, radius):
+        values = _row_dots(rows, flex)
+        scales = np.sqrt(_row_dots(rows, rows)) * flex_norm
         thresholds = CONE_TOL * scales
         strict = values > thresholds
         violated = violated or bool(np.any(values < -thresholds))
-        touched.update(pairs.tails[strict].tolist(), pairs.heads[strict].tolist())
+        touched.update(tails[strict].tolist(), heads[strict].tolist())
     if violated:
         cls = FlexClass.NOT_EXPANSIVE
     elif touched:
@@ -655,8 +644,8 @@ def find_stable_radius(fw: PeriodicFramework, cone: ExpansiveCone, max_radius: i
 def _shell_halfspaces(fw: PeriodicFramework, flex_basis: np.ndarray, radius: int):
     """Unit halfspaces of the pairs whose shift has max-norm exactly
     `radius`, one array per chunk of `_pair_chunks`."""
-    for pairs in _pair_chunks(fw, radius, shell=True):
-        yield _unit_halfspaces(pairs.rows, flex_basis)
+    for _, _, rows in _pair_chunks(fw, radius, shell=True):
+        yield _unit_halfspaces(rows, flex_basis)
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,9 @@ class PeriodicFramework:
 
 def _integer_shift(shift, d: int, what: str) -> tuple[int, ...]:
     """The lattice shift of `what` as d Python ints.  Numpy integers and
-    integral floats are accepted; a fractional, NaN or infinite coordinate
-    is a FrameworkError, a wrong length a DimensionMismatchError."""
+    integral floats are accepted; a fractional, NaN or infinite coordinate,
+    or one beyond the float range, is a FrameworkError, a wrong length a
+    DimensionMismatchError."""
     coords = tuple(shift)
     if len(coords) != d:
         raise DimensionMismatchError(f"{what} has a shift of length {len(coords)}, expected {d}")
@@ -150,6 +151,8 @@ def _integer_shift(shift, d: int, what: str) -> tuple[int, ...]:
         ints = None
     if ints is None or ints != coords:
         raise FrameworkError(f"{what} has a shift {coords} that is not integral")
+    if any(abs(c) > sys.float_info.max for c in ints):
+        raise FrameworkError(f"{what} has a shift coordinate beyond the float range")
     return ints
 
 
@@ -370,6 +373,8 @@ def loads_framework(text: str) -> PeriodicFramework:
         raise SchemaError("edge_orbits must be a list")
     for rec in data["edge_orbits"]:
         _require_keys(rec, ("tail", "head", "shift"), "edge orbit")
+        if not isinstance(rec["tail"], str) or not isinstance(rec["head"], str):
+            raise SchemaError("edge orbit tail and head must be strings")
         shift = rec["shift"]
         if not isinstance(shift, list) or any(
             not isinstance(c, int) or isinstance(c, bool) for c in shift

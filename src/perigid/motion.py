@@ -57,7 +57,7 @@ from .rigidity import pack_motion, rigidity_rows, unpack_motion
 DEFAULT_STEP = 0.01
 DEFAULT_STEPS = 50
 DEFAULT_NEWTON_TOL = 1e-10
-DEFAULT_AUDIT_TOL = 1e-8
+AUDIT_TOL = 1e-8
 _MAX_NEWTON_ITER = 25
 _SEED_FLEX_TOL = 1e-8
 
@@ -217,20 +217,14 @@ def continue_motion(
 # ---------------------------------------------------------------------------
 # Audits.
 
-def audit_expansiveness(
-    path: MotionPath,
-    radius: int = DEFAULT_RADIUS,
-    audit_tol: float = DEFAULT_AUDIT_TOL,
-) -> ExpansionAudit:
+def audit_expansiveness(path: MotionPath, radius: int = DEFAULT_RADIUS) -> ExpansionAudit:
     """Check that every truncated pair distance is nondecreasing stepwise.
 
-    A violation at step k means the distance dropped by more than audit_tol
+    A violation at step k means the distance dropped by more than AUDIT_TOL
     between steps k-1 and k.
     """
     if len(path.positions) < 2:
         raise ValueError("path needs at least two steps")
-    if np.isnan(audit_tol):
-        raise ValueError("audit_tol is NaN, which no drop exceeds")
     orbits, d = path.graph.vertex_orbits, path.graph.dimension
     low, start = [], 0
     found = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0))]  # pairs, steps, drops
@@ -242,7 +236,7 @@ def audit_expansiveness(
         for step, (prev, dist) in enumerate(itertools.pairwise(dists), 1):
             inc = dist - prev
             np.minimum(least, inc, out=least)
-            bad = np.flatnonzero(inc < -audit_tol)
+            bad = np.flatnonzero(inc < -AUDIT_TOL)
             if len(bad):
                 found.append((start + bad, np.full(len(bad), step), -inc[bad]))
         low.append(least)

@@ -3,7 +3,6 @@ import pytest
 
 from perigid import (
     EdgeOrbit,
-    PairSet,
     Placement,
     QuotientGraph,
     SimplexVariant,
@@ -56,10 +55,9 @@ def change_basis(fw, U):
 
 
 def whole_pairs(fw, radius):
-    """The whole canonical pair set at `radius`: the chunks of the pair
-    stream concatenated, each row the stream's, bit for bit."""
-    chunks = [(c.tails, c.heads, c.rows) for c in expansive._pair_chunks(fw, radius)]
-    return PairSet(*map(np.concatenate, zip(*chunks)))
+    """The whole canonical pair set at `radius` as (tails, heads, rows): the
+    chunks of the pair stream concatenated, each row the stream's, bit for bit."""
+    return tuple(map(np.concatenate, zip(*expansive._pair_chunks(fw, radius))))
 
 
 def stream_shifts(fw, radius, shell=False):
@@ -73,23 +71,24 @@ def whole_shifts(fw, radius):
     return np.concatenate(stream_shifts(fw, radius))
 
 
-def canonical_shift(a, b, shift):
-    """The (1, d) shift of `pair_constraint(fw, a, b, shift)`: that of its key,
-    `EdgeOrbit(a, b, shift).canonical()`."""
-    return np.array([EdgeOrbit(a, b, tuple(shift)).canonical().shift])
+def canonical_pair(fw, a, b, shift):
+    """The (tails, heads, shifts) arrays, of one pair each, of the key of
+    `pair_constraint(fw, a, b, shift)`: `EdgeOrbit(a, b, shift).canonical()`."""
+    a, b, shift = EdgeOrbit(a, b, tuple(shift)).canonical()
+    return np.array([fw.orbit_index(a)]), np.array([fw.orbit_index(b)]), np.array([shift])
 
 
-def pair_keys(fw, pairs, shifts):
-    """Canonical (orbit_a, orbit_b, shift) keys of `pairs` and their
-    `shifts`, in pair order."""
-    return expansive._pair_keys(fw.graph.vertex_orbits, pairs.tails, pairs.heads, shifts)
+def pair_keys(fw, tails, heads, shifts):
+    """Canonical (orbit_a, orbit_b, shift) keys of the pairs (tails, heads,
+    shifts), in pair order."""
+    return expansive._pair_keys(fw.graph.vertex_orbits, tails, heads, shifts)
 
 
-def pair_separations(fw, pairs, shifts):
-    """Separations p_b + lattice w - p_a of `pairs` and their `shifts`, from
-    the incidence core their rows are built by."""
+def pair_separations(fw, tails, heads, shifts):
+    """Separations p_b + lattice w - p_a of the pairs (tails, heads, shifts),
+    from the incidence core their rows are built by."""
     positions = np.array([fw.placement.positions[o] for o in fw.graph.vertex_orbits])
-    return _separations(positions, fw.placement.lattice, pairs.tails, pairs.heads, shifts.astype(float))
+    return _separations(positions, fw.placement.lattice, tails, heads, shifts.astype(float))
 
 
 def path_through(graph, placements):

@@ -67,7 +67,7 @@ def test_cone_matches_frozen_pipeline_bit_for_bit(kind, d, radius):
     fw = framework(kind, d, seed=31 * d + radius)
     report = analyze(fw)
     cone = expansive_cone(fw, report, radius)
-    halfspaces, rays = frozen_cone(whole_pairs(fw, radius).rows, report.flex_basis)
+    halfspaces, rays = frozen_cone(whole_pairs(fw, radius)[2], report.flex_basis)
     assert cone.halfspace_matrix.shape == halfspaces.shape
     assert cone.halfspace_matrix.tobytes() == halfspaces.tobytes()
     assert cone.rays.shape == rays.shape
@@ -80,7 +80,7 @@ def test_cone_matches_frozen_pipeline_bit_for_bit(kind, d, radius):
 @pytest.mark.parametrize("kind, d", [("stressed", 3), ("base", 4), ("regular", 5)])
 def test_row_norms_by_chunks_are_the_one_pass_norms(kind, d, rows_per_chunk, monkeypatch):
     fw = framework(kind, d, seed=d)
-    rows, basis = whole_pairs(fw, 2).rows, analyze(fw).flex_basis
+    rows, basis = whole_pairs(fw, 2)[2], analyze(fw).flex_basis
     projected = rows @ basis.T
     scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
     norms = np.linalg.norm(projected, axis=1)
@@ -311,20 +311,20 @@ def test_pair_stream_is_the_whole_pair_set_in_order(kind, d, radius, chunk, monk
     with monkeypatch.context() as one_chunk:
         # One chunk: the rows of one product over the whole pair set.
         one_chunk.setattr(expansive, "_PAIR_CHUNK", 1 << 30)
-        whole = whole_pairs(fw, radius)
+        tails, heads, rows = whole_pairs(fw, radius)
     shifts = whole_shifts(fw, radius)
-    keys = pair_keys(fw, whole, shifts)
+    keys = pair_keys(fw, tails, heads, shifts)
     if chunk is not None:
         monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
     step = expansive._PAIR_CHUNK
     on_shell = np.abs(shifts).max(axis=1) == radius
-    for shell, keep in ((False, np.ones(len(whole), dtype=bool)), (True, on_shell)):
+    for shell, keep in ((False, np.ones(len(rows), dtype=bool)), (True, on_shell)):
         chunks = list(expansive._pair_chunks(fw, radius, shell=shell))
-        sizes = [len(c) for c in chunks]
+        sizes = [len(c_rows) for *_, c_rows in chunks]
         assert sizes == [keep.sum()] if keep.sum() < step else all(step <= s < 2 * step for s in sizes)
-        chunk_keys = [k for c, w in zip(chunks, stream_shifts(fw, radius, shell)) for k in pair_keys(fw, c, w)]
+        chunk_keys = [k for (t, h, _), w in zip(chunks, stream_shifts(fw, radius, shell)) for k in pair_keys(fw, t, h, w)]
         assert chunk_keys == [k for k, kept in zip(keys, keep) if kept]
-        assert np.concatenate([c.rows for c in chunks]).tobytes() == whole.rows[keep].tobytes()
+        assert np.concatenate([c_rows for *_, c_rows in chunks]).tobytes() == rows[keep].tobytes()
 
 
 @pytest.mark.parametrize("orbits, d, radius", [(("a",), 1, 3), (("c", "a", "b"), 2, 2), (("b", "a"), 3, 1), (("x", "y"), 4, 2)])
@@ -351,8 +351,8 @@ def test_pair_stream_of_three_orbits_is_the_loop_order(chunk, monkeypatch):
         monkeypatch.setattr(expansive, "_PAIR_CHUNK", chunk)
     keys, _, rows = loop_pairs(positions, lattice, 3)
     chunks = list(expansive._pair_chunks(fw, 3))
-    assert [k for c, w in zip(chunks, stream_shifts(fw, 3)) for k in pair_keys(fw, c, w)] == keys
-    assert np.concatenate([c.rows for c in chunks]).tobytes() == rows.tobytes()
+    assert [k for (t, h, _), w in zip(chunks, stream_shifts(fw, 3)) for k in pair_keys(fw, t, h, w)] == keys
+    assert np.concatenate([c_rows for *_, c_rows in chunks]).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("kind, d, radius", CONES)
@@ -364,9 +364,9 @@ def test_streamed_projection_is_the_one_product(kind, d, radius, monkeypatch):
     fw = framework(kind, d, seed=31 * d + radius)
     report = analyze(fw)
     unit = expansive._unit_halfspaces
-    cone_rows = whole_pairs(fw, radius).rows
-    beyond = whole_pairs(fw, radius + 1)
-    shell_rows = beyond.rows[np.abs(whole_shifts(fw, radius + 1)).max(axis=1) == radius + 1]
+    cone_rows = whole_pairs(fw, radius)[2]
+    beyond = whole_pairs(fw, radius + 1)[2]
+    shell_rows = beyond[np.abs(whole_shifts(fw, radius + 1)).max(axis=1) == radius + 1]
     seen = []
 
     def kept(rows, basis):
@@ -426,7 +426,7 @@ def test_the_reference_products_alone_give_the_frozen_cone(kind, d, radius, monk
     fw = framework(kind, d, seed=31 * d + radius)
     report = analyze(fw)
     cone = expansive_cone(fw, report, radius)
-    halfspaces, rays = frozen_cone(whole_pairs(fw, radius).rows, report.flex_basis)
+    halfspaces, rays = frozen_cone(whole_pairs(fw, radius)[2], report.flex_basis)
     assert cone.halfspace_matrix.tobytes() == halfspaces.tobytes()
     assert cone.rays.shape == rays.shape and cone.rays.tobytes() == rays.tobytes()
     assert sent and all(sent)

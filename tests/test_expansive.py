@@ -32,7 +32,7 @@ from perigid import expansive, feasibility, motion, rigidity_matrix
 from perigid.expansive import cone_report_json
 
 from _oracles import rays_match, sweep_rays_2d
-from conftest import canonical_shift, make_framework, pair_keys, pair_separations, whole_pairs, whole_shifts
+from conftest import canonical_pair, make_framework, pair_keys, pair_separations, whole_pairs, whole_shifts
 
 
 def pair_count(n, d, radius):
@@ -44,32 +44,32 @@ def pair_count(n, d, radius):
 
 
 def test_pair_counts(stressed):
-    pairs = whole_pairs(stressed, 1)
-    assert len(pairs) == 53 == pair_count(2, 3, 1)
-    assert len(whole_pairs(stressed, 2)) == pair_count(2, 3, 2)
+    _, _, rows = whole_pairs(stressed, 1)
+    assert len(rows) == 53 == pair_count(2, 3, 1)
+    assert len(whole_pairs(stressed, 2)[2]) == pair_count(2, 3, 2)
 
 
 def test_pair_count_single_orbit():
     solo = make_framework(2, {"a": [0.0, 0.0]}, np.eye(2), [("a", "a", (1, 0))])
-    assert len(whole_pairs(solo, 1)) == 4
+    assert len(whole_pairs(solo, 1)[2]) == 4
     with pytest.raises(ValueError):
         whole_pairs(solo, 0)
 
 
 def test_contains_period_pair(stressed):
-    keys = set(pair_keys(stressed, whole_pairs(stressed, 1), whole_shifts(stressed, 1)))
-    shift = canonical_shift("red", "red", (1, 0, 0))
-    key = pair_keys(stressed, pair_constraint(stressed, "red", "red", (1, 0, 0)), shift)[0]
+    tails, heads, _ = whole_pairs(stressed, 1)
+    keys = set(pair_keys(stressed, tails, heads, whole_shifts(stressed, 1)))
+    one = canonical_pair(stressed, "red", "red", (1, 0, 0))
+    key = pair_keys(stressed, *one)[0]
     assert key in keys and key == EdgeOrbit("red", "red", (1, 0, 0)).canonical()
-    p = pair_constraint(stressed, "red", "red", (1, 0, 0))
-    assert np.allclose(np.abs(pair_separations(stressed, p, shift)[0]), [1, 0, 0])
+    assert np.allclose(np.abs(pair_separations(stressed, *one)[0]), [1, 0, 0])
 
 
 def test_pair_row_orientation_invariant(stressed):
     a = pair_constraint(stressed, "green", "red", (1, 1, 0))
     b = pair_constraint(stressed, "red", "green", (-1, -1, 0))
-    assert (a.tails[0], a.heads[0]) == (b.tails[0], b.heads[0])
-    assert np.array_equal(a.rows[0], b.rows[0])
+    assert a.shape == (stressed.n * 3 + 9,)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_self_pair_rejected(stressed):
@@ -85,6 +85,7 @@ def test_self_pair_rejected(stressed):
         ((1.5, 0, 0), FrameworkError),
         ((float("nan"), 0, 0), FrameworkError),
         ((0, float("-inf"), 0), FrameworkError),
+        ((10**400, 0, 0), FrameworkError),
     ],
 )
 def test_pair_shift_checked(stressed, shift, error):
@@ -96,17 +97,15 @@ def test_pair_shift_checked(stressed, shift, error):
 def test_pair_integral_shift_types_accepted(stressed):
     ref = pair_constraint(stressed, "green", "red", (1, 1, 0))
     for shift in [(1.0, 1.0, 0.0), tuple(np.array([1, 1, 0], dtype=np.int64))]:
-        p = pair_constraint(stressed, "green", "red", shift)
-        assert (p.tails[0], p.heads[0]) == (ref.tails[0], ref.heads[0])
-        assert np.array_equal(p.rows, ref.rows)
+        assert pair_constraint(stressed, "green", "red", shift).tobytes() == ref.tobytes()
 
 
 def test_edge_rows_project_to_zero(stressed):
     report = analyze(stressed)
     for k, e in enumerate(stressed.graph.edge_orbits):
-        p = pair_constraint(stressed, e.tail, e.head, e.shift)
-        assert np.linalg.norm(p.rows[0] @ report.flex_basis.T) < 1e-9 * np.linalg.norm(p.rows[0])
-        assert np.array_equal(p.rows[0], rigidity_matrix(stressed)[k])
+        row = pair_constraint(stressed, e.tail, e.head, e.shift)
+        assert np.linalg.norm(row @ report.flex_basis.T) < 1e-9 * np.linalg.norm(row)
+        assert np.array_equal(row, rigidity_matrix(stressed)[k])
 
 
 # -- double description -------------------------------------------------------
@@ -211,8 +210,8 @@ def test_stressed_cone_two_rays(stressed):
     assert cone.flex_dim == 2
     assert len(cone.rays) == 2
     assert len(cone.rays) != 0
-    row1 = pair_constraint(stressed, "red", "red", (1, 0, 0)).rows[0]
-    row2 = pair_constraint(stressed, "red", "red", (0, 1, 0)).rows[0]
+    row1 = pair_constraint(stressed, "red", "red", (1, 0, 0))
+    row2 = pair_constraint(stressed, "red", "red", (0, 1, 0))
     vals = np.array([[abs(row1 @ cone.ray_motion(i)), abs(row2 @ cone.ray_motion(i))] for i in range(2)])
     # One ray fixes each period length, exclusively.
     assert sorted(np.argmin(vals, axis=1).tolist()) == [0, 1]

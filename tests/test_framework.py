@@ -99,6 +99,14 @@ def test_non_integral_shift_rejected(shift):
     assert type(info.value) is FrameworkError
 
 
+@pytest.mark.parametrize("shift", [(10**400, 0), (0, -(10**309)), (np.int64(1), 2**1024)])
+def test_shift_beyond_the_float_range_rejected(shift):
+    # No float holds such a coordinate, so the bars' float shifts cannot be built.
+    with pytest.raises(FrameworkError, match="beyond the float range") as info:
+        make_framework(2, {"a": [0.0, 0.0], "b": [0.5, 0.25]}, np.eye(2), [("a", "b", shift)])
+    assert type(info.value) is FrameworkError
+
+
 def test_integral_shift_types_accepted():
     def build(shift):
         return make_framework(2, {"a": [0.0, 0.0], "b": [0.5, 0.25]}, np.eye(2), [("a", "b", shift)])
@@ -174,7 +182,7 @@ def test_regular_lattice_same_bits_in_memory_and_from_json(d):
     again = loads_framework(dumps_framework(fw))
     assert fw.placement.lattice.flags.c_contiguous
     shifts = whole_shifts(fw, 2)
-    separations = [pair_separations(f, whole_pairs(f, 2), shifts) for f in (fw, again)]
+    separations = [pair_separations(f, *whole_pairs(f, 2)[:2], shifts) for f in (fw, again)]
     assert np.array_equal(*separations)
 
 
@@ -246,6 +254,10 @@ REJECTIONS = {
     ),
     "lattice-not-numbers": (framework_text(lattice=[[1.0, "x"], [0.0, 1.0]]), SchemaError),
     "lattice-not-square": (framework_text(lattice=[[1.0, 0.0], [0.0]]), DimensionMismatchError),
+    "tail-not-string": (framework_text(edge_orbits=[{"tail": ["a"], "head": "b", "shift": [1, 0]}]), SchemaError),
+    "head-not-string": (framework_text(edge_orbits=[{"tail": "a", "head": {}, "shift": [1, 0]}]), SchemaError),
+    # An integer shift a float cannot hold: the shift rule of validate_framework.
+    "shift-beyond-float": (framework_text(edge_orbits=[{"tail": "a", "head": "b", "shift": [10**400, 0]}]), FrameworkError),
 }
 
 

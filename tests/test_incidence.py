@@ -17,6 +17,7 @@ from perigid import (
     audit_expansiveness,
     continue_motion,
     export_frames,
+    motion,
     pair_constraint,
     rigidity_matrix,
     simplex_framework,
@@ -25,7 +26,7 @@ from perigid import (
 )
 
 from _oracles import loop_pairs, loop_row
-from conftest import canonical_shift, pair_keys, pair_separations, rotated, step_placements, whole_pairs, whole_shifts
+from conftest import canonical_pair, pair_keys, pair_separations, rotated, step_placements, whole_pairs, whole_shifts
 
 FAMILIES = [("stressed", 3)] + [(v, d) for d in (2, 3, 4, 5) for v in ("base", "removed:1")]
 
@@ -50,15 +51,15 @@ def test_pairs_match_loop(kind, d, radius):
     fw = rotated_framework(kind, d, seed=10 * d + radius)
     orbits = fw.graph.vertex_orbits
     keys, seps, rows = loop_pairs(positions_of(fw, orbits), fw.placement.lattice, radius)
-    pairs, shifts = whole_pairs(fw, radius), whole_shifts(fw, radius)
-    assert len(pairs) == len(keys)
-    assert pair_keys(fw, pairs, shifts) == keys
-    assert same_bits(pair_separations(fw, pairs, shifts), seps)
-    assert same_bits(pairs.rows, rows)
+    (tails, heads, pair_rows), shifts = whole_pairs(fw, radius), whole_shifts(fw, radius)
+    assert len(pair_rows) == len(keys)
+    assert pair_keys(fw, tails, heads, shifts) == keys
+    assert same_bits(pair_separations(fw, tails, heads, shifts), seps)
+    assert same_bits(pair_rows, rows)
     for k in range(0, len(keys), max(1, len(keys) // 7)):
-        p, shift = pair_constraint(fw, *keys[k]), canonical_shift(*keys[k])
-        assert pair_keys(fw, p, shift) == [keys[k]]
-        assert same_bits(pair_separations(fw, p, shift)[0], seps[k]) and same_bits(p.rows[0], rows[k])
+        one = canonical_pair(fw, *keys[k])
+        assert pair_keys(fw, *one) == [keys[k]]
+        assert same_bits(pair_separations(fw, *one)[0], seps[k]) and same_bits(pair_constraint(fw, *keys[k]), rows[k])
 
 
 @pytest.mark.parametrize("kind, d", FAMILIES)
@@ -82,7 +83,7 @@ def test_bars_and_stars_match_loop(kind, d):
 
 
 @pytest.mark.parametrize("kind, d", [("stressed", 3), ("removed:1", 2), ("removed:1", 3), ("removed:1", 4)])
-def test_motion_audit_and_export_match_loop(tmp_path, kind, d):
+def test_motion_audit_and_export_match_loop(tmp_path, monkeypatch, kind, d):
     fw = rotated_framework(kind, d, seed=100 + d)
     path = continue_motion(fw, analyze(fw).flex_basis[0], n_steps=6, h=0.02)
     orbits = fw.graph.vertex_orbits
@@ -94,7 +95,8 @@ def test_motion_audit_and_export_match_loop(tmp_path, kind, d):
     inc = np.diff(np.array(dist), axis=0)
 
     # With an infinite negative tolerance every increment is listed as a violation.
-    audit = audit_expansiveness(path, radius=2, audit_tol=-np.inf)
+    monkeypatch.setattr(motion, "AUDIT_TOL", -np.inf)
+    audit = audit_expansiveness(path, radius=2)
     assert list(audit.pair_results) == keys
     assert same_bits(list(audit.pair_results.values()), inc.min(axis=0))
     assert [(key, step) for key, step, _ in audit.violations] == [

@@ -137,13 +137,13 @@ def tight_sets(fw, radius, names=None):
     have at most 6e-15 against at least 0.019 otherwise), each an unordered
     pair key with its orbits called names[o]."""
     names = names or {o: o for o in fw.graph.vertex_orbits}
-    pairs = whole_pairs(fw, radius)
+    tails, heads, rows = whole_pairs(fw, radius)
     motions = expansive_cone(fw, analyze(fw), radius).ray_motions()
-    cosine = np.abs(pairs.rows @ motions.T) / np.outer(
-        np.linalg.norm(pairs.rows, axis=1), np.linalg.norm(motions, axis=1)
+    cosine = np.abs(rows @ motions.T) / np.outer(
+        np.linalg.norm(rows, axis=1), np.linalg.norm(motions, axis=1)
     )
     keys = []
-    for a, b, w in pair_keys(fw, pairs, whole_shifts(fw, radius)):
+    for a, b, w in pair_keys(fw, tails, heads, whole_shifts(fw, radius)):
         key = (names[a], names[b], w)
         keys.append(min(key, (key[1], key[0], tuple(-c for c in w))))
     return sorted(tuple(sorted(k for k, t in zip(keys, tight) if t)) for tight in (cosine <= 1e-9).T)
