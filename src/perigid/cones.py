@@ -10,6 +10,8 @@ the local condition every vertex star must satisfy where an expansive
 deformation is effective.  The oracle picks each system's mode from the
 star's entries: exact when every entry is an integer or a Fraction, float
 otherwise.  Float decisions use the oracle's tolerance, ``feasibility.LP_TOL``.
+Each star function reads the star's vectors once as nested Python numbers
+(floats, ints or Fractions; np.float32 keeps its scalars and arithmetic).
 A positive dependence, in either mode, fails the strict-expansion probe and
 puts every star vector in the lineality space, so neither the probe nor a
 membership system is solved; strict_expansion_probe says how to read a float one.
@@ -63,18 +65,22 @@ def vertex_star(fw: PeriodicFramework, orbit: str) -> VectorStar:
     return VectorStar(orbit, both[np.stack([tails == i, heads == i], axis=1)])
 
 
-def _vectors(star: VectorStar):
-    """The star's vectors, which must be some and of one length."""
-    if len(star) == 0:
+def _vectors(star: VectorStar, dtype=None) -> list[list]:
+    """The star's vectors (cast to ``dtype``), which must be some and of one
+    length, as nested Python numbers; a dtype Python has no number type for
+    (float32) keeps its numpy scalars, and so its own arithmetic."""
+    vectors = star.vectors
+    if len(vectors) == 0:
         raise ValueError("empty star")
-    if len(set(map(len, star.vectors))) > 1:
+    if getattr(vectors, "ndim", 0) != 2 and len(set(map(len, vectors))) > 1:
         raise ValueError("star vectors differ in length")
-    return star.vectors
+    vs = np.asarray(vectors, dtype)
+    return vs.tolist() if vs.dtype == float or vs.dtype.kind in "biuO" else [list(v) for v in vs]
 
 
-def _star_matrix(vectors) -> list[list]:
-    """Equality rows (one per coordinate) of sum_i a_i v_i."""
-    return [list(column) for column in zip(*vectors)]
+def _dependence(vs: list[list]):
+    """positive_dependence on the star's vectors: one equality row per coordinate."""
+    return solve_linear_feasibility([list(c) for c in zip(*vs)], [0] * len(vs[0]), [1] * len(vs))
 
 
 def positive_dependence(star: VectorStar):
@@ -89,8 +95,7 @@ def positive_dependence(star: VectorStar):
     The mode comes from the star's entries: Fractions when every entry is an
     integer or a Fraction, a float array otherwise.
     """
-    rows = _star_matrix(_vectors(star))
-    return solve_linear_feasibility(rows, [0] * len(rows), [1] * len(star))
+    return _dependence(_vectors(star))
 
 
 def lineality_space(star: VectorStar) -> np.ndarray:
@@ -100,19 +105,18 @@ def lineality_space(star: VectorStar) -> np.ndarray:
     nonnegative combination of the generators; the members span the whole
     linear part, so an SVD of that subset gives the basis.
     """
-    _vectors(star)
-    vs = star.as_float()
-    rows, bounds = _star_matrix(vs), [0] * len(vs)
-    members = [v for v in vs if solve_linear_feasibility(rows, list(-v), bounds) is not None]
+    vs = _vectors(star, float)
+    rows, bounds = [list(c) for c in zip(*vs)], [0] * len(vs)
+    members = [v for v in vs if solve_linear_feasibility(rows, [-x for x in v], bounds) is not None]
     if not members:
-        return np.zeros((0, vs.shape[1]))
+        return np.zeros((0, len(vs[0])))
     return _span(np.array(members))
 
 
 def _span(stack: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the rows of `stack`, by SVD."""
     _, s, vt = np.linalg.svd(stack)
-    return vt[: int(np.sum(s > LP_TOL * s[0]))]
+    return vt[: np.count_nonzero(s > LP_TOL * s[0])]
 
 
 def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
@@ -126,14 +130,14 @@ def analyze_star(star: VectorStar, d: int | None = None) -> ConeAnalysis:
     every membership system is feasible); without one, that function decides.
     A star with a zero vector (no edge direction) is a ValueError.
     """
-    _vectors(star)
-    vs = star.as_float()
-    if not np.all(np.any(vs != 0, axis=1)):
+    rows = _vectors(star, float)
+    if not all(map(any, rows)):
         raise ValueError("zero vector in star")
+    vs = np.array(rows)
     if d is None:
         d = vs.shape[1]
-    dep = positive_dependence(VectorStar(star.vertex_orbit, vs))
-    lin = lineality_space(star) if dep is None else _span(np.array(vs))
+    dep = _dependence(rows)
+    lin = lineality_space(star) if dep is None else _span(vs)
     ldim = lin.shape[0]
     pointed2 = ldim <= d - 2
 
@@ -164,10 +168,10 @@ def _separating_normal(vs: np.ndarray, lin: np.ndarray) -> np.ndarray:
         _, _, vt = np.linalg.svd(lin)
         return vt[lin.shape[0]]
     h = solve_linear_feasibility(
-        [list(u) for u in lin],
+        lin.tolist(),
         [0.0] * lin.shape[0],
         [None] * d,
-        inequalities=[list(u) for u in outside],
+        inequalities=outside.tolist(),
         ineq_rhs=[1.0] * len(outside),
     )
     if h is None:
@@ -195,7 +199,7 @@ def strict_expansion_probe(star: VectorStar):
     |sum a_j vdot_j| >= 1 / |eps|, velocities far beyond that scale.
     """
     vs = _vectors(star)
-    if positive_dependence(star) is not None:
+    if _dependence(vs) is not None:
         return None
     k = len(vs)
     d = len(vs[0])

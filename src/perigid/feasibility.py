@@ -15,15 +15,17 @@ sends every value through ``_is_exact`` and the finiteness test.  A
 non-finite coefficient, right-hand side or bound is a ValueError in either
 mode; float mode raises the same for an int beyond the float range.
 
-Both modes read one standard form over y >= 0, built row by row in sparse
-form: inequality rows get a slack, bounded variables are shifted by their
-bound, free ones split into y+ - y-, and a row is negated if that makes its
-rhs nonnegative.  Float mode holds each row's nonzero (y-column, value)
-pairs and its rhs.  Exact mode does no Fraction arithmetic: it reads each
-value's reduced numerator and denominator, keeps a row's shifted rhs over
-the lcm of its terms' denominators, scales every row by the lcm of all rhs
-and nonzero denominators and hands the integers over as (row, integer)
-columns.
+Both modes read one standard form over y >= 0, built row by row from the
+input rows: inequality rows get a slack, bounded variables are shifted by
+their bound, free ones split into y+ - y-, and a row is negated if that makes
+its rhs nonnegative.  Float mode builds the dense Phase-I tableau from the
+rows in that one pass: each row's nonzero (y-column, value) pairs go
+straight into its tableau row and, in row order, into the objective's column
+sums.  Exact mode does no Fraction arithmetic: it reads each value's reduced
+numerator and denominator, keeps a row's shifted rhs over the lcm of its
+terms' denominators, scales every row by the lcm of all rhs and nonzero
+denominators and hands the integers over as (row, integer) columns, a free
+variable's y- column the negation of its y+ column.
 
 Exact mode is a revised, fraction-free simplex (integer-preserving elimination
 after Edmonds 1967 and Bareiss 1968) on those integer rows [A | b].  The Bareiss
@@ -45,23 +47,25 @@ pivot on (p, e) skips a row whose entry f in column e is 0 and replaces every
 other row by (row*piv - f*pivot_row) / at[r], exact by Sylvester's determinant
 identity, stamping it piv; zrow's entry is negative, so zrow is always
 rewritten, and D becomes piv.  Only the pivot row (rescaled to D once if
-stale), a basic artificial's D e_q term in an entering column (at[q] times
-the entry) and the readout (beta_r / at[r]) need true values.  Every D is a
-pivot, so positive, and so is every scale D / at[r]: every sign, ratio and
-tie the ratio test reads, the pivot sequence, D and the returned Fractions are
-those of plain Fraction pivoting (the entering artificial is the lowest-indexed
-one, not the first stored); a system is infeasible when zrow's rhs entry is
-negative.
+stale), a basic artificial's D e_q term in an entering column (at[q] times the
+entry) and the readout need true values: each coordinate of the point is one
+Fraction of integers, beta_r / at[r] plus its bound or minus its twin.  Every
+D is a pivot, so positive, and so is every scale D / at[r]: every sign, ratio
+and tie the ratio test reads, the pivot sequence, D and the returned Fractions
+are those of plain Fraction pivoting (the entering artificial is the
+lowest-indexed one, not the first stored); a system is infeasible when zrow's
+rhs entry is negative.
 
 Floating mode pivots on a row-by-row tableau: the pivot row is divided by the
 pivot, and only rows whose factor is nonzero are updated, so signed zeros are
 kept.  It runs on Python lists up to ``_LIST_ROWS`` rows, where numpy's ~10
-calls a pivot cost more, and on a numpy array above (about even at 5-6
-rows), in the same IEEE operations and order.  A tableau that drifts into a
-state exact arithmetic cannot reach (a phase-1 objective that looks
-unbounded below), or that overflows (a bound shift that makes a finite rhs
-infinite, a non-finite value in the final rhs column or point), is not an
-answer: the system is solved again exactly on the float images of its
+calls a pivot cost more, and on a numpy array above (about even at 5-6 rows),
+in the same IEEE operations and order; the list loop reads the objective row
+and the rhs column in place and runs Bland's ratio test inline.  A tableau
+that drifts into a state exact arithmetic cannot reach (a phase-1 objective
+that looks unbounded below), or that overflows (a bound shift that makes a
+finite rhs infinite, a non-finite value in the final rhs column or point), is
+not an answer: the system is solved again exactly on the float images of its
 values, each at its exact value, and that solution is returned as floats.
 """
 
@@ -144,13 +148,13 @@ def solve_linear_feasibility(
     in_b = list(ineq_rhs) if ineq_rhs is not None else []
     if len(eq_rows) != len(eq_b) or len(in_rows) != len(in_b):
         raise ValueError("row/rhs length mismatch")
-    if any(len(r) != len(lbs) for r in eq_rows + in_rows):
+    if not set(map(len, eq_rows + in_rows)) <= {len(lbs)}:
         raise ValueError("constraint row length does not match variable count")
 
     # One type pass; the finiteness of plain ints, Fractions and floats in one
     # more, and any other type (bools, numpy scalars, subclasses) or an int
     # or Fraction beyond the float range by the general test, entry by entry.
-    values = [*itertools.chain(*eq_rows, eq_b, *in_rows, in_b), *(lb for lb in lbs if lb is not None)]
+    values = [*itertools.chain(*eq_rows, eq_b, *in_rows, in_b), *[lb for lb in lbs if lb is not None]]
     kinds = set(map(type, values))
     rational = kinds <= _RATIONALS
     if not rational and not (kinds <= _PLAIN and _all_finite(values)):
@@ -166,7 +170,7 @@ def solve_linear_feasibility(
     if exact or (exact is None and rational):
         return _solve_exact(*_integer_form(*system))
     try:
-        return _solve_float(_standard_form(*system))
+        return _solve_float(*system)
     except _PhaseOneUnbounded:
         pass
     except OverflowError:  # float() of an int or Fraction beyond the float range
@@ -189,46 +193,14 @@ def _column_map(lbs, num):
     return col_map, width
 
 
-def _standard_form(eq_rows, eq_b, lbs, in_rows, in_b):
-    """Sparse float rows over y >= 0, the column map back to x, and the y width.
-
-    Each row is (its nonzero (y-column, value) pairs in column order, its
-    rhs).  Inequality row r >= b becomes r - slack = b with slack >= 0;
-    bounded variables are shifted by their bound, free ones split into
-    y+ - y-; a row whose rhs is then negative is negated.
-    """
-    col_map, width = _column_map(lbs, float)
-    slacks = [None] * len(eq_rows) + list(range(width, width + len(in_rows)))
-
-    rows = []
-    for src, b, slack in zip(eq_rows + in_rows, eq_b + in_b, slacks):
-        pairs, acc = [], float(b)
-        # A nonzero Fraction below the float range converts to 0.0.
-        for spec, coeff in zip(col_map, map(float, src)):
-            if coeff == 0.0:
-                continue
-            pairs.append((spec[1], coeff))
-            if spec[0] == "free":
-                pairs.append((spec[2], -coeff))
-            else:
-                acc -= coeff * spec[2]
-        if slack is not None:
-            # The slack is shifted by 0; a -0.0 rhs becomes 0.0 here.
-            pairs.append((slack, -1.0))
-            acc += 0.0
-        if acc < 0.0:
-            pairs, acc = [(c, -v) for c, v in pairs], -acc
-        rows.append((pairs, acc))
-    return rows, col_map, width + len(in_rows)
-
-
 def _integer_form(eq_rows, eq_b, lbs, in_rows, in_b):
-    """_standard_form in exact values, scaled to integers (module docstring):
-    the y columns as (row, integer) pairs in row order, the integer rhs, and
-    the column map.  Each row, its rhs reduced, is the Fraction row it
-    stands for, so the common scale and the integers are that row's."""
+    """The standard form in exact values, scaled to integers (module
+    docstring): the y columns as (row, integer) pairs in row order, the
+    integer rhs, and the column map with each bound as a reduced (numerator,
+    denominator).  Each row, its rhs reduced, is the Fraction row it stands
+    for, so the common scale and the integers are that row's."""
     bounds = [None if lb is None else _ratio(lb) for lb in lbs]
-    col_map, width = _column_map(bounds, lambda pq: pq[0] if pq[1] == 1 else Fraction(*pq))
+    col_map, width = _column_map(bounds, tuple)
     slacks = [None] * len(eq_rows) + list(range(width, width + len(in_rows)))
 
     rows, dens = [], set()
@@ -236,14 +208,12 @@ def _integer_form(eq_rows, eq_b, lbs, in_rows, in_b):
         entries = []
         num, den = _ratio(b)
         for spec, bound, x in zip(col_map, bounds, src):
-            p, q = (x, 1) if type(x) is int else _ratio(x)
+            p, q = (x, 1) if type(x) is int else x.as_integer_ratio() if type(x) in _PLAIN else _ratio(x)
             if not p:
                 continue
             entries.append((spec[1], p, q))
             dens.add(q)
-            if bound is None:
-                entries.append((spec[2], -p, q))
-            elif bound[0]:  # num / den -= (p / q) * bound, over the lcm of the denominators
+            if bound is not None and bound[0]:  # num / den -= (p / q) * bound, over the lcm of the denominators
                 tq = q * bound[1]
                 g = math.gcd(den, tq)
                 num, den = num * (tq // g) - p * bound[0] * (den // g), den // g * tq
@@ -261,32 +231,48 @@ def _integer_form(eq_rows, eq_b, lbs, in_rows, in_b):
         for c, p, q in entries:
             columns[c].append((r, p * (s // q)))
         rhs.append(num * (s // den))
+    for spec in col_map:  # a free variable's y- column is minus its y+ column
+        if spec[0] == "free":
+            columns[spec[2]] = [(r, -a) for r, a in columns[spec[1]]]
     return columns, rhs, col_map
 
 
-def _original_point(y, col_map):
-    return [y[s[1]] - y[s[2]] if s[0] == "free" else y[s[1]] + s[2] for s in col_map]
-
-
-def _solve_float(form):
-    rows, col_map, width = form
-    m = len(rows)
-    feas_tol = LP_TOL * (1.0 + float(max([abs(b) for _, b in rows], default=0.0)))
-
-    # Phase I: artificial columns between the real ones and the rhs, and
-    # below the rows the objective "sum of artificials": its reduced costs are
-    # minus the column sums, added in row order from 0.0 over the nonzeros.
-    total = width + m
-    tableau = [[0.0] * (total + 1) for _ in range(m)]
-    sums, rhs_sum = [0.0] * width, 0.0
-    for r, (pairs, b) in enumerate(rows):
+def _solve_float(eq_rows, eq_b, lbs, in_rows, in_b):
+    """Phase I in floats on the tableau built from the rows in one pass
+    (module docstring): artificial columns between the real ones and the
+    rhs, and below the rows the objective "sum of artificials", whose
+    reduced costs are minus the column sums, added in row order from 0.0
+    over the nonzeros.  A float ndarray, or None if infeasible."""
+    col_map, width = _column_map(lbs, float)
+    n_eq, n = len(eq_rows), width + len(in_rows)
+    m = n_eq + len(in_rows)
+    tableau, sums, rhs_sum = [], [0.0] * n, 0.0
+    for r, (src, b) in enumerate(zip(eq_rows + in_rows, eq_b + in_b)):
+        pairs, acc = [], float(b)
+        # A nonzero Fraction below the float range converts to 0.0.
+        for spec, coeff in zip(col_map, map(float, src)):
+            if coeff:
+                pairs.append((spec[1], coeff))
+                if spec[0] == "free":
+                    pairs.append((spec[2], -coeff))
+                else:
+                    acc -= coeff * spec[2]
+        if r >= n_eq:
+            # The slack is shifted by 0; a -0.0 rhs becomes 0.0 here.
+            pairs.append((width + r - n_eq, -1.0))
+            acc += 0.0
+        if acc < 0.0:
+            pairs, acc = [(c, -v) for c, v in pairs], -acc
+        row = [0.0] * (n + m + 1)
         for c, v in pairs:
-            tableau[r][c] = v
+            row[c] = v
             sums[c] += v
-        tableau[r][width + r], tableau[r][-1] = 1.0, b
-        rhs_sum += b
-    tableau.append([-s for s in sums] + [0.0] * m + [-rhs_sum])
-    basis = list(range(width, total))
+        row[n + r], row[-1] = 1.0, acc
+        rhs_sum += acc
+        tableau.append(row)
+    tableau.append([-v for v in sums] + [0.0] * m + [-rhs_sum])
+    feas_tol = LP_TOL * (1.0 + float(max([abs(row[-1]) for row in tableau[:m]], default=0.0)))
+    basis = list(range(n, n + m))
     rhs = (_pivot_lists if m <= _LIST_ROWS else _pivot_array)(tableau, basis)
 
     # An infinite shifted rhs or an overflowing pivot: row operations keep a
@@ -299,7 +285,7 @@ def _solve_float(form):
     for var, value in zip(basis, rhs):
         if var < width:
             y[var] = value
-    x = _original_point(y, col_map)
+    x = [y[s[1]] - y[s[2]] if s[0] == "free" else y[s[1]] + s[2] for s in col_map]
     if not all(map(math.isfinite, x)):  # a value plus its bound overflowed
         raise _PhaseOneUnbounded(_OVERFLOW)
     return np.array(x)
@@ -323,15 +309,25 @@ def _pivot_lists(tableau, basis):
     """Phase I pivots on ``tableau``, its rows and then its objective row as
     lists of floats, and on ``basis``, in place; the final rhs column."""
     m = len(basis)
+    rhs_col = len(tableau[m]) - 1
     for _ in range(_MAX_PIVOTS + 1):
-        # The first negative reduced cost; the rhs entry is not a column.
-        for enter, z in enumerate(tableau[m][:-1]):
+        # The first negative reduced cost; the rhs entry, last, is not a column.
+        for enter, z in enumerate(tableau[m]):
             if z < -LP_TOL:
                 break
-        else:
+        if enter == rhs_col:
             return [row[-1] for row in tableau]
         factors = [row[enter] for row in tableau]
-        best_r = _leaving_row(factors, [row[-1] for row in tableau[:m]], basis)
+        # Bland's ratio test, as _leaving_row.
+        best_r = None
+        for r in range(m):
+            f = factors[r]
+            if f > LP_TOL:
+                ratio = tableau[r][-1] / f
+                if best_r is None or ratio < best or (ratio == best and basis[r] < basis[best_r]):
+                    best_r, best = r, ratio
+        if best_r is None:
+            raise _PhaseOneUnbounded(_UNBOUNDED)
         piv = factors[best_r]
         prow = [x / piv for x in tableau[best_r]]
         # Only rows with a nonzero factor change, so signed zeros survive.
@@ -457,8 +453,12 @@ def _solve_exact(columns, rhs, col_map):
 
     if zrow[0] < 0:  # phase-1 objective -zrow[0] / D is positive
         return None
-    y = [Fraction(0)] * width
+    y = [(0, 1)] * width  # (numerator, denominator > 0)
     for r, var in enumerate(basis):
         if var < width:
-            y[var] = Fraction(adj[r][0], at[r])
-    return _original_point(y, col_map)
+            y[var] = (adj[r][0], at[r])
+    x = []
+    for kind, col, other in col_map:  # y+ - y-, or y + bound, as one Fraction
+        (p, q), (a, b) = y[col], (y[other] if kind == "free" else (-other[0], other[1]))
+        x.append(Fraction(p * b - a * q, q * b))
+    return x

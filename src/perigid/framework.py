@@ -150,7 +150,7 @@ def _integer_shift(shift, d: int, what: str) -> tuple[int, ...]:
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints is None or ints != coords:
-        raise FrameworkError(f"{what} has a shift {coords} that is not integral")
+        raise FrameworkError(f"{what} has a shift that is not integral")
     if any(abs(c) > sys.float_info.max for c in ints):
         raise FrameworkError(f"{what} has a shift coordinate beyond the float range")
     return ints
@@ -184,11 +184,11 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
 
     canonical_edges = []
     seen: set[EdgeOrbit] = set()
-    for e in graph.edge_orbits:
+    for k, e in enumerate(graph.edge_orbits):
         e = EdgeOrbit(e[0], e[1], e[2])
         if e.tail not in orbit_set or e.head not in orbit_set:
             raise FrameworkError(f"edge orbit {e} references an unknown vertex orbit")
-        e = e._replace(shift=_integer_shift(e.shift, d, f"edge orbit {e}"))
+        e = e._replace(shift=_integer_shift(e.shift, d, f"edge orbit {k} ({e.tail} -> {e.head})"))
         if e.tail == e.head and all(c == 0 for c in e.shift):
             raise LoopEdgeError(f"edge orbit {e} is a loop")
         canon = e.canonical()
@@ -222,7 +222,8 @@ def validate_framework(graph: QuotientGraph, placement: Placement) -> PeriodicFr
 def _checked_placement(graph: QuotientGraph, positions: np.ndarray, lattice) -> tuple[np.ndarray, ...]:
     """The placement checks of :func:`validate_framework`, in its order, on
     positions (n, d) in orbit order: finite positions, a finite (d, d)
-    lattice of nonnegligible determinant, no zero-length bar.  Returns the
+    lattice L with det(L / c) above LATTICE_DET_TOL, c its largest column
+    norm, no zero-length bar.  Returns the
     frozen lattice and the bar separations and lengths.  A passing check
     reads each array once; the culprit is looked for only on failure."""
     d = graph.dimension
@@ -236,8 +237,8 @@ def _checked_placement(graph: QuotientGraph, positions: np.ndarray, lattice) -> 
         )
     if not np.isfinite(lattice).all():
         raise FrameworkError("lattice is not finite")
-    col_norm = float(np.linalg.norm(lattice, axis=0).max())
-    if abs(np.linalg.det(lattice)) <= LATTICE_DET_TOL * col_norm**d:
+    col_norm = float(np.hypot.reduce(lattice, axis=0).max())  # no square to overflow
+    if not col_norm or abs(np.linalg.det(lattice / col_norm)) <= LATTICE_DET_TOL:
         raise SingularLatticeError("lattice determinant below degeneracy tolerance")
     lattice = _freeze(lattice)
 

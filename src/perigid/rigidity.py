@@ -170,7 +170,8 @@ def analyze(fw: PeriodicFramework, tol: float = DEFAULT_RANK_TOL) -> RigidityRep
     Rank comes from an SVD with threshold tol * (largest singular value).
     The flex basis spans nullspace intersected with the orthogonal complement
     of the trivial motions; the stress basis spans the left nullspace.
-    A NaN or infinite tol is a ValueError.
+    A NaN or infinite tol is a ValueError, a constraint matrix with a
+    non-finite entry a NumericalFailureError, both before any SVD.
     """
     return _analysis(rigidity_matrix(fw), trivial_motion_basis(fw), tol)
 
@@ -180,6 +181,8 @@ def _analysis(matrix: np.ndarray, trivial: np.ndarray, tol: float) -> RigidityRe
     motions `trivial`, for callers that hold both as arrays."""
     if not math.isfinite(tol):
         raise ValueError(f"rank tolerance must be finite, got {tol!r}")
+    if not np.isfinite(matrix).all():
+        raise NumericalFailureError("constraint matrix is not finite")
     m, size = matrix.shape
     t = trivial.shape[0]
 

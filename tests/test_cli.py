@@ -461,6 +461,78 @@ def test_env_tolerance_must_be_positive(tmp_path, capsys, monkeypatch, name, raw
     assert capsys.readouterr().err == f"error: {name} must be positive and finite, got {raw!r}\n"
 
 
+# Shifts and lattices near the float range, through `python -m perigid` in a
+# subprocess with a timeout: numpy's overflow warnings go to stderr there, as
+# a user sees them, and a hang fails the test instead of stalling the suite.
+
+
+def edited_file(tmp_path, capsys, gen_args, edit):
+    """A `perigid gen` file after `edit` changed its JSON data in place."""
+    target = gen_file(tmp_path, capsys, *gen_args)
+    data = json.loads(target.read_text())
+    edit(data)
+    target.write_text(json.dumps(data))
+    return target
+
+
+def run_module(*args):
+    return subprocess.run([sys.executable, "-m", "perigid", *map(str, args)], capture_output=True, text=True, timeout=20)
+
+
+def set_first_shift(shift):
+    return lambda data: data["edge_orbits"][0].update(shift=shift)
+
+
+@pytest.mark.parametrize(
+    "gen_args, shift, command",
+    [
+        (["simplex", "--dim", "2"], [10**160, 0], "analyze"),
+        (["stressed"], [10**160, 0, 0], "analyze"),
+        (["stressed"], [10**160, 0, 0], "cone"),
+    ],
+)
+def test_a_shift_whose_rows_overflow_is_a_numerical_failure(tmp_path, capsys, gen_args, shift, command):
+    # Shift times separation overflows in the rigidity rows; an SVD of those
+    # rows once ran for longer than the timeout.
+    result = run_module(command, edited_file(tmp_path, capsys, gen_args, set_first_shift(shift)))
+    assert result.returncode == 3
+    assert result.stderr.splitlines()[-1] == "error: numerical failure: constraint matrix is not finite"
+
+
+def test_a_lattice_of_norm_ten_to_the_200_loads(tmp_path, capsys):
+    # The stressed framework scaled by 10**200: det(L) and the column norm
+    # to the d-th power both overflowed to inf, and inf <= tol * inf
+    # rejected a well-conditioned lattice.  Scaled, the answer is the
+    # unscaled one.
+    def scale(data):
+        data["lattice"] = [[10**200 * x for x in row] for row in data["lattice"]]
+        for orbit in data["vertex_orbits"]:
+            orbit["position"] = [1e200 * x for x in orbit["position"]]
+
+    result = run_module("analyze", edited_file(tmp_path, capsys, ["stressed"], scale))
+    assert result.returncode == 0
+    report = json.loads(result.stdout)
+    assert (report["rank"], report["dof"], report["stress_dim"]) == (7, 2, 1)
+
+    # With its positions unscaled, the bar of shift 0 is 10**-200 of the
+    # lattice's scale: the zero-length test rejects it, not the lattice test.
+    def lattice_only(data):
+        data["lattice"] = [[10**200 * x for x in row] for row in data["lattice"]]
+
+    result = run_module("analyze", edited_file(tmp_path, capsys, ["stressed"], lattice_only))
+    assert result.returncode == 2
+    assert result.stderr.splitlines()[-1].endswith("realizes to a zero vector")
+
+
+def test_a_shift_beyond_the_float_range_is_one_short_line(tmp_path, capsys):
+    # The edge is named by its index and ends; its 401-digit shift is not printed.
+    target = edited_file(tmp_path, capsys, ["simplex", "--dim", "2"], set_first_shift([10**400, 0]))
+    assert main(["analyze", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid input: edge orbit 0 (green -> red) has a shift coordinate beyond the float range\n"
+    assert len(err) < 200
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "perigid", "gen", "stressed"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from fractions import Fraction
@@ -346,3 +347,69 @@ def test_star_report_json_fields():
     assert data["lineality_dim"] == 1
     assert data["pointed_codim2"] is True
     assert data["positive_dependence"] is None
+
+
+# -- byte pin of the star layer ------------------------------------------------
+
+
+def _pinned_stars():
+    """Seeded stars: d = 2 and 3, k = 2..6, planted and not, each with
+    entries p/q (q up to 7, so most floats are not dyadic) as Fractions and
+    as floats; then a float star the float simplex cannot solve, one
+    float32 star and one numpy-int star."""
+    rng = np.random.default_rng(4601)
+    stars = []
+    for d in (2, 3):
+        for k in range(2, 7):
+            for plant in (False, True):
+                for _ in range(2):
+                    vs = []
+                    while len(vs) < k:
+                        v = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 8))) for _ in range(d)]
+                        if any(v):
+                            vs.append(v)
+                    if plant:
+                        w = [int(rng.integers(1, 4)) for _ in vs[:-1]]
+                        planted = [-sum(a * v[c] for a, v in zip(w, vs[:-1])) for c in range(d)]
+                        if any(planted):
+                            vs[-1] = planted
+                    exact = np.array(vs, dtype=object)
+                    stars += [VectorStar("s", exact), VectorStar("s", exact.astype(float))]
+    # The float images of this star once left the float tableau unbounded.
+    F = Fraction
+    recovered = [(F(3, 4), F(5, 4), F(5, 3)), (3, 4, 6), (F(-5, 2), F(-1, 2), 6), (6, -5, -4),
+                 (F(1, 3), 6, F(5, 3)), (0, F(1, 2), F(1, 2))]
+    stars.append(VectorStar("s", np.array(recovered, dtype=float)))
+    stars.append(VectorStar("s", (rng.standard_normal((5, 3)) / 3).astype(np.float32)))
+    stars.append(VectorStar("s", rng.integers(-5, 6, size=(4, 3)) + np.array([[7, 0, 0]] * 4)))
+    return stars
+
+
+def _result_bytes(x) -> bytes:
+    if isinstance(x, np.ndarray):
+        return f"{x.dtype}{x.shape}".encode() + x.tobytes()
+    if hasattr(x, "lineality_basis"):
+        fields = (x.orbit, x.lineality_basis, x.pointed_codim2, x.separating_normal, x.positive_dependence)
+        return b"|".join(map(_result_bytes, fields))
+    return repr(x).encode()  # None, bools, and lists of Fractions or of their lists
+
+
+# SHA-256 per star function over its results on every _pinned_stars() star,
+# float and exact, recorded at commit 13f0e58 with numpy 2.4.6 and OpenBLAS
+# 0.3.31 on x86-64.
+STARS_DIGESTS = {
+    "positive_dependence": "2deccf2e8675974fe72129ef208b093455f4c52d3c663050edc6cf3f1bf0de6b",
+    "strict_expansion_probe": "fab96f956b498429e1299aed760d40ebeecfb54fd9033ca0fab015fcdd2ccc9b",
+    "lineality_space": "b2f9fcf6d653ad1fd948b45de12d11b6ab54582d82092f6ddb56abc0723cd728",
+    "analyze_star": "be34d11080d773d4c7d1e40f90277ed1d0937ed5d940a66dc2682ad75a2a6baf",
+}
+
+
+def test_star_layer_bytes():
+    calls = (positive_dependence, strict_expansion_probe, lineality_space, analyze_star)
+    stars = _pinned_stars()
+    digests = {
+        call.__name__: hashlib.sha256(b"\n".join(_result_bytes(call(s)) for s in stars)).hexdigest()
+        for call in calls
+    }
+    assert digests == STARS_DIGESTS

@@ -213,7 +213,9 @@ def star_vectors(draw, d, k, entry=FRACTION_ENTRIES, plant_from=3):
 
 def dependence_system(vectors):
     """(eqs, eq_rhs, lbs, ineqs, ineq_rhs) of a positive dependence, from its
-    definition: sum_i a_i v_i = 0 with every a_i >= 1."""
+    definition: sum_i a_i v_i = 0 with every a_i >= 1, over the entries as
+    the star functions read them (``ndarray.tolist()``)."""
+    vectors = np.asarray(vectors).tolist()
     d = len(vectors[0])
     return [[v[c] for v in vectors] for c in range(d)], [0] * d, [1] * len(vectors), [], []
 
@@ -222,7 +224,8 @@ def probe_system(vectors):
     """(eqs, eq_rhs, lbs, ineqs, ineq_rhs) of the strict-expansion probe, from
     its definition: free velocities vdot_i in k blocks of d, <v_i, vdot_i> = 0,
     <v_i - v_j, vdot_i - vdot_j> >= 0 for i < j, and the sum of those pair
-    rows >= 1."""
+    rows >= 1, over the entries as dependence_system reads them."""
+    vectors = np.asarray(vectors).tolist()
     k, d = len(vectors), len(vectors[0])
 
     def row(*blocks):  # (block index, d values) pairs, zeros elsewhere
@@ -879,17 +882,16 @@ def tall_float_systems(draw):
 @example(ZERO_FACTOR_SYSTEM, None)  # a row with a zero factor keeps its -0.0
 @settings(max_examples=300, deadline=None)
 def test_list_and_array_loops_give_the_same_bytes(system, cap):
-    # Each standard form of 1-12 rows solved with every system routed to one
-    # loop, then to the other: the same bytes, or the same exception type and
-    # message (overflow, an unbounded phase 1, or the pivot cap of 3).
-    form = feasibility._standard_form(*system)
+    # Each system of 1-12 rows solved on one loop, then on the other: the
+    # same bytes, or the same exception type and message (overflow, an
+    # unbounded phase 1, or the pivot cap of 3).
     outcomes = []
     for list_rows in (12, 0):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(feasibility, "_LIST_ROWS", list_rows)
             if cap is not None:
                 patch.setattr(feasibility, "_MAX_PIVOTS", cap)
-            outcomes.append(outcome(feasibility._solve_float, form))
+            outcomes.append(outcome(feasibility._solve_float, *system))
     assert outcomes[0] == outcomes[1]
 
 

@@ -10,6 +10,7 @@ from perigid import (
     IllConditionedError,
     NonUniqueStressError,
     NoStressError,
+    NumericalFailureError,
     SimplexVariant,
     ZeroPivotError,
     analyze,
@@ -21,7 +22,7 @@ from perigid import (
     trivial_motion_basis,
     with_edge_orbit,
 )
-from perigid.rigidity import _rank_from_singular_values, _trivial_basis, report_to_json
+from perigid.rigidity import _analysis, _rank_from_singular_values, _trivial_basis, report_to_json
 
 from _oracles import exact_rank, frozen_trivial_basis
 from conftest import make_framework
@@ -204,6 +205,16 @@ def test_rank_tolerance_must_be_finite(tol):
     assert (report.rank, report.dof) == (8, 1)
     with pytest.raises(ValueError, match="rank tolerance must be finite"):
         analyze(fw, tol)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_constraint_matrix_fails_before_the_svd(stressed, entry):
+    # Such rows come from a shift times a separation beyond the float range;
+    # LAPACK's SVD of them can run without end.
+    matrix = rigidity_matrix(stressed)
+    matrix[3, 7] = entry
+    with pytest.raises(NumericalFailureError, match="^constraint matrix is not finite$"):
+        _analysis(matrix, trivial_motion_basis(stressed), 1e-9)
 
 
 def test_rank_gap_guard():
