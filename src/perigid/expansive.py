@@ -440,9 +440,7 @@ def _finish(rays: np.ndarray, a: np.ndarray) -> np.ndarray:
             if not near[kept].any():
                 kept.append(i)
     rays = rays[kept]
-    if len(rays) == 0:
-        return rays
-    worst = float((a @ rays.T).min())
+    worst = float((a @ rays.T).min(initial=np.inf))
     if worst < -10 * CONE_TOL:
         raise NumericalFailureError(f"ray violates a halfspace by {-worst:.3e}")
     return rays[np.lexsort(np.round(rays, 12).T[::-1])]
@@ -516,8 +514,11 @@ def _unit_halfspaces(rows: np.ndarray, flex_basis: np.ndarray) -> np.ndarray:
     chunk of the pair stream at a time; each row's norms are the ones of its
     own reductions, whatever the chunk."""
     projected = rows @ flex_basis.T
-    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-    norms = np.linalg.norm(projected, axis=1)
+    with np.errstate(over="ignore"):  # an overflowed scale is reported below
+        scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+        norms = np.linalg.norm(projected, axis=1)
+    if not np.isfinite(scale).all():
+        raise NumericalFailureError("pair row norm is not finite; coordinates too large for a relative test")
     keep = norms > CONE_TOL * scale
     return projected[keep] / norms[keep, None]
 
@@ -555,9 +556,11 @@ def _flex_verdict(fw: PeriodicFramework, flex, radius: int):
     flex = _checked_flex(rigidity_matrix(fw), flex, CONE_TOL)
     flex_norm, violated, touched = np.linalg.norm(flex), False, set()
     for tails, heads, rows in _pair_chunks(fw, radius):
-        values = _row_dots(rows, flex)
-        scales = np.sqrt(_row_dots(rows, rows)) * flex_norm
-        thresholds = CONE_TOL * scales
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed scale is reported below
+            values = _row_dots(rows, flex)
+            thresholds = CONE_TOL * (np.sqrt(_row_dots(rows, rows)) * flex_norm)
+        if not np.isfinite(thresholds).all():
+            raise NumericalFailureError("pair test scale is not finite; coordinates too large for a relative test")
         strict = values > thresholds
         violated = violated or bool(np.any(values < -thresholds))
         touched.update(tails[strict].tolist(), heads[strict].tolist())

@@ -244,7 +244,11 @@ def _checked_placement(graph: QuotientGraph, positions: np.ndarray, lattice) -> 
 
     scale = max(1.0, col_norm, float(np.abs(positions).max()))
     vectors = _separations(positions, lattice, *graph._incidence)
-    lengths = np.linalg.norm(vectors, axis=1)
+    with np.errstate(over="ignore"):  # a length past sqrt(max float) is taken again, by hypot
+        lengths = np.linalg.norm(vectors, axis=1)
+    over = np.isinf(lengths)
+    if over.any():
+        lengths[over] = np.hypot.reduce(vectors[over], axis=1, initial=0.0)
     short = lengths <= 1e-12 * scale
     if short.any():
         raise ZeroLengthEdgeError(f"edge orbit {graph.edge_orbits[short.argmax()]} realizes to a zero vector")

@@ -126,7 +126,7 @@ def _newton_correct(
         for iteration in range(_MAX_NEWTON_ITER + 1):
             e = _separations(pos, lattice, *graph._incidence)
             g = _row_dots(e, e) - target_sq
-            residual = float(np.abs(g).max()) if len(g) else 0.0
+            residual = float(np.abs(g).max(initial=0.0))
             if iteration == _MAX_NEWTON_ITER:  # the last update is measured for the message only
                 break
             if residual < newton_tol:
@@ -134,6 +134,8 @@ def _newton_correct(
             if not np.isfinite(residual):
                 raise NewtonDivergenceError(f"corrector residual is {residual}; the step overflowed")
             jac = 2.0 * rigidity_rows(graph, e)
+            if not np.isfinite(jac).all():  # LAPACK would fail on it
+                raise NewtonDivergenceError("corrector Jacobian is not finite; the step overflowed")
             delta, *_ = np.linalg.lstsq(jac[:, free], -g, rcond=None)
             x[free] += delta
     raise NewtonDivergenceError(f"corrector stalled at residual {residual:.3e} after {_MAX_NEWTON_ITER} iterations")
@@ -171,7 +173,7 @@ def continue_motion(
 
     report0 = analyze(fw, rank_tol)
     state = pack_motion(pos0, fw.placement.lattice)
-    tangent = report0.flex_basis.T @ (report0.flex_basis @ direction) if report0.dof else np.zeros_like(direction)
+    tangent = report0.flex_basis.T @ (report0.flex_basis @ direction)
     norm0 = float(np.linalg.norm(tangent))
     if norm0 <= 1e-12 * max(1.0, float(np.linalg.norm(direction))):
         k = n_steps + 1

@@ -14,7 +14,9 @@ framework's stored bar separations.  The factor 2 from differentiating
 squared lengths is dropped; it does not change ranks, nullspaces, or signs.
 ``_checked_flex`` is the package's one flex gate: a flex has shape
 (dn + d^2,), finite entries and |r . v| <= tol |r| |v| for every edge row r,
-at the caller's tolerance; anything else raises ``NotAFlexError``.
+at the caller's tolerance; anything else raises ``NotAFlexError``, and a
+scale tol |r| |v| past the float range, which would pass any vector,
+``NumericalFailureError``.
 """
 
 from __future__ import annotations
@@ -62,12 +64,16 @@ def _incidence_rows(n: int, tails, heads, shifts, separations) -> np.ndarray:
     """Rows of (tail, head, w) triples with separations s in the layout above.
 
     Accumulated into zeros as a per-row loop would be, so every zero keeps
-    its sign (0 - 0 is +0, where -s would give -0)."""
+    its sign (0 - 0 is +0, where -s would give -0).  An entry w_c s_r past
+    the float range is inf (NaN for 0 times inf), with no warning: the
+    analysis, the flex gate, the Newton step and the cone's pair tests check
+    their rows or scales."""
     k, d = separations.shape
     rows, at = np.zeros((k, n + d, d)), np.arange(k)
     rows[at, tails] -= separations
     rows[at, heads] += separations
-    rows[:, n:] += shifts[:, :, None] * separations[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows[:, n:] += shifts[:, :, None] * separations[:, None, :]
     return rows.reshape(k, (n + d) * d)
 
 
@@ -89,8 +95,11 @@ def _checked_flex(matrix: np.ndarray, vector, tol: float) -> np.ndarray:
         raise NotAFlexError(f"motion vector has shape {vector.shape}, expected ({matrix.shape[1]},)")
     if not np.all(np.isfinite(vector)):
         raise NotAFlexError("motion vector is not finite")
-    resid = np.abs(matrix @ vector)
-    bound = tol * np.linalg.norm(matrix, axis=1) * np.linalg.norm(vector)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed scale is reported below
+        resid = np.abs(matrix @ vector)
+        bound = tol * np.linalg.norm(matrix, axis=1) * np.linalg.norm(vector)
+    if not np.isfinite(bound).all():
+        raise NumericalFailureError("flex test scale is not finite; coordinates too large for a relative test")
     if np.any(resid > bound):
         raise NotAFlexError(f"edge residual {resid.max():.3e} exceeds tolerance; not a flex")
     return vector
@@ -149,9 +158,7 @@ class RigidityReport:
 
 
 def _rank_from_singular_values(s: np.ndarray, tol: float) -> int:
-    if s.size == 0:
-        return 0
-    smax = float(s[0])
+    smax = float(s.max(initial=0.0))  # s[0] of LAPACK's descending spectrum
     threshold = tol * smax
     rank = int(np.sum(s > threshold))
     if 0 < rank < s.size:
@@ -183,45 +190,22 @@ def _analysis(matrix: np.ndarray, trivial: np.ndarray, tol: float) -> RigidityRe
         raise ValueError(f"rank tolerance must be finite, got {tol!r}")
     if not np.isfinite(matrix).all():
         raise NumericalFailureError("constraint matrix is not finite")
-    m, size = matrix.shape
-    t = trivial.shape[0]
-
-    if m == 0:
-        rank = 0
-        null_basis = np.eye(size)
-        stress_basis = np.zeros((0, 0))
-    else:
-        u, s, vt = np.linalg.svd(matrix)
-        rank = _rank_from_singular_values(s, tol)
-        null_basis = vt[rank:]
-        stress_basis = u[:, rank:].T
-
+    size, t = matrix.shape[1], trivial.shape[0]
+    # With no rows, numpy's SVD gives Vt = I and an empty U.
+    u, s, vt = np.linalg.svd(matrix)
+    rank = _rank_from_singular_values(s, tol)
     q_triv, _ = np.linalg.qr(trivial.T)
     f = (size - rank) - t
     if f < 0:
-        raise IllConditionedError(
-            f"nullity {size - rank} smaller than the {t} trivial motions"
-        )
-    if f == 0:
-        flex_basis = np.zeros((0, size))
-    else:
-        residual = null_basis - (null_basis @ q_triv) @ q_triv.T
-        _, sg, vg = np.linalg.svd(residual)
-        # Projected orthonormal rows have singular values 1 (flex directions)
-        # or 0 (trivial directions); anything else means the split failed.
-        kept = int(np.sum(sg > 0.5))
-        if kept != f:
-            raise IllConditionedError(
-                f"flex-space projection produced {kept} directions, expected {f}"
-            )
-        flex_basis = vg[:f]
-
-    return RigidityReport(
-        rank=rank,
-        flex_basis=flex_basis,
-        stress_basis=stress_basis,
-        tolerance_used=tol,
-    )
+        raise IllConditionedError(f"nullity {size - rank} smaller than the {t} trivial motions")
+    residual = vt[rank:] - (vt[rank:] @ q_triv) @ q_triv.T
+    _, sg, vg = np.linalg.svd(residual)
+    # Projected orthonormal rows have singular values 1 (flex directions)
+    # or 0 (trivial directions); anything else means the split failed.
+    kept = int(np.sum(sg > 0.5))
+    if kept != f:
+        raise IllConditionedError(f"flex-space projection produced {kept} directions, expected {f}")
+    return RigidityReport(rank=rank, flex_basis=vg[:f], stress_basis=u[:, rank:].T, tolerance_used=tol)
 
 
 def stress_coefficients(
@@ -247,8 +231,11 @@ def stress_coefficients(
     stress = stress * (value / pivot)
 
     matrix = rigidity_matrix(fw)
-    residual = float(np.linalg.norm(stress @ matrix))
-    scale = float(np.linalg.norm(matrix)) * float(np.linalg.norm(stress))
+    with np.errstate(over="ignore"):  # an overflowed scale is reported below
+        residual = float(np.linalg.norm(stress @ matrix))
+        scale = float(np.linalg.norm(matrix)) * float(np.linalg.norm(stress))
+    if not math.isfinite(scale):
+        raise NumericalFailureError("stress residual scale is not finite; coordinates too large for a relative test")
     if residual > 1e-9 * max(scale, 1.0):
         raise NumericalFailureError(
             f"stress residual {residual:.3e} exceeds tolerance"

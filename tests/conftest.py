@@ -27,6 +27,13 @@ def rotated(fw, seed):
     return validate_framework(fw.graph, placement)
 
 
+def scaled(fw, c):
+    """The framework with positions and lattice multiplied by c: the same
+    rigidity rows times c, so the same flexes, stresses and verdicts."""
+    pl = fw.placement
+    return validate_framework(fw.graph, Placement({o: c * p for o, p in pl.positions.items()}, c * pl.lattice))
+
+
 def make_framework(dimension, positions, lattice, edges):
     graph = QuotientGraph(
         dimension,

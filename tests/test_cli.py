@@ -464,6 +464,7 @@ def test_env_tolerance_must_be_positive(tmp_path, capsys, monkeypatch, name, raw
 # Shifts and lattices near the float range, through `python -m perigid` in a
 # subprocess with a timeout: numpy's overflow warnings go to stderr there, as
 # a user sees them, and a hang fails the test instead of stalling the suite.
+# Each test reads the whole of stderr, so a warning before the error line fails it.
 
 
 def edited_file(tmp_path, capsys, gen_args, edit):
@@ -496,7 +497,7 @@ def test_a_shift_whose_rows_overflow_is_a_numerical_failure(tmp_path, capsys, ge
     # rows once ran for longer than the timeout.
     result = run_module(command, edited_file(tmp_path, capsys, gen_args, set_first_shift(shift)))
     assert result.returncode == 3
-    assert result.stderr.splitlines()[-1] == "error: numerical failure: constraint matrix is not finite"
+    assert result.stderr == "error: numerical failure: constraint matrix is not finite\n"
 
 
 def test_a_lattice_of_norm_ten_to_the_200_loads(tmp_path, capsys):
@@ -522,6 +523,58 @@ def test_a_lattice_of_norm_ten_to_the_200_loads(tmp_path, capsys):
     result = run_module("analyze", edited_file(tmp_path, capsys, ["stressed"], lattice_only))
     assert result.returncode == 2
     assert result.stderr.splitlines()[-1].endswith("realizes to a zero vector")
+
+
+def scale_by(k):
+    """Positions and lattice times 10**k: the same rows times 10**k."""
+
+    def scale(data):
+        data["lattice"] = [[10**k * x for x in row] for row in data["lattice"]]
+        for orbit in data["vertex_orbits"]:
+            orbit["position"] = [float(10**k) * x for x in orbit["position"]]
+
+    return scale
+
+
+# SHA-256 of the stdout of `analyze` and `cone --radius 2` on the stressed
+# framework times 10**150, recorded before the overflow checks of the
+# relative tests, with numpy 2.4.6 and OpenBLAS 0.3.31.
+SCALED_150_DIGESTS = {
+    "analyze": "18320c1ddb0f1ec4ceffbbfc67358e6d027805fe40f1ea7addb3dc59da49111b",
+    "cone": "a163e5992b85a16b3ea047afe9475d22a573b2e6702ac6d964e4fe1a4ea374ac",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCALED_150_DIGESTS))
+def test_a_framework_times_ten_to_the_150_answers_as_before(tmp_path, capsys, command):
+    target = edited_file(tmp_path, capsys, ["stressed"], scale_by(150))
+    result = run_module(command, target, *(["--radius", 2] if command == "cone" else []))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == SCALED_150_DIGESTS[command]
+
+
+@pytest.mark.parametrize("k", [160, 200])
+def test_analyze_of_a_framework_past_the_square_root_of_the_float_range_warns_nothing(tmp_path, capsys, k):
+    # Its bar lengths overflowed in np.linalg.norm, with a RuntimeWarning,
+    # which `-W error::RuntimeWarning` made exit 1.
+    target = edited_file(tmp_path, capsys, ["stressed"], scale_by(k))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "perigid", "analyze", str(target)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert (report["rank"], report["dof"], report["stress_dim"]) == (7, 2, 1)
+
+
+def test_cone_of_a_framework_times_ten_to_the_160_is_one_error_line(tmp_path, capsys):
+    # Every pair row's norm overflowed, the rows were dropped against an
+    # infinite scale, and the cone was refused as "full lineality".
+    result = run_module("cone", edited_file(tmp_path, capsys, ["stressed"], scale_by(160)), "--radius", 2)
+    assert result.returncode == 3
+    assert result.stderr == (
+        "error: numerical failure: pair row norm is not finite; coordinates too large for a relative test\n"
+    )
 
 
 def test_a_shift_beyond_the_float_range_is_one_short_line(tmp_path, capsys):

@@ -32,7 +32,7 @@ from perigid import expansive, feasibility, motion, rigidity_matrix
 from perigid.expansive import cone_report_json
 
 from _oracles import rays_match, sweep_rays_2d
-from conftest import canonical_pair, make_framework, pair_keys, pair_separations, whole_pairs, whole_shifts
+from conftest import canonical_pair, make_framework, pair_keys, pair_separations, scaled, whole_pairs, whole_shifts
 
 
 def pair_count(n, d, radius):
@@ -120,6 +120,12 @@ def test_finish_rejects_a_ray_that_violates_a_halfspace():
     rays, halfspaces = np.array([[1.0, 0.0]]), np.array([[-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NumericalFailureError, match="ray violates a halfspace by 1.000e"):
         expansive._finish(rays, halfspaces)
+
+
+@pytest.mark.parametrize("f", [1, 2, 5])
+def test_finish_of_no_rays_is_no_rays(f):
+    rays = expansive._finish(np.zeros((0, f)), np.eye(f))
+    assert rays.shape == (0, f) and rays.dtype == float
 
 
 def test_wedge_rays_vs_sweep():
@@ -341,6 +347,56 @@ def test_flex_gate_tolerance_band():
     assert continue_motion(fw, nudged, n_steps=1).n_steps == 1
     with pytest.raises(NotAFlexError):
         classify_flex(fw, nudged)
+
+
+# -- coordinates near the float range --------------------------------------------
+# Positions and lattice times c multiply every row by c and keep every flex.
+
+
+def test_relative_tests_past_the_float_range_raise(stressed):
+    # Times 10**160 the rows are finite, but their norms overflow to inf, and
+    # a test of |r . v| against tol |r| |v| passed any vector: classify_flex
+    # called the ray, its negative and np.ones(15) weakly expansive, the seed
+    # gate passed np.ones(15), and the cone dropped every pair row as
+    # "full lineality".  The rank is still right.
+    mot = expansive_cone(stressed, analyze(stressed), radius=2).ray_motion(0)
+    fw = scaled(stressed, float(10**160))
+    report = analyze(fw)
+    assert (report.rank, report.dof, report.stress_dim) == (7, 2, 1)
+    for vector in (mot, -mot, np.ones(15)):
+        with pytest.raises(NumericalFailureError, match="^flex test scale is not finite"):
+            classify_flex(fw, vector)
+    with pytest.raises(NumericalFailureError, match="^flex test scale is not finite"):
+        continue_motion(fw, np.ones(15))
+    with pytest.raises(NumericalFailureError, match="^pair row norm is not finite") as info:
+        expansive_cone(fw, report, radius=2)
+    assert "lineality" not in str(info.value)
+
+
+def test_a_pair_test_past_the_float_range_raises(stressed):
+    # Times 2**509 the bar rows' norms are finite, so the flex passes the
+    # gate, but some radius-2 pair rows' norms overflow: their thresholds
+    # are inf, and no verdict can rest on them.
+    mot = expansive_cone(stressed, analyze(stressed), radius=2).ray_motion(0)
+    fw = scaled(stressed, 2.0**509)
+    with pytest.raises(NumericalFailureError, match="^pair test scale is not finite"):
+        classify_flex(fw, mot, radius=2)
+    with pytest.raises(NumericalFailureError, match="^pair test scale is not finite"):
+        verify_pointedness(fw, mot, radius=2)
+
+
+def test_relative_tests_inside_the_float_range_answer_as_unscaled(stressed):
+    # Times 10**150 no norm overflows: the unscaled framework's answers.
+    cone0 = expansive_cone(stressed, analyze(stressed), radius=2)
+    mot = cone0.ray_motion(0)
+    fw = scaled(stressed, float(10**150))
+    assert classify_flex(fw, mot) is FlexClass.EFFECTIVELY_EXPANSIVE
+    assert classify_flex(fw, -mot) is FlexClass.NOT_EXPANSIVE
+    for entry in (classify_flex, continue_motion):
+        with pytest.raises(NotAFlexError):
+            entry(fw, np.ones(15))
+    cone = expansive_cone(fw, analyze(fw), radius=2)
+    assert rays_match(cone.rays @ cone.flex_basis, cone0.rays @ cone0.flex_basis, 1e-9)
 
 
 def test_cone_membership_soundness(stressed):

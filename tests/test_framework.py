@@ -23,7 +23,7 @@ from perigid import (
 from perigid.cli import main
 from perigid.framework import _csv_field, _write_pair_table, dumps_framework, loads_framework
 
-from conftest import make_framework, pair_separations, whole_pairs, whole_shifts
+from conftest import make_framework, pair_separations, scaled, whole_pairs, whole_shifts
 
 
 def test_stressed_inputs_validate(stressed):
@@ -129,6 +129,19 @@ def test_edge_vector_values(stressed):
     assert np.allclose(stressed._edge_vectors[0], [-0.5, -0.5, 0.5])
     # green -> red with shift e1
     assert np.allclose(stressed._edge_vectors[1], [0.5, -0.5, 0.5])
+
+
+@pytest.mark.parametrize("k", [150, 160, 200, 300])
+def test_edge_lengths_stay_finite_past_the_square_root_of_the_float_range(stressed, k):
+    # Past about 1.34e154 a length's square overflows, and np.linalg.norm
+    # returned inf with a RuntimeWarning (an error in this suite); such rows
+    # are taken by hypot.
+    c = float(10**k)
+    fw = scaled(stressed, c)
+    assert np.isfinite(fw.edge_lengths).all()
+    np.testing.assert_allclose(fw.edge_lengths, c * stressed.edge_lengths, rtol=1e-15, atol=0)
+    if k == 150:  # no square overflows: the plain norm's bits
+        assert np.array_equal(fw.edge_lengths, np.linalg.norm(fw._edge_vectors, axis=1))
 
 
 def test_edge_vector_simplex(base3):

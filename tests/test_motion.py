@@ -80,6 +80,33 @@ def test_trivial_direction_gives_zero_path(enhanced3):
             assert np.array_equal(pl.positions[o], p0.positions[o])
 
 
+# SHA-256 of the positions, lattices and residuals of 5 steps along a
+# rotation of the rigid enhanced framework, keyed by d: a zero-displacement
+# path, recorded with numpy 2.4.6 and OpenBLAS 0.3.31 when the tangent still
+# had its own branch for a framework without flexes.
+RIGID_PATH_DIGESTS = {
+    2: (
+        "9dbb87d6db2190bebc3d1cc780c1a14c89ceef8fbc7b51c2e5712efcf4ac716e",
+        "d7fffb11ccaae9cfa95944358649ed5689050dc88b4df83bfe54421e1760e528",
+        "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+    ),
+    3: (
+        "0792c75402712a0318b4a5d1fb34ef4c94940ccb15863368bbd92e620f6aad38",
+        "dfd3a1f8ba350eb43da5bb262b8a56d0c3e9b027718167225218a3d2bcf5bdd2",
+        "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+    ),
+}
+
+
+@pytest.mark.parametrize("d", sorted(RIGID_PATH_DIGESTS))
+def test_rigid_path_bytes(d):
+    fw = simplex_framework(d, SimplexVariant("enhanced"))
+    path = continue_motion(fw, trivial_motion_basis(fw)[-1], n_steps=5)
+    assert path.step_size == 0.0
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (path.positions, path.lattices, path.residuals))
+    assert digests == RIGID_PATH_DIGESTS[d]
+
+
 def test_mechanism_path_residuals(path2):
     assert path2.n_steps == 50
     assert path2.residuals.max() < 1e-10
@@ -270,6 +297,19 @@ def test_audit_csv(tmp_path, path2):
     assert lines[0] == "orbit_a,orbit_b,shift_1,shift_2,min_increment,first_violation_step"
     assert len(lines) == 1 + len(audit.pair_results)
     assert all(line.endswith(",") or line.split(",")[-1].isdigit() for line in lines[1:])
+
+
+def test_a_jacobian_that_overflows_is_a_newton_divergence(capfd):
+    # A bar of shift (10**154, 0) has finite rows and squared length, but
+    # 2 s w^T overflows in the Jacobian; LAPACK's least squares then printed
+    # DLASCL errors and numpy raised LinAlgError.
+    fw = make_framework(2, {"a": [0.0, 0.0], "b": [0.5, 0.25]}, np.eye(2), [("a", "b", (0, 0)), ("a", "b", (10**154, 0))])
+    assert np.isfinite(fw.edge_lengths**2).all()
+    state = pack_motion(np.array([[0.0, 0.0], [0.5, 0.3]]), np.eye(2))  # off its lengths
+    free = motion._gauge_free_indices(fw.graph)
+    with pytest.raises(NewtonDivergenceError, match="^corrector Jacobian is not finite"):
+        motion._newton_correct(fw.graph, fw.edge_lengths**2, state, free, 1e-10)
+    assert capfd.readouterr().err == ""
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])

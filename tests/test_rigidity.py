@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from perigid import (
 from perigid.rigidity import _analysis, _rank_from_singular_values, _trivial_basis, report_to_json
 
 from _oracles import exact_rank, frozen_trivial_basis
-from conftest import make_framework
+from conftest import make_framework, rotated, scaled
 
 
 def n_trivial(d):
@@ -111,6 +112,57 @@ def test_framework_without_bars():
     assert len(data["flex_basis"]) == 3 and data["stress_basis"] == []
 
 
+# SHA-256 of report_to_json(analyze(fw)) for frameworks without bars (keyed
+# by d, n) and for the rigid enhanced family (keyed by d; its report holds
+# no basis rows, so both placements and a rotation give the same bytes),
+# recorded with numpy 2.4.6 and OpenBLAS 0.3.31 when the analysis still had
+# its own branches for no rows and for no flex.
+BARLESS_REPORT_DIGESTS = {
+    (1, 1): "27e85724b5487cc34a0916fa4a78985b27908f4d138b6f38e64beda394555c74",
+    (1, 2): "a2be01b833e227503b11b174ba8b4af038ac6fbc8248550e6a6c176149e3ddb1",
+    (1, 3): "10289474fb041d43aa8e4c4e2e760a081964b497494d7b7de9963b0cfca6fc65",
+    (2, 1): "9c43a338c1a45acfb4078da459529b856b385d216694c6e76994e57e3a02b2a2",
+    (2, 2): "d9e0947aec32e66eedabb64d32b6aa8acfd4048f08a125e87ed7a0b437443423",
+    (2, 3): "821b3d2caf20e3c35d621a3a71911546a0e5e1e60daaa8ab95d1e18d291e4569",
+    (3, 1): "2838d917a745374a23d6139c0380c4711629ae79c0807832069113fb334de478",
+    (3, 2): "6a304391424b0d62144fc6c9587c992138d3d566b8c2535528de04ebee737009",
+    (3, 3): "224fd0b2352ca47fbd55bd84ea65d37d74f1c3261e4d53e8a2fda23cb278ca56",
+    (4, 1): "2a5422fbceeabfaad684f84a2ee9bcbf018b48c92fe8f2a8610a4588bb14ce2a",
+    (4, 2): "343bf78b019c3f9a965c400b40c9b3046316f6f8f9609a6982861f3b85cc7800",
+    (4, 3): "0f0893290a55dc39ef1144a43f705a22f17f6c3a597c2c7bef42f6de66853670",
+}
+RIGID_REPORT_DIGESTS = {
+    2: "52be877608901f78746292c1abf1a1971f03da4081e75fcb9e44457c82c1565a",
+    3: "1744fe5474dabc4c692217fa474290eef28f7694ccc44459bd785c59181bc39c",
+    4: "0529ed4d8b11b23b653e53678fa18267bdba30dba6aa14233bfdc8c3696b16af",
+    5: "f921b45248afad23507b154f8d4e1f13688f59756b9de0670112132a56d80f75",
+    6: "3533cafebb342fb1cd29201829c956ce2dcc8b6c20b98571bc6f6a5ecb159485",
+}
+
+
+@pytest.mark.parametrize("d, n", sorted(BARLESS_REPORT_DIGESTS))
+def test_report_bytes_without_bars(d, n):
+    positions = {f"v{k}": [(k + 1) / 4 + i / 8 for i in range(d)] for k in range(n)}
+    fw = make_framework(d, positions, np.eye(d) + np.triu(np.ones((d, d)), 1) / 2, [])
+    report = analyze(fw)
+    assert report.flex_basis.shape == (d * n + d * d - n_trivial(d), d * n + d * d)
+    assert report.stress_basis.size == 0
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == BARLESS_REPORT_DIGESTS[d, n]
+
+
+@pytest.mark.parametrize(
+    "d, placement", [(d, p) for d in sorted(RIGID_REPORT_DIGESTS) for p in ("standard", "regular")] + [(3, "rotated")]
+)
+def test_report_bytes_of_rigid_frameworks(d, placement):
+    fw = simplex_framework(d, SimplexVariant("enhanced"), regular=placement == "regular")
+    if placement == "rotated":
+        fw = rotated(fw, 7)
+    report = analyze(fw)
+    assert report.flex_basis.shape == (0, 2 * d + d * d)
+    assert report.stress_basis.shape == (0, fw.m)
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == RIGID_REPORT_DIGESTS[d]
+
+
 def test_flex_basis_properties(stressed):
     report = analyze(stressed)
     matrix = rigidity_matrix(stressed)
@@ -152,6 +204,17 @@ def test_stress_residual_is_left_nullspace(stressed):
     w = stress_coefficients(stressed, report, 0, value=-1.0)
     matrix = rigidity_matrix(stressed)
     assert np.linalg.norm(w @ matrix) < 1e-9 * np.linalg.norm(matrix)
+
+
+def test_a_stress_residual_scale_past_the_float_range_raises(stressed):
+    # Times 10**160 the matrix norm overflows, and the residual test passed
+    # against an infinite scale; times 10**150 the stress is the unscaled one.
+    expected = stress_coefficients(stressed, analyze(stressed), 0)
+    fw = scaled(stressed, float(10**150))
+    np.testing.assert_allclose(stress_coefficients(fw, analyze(fw), 0), expected, rtol=0, atol=1e-12)
+    fw = scaled(stressed, float(10**160))
+    with pytest.raises(NumericalFailureError, match="^stress residual scale is not finite"):
+        stress_coefficients(fw, analyze(fw), 0)
 
 
 def test_no_stress_on_base_simplex(base3):
